@@ -22,7 +22,9 @@ legs around a three-parameter XX+YY+ZZ entangler,
         . [zxz(a0,a1,a2) (x) zxz(a3,a4,a5)]
 
 where zxz(r,s,t) = Rz(t) Rx(s) Rz(r). All angles zero gives the identity, and
-every Reduced8 unitary embeds exactly (see :func:`reduced_to_full`).
+every Reduced8 unitary embeds exactly (see :func:`reduced_to_full`), so one
+closed form serves both templates and returns dU/dtheta on request: 2x2 chains,
+and the entangler diagonal in the Bell basis (exactly unitary at any angle).
 
 The MPS tensor of a unitary is A^s_{ab} = <s, a| U |0, b> (physical index
 first); unitarity of U makes A left-isometric: sum_s (A^s)^dag A^s = 1.
@@ -37,9 +39,23 @@ from .qcore import InvalidArgumentError, NumericFailure, rot_gate
 
 REDUCED8 = "Reduced8"
 FULL15 = "Full15"
-_N_ANGLES = {REDUCED8: 8, FULL15: 15}
+N_ANGLES = {REDUCED8: 8, FULL15: 15}
 
-ENTANGLER_ZZ = qcore.two_site_exp(np.kron(qcore.PAULI_Z, qcore.PAULI_Z), np.pi / 4)
+# Full15 slots of the (first, mid, last) angles of the four ZXZ chains:
+# physical and auxiliary leg before the entangler, then after it
+_CHAIN_SLOTS = np.array([[0, 3, 9, 12], [1, 4, 10, 13], [2, 5, 11, 14]])
+
+# Full15 slot of each Reduced8 angle under the embedding (slot 8 holds pi/4)
+_REDUCED_SLOTS = [3, 4, 0, 1, 5, 2, 10, 13]
+
+_Z_SIGNS = np.array([1.0, -1.0])  # Rz(phi) = diag(exp(-i phi _Z_SIGNS / 2))
+
+# Bell basis (columns Phi+, Phi-, Psi+, Psi-) and the eigenvalues of XX, YY
+# and ZZ (rows) on it
+_BELL = np.array(
+    [[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [1, -1, 0, 0]]
+) / np.sqrt(2)
+_BELL_PAULI = np.array([[1, -1, 1, -1], [-1, 1, 1, -1], [1, 1, -1, -1]])
 
 
 class AmbiguousGaugeError(RuntimeError):
@@ -61,12 +77,12 @@ class AnsatzParams:
     angles: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.template not in _N_ANGLES:
+        if self.template not in N_ANGLES:
             raise InvalidArgumentError(f"unknown template {self.template!r}")
         angles = np.asarray(self.angles, dtype=float)
-        if angles.shape != (_N_ANGLES[self.template],):
+        if angles.shape != (N_ANGLES[self.template],):
             raise InvalidArgumentError(
-                f"{self.template} expects {_N_ANGLES[self.template]} angles, "
+                f"{self.template} expects {N_ANGLES[self.template]} angles, "
                 f"got shape {angles.shape}"
             )
         if not np.all(np.isfinite(angles)):
@@ -78,39 +94,73 @@ class AnsatzParams:
         return AnsatzParams(self.template, np.array(angles, dtype=float))
 
 
-def _zxz(first, mid, last):
-    """Rz(last) Rx(mid) Rz(first): the ZXZ Euler chain applied first-to-last."""
-    return rot_gate("Z", last) @ rot_gate("X", mid) @ rot_gate("Z", first)
+def _zxz(first, mid, last, grad=False):
+    """Rz(last) Rx(mid) Rz(first) in closed form, broadcast over arrays of
+    angles to shape (..., 2, 2); with ``grad``, also its derivatives with
+    respect to (first, mid, last), shape (3, ..., 2, 2)."""
+    half_mid = 0.5 * np.asarray(mid)[..., None, None]
+    c, s = np.cos(half_mid), np.sin(half_mid)
+    phase_in = np.exp(-0.5j * np.multiply.outer(first, _Z_SIGNS))[..., None, :]
+    phase_out = np.exp(-0.5j * np.multiply.outer(last, _Z_SIGNS))[..., :, None]
+    eye, x = qcore.IDENTITY_2, qcore.PAULI_X
+    w = phase_out * (c * eye - 1j * s * x) * phase_in
+    if not grad:
+        return w
+    d_mid = phase_out * (-0.5 * s * eye - 0.5j * c * x) * phase_in
+    half = -0.5j * _Z_SIGNS
+    return w, np.stack([w * half, d_mid, w * half[:, None]])
 
 
-def build_unitary(params):
-    """Two-qubit unitary (physical leg = first factor) for the parameters."""
-    a = params.angles
-    if params.template == REDUCED8:
-        pre = np.kron(_zxz(a[2], a[3], a[5]), _zxz(a[0], a[1], a[4]))
-        post = np.kron(rot_gate("X", a[6]), rot_gate("X", a[7]))
-        return post @ ENTANGLER_ZZ @ pre
-    pre = np.kron(_zxz(a[0], a[1], a[2]), _zxz(a[3], a[4], a[5]))
-    post = np.kron(_zxz(a[9], a[10], a[11]), _zxz(a[12], a[13], a[14]))
-    gen = (
-        a[6] * np.kron(qcore.PAULI_X, qcore.PAULI_X)
-        + a[7] * np.kron(qcore.PAULI_Y, qcore.PAULI_Y)
-        + a[8] * np.kron(qcore.PAULI_Z, qcore.PAULI_Z)
+def _kron(x, y):
+    """Kronecker product of two (..., 2, 2) stacks, broadcast over the stack."""
+    out = x[..., :, None, :, None] * y[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (4, 4))
+
+
+def _full15_unitary(a, grad):
+    """Full15 unitary of the angles ``a``; with ``grad``, also dU/da, shape
+    (15, 4, 4)."""
+    chains = _zxz(*a[_CHAIN_SLOTS], grad=grad)
+    w, dw = chains if grad else (chains, None)
+    pre, post = _kron(w[0], w[1]), _kron(w[2], w[3])
+    phases = np.exp(-1j * (a[6:9] @ _BELL_PAULI))
+    ent = (_BELL * phases) @ _BELL.T
+    if not grad:
+        return post @ ent @ pre
+    left, right = post @ ent, ent @ pre
+    d_ent = (_BELL * (-1j * _BELL_PAULI * phases)[:, None, :]) @ _BELL.T
+    du = np.concatenate(
+        [
+            left @ _kron(dw[:, 0], w[1]),
+            left @ _kron(w[0], dw[:, 1]),
+            post @ d_ent @ pre,
+            _kron(dw[:, 2], w[3]) @ right,
+            _kron(w[2], dw[:, 3]) @ right,
+        ]
     )
-    return post @ qcore.two_site_exp(gen, 1.0) @ pre
+    return left @ pre, du
+
+
+def build_unitary(params, grad=False):
+    """Two-qubit unitary (physical leg = first factor) for the parameters.
+
+    With ``grad``, returns ``(U, dU)`` where dU[k] = dU/d(angle k), one 4x4
+    slice per angle of the template. Reduced8 goes through its exact linear
+    embedding into Full15.
+    """
+    if params.template == REDUCED8:
+        out = _full15_unitary(reduced_to_full(params).angles, grad)
+        return (out[0], out[1][_REDUCED_SLOTS]) if grad else out
+    return _full15_unitary(params.angles, grad)
 
 
 def reduced_to_full(params):
     """Exact embedding of a Reduced8 parameter set into the Full15 template."""
     if params.template != REDUCED8:
         raise InvalidArgumentError("reduced_to_full expects Reduced8 parameters")
-    a = params.angles
     full = np.zeros(15)
-    full[0:3] = [a[2], a[3], a[5]]
-    full[3:6] = [a[0], a[1], a[4]]
+    full[_REDUCED_SLOTS] = params.angles
     full[8] = np.pi / 4
-    full[10] = a[6]
-    full[13] = a[7]
     return AnsatzParams(FULL15, full)
 
 
@@ -128,8 +178,13 @@ def mps_tensor(u):
     return u.reshape(2, 2, 2, 2)[:, :, 0, :]
 
 
-def tensor_of(params):
-    return mps_tensor(build_unitary(params))
+def tensor_of(params, grad=False):
+    """MPS tensor of the parameters; with ``grad``, also its derivatives
+    dA/dtheta, shape (n_angles, 2, 2, 2)."""
+    if not grad:
+        return mps_tensor(build_unitary(params))
+    u, du = build_unitary(params, grad=True)
+    return mps_tensor(u), du.reshape(-1, 2, 2, 2, 2)[:, :, :, 0, :]
 
 
 def site_kraus(a_ket, a_bra):

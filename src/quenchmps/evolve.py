@@ -11,6 +11,9 @@ The stochastic driver realizes one evolution step as
 so the sampled circuit acts as a stochastic correction on top of the
 classical parameter extrapolation. Shot accounting is exact: every SPSA
 iteration spends exactly two cost evaluations.
+
+The deterministic reference instead maximizes the fidelity density of each
+step with BFGS on its exact angle gradient (see :func:`evolve_exact_in_ansatz`).
 """
 
 from dataclasses import dataclass, field, replace
@@ -19,16 +22,12 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import circuits, qcore, tfim, transfer
-from .ansatz import (
-    FULL15,
-    REDUCED8,
-    AnsatzParams,
-    reduced_to_full,
-    tensor_of,
-)
+from .ansatz import FULL15, N_ANGLES, REDUCED8, AnsatzParams, tensor_of
 from .qcore import InvalidArgumentError, NumericFailure
 
 INIT_SCHEMES = ("random", "copy", "extrapolate")
+COST_MODES = ("eigen", "circuit_lt", "circuit_lw")
+GTOL = 1e-10  # BFGS gradient-norm tolerance of a reference step
 BOOTSTRAP_FACTOR = 4  # SPSA budget multiplier while extrapolation lacks history
 
 
@@ -100,7 +99,7 @@ def _right_fixed_point(a):
     top of the spectrum degenerates and an eigenvector mix Hermitizes to an
     indefinite matrix, which an optimizer will happily exploit. Project onto
     the positive cone and settle with the (trace-preserving, positivity-
-    preserving) map rho -> sum_s A^s rho (A^s)^dag itself.
+    preserving) map rho -> sum_s A^s rho (A^s)^dag, 30 times: E^30 on vec(rho).
     """
     e = transfer.transfer_matrix(a, a).E
     evals, evecs = np.linalg.eig(e)
@@ -114,8 +113,7 @@ def _right_fixed_point(a):
         rho = 0.5 * np.eye(2, dtype=complex)
     else:
         rho = (u * w) @ u.conj().T / w.sum()
-    for _ in range(30):
-        rho = np.einsum("sab,bc,sdc->ad", a, rho, a.conj())
+    rho = (np.linalg.matrix_power(e, 30) @ rho.reshape(4)).reshape(2, 2)
     return rho / np.trace(rho).real
 
 
@@ -134,46 +132,30 @@ def energy_density(params, J, g):
 def ground_state_optimize(J, g, template, optimizer_seed=0):
     """Variational ground state of H(g) at bond dimension 2.
 
-    Deterministic multistart direct search; Full15 is seeded from the solved
-    Reduced8 embedding. Returns parameters whose energy density is converged
-    to about 1e-6.
+    Deterministic direct search (Powell, then a Nelder-Mead polish) from
+    seeded random angles of the template itself. Returns parameters whose
+    energy density is converged to about 1e-6.
     """
+    if template not in N_ANGLES:
+        raise InvalidArgumentError(f"unknown template {template!r}")
 
     def objective(x):
-        return energy_density(AnsatzParams(template_inner, x), J, g)
+        return energy_density(AnsatzParams(template, x), J, g)
 
-    def polish(x0):
-        res = minimize(
-            objective,
-            x0,
-            method="Powell",
-            options={"xtol": 1e-9, "ftol": 1e-12, "maxfev": 40000},
-        )
-        res = minimize(
-            objective,
-            res.x,
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxfev": 40000},
-        )
-        return res.x, res.fun
-
-    rng = np.random.default_rng(optimizer_seed)
-    template_inner = REDUCED8
-    best_x, best_e = None, np.inf
-    for _ in range(3):
-        x, e = polish(0.4 * rng.standard_normal(8))
-        if e < best_e:
-            best_x, best_e = x, e
-    if template == REDUCED8:
-        return AnsatzParams(REDUCED8, best_x)
-    template_inner = FULL15
-    x0 = reduced_to_full(AnsatzParams(REDUCED8, best_x)).angles
-    x, e = polish(x0)
-    if e > best_e + 1e-9:
-        raise NumericFailure(
-            "Full15 polish lost the Reduced8 optimum", residual=e - best_e
-        )
-    return AnsatzParams(FULL15, x)
+    x0 = 0.4 * np.random.default_rng(optimizer_seed).standard_normal(N_ANGLES[template])
+    res = minimize(
+        objective,
+        x0,
+        method="Powell",
+        options={"xtol": 1e-9, "ftol": 1e-12, "maxfev": 40000},
+    )
+    res = minimize(
+        objective,
+        res.x,
+        method="Nelder-Mead",
+        options={"xatol": 1e-9, "fatol": 1e-12, "maxfev": 40000},
+    )
+    return AnsatzParams(template, res.x)
 
 
 def extrapolate(theta_prev, theta_curr):
@@ -215,7 +197,11 @@ def spsa_optimize(cost, seed_params, schedule, rng_seed):
         if a is None:
             # first-step calibration: move at most 0.1 rad per angle
             gmax = np.max(np.abs(ghat))
-            a = 0.1 * (1 + offset) ** schedule.alpha / max(gmax, 1e-12)
+            if gmax == 0.0:
+                raise NumericFailure(
+                    "SPSA gain calibration on a zero gradient estimate"
+                )
+            a = 0.1 * (1 + offset) ** schedule.alpha / gmax
         ak = a / (k + 1 + offset) ** schedule.alpha
         x = x - ak * ghat
         history.append(0.5 * (y_plus + y_minus))
@@ -325,34 +311,28 @@ def evolve_stochastic(
 
 
 def _step_objective(params_t, spec, cost_mode):
-    gate = None
-    if spec.trotter_order == 1:
-        gate = tfim.trotter_gate_first_order(spec.J, spec.g1, spec.dt)
-    a_t = tensor_of(params_t)
-
+    """Objective of one reference step and its ``jac`` argument for
+    ``minimize``: ``True`` when the objective returns its exact gradient,
+    ``None`` for a finite-difference gradient."""
     if cost_mode == "eigen" and spec.trotter_order == 1:
+        gate = tfim.trotter_gate_first_order(spec.J, spec.g1, spec.dt)
+        ket = transfer.cell_ket(tensor_of(params_t), gate)
 
         def objective(x):
-            e = transfer.transfer_matrix(
-                a_t, tensor_of(AnsatzParams(params_t.template, x)), gate
-            )
-            return -abs(transfer.fidelity_density(e))
+            b, db = tensor_of(AnsatzParams(params_t.template, x), grad=True)
+            lam, dlam = transfer.cell_eigenvalue_gradient(ket, b, db)
+            return -abs(lam), -np.real(np.conj(lam) * dlam) / abs(lam)
 
-        return objective
-
-    copies_mode = "candidate" if cost_mode == "circuit_lw" else "current"
+        return objective, True
 
     def objective(x):
         candidate = AnsatzParams(params_t.template, x)
-        p = circuits.dense_success_probability(
-            params_t,
-            candidate,
-            spec,
-            copies_params=candidate if copies_mode == "candidate" else None,
+        copies = candidate if cost_mode == "circuit_lw" else None
+        return -circuits.dense_success_probability(
+            params_t, candidate, spec, copies_params=copies
         )
-        return -p
 
-    return objective
+    return objective, None
 
 
 def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None):
@@ -364,7 +344,14 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
     "circuit_lw" maximize the dense circuit cost with boundary copies taken
     from the current state / the candidate. Second-order Trotterisation
     always uses the circuit cost (the odd/even window).
+
+    Each step is one BFGS minimization from the linear extrapolation of the
+    previous two steps. The "eigen" objective supplies its exact gradient,
+    d lambda = <l| dE |r> / <l|r> with dE from the closed-form dU/dtheta; the
+    circuit costs use scipy's finite-difference gradient.
     """
+    if cost_mode not in COST_MODES:
+        raise InvalidArgumentError(f"unknown cost mode {cost_mode!r}")
     if ground is None:
         ground = ground_state_optimize(spec.J, spec.g0, template)
     times = spec.times
@@ -380,18 +367,13 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
             seed_params = extrapolate(older, prev)
         else:
             seed_params = prev
-        objective = _step_objective(prev, spec, cost_mode)
+        objective, jac = _step_objective(prev, spec, cost_mode)
         res = minimize(
             objective,
             seed_params.angles,
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-13, "maxfev": 20000},
-        )
-        res = minimize(
-            objective,
-            res.x,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-14, "maxfev": 20000},
+            method="BFGS",
+            jac=jac,
+            options={"gtol": GTOL},
         )
         if not np.all(np.isfinite(res.x)):
             complete = False

@@ -28,7 +28,8 @@ class InvalidArgumentError(ValueError):
 
 
 class NumericFailure(RuntimeError):
-    """Raised when an iterative numerical routine fails to converge.
+    """Raised when a numerical routine fails to converge or its result is
+    ill-defined (a non-simple eigenvalue, a zero gradient estimate).
 
     Carries the best residual (or defect) achieved in ``residual``.
     """
@@ -74,11 +75,8 @@ def rot_gate(axis, angle):
 
 
 def two_site_exp(h, tau):
-    """Unitary exp(-i * h * tau) of a 4x4 Hermitian generator.
-
-    Uses scaling-and-squaring with a fixed-order Taylor series; adequate for
-    the 4x4 generators used throughout and avoids a general eigensolver.
-    """
+    """Unitary exp(-i * h * tau) of a 4x4 Hermitian generator, from its
+    eigendecomposition (exactly unitary up to rounding at any ``tau``)."""
     h = np.asarray(h, dtype=complex)
     if h.shape != (4, 4):
         raise InvalidArgumentError(f"expected a 4x4 generator, got shape {h.shape}")
@@ -86,56 +84,17 @@ def two_site_exp(h, tau):
         raise InvalidArgumentError("generator is not Hermitian within 1e-10")
     if not np.isfinite(tau):
         raise InvalidArgumentError("time step must be finite")
-    a = -1j * tau * h
-    norm = np.linalg.norm(a, ord=np.inf)
-    # scale below 1/2 so the order-16 Taylor tail is far below double precision
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0)
-    a /= 2.0**squarings
-    term = np.eye(4, dtype=complex)
-    result = np.eye(4, dtype=complex)
-    for k in range(1, 17):
-        term = term @ a / k
-        result += term
-    for _ in range(squarings):
-        result = result @ result
-    return result
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * tau * w)) @ v.conj().T
 
 
-def _rayleigh_polish(m, lam, v, steps=6):
-    """Rayleigh-quotient iteration; cubic convergence from a fair estimate.
-
-    Near-singular solves are exactly the productive regime here, so solver
-    failures are treated as convergence of the shift.
-    """
-    n = m.shape[0]
-    eye = np.eye(n)
-    for _ in range(steps):
-        residual = np.linalg.norm(m @ v - lam * v)
-        if residual == 0.0:
-            break
-        try:
-            w = np.linalg.solve(m - lam * eye, v)
-        except np.linalg.LinAlgError:
-            break
-        norm = np.linalg.norm(w)
-        if not np.isfinite(norm) or norm == 0.0:
-            break
-        v = w / norm
-        lam = v.conj() @ m @ v
-    return lam, v
-
-
-def leading_eig(m, tol=1e-10, max_iter=10000):
+def leading_eig(m):
     """Leading eigenpair (largest |eigenvalue|) of a small square matrix.
 
-    Power iteration with Rayleigh-quotient polish on the fast path; when the
-    separation is ambiguous (near-degenerate moduli or a complex-pair top,
-    where both power iteration and characteristic-polynomial roots lose
-    accuracy) the backward-stable QR algorithm decides.
-
-    Returns ``(eigenvalue, eigenvector)`` with the eigenvector normalized.
-    Raises :class:`NumericFailure` (residual attached) if no route reaches a
-    residual below ``1e-9 * ||m||``.
+    One call of the backward-stable QR algorithm. Returns
+    ``(eigenvalue, eigenvector)`` with the eigenvector normalized. Raises
+    :class:`NumericFailure` (residual attached) if the pair misses a residual
+    of ``1e-9 * ||m||``.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -143,49 +102,14 @@ def leading_eig(m, tol=1e-10, max_iter=10000):
     scale = np.linalg.norm(m, ord=np.inf)
     if scale == 0.0:
         raise InvalidArgumentError("matrix is zero")
-
-    rng = np.random.default_rng(11)
-    v = rng.standard_normal(m.shape[0]) + 1j * rng.standard_normal(m.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    mv = m @ v
-    # soft cap: past a few dozen iterations the polish/QR fallbacks below
-    # are far cheaper than grinding a small spectral gap
-    for _ in range(min(max_iter, 40)):
-        nw = np.linalg.norm(mv)
-        if nw == 0.0:
-            break  # v in the kernel; fall back
-        w = mv / nw
-        mw = m @ w
-        lam_new = w.conj() @ mw
-        v, mv = w, mw
-        if abs(lam_new - lam) < tol * scale:
-            lam = lam_new
-            break
-        lam = lam_new
-    pre_residual = np.linalg.norm(mv - lam * v)
-    if pre_residual <= 1e-13 * scale:
-        return lam, v
-    if pre_residual <= 1e-6 * scale:
-        # safely inside the dominant basin: polish to machine precision
-        lam, v = _rayleigh_polish(m, lam, v)
-        residual = np.linalg.norm(m @ v - lam * v)
-        if residual <= 1e-9 * scale:
-            return lam, v
-
-    # Separation ambiguous (nearly degenerate moduli or a complex-pair top,
-    # e.g. transfer matrices of almost-reducible tensors): the QR algorithm
-    # is backward stable there.
     evals, evecs = np.linalg.eig(m)
     k = int(np.argmax(np.abs(evals)))
     lam, v = evals[k], evecs[:, k] / np.linalg.norm(evecs[:, k])
     residual = np.linalg.norm(m @ v - lam * v)
-    if residual <= 1e-9 * scale:
-        return lam, v
-    raise NumericFailure(
-        f"leading eigenpair did not converge (residual {residual:.3e})",
-        residual=residual,
-    )
+    if not residual <= 1e-9 * scale:
+        msg = f"leading eigenpair did not converge (residual {residual:.3e})"
+        raise NumericFailure(msg, residual=residual)
+    return lam, v
 
 
 def zero_state(n_qubits):

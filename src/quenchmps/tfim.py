@@ -37,6 +37,11 @@ from .qcore import InvalidArgumentError, ResourceLimitError
 
 MAX_ED_SITES = 14
 
+_ZZ = np.kron(qcore.PAULI_Z, qcore.PAULI_Z)
+_X_SUM = np.kron(qcore.PAULI_X, qcore.IDENTITY_2) + np.kron(
+    qcore.IDENTITY_2, qcore.PAULI_X
+)
+
 
 @dataclass(frozen=True)
 class QuenchSpec:
@@ -76,10 +81,7 @@ def bond_hamiltonian(J, g):
 
     The transverse field is split half-and-half onto the two adjacent bonds.
     """
-    return J * np.kron(qcore.PAULI_Z, qcore.PAULI_Z) + 0.5 * g * (
-        np.kron(qcore.PAULI_X, qcore.IDENTITY_2)
-        + np.kron(qcore.IDENTITY_2, qcore.PAULI_X)
-    )
+    return J * _ZZ + 0.5 * g * _X_SUM
 
 
 def trotter_gate_first_order(J, g, dt):

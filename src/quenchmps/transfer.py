@@ -39,11 +39,13 @@ as boundaries the ratio equals the true eigenvalue already at n = 1.
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import qcore
-from .qcore import InvalidArgumentError
+from .qcore import InvalidArgumentError, NumericFailure
 
 VEC_IDENTITY = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
+MIN_EIGVEC_OVERLAP = 1e-6  # eigenvalue condition number 1/|<l|r>| at most 1e6
 
 
 class DegenerateEstimateError(RuntimeError):
@@ -80,12 +82,47 @@ def strand_products(a, n_sites):
     return prods
 
 
-def _cell_matrix(a_ket, b_bra, gate):
-    pa = strand_products(a_ket, 2)
+def cell_ket(a_ket, gate):
+    """Ket side K[t] = sum_s <t|G|s> A^{s2} A^{s1} of the cell matrix, shape
+    (4, 2, 2). It depends on the current state only, so an optimizer over the
+    bra computes it once."""
+    return np.einsum("ts,sab->tab", gate, strand_products(a_ket, 2))
+
+
+def cell_matrix(ket, b_bra):
+    """Cell matrix E[(a c), (a' c')] = sum_t K[t]_{a a'} conj(B^{t2} B^{t1})_{c c'}
+    of the ket side ``ket`` (see :func:`cell_ket`) and the bra tensor."""
     pb = strand_products(b_bra, 2)
-    return np.einsum(
-        "ts,sab,tcd->acbd", np.asarray(gate, dtype=complex), pa, pb.conj()
-    ).reshape(4, 4)
+    return np.einsum("tab,tcd->acbd", ket, pb.conj()).reshape(4, 4)
+
+
+def cell_eigenvalue_gradient(ket, b_bra, db):
+    """Leading eigenvalue of the cell matrix and its derivatives along the
+    bra tangents ``db`` (shape (n, 2, 2, 2)).
+
+    First-order perturbation theory of a simple eigenvalue,
+    d lambda = <l| dE |r> / <l|r>, with both eigenvectors from one LAPACK call.
+    Raises :class:`NumericFailure` when |<l|r>| of the unit eigenvectors falls
+    below ``MIN_EIGVEC_OVERLAP``: the top eigenvalue is then (nearly) non-simple
+    and its derivative unbounded.
+    """
+    w, vl, vr = scipy.linalg.eig(cell_matrix(ket, b_bra), left=True, right=True)
+    k = int(np.argmax(np.abs(w)))
+    left, right = vl[:, k].conj(), vr[:, k]
+    overlap = left @ right
+    if abs(overlap) < MIN_EIGVEC_OVERLAP:
+        raise NumericFailure(
+            "leading eigenvalue of the cell matrix is not simple",
+            residual=abs(overlap),
+        )
+    # <l| dE |r> = sum_{t,c,d} M[t]_cd conj(dP[t])_cd, with M[t] = L^T K[t] R for
+    # the 2x2 reshapes L, R of the eigenvectors and P[t] = B^{t2} B^{t1}; the
+    # product rule leaves one environment per bra site, summed in ``env``
+    m = (left.reshape(2, 2).T @ ket @ right.reshape(2, 2)).reshape(2, 2, 2, 2)
+    b_conj = b_bra.conj()
+    env = np.einsum("uvcd,ued->vce", m, b_conj) + np.einsum("vce,uvcd->ued", b_conj, m)
+    dlam = db.reshape(len(db), 8).conj() @ env.reshape(8)
+    return w[k], dlam / overlap
 
 
 def transfer_matrix(a_ket, b_bra, gate=None):
@@ -107,12 +144,12 @@ def transfer_matrix(a_ket, b_bra, gate=None):
         if w_o.shape != (4, 4) or w_e.shape != (4, 4):
             raise InvalidArgumentError("second-order gates must be 4x4")
         return MixedTransfer(
-            _cell_matrix(a_ket, b_bra, w_o @ w_e @ w_o), "second-order"
+            cell_matrix(cell_ket(a_ket, w_o @ w_e @ w_o), b_bra), "second-order"
         )
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (4, 4):
         raise InvalidArgumentError("evolution gate must be 4x4")
-    return MixedTransfer(_cell_matrix(a_ket, b_bra, gate), "first-order")
+    return MixedTransfer(cell_matrix(cell_ket(a_ket, gate), b_bra), "first-order")
 
 
 def _matrix_of(e):

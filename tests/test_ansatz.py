@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from quenchmps import ansatz, qcore
 from quenchmps.ansatz import (
@@ -18,7 +19,7 @@ from quenchmps.ansatz import (
     tensor_of,
     x_gauge_rotate,
 )
-from quenchmps.qcore import InvalidArgumentError
+from quenchmps.qcore import InvalidArgumentError, rot_gate
 
 
 def random_params(template, rng, scale=np.pi):
@@ -38,7 +39,8 @@ class TestBuildUnitary:
     def test_reduced8_zero_angles_is_bare_entangler(self):
         # all rotations vanish; the fixed pi/4 ZZ entangler remains
         u = build_unitary(AnsatzParams(REDUCED8, np.zeros(8)))
-        assert np.allclose(u, ansatz.ENTANGLER_ZZ, atol=1e-14)
+        entangler_zz = np.diag(np.exp(-0.25j * np.pi * np.array([1, -1, -1, 1])))
+        assert np.allclose(u, entangler_zz, atol=1e-14)
 
     @pytest.mark.parametrize("template", [REDUCED8, FULL15])
     def test_unitary_for_random_angles(self, template):
@@ -61,6 +63,35 @@ class TestBuildUnitary:
             u_full = build_unitary(reduced_to_full(p))
             fidelity = abs(np.trace(u_full.conj().T @ u_red)) / 4.0
             assert abs(fidelity - 1.0) < 1e-10
+
+    def test_matches_product_formula_oracle(self):
+        # the module docstring's definitions, from rot_gate, kron and expm
+        def zxz(first, mid, last):
+            return rot_gate("Z", last) @ rot_gate("X", mid) @ rot_gate("Z", first)
+
+        def pauli2(p):
+            return np.kron(p, p)
+
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            a = rng.uniform(-2 * np.pi, 2 * np.pi, 15)
+            gen = a[6] * pauli2(qcore.PAULI_X) + a[7] * pauli2(qcore.PAULI_Y)
+            gen = gen + a[8] * pauli2(qcore.PAULI_Z)
+            expected = (
+                np.kron(zxz(*a[9:12]), zxz(*a[12:15]))
+                @ scipy.linalg.expm(-1j * gen)
+                @ np.kron(zxz(*a[0:3]), zxz(*a[3:6]))
+            )
+            got = build_unitary(AnsatzParams(FULL15, a))
+            assert np.max(np.abs(got - expected)) < 1e-12
+            r = a[:8]
+            expected = (
+                np.kron(rot_gate("X", r[6]), rot_gate("X", r[7]))
+                @ scipy.linalg.expm(-0.25j * np.pi * pauli2(qcore.PAULI_Z))
+                @ np.kron(zxz(r[2], r[3], r[5]), zxz(r[0], r[1], r[4]))
+            )
+            got = build_unitary(AnsatzParams(REDUCED8, r))
+            assert np.max(np.abs(got - expected)) < 1e-12
 
 
 class TestMpsTensor:
