@@ -23,10 +23,16 @@ measurement is mid-circuit except the last. For second-order Trotter the
 four evolution sites carry the odd/even sandwich W_o(dt/2) on the straddling
 bond, W_e(dt) on the two cell bonds, then W_o(dt/2) again.
 
-The same diagram is contracted exactly in the 2x2 bond-operator algebra by
-:func:`dense_success_probability` (one `(B^s)^dag . A^s` overlap factor per
-site); agreement of the two routes to 1e-9 is the core correctness gate of
-the whole artifact.
+The same diagram is contracted exactly in the 2x2 bond-operator algebra
+(one `(B^s)^dag . A^s` overlap factor per site); agreement of the two routes
+to 1e-9 is the core correctness gate of the whole artifact. The contraction
+is split by what an optimizer varies. :func:`success_probability_fn` builds
+the side fixed by the current state and the step once: the gate layer, the
+ket side of the evolution window K[t] = sum_s <t|L|s> A-prod_s (16 x 2 x 2),
+and the two boundary copies folded into one 2 x 4 map. It returns a function
+of the candidate that builds only the candidate's tensor and strand products
+and does one (2 x 32) . (32 x 2) product. :func:`dense_success_probability`
+is that function evaluated once, for callers with a single candidate.
 
 With the candidate equal to the current state and no evolution, every
 prepare/unprepare pair composes to the identity on the bond register via the
@@ -39,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qcore, tfim, transfer
-from .ansatz import build_unitary
+from .ansatz import build_unitary, tensor_of
 from .qcore import InvalidArgumentError, ResourceLimitError
 
 MAX_CIRCUIT_QUBITS = 12
@@ -173,26 +179,40 @@ def exact_success_probability(circuit):
     return float(np.sum(np.abs(psi) ** 2))
 
 
-def dense_success_probability(params_t, params_candidate, spec, dt=None, copies_params=None):
-    """Exact contraction of the cost diagram in the bond-operator algebra.
+def success_probability_fn(params_t, spec, dt=None, copies_params=None):
+    """Exact success probability of the cost diagram as a function of the
+    candidate, for one evolution step.
 
-    Evaluates the identical tensor network as the circuit: the evolution
-    window nested inside the two boundary copies, applied to the initial
-    bond state |0>, with the unmeasured bond qubit traced by the vector
-    norm. Independent of the statevector route.
+    Everything fixed by the current state and the step is built here, once:
+    the window's ket side K[t] (:func:`transfer.window_ket` of the gate layer
+    on the current state's four-site strand products) and the two boundary
+    copies, folded into one linear map from the window's bond operator onto
+    column 0 of the final one. Each call of the returned function then builds
+    only the candidate tensor and contracts the window
+    (:func:`transfer.window_overlap_map`); the unmeasured bond qubit is
+    traced by the norm of that column. Independent of the statevector route.
     """
-    from .ansatz import tensor_of
-
     a = tensor_of(params_t)
-    b = tensor_of(params_candidate)
     v = a if copies_params is None else tensor_of(copies_params)
     layer, _ = evolution_gate_layer(spec, dt)
-    m = transfer.window_overlap_map(
-        np.eye(2, dtype=complex), a, b, layer, 2 * POWER_METHOD_ORDER
-    )
+    ket = transfer.window_ket(a, layer, 2 * POWER_METHOD_ORDER)
+    copies = np.eye(4, dtype=complex).reshape(4, 2, 2)  # the unit bond operators
     for _ in range(2):
-        m = transfer.site_overlap_map(m, v, v)
-    return float(np.sum(np.abs(m[:, 0]) ** 2))
+        copies = transfer.site_overlap_map(copies, v, v)
+    boundary = copies[:, :, 0].T  # (2, 4): vec(M) -> column 0 of the copies' output
+
+    def success_probability(candidate):
+        m = transfer.window_overlap_map(ket, tensor_of(candidate))
+        return float(np.sum(np.abs(boundary @ m.reshape(4)) ** 2))
+
+    return success_probability
+
+
+def dense_success_probability(params_t, params_candidate, spec, dt=None, copies_params=None):
+    """Exact contraction of the cost diagram in the bond-operator algebra:
+    the evolution window nested inside the two boundary copies, applied to
+    the initial bond state |0> (see :func:`success_probability_fn`)."""
+    return success_probability_fn(params_t, spec, dt, copies_params)(params_candidate)
 
 
 def sample(circuit, shots, seed, per_shot=False):

@@ -16,13 +16,14 @@ The deterministic reference instead maximizes the fidelity density of each
 step with BFGS on its exact angle gradient (see :func:`evolve_exact_in_ansatz`).
 """
 
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
 from . import circuits, qcore, tfim, transfer
-from .ansatz import FULL15, N_ANGLES, REDUCED8, AnsatzParams, tensor_of
+from .ansatz import FULL15, N_ANGLES, AnsatzParams, tensor_of
 from .qcore import InvalidArgumentError, NumericFailure
 
 INIT_SCHEMES = ("random", "copy", "extrapolate")
@@ -75,6 +76,7 @@ class Trajectory:
     costs: np.ndarray = field(repr=False)
     cum_shots: np.ndarray = field(repr=False)
     complete: bool = True
+    failure: str | None = None  # "<exception type>: <message>" of an early stop
 
     def params_at(self, step):
         return AnsatzParams(self.template, self.angles[step].copy())
@@ -208,28 +210,22 @@ def spsa_optimize(cost, seed_params, schedule, rng_seed):
     return seed_params.replace_angles(x), history
 
 
-class _ShotLedger:
-    def __init__(self):
-        self.total = 0
-
-    def spend(self, shots):
-        self.total += shots
-
-
-def _sampled_cost(params_t, spec, shots_per_eval, seed_sequence, ledger, template):
+def _sampled_cost(params_t, spec, shots_per_eval, seed_sequence, template):
     """Stochastic cost oracle 1 - p_hat for one evolution step.
 
-    Success probabilities come from the dense contraction of the cost
-    diagram, which equals the statevector circuit to machine precision (the
-    equivalence is enforced by the acceptance suite), and are sampled with a
+    The side of the cost diagram fixed by the current state and the step
+    (current tensor, gate layer, ket window, boundary copies) is built once,
+    by :func:`circuits.success_probability_fn`; each evaluation builds only
+    the candidate tensor and contracts it against that side. The exact
+    probability equals the statevector circuit to machine precision (the
+    equivalence is enforced by the acceptance suite) and is sampled with a
     binomial draw per evaluation.
     """
     rng = np.random.default_rng(seed_sequence)
+    success_probability = circuits.success_probability_fn(params_t, spec)
 
     def cost(x):
-        candidate = AnsatzParams(template, x)
-        p_exact = circuits.dense_success_probability(params_t, candidate, spec)
-        ledger.spend(shots_per_eval)
+        p_exact = success_probability(AnsatzParams(template, x))
         p_hat = rng.binomial(shots_per_eval, min(max(p_exact, 0.0), 1.0)) / shots_per_eval
         return 1.0 - p_hat
 
@@ -242,7 +238,7 @@ def evolve_stochastic(
     spsa=SpsaSchedule(),
     shots_per_eval=2048,
     seed=0,
-    template=REDUCED8,
+    template=FULL15,
     ground=None,
 ):
     """Stochastic variational evolution of the quench.
@@ -251,6 +247,14 @@ def evolve_stochastic(
     sampled cost, accept the final iterate. The first two steps use a
     ``BOOTSTRAP_FACTOR`` larger SPSA budget (extrapolation needs two
     previous points). Bit-identical for identical ``(spec, seed)``.
+
+    A step whose cost or echo raises :class:`NumericFailure` or
+    :class:`InvalidArgumentError` ends the run: the trajectory is truncated
+    before it, marked incomplete, and ``failure`` holds the exception.
+
+    The default template is Full15 because Reduced8 cannot represent the
+    initial paramagnet: its ground-state search stops at E = -1.000 per site
+    against the exact -1.672 at g = 1.5.
     """
     if init_scheme not in INIT_SCHEMES:
         raise InvalidArgumentError(f"unknown init scheme {init_scheme!r}")
@@ -263,9 +267,8 @@ def evolve_stochastic(
     echoes = np.zeros(len(times))
     costs = np.zeros(len(times))
     cum_shots = np.zeros(len(times), dtype=np.int64)
-    ledger = _ShotLedger()
     seedseq = np.random.SeedSequence(seed)
-    complete = True
+    failure = None
     for step in range(1, len(times)):
         prev = AnsatzParams(template, angles[step - 1].copy())
         init_seed, spsa_seed, shot_seed = seedseq.spawn(3)
@@ -280,21 +283,22 @@ def evolve_stochastic(
             seed_params = extrapolate(older, prev)
         budget = spsa.steps * (BOOTSTRAP_FACTOR if step <= 2 else 1)
         schedule = replace(spsa, steps=budget)
-        cost = _sampled_cost(prev, spec, shots_per_eval, shot_seed, ledger, template)
         try:
+            cost = _sampled_cost(prev, spec, shots_per_eval, shot_seed, template)
             new_params, history = spsa_optimize(
                 cost, seed_params, schedule, spsa_seed
             )
             echoes[step] = echo_density(AnsatzParams(template, angles[0]), new_params)
-        except (NumericFailure, qcore.InvalidArgumentError):
-            complete = False
+        except (NumericFailure, qcore.InvalidArgumentError) as exc:
+            failure = f"{type(exc).__name__}: {exc}"
             times = times[:step]
             angles, echoes = angles[:step], echoes[:step]
             costs, cum_shots = costs[:step], cum_shots[:step]
             break
         angles[step] = unwrap_toward(angles[step - 1], new_params.angles)
         costs[step] = history[-1] if history else np.nan
-        cum_shots[step] = ledger.total
+        # two cost evaluations per SPSA iteration
+        cum_shots[step] = cum_shots[step - 1] + 2 * schedule.steps * shots_per_eval
     return Trajectory(
         spec=spec,
         template=template,
@@ -306,7 +310,8 @@ def evolve_stochastic(
         echoes=echoes,
         costs=costs,
         cum_shots=cum_shots,
-        complete=complete,
+        complete=failure is None,
+        failure=failure,
     )
 
 
@@ -316,7 +321,7 @@ def _step_objective(params_t, spec, cost_mode):
     ``None`` for a finite-difference gradient."""
     if cost_mode == "eigen" and spec.trotter_order == 1:
         gate = tfim.trotter_gate_first_order(spec.J, spec.g1, spec.dt)
-        ket = transfer.cell_ket(tensor_of(params_t), gate)
+        ket = transfer.window_ket(tensor_of(params_t), gate, 2)
 
         def objective(x):
             b, db = tensor_of(AnsatzParams(params_t.template, x), grad=True)
@@ -325,12 +330,20 @@ def _step_objective(params_t, spec, cost_mode):
 
         return objective, True
 
+    if cost_mode == "circuit_lw":
+        # the boundary copies are the candidate, so nothing is fixed per step
+        def objective(x):
+            candidate = AnsatzParams(params_t.template, x)
+            return -circuits.dense_success_probability(
+                params_t, candidate, spec, copies_params=candidate
+            )
+
+        return objective, None
+
+    success_probability = circuits.success_probability_fn(params_t, spec)
+
     def objective(x):
-        candidate = AnsatzParams(params_t.template, x)
-        copies = candidate if cost_mode == "circuit_lw" else None
-        return -circuits.dense_success_probability(
-            params_t, candidate, spec, copies_params=copies
-        )
+        return -success_probability(AnsatzParams(params_t.template, x))
 
     return objective, None
 
@@ -402,10 +415,16 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
 
 @dataclass
 class EnsembleStats:
-    """Per-time statistics over an ensemble of stochastic runs."""
+    """Per-time statistics over an ensemble of stochastic runs.
+
+    A run that stopped early holds NaN after its last step. Each statistic
+    at t is taken over the ``reached[t]`` runs that got there; it is NaN
+    where none did (and the variance also where only one did).
+    """
 
     times: np.ndarray
-    echoes: np.ndarray  # shape (n_runs, n_times)
+    echoes: np.ndarray  # shape (n_runs, n_times), NaN-padded
+    reached: np.ndarray  # runs that reached each time
     mean: np.ndarray
     variance: np.ndarray
     envelope_lo: np.ndarray
@@ -424,16 +443,20 @@ def ensemble_run(
     seeds=None,
     spsa=SpsaSchedule(),
     shots_per_eval=2048,
-    template=REDUCED8,
+    template=FULL15,
+    ground=None,
 ):
-    """Ensemble of perfect-gate stochastic runs (shot noise only)."""
+    """Ensemble of perfect-gate stochastic runs (shot noise only), all
+    started from ``ground`` (solved here when not given). Full15 is the
+    default template for the reason given in :func:`evolve_stochastic`."""
     if n_runs < 2:
         raise InvalidArgumentError("an ensemble needs at least 2 runs")
     if seeds is None:
         seeds = list(range(n_runs))
     if len(seeds) != n_runs:
         raise InvalidArgumentError("need one seed per run")
-    ground = ground_state_optimize(spec.J, spec.g0, template)
+    if ground is None:
+        ground = ground_state_optimize(spec.J, spec.g0, template)
     runs = [
         evolve_stochastic(
             spec,
@@ -446,13 +469,23 @@ def ensemble_run(
         )
         for s in seeds
     ]
-    echoes = np.array([r.echoes for r in runs])
+    echoes = np.full((n_runs, len(spec.times)), np.nan)
+    for row, run in zip(echoes, runs):
+        row[: len(run.echoes)] = run.echoes
+    with warnings.catch_warnings():
+        # times that no run, or only one run, reached give NaN statistics
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mean = np.nanmean(echoes, axis=0)
+        variance = np.nanvar(echoes, axis=0, ddof=1)
+        envelope_lo = np.nanpercentile(echoes, 5.0, axis=0)
+        envelope_hi = np.nanpercentile(echoes, 95.0, axis=0)
     return EnsembleStats(
-        times=runs[0].times,
+        times=spec.times,
         echoes=echoes,
-        mean=echoes.mean(axis=0),
-        variance=echoes.var(axis=0, ddof=1),
-        envelope_lo=np.percentile(echoes, 5.0, axis=0),
-        envelope_hi=np.percentile(echoes, 95.0, axis=0),
+        reached=np.sum(~np.isnan(echoes), axis=0),
+        mean=mean,
+        variance=variance,
+        envelope_lo=envelope_lo,
+        envelope_hi=envelope_hi,
         total_shots=int(sum(r.cum_shots[-1] for r in runs)),
     )

@@ -82,16 +82,10 @@ def strand_products(a, n_sites):
     return prods
 
 
-def cell_ket(a_ket, gate):
-    """Ket side K[t] = sum_s <t|G|s> A^{s2} A^{s1} of the cell matrix, shape
-    (4, 2, 2). It depends on the current state only, so an optimizer over the
-    bra computes it once."""
-    return np.einsum("ts,sab->tab", gate, strand_products(a_ket, 2))
-
-
 def cell_matrix(ket, b_bra):
     """Cell matrix E[(a c), (a' c')] = sum_t K[t]_{a a'} conj(B^{t2} B^{t1})_{c c'}
-    of the ket side ``ket`` (see :func:`cell_ket`) and the bra tensor."""
+    of the ket side ``ket`` (:func:`window_ket` of two sites) and the bra
+    tensor."""
     pb = strand_products(b_bra, 2)
     return np.einsum("tab,tcd->acbd", ket, pb.conj()).reshape(4, 4)
 
@@ -144,12 +138,12 @@ def transfer_matrix(a_ket, b_bra, gate=None):
         if w_o.shape != (4, 4) or w_e.shape != (4, 4):
             raise InvalidArgumentError("second-order gates must be 4x4")
         return MixedTransfer(
-            cell_matrix(cell_ket(a_ket, w_o @ w_e @ w_o), b_bra), "second-order"
+            cell_matrix(window_ket(a_ket, w_o @ w_e @ w_o, 2), b_bra), "second-order"
         )
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (4, 4):
         raise InvalidArgumentError("evolution gate must be 4x4")
-    return MixedTransfer(cell_matrix(cell_ket(a_ket, gate), b_bra), "first-order")
+    return MixedTransfer(cell_matrix(window_ket(a_ket, gate, 2), b_bra), "first-order")
 
 
 def _matrix_of(e):
@@ -203,20 +197,29 @@ def power_method_ratio(e, fp, n):
 
 
 def site_overlap_map(m, a_ket, b_bra):
-    """One site of the sequential overlap applied to a bond operator:
-    M -> sum_s (B^s)^dag M A^s."""
-    return np.einsum("sca,cd,sdb->ab", b_bra.conj(), m, a_ket)
+    """One site of the sequential overlap applied to a bond operator (or a
+    stack of them): M -> sum_s (B^s)^dag M A^s."""
+    return np.einsum("sca,...cd,sdb->...ab", b_bra.conj(), m, a_ket)
 
 
-def window_overlap_map(m, a_ket, b_bra, gate_layer, n_sites):
-    """A block of ``n_sites`` overlap sites with a dense gate layer between
-    the strands: M -> sum_{s,t} <t|L|s> (B-prod_t)^dag M (A-prod_s)."""
+def window_ket(a_ket, gate_layer, n_sites):
+    """Ket side K[t] = sum_s <t|L|s> A-prod_s of a block of ``n_sites``
+    overlap sites with the dense gate layer L between the strands, shape
+    (2**n_sites, 2, 2). It depends on the current state only, so an optimizer
+    over the bra computes it once; an incoming bond operator M is folded in
+    as ``M @ K``."""
     gate_layer = np.asarray(gate_layer, dtype=complex)
     dim = 2**n_sites
     if gate_layer.shape != (dim, dim):
         raise InvalidArgumentError(
             f"gate layer shape {gate_layer.shape} does not cover {n_sites} sites"
         )
-    pa = strand_products(a_ket, n_sites)
-    pb = strand_products(b_bra, n_sites)
-    return np.einsum("ts,tic,ij,sjd->cd", gate_layer, pb.conj(), m, pa)
+    return np.einsum("ts,sab->tab", gate_layer, strand_products(a_ket, n_sites))
+
+
+def window_overlap_map(ket, b_bra):
+    """The window block applied to the identity bond operator,
+    sum_t (B-prod_t)^dag K[t], for the ket side ``ket`` of
+    :func:`window_ket`: one (2 x 2**(n+1)) . (2**(n+1) x 2) product."""
+    pb = strand_products(b_bra, len(ket).bit_length() - 1)
+    return pb.conj().reshape(-1, 2).T @ ket.reshape(-1, 2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quenchmps import ansatz, circuits, qcore, tfim, transfer
-from quenchmps.ansatz import REDUCED8, AnsatzParams
+from quenchmps.ansatz import FULL15, REDUCED8, AnsatzParams
 from quenchmps.circuits import (
     CircuitOp,
     CostCircuit,
@@ -12,6 +12,7 @@ from quenchmps.circuits import (
     export_gate_list,
     parse_gate_list,
     sample,
+    success_probability_fn,
 )
 from quenchmps.qcore import InvalidArgumentError, ResourceLimitError
 from conftest import random_unitary
@@ -66,6 +67,29 @@ class TestCircuitDenseEquivalence:
             p_sv = exact_success_probability(c)
             p_dense = dense_success_probability(pa, pb, spec, dt=dt)
             assert abs(p_sv - p_dense) < 1e-10
+
+    @pytest.mark.parametrize("trotter_order", [1, 2])
+    @pytest.mark.parametrize("dt", [0.0, 0.05, 0.1])
+    def test_full15_and_boundary_copies_match_statevector(self, trotter_order, dt):
+        rng = np.random.default_rng(9)
+        spec = tfim.QuenchSpec(trotter_order=trotter_order)
+
+        def full15():
+            return AnsatzParams(FULL15, rng.uniform(-np.pi, np.pi, 15))
+
+        current, candidates = full15(), [full15() for _ in range(4)]
+        # one per-step function serves every candidate, with the current
+        # state or other parameters on the boundary copies
+        for copies in (None, full15()):
+            p_dense = success_probability_fn(current, spec, dt, copies_params=copies)
+            for pb in candidates:
+                c = build_cost_circuit(current, pb, spec, dt=dt, copies_params=copies)
+                assert abs(exact_success_probability(c) - p_dense(pb)) < 1e-10
+        # the "circuit_lw" boundary: the copies are the candidate itself
+        for pb in candidates:
+            c = build_cost_circuit(current, pb, spec, dt=dt, copies_params=pb)
+            p = dense_success_probability(current, pb, spec, dt=dt, copies_params=pb)
+            assert abs(exact_success_probability(c) - p) < 1e-10
 
     def test_quench_step_cost_near_one_at_small_dt(self):
         # un-updated candidate already reaches p = 1 - O(dt^2)

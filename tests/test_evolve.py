@@ -3,11 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quenchmps import evolve, tfim, transfer
+from quenchmps import circuits, evolve, tfim, transfer
 from quenchmps.ansatz import FULL15, REDUCED8, AnsatzParams, build_unitary, tensor_of
 from quenchmps.qcore import InvalidArgumentError, NumericFailure
 
 H = 1e-5  # central-difference step; truncation and rounding both stay near 1e-10
+SHORT = replace(tfim.REFERENCE_QUENCH, t_max=0.3)  # three steps
 
 
 def central_difference(f, x):
@@ -90,3 +91,80 @@ class TestDrivers:
         seed = AnsatzParams(FULL15, np.zeros(15))
         with pytest.raises(NumericFailure, match="zero gradient estimate"):
             evolve.spsa_optimize(lambda x: 0.5, seed, evolve.SpsaSchedule(), 0)
+
+
+def patch_step_costs(monkeypatch, fail_after):
+    """Count the evaluations of each per-step cost, and make every one built
+    after the first ``fail_after`` raise :class:`NumericFailure`. Returns the
+    per-step evaluation counts."""
+    real = circuits.success_probability_fn
+    evaluations = []
+
+    def patched(params_t, spec, *args, **kwargs):
+        evaluations.append(0)
+        if len(evaluations) > fail_after:
+
+            def fails(candidate):
+                raise NumericFailure("forced")
+
+            return fails
+        p = real(params_t, spec, *args, **kwargs)
+
+        def counted(candidate, k=len(evaluations) - 1):
+            evaluations[k] += 1
+            return p(candidate)
+
+        return counted
+
+    monkeypatch.setattr(circuits, "success_probability_fn", patched)
+    return evaluations
+
+
+class TestStochastic:
+    def test_seeded_full15_run_is_bit_identical(self, ground):
+        first, again = (
+            evolve.evolve_stochastic(SHORT, "extrapolate", seed=3, ground=ground)
+            for _ in range(2)
+        )
+        assert first.template == FULL15
+        assert first.complete and first.failure is None and first.n_steps == 3
+        for name in ("angles", "echoes", "costs", "cum_shots"):
+            assert np.array_equal(getattr(first, name), getattr(again, name))
+
+    def test_shots_count_two_evaluations_per_spsa_iteration(self, ground, monkeypatch):
+        evaluations = patch_step_costs(monkeypatch, fail_after=SHORT.n_steps)
+        traj = evolve.evolve_stochastic(SHORT, "extrapolate", seed=3, ground=ground)
+        assert traj.complete
+        increments = np.diff(traj.cum_shots).tolist()
+        # the default 6 SPSA iterations, 4 times as many on the two bootstrap steps
+        assert increments == [2 * 4 * 6 * 2048] * 2 + [2 * 6 * 2048]
+        assert increments == [2048 * n for n in evaluations]
+
+    def test_failure_is_recorded(self, ground, monkeypatch):
+        patch_step_costs(monkeypatch, fail_after=2)
+        traj = evolve.evolve_stochastic(SHORT, "extrapolate", seed=3, ground=ground)
+        assert not traj.complete
+        assert traj.failure == "NumericFailure: forced"
+        assert traj.n_steps == 2
+        assert len(traj.angles) == len(traj.echoes) == len(traj.cum_shots) == 3
+
+    def test_ensemble_keeps_a_truncated_run(self, ground, monkeypatch):
+        full = evolve.evolve_stochastic(SHORT, "extrapolate", seed=0, ground=ground)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the given ground state was solved again")
+
+        monkeypatch.setattr(evolve, "ground_state_optimize", no_solve)
+        # run 0 builds three step costs; run 1 fails on its second step
+        patch_step_costs(monkeypatch, fail_after=SHORT.n_steps + 1)
+        stats = evolve.ensemble_run(SHORT, "extrapolate", 2, ground=ground)
+        assert np.array_equal(stats.times, SHORT.times)
+        assert stats.reached.tolist() == [2, 2, 1, 1]
+        assert np.array_equal(stats.echoes[0], full.echoes)
+        assert np.all(np.isnan(stats.echoes[1, 2:]))
+        assert np.array_equal(stats.mean[2:], full.echoes[2:])
+        assert stats.mean[1] == pytest.approx(np.mean(stats.echoes[:, 1]))
+        assert np.all(np.isfinite(stats.variance[:2]))
+        assert np.all(np.isnan(stats.variance[2:]))
+        assert np.all(stats.envelope_lo <= stats.envelope_hi + 1e-15)
+        assert stats.total_shots == full.cum_shots[-1] + 2 * 4 * 6 * 2048

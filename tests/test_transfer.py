@@ -13,6 +13,7 @@ from quenchmps.transfer import (
     site_overlap_map,
     strand_products,
     transfer_matrix,
+    window_ket,
     window_overlap_map,
 )
 
@@ -224,9 +225,11 @@ class TestOverlapMaps:
         eye = np.eye(2, dtype=complex)
 
         def cell(m):
-            return window_overlap_map(m, a, b, g, 2)
+            # the incoming bond operator folds into the ket side as M @ K[t]
+            return window_overlap_map(m @ window_ket(a, g, 2), b)
 
-        assert np.max(np.abs(window_overlap_map(eye, a, b, layer, 4) - cell(cell(eye)))) < 1e-12
+        window = window_overlap_map(window_ket(a, layer, 4), b)
+        assert np.max(np.abs(window - cell(cell(eye)))) < 1e-12
 
     def test_site_map_against_vec_contraction(self):
         rng = np.random.default_rng(13)
