@@ -330,20 +330,12 @@ def _step_objective(params_t, spec, cost_mode):
 
         return objective, True
 
-    if cost_mode == "circuit_lw":
-        # the boundary copies are the candidate, so nothing is fixed per step
-        def objective(x):
-            candidate = AnsatzParams(params_t.template, x)
-            return -circuits.dense_success_probability(
-                params_t, candidate, spec, copies_params=candidate
-            )
-
-        return objective, None
-
-    success_probability = circuits.success_probability_fn(params_t, spec)
-
     def objective(x):
-        return -success_probability(AnsatzParams(params_t.template, x))
+        candidate = AnsatzParams(params_t.template, x)
+        copies = candidate if cost_mode == "circuit_lw" else None
+        return -circuits.dense_success_probability(
+            params_t, candidate, spec, copies_params=copies
+        )
 
     return objective, None
 

@@ -50,6 +50,22 @@ class TestGradients:
             fd = central_difference(lambda y: objective(y)[0], x)
             assert np.max(np.abs(grad - fd)) <= 1e-8
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_circuit_objectives_take_their_boundary_copies(self, order):
+        rng = np.random.default_rng(2)
+        spec = replace(tfim.REFERENCE_QUENCH, trotter_order=order)
+        current = AnsatzParams(FULL15, rng.uniform(-np.pi, np.pi, 15))
+        x = current.angles + 0.3 * rng.standard_normal(15)
+        cand = AnsatzParams(FULL15, x)
+        lt, jac_lt = evolve._step_objective(current, spec, "circuit_lt")
+        lw, jac_lw = evolve._step_objective(current, spec, "circuit_lw")
+        assert jac_lt is None and jac_lw is None
+        p_lt = circuits.dense_success_probability(current, cand, spec)
+        p_lw = circuits.dense_success_probability(current, cand, spec, copies_params=cand)
+        assert abs(p_lt - p_lw) > 1e-6  # the two boundaries differ here
+        assert lt(x) == -p_lt
+        assert lw(x) == -p_lw
+
     def test_non_simple_top_eigenvalue_raises(self):
         # identity-state bra: the cell matrix is K[0] (x) 1, here a Jordan block
         ket = np.zeros((4, 2, 2), dtype=complex)
