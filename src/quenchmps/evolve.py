@@ -14,6 +14,9 @@ iteration spends exactly two cost evaluations.
 
 The deterministic reference instead maximizes the fidelity density of each
 step with BFGS on its exact angle gradient (see :func:`evolve_exact_in_ansatz`).
+Every quench starts from the variational ground state, one BFGS minimization
+of the energy density on its exact gradient through the fixed-point equation
+(see :func:`energy_density` and :func:`ground_state_optimize`).
 """
 
 import warnings
@@ -28,7 +31,9 @@ from .qcore import InvalidArgumentError, NumericFailure
 
 INIT_SCHEMES = ("random", "copy", "extrapolate")
 COST_MODES = ("eigen", "circuit_lt", "circuit_lw")
-GTOL = 1e-10  # BFGS gradient-norm tolerance of a reference step
+GTOL = 1e-10  # BFGS gradient-norm tolerance of a reference step and the ground state
+GROUND_GAP_TOL = 1e-6  # least 1 - |lambda_2| of an accepted ground state
+GROUND_GRAD_TOL = 1e-6  # largest energy gradient component of an accepted ground state
 BOOTSTRAP_FACTOR = 4  # SPSA budget multiplier while extrapolation lacks history
 
 
@@ -119,45 +124,86 @@ def _right_fixed_point(a):
     return rho / np.trace(rho).real
 
 
-def energy_density(params, J, g):
-    """Energy per site of the iMPS: the bond-term expectation evaluated with
-    the identity left and the leading right fixed point of the transfer
-    matrix."""
-    a = tensor_of(params)
+def energy_density(params, J, g, grad=False):
+    """Energy per site of the iMPS, e = sum_{t,s} h[t,s] Tr[P_s rho P_t^dag],
+    with P the two-site strand products, the identity as left fixed point
+    (exact for left-isometric tensors) and rho the right fixed point of
+    T(X) = sum_s A^s X A^s^dag (:func:`_right_fixed_point`).
+
+    With ``grad``, returns ``(e, de/dtheta)``. Only rho moves besides the
+    tensors, so for a tangent dA (from ``tensor_of(params, grad=True)``)
+
+        de = 2 Re sum_{t,s} h[t,s] Tr[dP_s rho P_t^dag] + Tr[Y dT(rho)],
+        dT(rho) = sum_s (dA^s rho A^s^dag + A^s rho dA^s^dag),
+
+    where Y solves the adjoint fixed-point equation Y - T^dag(Y) = H_env - e 1,
+    H_env = sum_{t,s} h[t,s] P_t^dag P_s. That is one 4x4 solve,
+    (1 - T^dag + |vec 1><vec rho|) vec Y = vec H_env: its rank-one term gives
+    Tr[rho Y] = e, which supplies the -e 1, and leaves Y fixed up to a multiple
+    of 1, which Tr[1 dT(rho)] = 0 does not see. The value is the same float
+    with and without ``grad``.
+    """
+    if grad:
+        a, da = tensor_of(params, grad=True)
+    else:
+        a = tensor_of(params)
     rho = _right_fixed_point(a)
     prods = transfer.strand_products(a, 2)
     h2 = tfim.bond_hamiltonian(J, g)
-    value = np.einsum("ts,sab,bc,tac->", h2, prods, rho, prods.conj())
-    return float(value.real)
+    value = float(np.einsum("ts,sab,bc,tac->", h2, prods, rho, prods.conj()).real)
+    if not grad:
+        return value
+    # strand_products holds P[2p + u] = A^u A^p
+    dprods = (
+        np.einsum("kuab,pbc->kpuac", da, a) + np.einsum("uab,kpbc->kpuac", a, da)
+    ).reshape(len(da), 4, 2, 2)
+    direct = np.einsum("ts,ksab,bc,tac->k", h2, dprods, rho, prods.conj())
+    h_env = np.einsum("ts,tca,scb->ab", h2, prods.conj(), prods)
+    t_dag = transfer.transfer_matrix(a, a).E.conj().T
+    pin = np.outer(transfer.VEC_IDENTITY, rho.reshape(4).conj())  # |vec 1><vec rho|
+    y = np.linalg.solve(np.eye(4) - t_dag + pin, h_env.reshape(4)).reshape(2, 2)
+    # Tr[Y dT(rho)] = 2 Re sum_s Tr[Y dA^s rho A^s^dag] for Hermitian Y and rho
+    moved = np.einsum("ab,ksbc,cd,sad->k", y, da, rho, a.conj())
+    return value, 2.0 * (direct + moved).real
 
 
 def ground_state_optimize(J, g, template, optimizer_seed=0):
     """Variational ground state of H(g) at bond dimension 2.
 
-    Deterministic direct search (Powell, then a Nelder-Mead polish) from
-    seeded random angles of the template itself. Returns parameters whose
-    energy density is converged to about 1e-6.
+    One BFGS minimization of :func:`energy_density` on its exact angle
+    gradient, from the seeded random angles 0.4 N(0, 1) of the template
+    itself. The end point is checked, not trusted: :class:`NumericFailure`
+    is raised when the solved state's transfer matrix has a second
+    eigenvalue within ``GROUND_GAP_TOL`` of the unit circle (a reducible
+    state, where BFGS can stop on a saddle) or when a component of its energy
+    gradient exceeds ``GROUND_GRAD_TOL``. The message names the optimizer
+    seed and the offending value.
     """
     if template not in N_ANGLES:
         raise InvalidArgumentError(f"unknown template {template!r}")
 
     def objective(x):
-        return energy_density(AnsatzParams(template, x), J, g)
+        return energy_density(AnsatzParams(template, x), J, g, grad=True)
 
     x0 = 0.4 * np.random.default_rng(optimizer_seed).standard_normal(N_ANGLES[template])
-    res = minimize(
-        objective,
-        x0,
-        method="Powell",
-        options={"xtol": 1e-9, "ftol": 1e-12, "maxfev": 40000},
-    )
-    res = minimize(
-        objective,
-        res.x,
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-12, "maxfev": 40000},
-    )
-    return AnsatzParams(template, res.x)
+    res = minimize(objective, x0, method="BFGS", jac=True, options={"gtol": GTOL})
+    ground = AnsatzParams(template, res.x)
+    a = tensor_of(ground)
+    lam2 = np.sort(np.abs(np.linalg.eigvals(transfer.transfer_matrix(a, a).E)))[-2]
+    if 1.0 - lam2 < GROUND_GAP_TOL:
+        raise NumericFailure(
+            f"ground state from optimizer seed {optimizer_seed} is reducible: "
+            f"1 - |lambda_2| = {1.0 - lam2:.3e} for its second transfer eigenvalue",
+            residual=1.0 - lam2,
+        )
+    worst = np.max(np.abs(energy_density(ground, J, g, grad=True)[1]))
+    if worst > GROUND_GRAD_TOL:
+        raise NumericFailure(
+            f"ground state from optimizer seed {optimizer_seed} is not stationary: "
+            f"largest energy gradient component {worst:.3e}",
+            residual=worst,
+        )
+    return ground
 
 
 def extrapolate(theta_prev, theta_curr):
@@ -253,8 +299,9 @@ def evolve_stochastic(
     before it, marked incomplete, and ``failure`` holds the exception.
 
     The default template is Full15 because Reduced8 cannot represent the
-    initial paramagnet: its ground-state search stops at E = -1.000 per site
-    against the exact -1.672 at g = 1.5.
+    initial paramagnet: a derivative-free search stops at E = -1.000 per site
+    against the exact -1.672 at g = 1.5, and :func:`ground_state_optimize`
+    rejects its end point as reducible.
     """
     if init_scheme not in INIT_SCHEMES:
         raise InvalidArgumentError(f"unknown init scheme {init_scheme!r}")

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from quenchmps import circuits, evolve, tfim, transfer
 from quenchmps.ansatz import FULL15, REDUCED8, AnsatzParams, build_unitary, tensor_of
@@ -50,6 +51,18 @@ class TestGradients:
             fd = central_difference(lambda y: objective(y)[0], x)
             assert np.max(np.abs(grad - fd)) <= 1e-8
 
+    def test_energy_gradient_matches_central_differences(self):
+        # Full15 only: Reduced8 tensors are near-reducible almost everywhere
+        def energy(y, grad=False):
+            return evolve.energy_density(AnsatzParams(FULL15, y), 1.0, 1.5, grad=grad)
+
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            x = rng.uniform(-np.pi, np.pi, 15)
+            value, grad = energy(x, grad=True)
+            assert value == energy(x)
+            assert np.max(np.abs(grad - central_difference(energy, x))) <= 1e-8
+
     @pytest.mark.parametrize("order", [1, 2])
     def test_circuit_objectives_take_their_boundary_copies(self, order):
         rng = np.random.default_rng(2)
@@ -81,6 +94,33 @@ class TestDrivers:
         e = evolve.energy_density(ground, 1.0, 1.5)
         exact = tfim.ground_energy_density_ff(1.0, 1.5)
         assert exact - 1e-9 <= e <= exact + 1e-3
+
+    def test_ground_state_is_pinned_by_gauge_invariants(self, ground):
+        # angles are not pinned: they sit anywhere on the gauge orbit
+        value, grad = evolve.energy_density(ground, 1.0, 1.5, grad=True)
+        gap = value - tfim.ground_energy_density_ff(1.0, 1.5)
+        assert abs(gap - 1.8959764e-4) <= 1e-9
+        assert np.max(np.abs(grad)) <= 1e-6
+        assert abs(evolve.echo_density(ground, ground)) <= 1e-9
+
+    def test_reducible_ground_state_rejected(self, monkeypatch):
+        # zero angles give U = 1 and the transfer spectrum {1, 1, 1, 1}
+        def stops_at_zero(fun, x0, **kwargs):
+            return OptimizeResult(x=np.zeros(len(x0)))
+
+        monkeypatch.setattr(evolve, "minimize", stops_at_zero)
+        with pytest.raises(NumericFailure, match="optimizer seed 7 is reducible"):
+            evolve.ground_state_optimize(1.0, 1.5, FULL15, optimizer_seed=7)
+
+    def test_non_stationary_ground_state_rejected(self, ground, monkeypatch):
+        moved = ground.angles + 1e-3
+
+        def stops_early(fun, x0, **kwargs):
+            return OptimizeResult(x=moved)
+
+        monkeypatch.setattr(evolve, "minimize", stops_early)
+        with pytest.raises(NumericFailure, match="optimizer seed 7 is not stationary"):
+            evolve.ground_state_optimize(1.0, 1.5, FULL15, optimizer_seed=7)
 
     def test_right_fixed_point_is_a_positive_fixed_point(self, ground):
         a = tensor_of(ground)
