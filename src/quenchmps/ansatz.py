@@ -71,7 +71,14 @@ class AmbiguousGaugeError(RuntimeError):
 
 @dataclass(frozen=True)
 class AnsatzParams:
-    """Rotation angles for one of the two iMPS unitary templates."""
+    """Rotation angles for one of the two iMPS unitary templates.
+
+    ``angles`` holds one parameter set, shape (n,), or a stack of them,
+    shape (k, n), one candidate per row (an SPSA +/- pair is a (2, n) stack).
+    :func:`build_unitary`, :func:`mps_tensor` and :func:`tensor_of` broadcast
+    over the stack, and each row gives exactly the floats of the same
+    parameter set on its own. The angles must be real and finite.
+    """
 
     template: str
     angles: np.ndarray = field(repr=False)
@@ -79,13 +86,16 @@ class AnsatzParams:
     def __post_init__(self):
         if self.template not in N_ANGLES:
             raise InvalidArgumentError(f"unknown template {self.template!r}")
+        if np.iscomplexobj(self.angles):
+            raise InvalidArgumentError("angles must be real")
         angles = np.asarray(self.angles, dtype=float)
-        if angles.shape != (N_ANGLES[self.template],):
+        n = N_ANGLES[self.template]
+        if angles.ndim not in (1, 2) or angles.shape[-1] != n or not angles.size:
             raise InvalidArgumentError(
-                f"{self.template} expects {N_ANGLES[self.template]} angles, "
+                f"{self.template} expects {n} angles or a nonempty (k, {n}) stack, "
                 f"got shape {angles.shape}"
             )
-        if not np.all(np.isfinite(angles)):
+        if not np.isfinite(angles).all():
             raise InvalidArgumentError("angles must be finite")
         angles.flags.writeable = False
         object.__setattr__(self, "angles", angles)
@@ -118,13 +128,13 @@ def _kron(x, y):
 
 
 def _full15_unitary(a, grad):
-    """Full15 unitary of the angles ``a``; with ``grad``, also dU/da, shape
-    (15, 4, 4)."""
-    chains = _zxz(*a[_CHAIN_SLOTS], grad=grad)
+    """Full15 unitary of the angles ``a``, shape (..., 15) to (..., 4, 4);
+    with ``grad`` (one parameter set only), also dU/da, shape (15, 4, 4)."""
+    chains = _zxz(*a.T[_CHAIN_SLOTS], grad=grad)  # (first, mid, last), each (4, ...)
     w, dw = chains if grad else (chains, None)
-    pre, post = _kron(w[0], w[1]), _kron(w[2], w[3])
-    phases = np.exp(-1j * (a[6:9] @ _BELL_PAULI))
-    ent = (_BELL * phases) @ _BELL.T
+    pre, post = _kron(w[0::2], w[1::2])  # physical (x) auxiliary leg, either side
+    phases = np.exp(-1j * (a[..., 6:9] @ _BELL_PAULI))
+    ent = (_BELL * phases[..., None, :]) @ _BELL.T
     if not grad:
         return post @ ent @ pre
     left, right = post @ ent, ent @ pre
@@ -144,10 +154,13 @@ def _full15_unitary(a, grad):
 def build_unitary(params, grad=False):
     """Two-qubit unitary (physical leg = first factor) for the parameters.
 
-    With ``grad``, returns ``(U, dU)`` where dU[k] = dU/d(angle k), one 4x4
-    slice per angle of the template. Reduced8 goes through its exact linear
-    embedding into Full15.
+    A (k, n) stack of angles gives a (k, 4, 4) stack of unitaries. With
+    ``grad``, returns ``(U, dU)`` where dU[k] = dU/d(angle k), one 4x4 slice
+    per angle of the template; gradients take one parameter set. Reduced8
+    goes through its exact linear embedding into Full15.
     """
+    if grad and params.angles.ndim != 1:
+        raise InvalidArgumentError("gradients take one parameter set, not a stack")
     if params.template == REDUCED8:
         out = _full15_unitary(reduced_to_full(params).angles, grad)
         return (out[0], out[1][_REDUCED_SLOTS]) if grad else out
@@ -158,29 +171,32 @@ def reduced_to_full(params):
     """Exact embedding of a Reduced8 parameter set into the Full15 template."""
     if params.template != REDUCED8:
         raise InvalidArgumentError("reduced_to_full expects Reduced8 parameters")
-    full = np.zeros(15)
-    full[_REDUCED_SLOTS] = params.angles
-    full[8] = np.pi / 4
+    full = np.zeros(params.angles.shape[:-1] + (15,))
+    full[..., _REDUCED_SLOTS] = params.angles
+    full[..., 8] = np.pi / 4
     return AnsatzParams(FULL15, full)
 
 
 def mps_tensor(u):
     """MPS tensor A[s, a, b] = <s, a| U |0, b> of a two-qubit unitary.
 
-    The result is left-isometric for unitary input; non-unitary input is
+    A (k, 4, 4) stack gives a (k, 2, 2, 2) stack of tensors. The result is
+    left-isometric for unitary input; input with a non-unitary slice is
     rejected.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (4, 4):
-        raise InvalidArgumentError(f"expected a 4x4 unitary, got shape {u.shape}")
+    if u.ndim not in (2, 3) or u.shape[-2:] != (4, 4):
+        raise InvalidArgumentError(
+            f"expected a 4x4 unitary or a stack of them, got shape {u.shape}"
+        )
     if not qcore.is_unitary(u, tol=1e-10):
         raise InvalidArgumentError("input is not unitary within 1e-10")
-    return u.reshape(2, 2, 2, 2)[:, :, 0, :]
+    return u.reshape(u.shape[:-2] + (2, 2, 2, 2))[..., 0, :]
 
 
 def tensor_of(params, grad=False):
-    """MPS tensor of the parameters; with ``grad``, also its derivatives
-    dA/dtheta, shape (n_angles, 2, 2, 2)."""
+    """MPS tensor of the parameters (a stack of them for stacked angles);
+    with ``grad``, also its derivatives dA/dtheta, shape (n_angles, 2, 2, 2)."""
     if not grad:
         return mps_tensor(build_unitary(params))
     u, du = build_unitary(params, grad=True)

@@ -26,13 +26,17 @@ bond, W_e(dt) on the two cell bonds, then W_o(dt/2) again.
 The same diagram is contracted exactly in the 2x2 bond-operator algebra
 (one `(B^s)^dag . A^s` overlap factor per site); agreement of the two routes
 to 1e-9 is the core correctness gate of the whole artifact. The contraction
-is split by what an optimizer varies. :func:`success_probability_fn` builds
-the side fixed by the current state and the step once: the gate layer, the
-ket side of the evolution window K[t] = sum_s <t|L|s> A-prod_s (16 x 2 x 2),
-and the two boundary copies folded into one 2 x 4 map. It returns a function
-of the candidate that builds only the candidate's tensor and strand products
-and does one (2 x 32) . (32 x 2) product. :func:`dense_success_probability`
-is that function evaluated once, for callers with a single candidate.
+is split by what an optimizer varies. The gate layer depends on the quench
+only (:func:`evolution_gate_layer`). :func:`success_probability_fn` builds
+the side fixed by the current state once per step: the ket side of the
+evolution window K[t] = sum_s <t|L|s> A-prod_s (16 x 2 x 2) and the two
+boundary copies folded into one 2 x 4 map. It returns a function of the
+candidates that builds only their tensors and strand products and does one
+(2 x 32) . (32 x 2) product per candidate. The candidates come as one
+:class:`~quenchmps.ansatz.AnsatzParams` with a (k, n) stack of angles (an
+SPSA +/- pair is k = 2), and the function returns one probability per row,
+each the same float that row gives on its own. :func:`dense_success_probability`
+is that function evaluated on one candidate.
 
 With the candidate equal to the current state and no evolution, every
 prepare/unprepare pair composes to the identity on the bond register via the
@@ -179,31 +183,36 @@ def exact_success_probability(circuit):
     return float(np.sum(np.abs(psi) ** 2))
 
 
-def success_probability_fn(params_t, spec, dt=None, copies_params=None):
+def success_probability_fn(params_t, layer, copies_params=None):
     """Exact success probability of the cost diagram as a function of the
-    candidate, for one evolution step.
+    candidates, for one evolution step with the dense gate layer ``layer``
+    (:func:`evolution_gate_layer`).
 
-    Everything fixed by the current state and the step is built here, once:
-    the window's ket side K[t] (:func:`transfer.window_ket` of the gate layer
-    on the current state's four-site strand products) and the two boundary
-    copies, folded into one linear map from the window's bond operator onto
-    column 0 of the final one. Each call of the returned function then builds
-    only the candidate tensor and contracts the window
+    Everything fixed by the current state is built here, once: the window's
+    ket side K[t] (:func:`transfer.window_ket` of the gate layer on the
+    current state's four-site strand products) and the two boundary copies,
+    folded into one linear map from the window's bond operator onto column 0
+    of the final one. Each call of the returned function then builds only the
+    candidate tensors and contracts the window
     (:func:`transfer.window_overlap_map`); the unmeasured bond qubit is
-    traced by the norm of that column. Independent of the statevector route.
+    traced by the norm of that column. It takes one parameter set or a (k, n)
+    stack and returns a probability of shape () or (k,). Independent of the
+    statevector route.
     """
     a = tensor_of(params_t)
     v = a if copies_params is None else tensor_of(copies_params)
-    layer, _ = evolution_gate_layer(spec, dt)
     ket = transfer.window_ket(a, layer, 2 * POWER_METHOD_ORDER)
     copies = np.eye(4, dtype=complex).reshape(4, 2, 2)  # the unit bond operators
     for _ in range(2):
         copies = transfer.site_overlap_map(copies, v, v)
     boundary = copies[:, :, 0].T  # (2, 4): vec(M) -> column 0 of the copies' output
 
-    def success_probability(candidate):
-        m = transfer.window_overlap_map(ket, tensor_of(candidate))
-        return float(np.sum(np.abs(boundary @ m.reshape(4)) ** 2))
+    def success_probability(candidates):
+        m = transfer.window_overlap_map(ket, tensor_of(candidates))
+        # a (2 x 4) . (4 x 1) product per candidate, the matrix-vector
+        # product of a single candidate, so each row rounds as it would alone
+        column = boundary @ m.reshape(m.shape[:-2] + (4, 1))
+        return (np.abs(column[..., 0]) ** 2).sum(axis=-1)
 
     return success_probability
 
@@ -211,8 +220,11 @@ def success_probability_fn(params_t, spec, dt=None, copies_params=None):
 def dense_success_probability(params_t, params_candidate, spec, dt=None, copies_params=None):
     """Exact contraction of the cost diagram in the bond-operator algebra:
     the evolution window nested inside the two boundary copies, applied to
-    the initial bond state |0> (see :func:`success_probability_fn`)."""
-    return success_probability_fn(params_t, spec, dt, copies_params)(params_candidate)
+    the initial bond state |0> (:func:`success_probability_fn` on one
+    candidate)."""
+    layer, _ = evolution_gate_layer(spec, dt)
+    success_probability = success_probability_fn(params_t, layer, copies_params)
+    return float(success_probability(params_candidate))
 
 
 def sample(circuit, shots, seed, per_shot=False):

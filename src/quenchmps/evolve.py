@@ -19,6 +19,7 @@ of the energy density on its exact gradient through the fixed-point equation
 (see :func:`energy_density` and :func:`ground_state_optimize`).
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -35,6 +36,7 @@ GTOL = 1e-10  # BFGS gradient-norm tolerance of a reference step and the ground 
 GROUND_GAP_TOL = 1e-6  # least 1 - |lambda_2| of an accepted ground state
 GROUND_GRAD_TOL = 1e-6  # largest energy gradient component of an accepted ground state
 BOOTSTRAP_FACTOR = 4  # SPSA budget multiplier while extrapolation lacks history
+_PLUS_MINUS = np.array([[1.0], [-1.0]])  # rows of an SPSA pair x +/- c_k delta
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,9 @@ class SpsaSchedule:
     """Gain schedule a_k = a/(k+1+A)^alpha, c_k = c/(k+1)^gamma.
 
     ``a = None`` calibrates the step scale from the first gradient estimate
-    so the first update moves at most 0.1 rad per angle.
+    so the first update moves at most 0.1 rad per angle; a given ``a`` must
+    be positive. ``A = None`` takes 10% of the iterations; a given ``A``
+    must be nonnegative.
     """
 
     steps: int = 6
@@ -61,6 +65,10 @@ class SpsaSchedule:
             raise InvalidArgumentError("steps must be nonnegative")
         if self.c <= 0:
             raise InvalidArgumentError("c must be positive")
+        if self.a is not None and not self.a > 0:
+            raise InvalidArgumentError("a must be positive")
+        if self.A is not None and not self.A >= 0:
+            raise InvalidArgumentError("A must be nonnegative")
 
     def stability_offset(self, steps):
         return self.A if self.A is not None else 0.1 * steps
@@ -94,8 +102,12 @@ class Trajectory:
 def echo_density(params_0, params_t):
     """Loschmidt echo rate -log |lambda(E_{A(0),A(t)})|^2 from the dense
     leading eigenvalue of the one-site mixed transfer matrix."""
-    e = transfer.transfer_matrix(tensor_of(params_0), tensor_of(params_t))
-    lam = transfer.fidelity_density(e)
+    return _echo_of_tensors(tensor_of(params_0), tensor_of(params_t))
+
+
+def _echo_of_tensors(a_0, a_t):
+    """:func:`echo_density` of the MPS tensors ``a_0`` and ``a_t``."""
+    lam = transfer.fidelity_density(transfer.transfer_matrix(a_0, a_t))
     return float(-np.log(max(abs(lam) ** 2, 1e-300)))
 
 
@@ -226,9 +238,11 @@ def unwrap_toward(reference, angles):
 def spsa_optimize(cost, seed_params, schedule, rng_seed):
     """Simultaneous-perturbation minimization of a noisy scalar cost.
 
-    Rademacher perturbation directions; two cost evaluations per iteration;
-    deterministic given ``rng_seed``. Returns the final iterate and the
-    per-iteration mean measured cost.
+    Rademacher perturbation directions. ``cost`` takes a (2, n) stack of
+    angles, the pair x + c_k delta, x - c_k delta in that order, and returns
+    the two costs; it is called once per iteration, so a sampled cost draws
+    the + evaluation before the - one. Deterministic given ``rng_seed``.
+    Returns the final iterate and the per-iteration mean measured cost.
     """
     rng = np.random.default_rng(rng_seed)
     x = seed_params.angles.copy()
@@ -239,8 +253,7 @@ def spsa_optimize(cost, seed_params, schedule, rng_seed):
     for k in range(schedule.steps):
         ck = schedule.c / (k + 1) ** schedule.gamma
         delta = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        y_plus = cost(x + ck * delta)
-        y_minus = cost(x - ck * delta)
+        y_plus, y_minus = cost(x + _PLUS_MINUS * (ck * delta))
         ghat = (y_plus - y_minus) / (2.0 * ck) * delta
         if a is None:
             # first-step calibration: move at most 0.1 rad per angle
@@ -256,24 +269,28 @@ def spsa_optimize(cost, seed_params, schedule, rng_seed):
     return seed_params.replace_angles(x), history
 
 
-def _sampled_cost(params_t, spec, shots_per_eval, seed_sequence, template):
-    """Stochastic cost oracle 1 - p_hat for one evolution step.
+def _sampled_cost(params_t, layer, shots_per_eval, seed_sequence):
+    """Stochastic cost oracle 1 - p_hat for one evolution step with the
+    dense gate layer ``layer``.
 
-    The side of the cost diagram fixed by the current state and the step
-    (current tensor, gate layer, ket window, boundary copies) is built once,
-    by :func:`circuits.success_probability_fn`; each evaluation builds only
-    the candidate tensor and contracts it against that side. The exact
-    probability equals the statevector circuit to machine precision (the
-    equivalence is enforced by the acceptance suite) and is sampled with a
-    binomial draw per evaluation.
+    The side of the cost diagram fixed by the current state (current tensor,
+    ket window, boundary copies) is built once per step, by
+    :func:`circuits.success_probability_fn`. The oracle takes a (k, n) stack
+    of candidate angles, builds their tensors and contracts them against that
+    side in one pass, and returns k costs. The exact probabilities equal the
+    statevector circuit to machine precision (the equivalence is enforced by
+    the acceptance suite) and are sampled with one binomial draw per row, in
+    row order.
     """
     rng = np.random.default_rng(seed_sequence)
-    success_probability = circuits.success_probability_fn(params_t, spec)
+    success_probability = circuits.success_probability_fn(params_t, layer)
 
-    def cost(x):
-        p_exact = success_probability(AnsatzParams(template, x))
-        p_hat = rng.binomial(shots_per_eval, min(max(p_exact, 0.0), 1.0)) / shots_per_eval
-        return 1.0 - p_hat
+    def cost(xs):
+        p_exact = success_probability(AnsatzParams(params_t.template, xs))
+        return [
+            1.0 - rng.binomial(shots_per_eval, min(max(p, 0.0), 1.0)) / shots_per_eval
+            for p in p_exact.tolist()
+        ]
 
     return cost
 
@@ -297,6 +314,12 @@ def evolve_stochastic(
     A step whose cost or echo raises :class:`NumericFailure` or
     :class:`InvalidArgumentError` ends the run: the trajectory is truncated
     before it, marked incomplete, and ``failure`` holds the exception.
+    ``shots_per_eval`` must be a positive integer.
+
+    The gate layer and the ground-state tensor are built once per run; each
+    step builds the side of the cost fixed by its current state
+    (:func:`_sampled_cost`), and each SPSA iteration evaluates its +/- pair
+    as one stacked call.
 
     The default template is Full15 because Reduced8 cannot represent the
     initial paramagnet: a derivative-free search stops at E = -1.000 per site
@@ -305,8 +328,14 @@ def evolve_stochastic(
     """
     if init_scheme not in INIT_SCHEMES:
         raise InvalidArgumentError(f"unknown init scheme {init_scheme!r}")
+    if not isinstance(shots_per_eval, numbers.Integral) or shots_per_eval < 1:
+        raise InvalidArgumentError(
+            f"shots_per_eval must be a positive integer, got {shots_per_eval!r}"
+        )
     if ground is None:
         ground = ground_state_optimize(spec.J, spec.g0, template)
+    layer, _ = circuits.evolution_gate_layer(spec)
+    a_0 = tensor_of(ground)
     n_angles = len(ground.angles)
     times = spec.times
     angles = np.zeros((len(times), n_angles))
@@ -331,11 +360,11 @@ def evolve_stochastic(
         budget = spsa.steps * (BOOTSTRAP_FACTOR if step <= 2 else 1)
         schedule = replace(spsa, steps=budget)
         try:
-            cost = _sampled_cost(prev, spec, shots_per_eval, shot_seed, template)
+            cost = _sampled_cost(prev, layer, shots_per_eval, shot_seed)
             new_params, history = spsa_optimize(
                 cost, seed_params, schedule, spsa_seed
             )
-            echoes[step] = echo_density(AnsatzParams(template, angles[0]), new_params)
+            echoes[step] = _echo_of_tensors(a_0, tensor_of(new_params))
         except (NumericFailure, qcore.InvalidArgumentError) as exc:
             failure = f"{type(exc).__name__}: {exc}"
             times = times[:step]

@@ -44,8 +44,10 @@ class ResourceLimitError(RuntimeError):
 
 
 def is_unitary(m, tol=1e-10):
+    """Whether the square matrix ``m``, or every slice of a stack of them,
+    satisfies |m^dag m - 1| < ``tol`` entrywise."""
     m = np.asarray(m)
-    return np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) < tol
+    return np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max() < tol
 
 
 def is_hermitian(m, tol=1e-12):

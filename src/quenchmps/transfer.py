@@ -72,13 +72,15 @@ def strand_products(a, n_sites):
     """All ordered tensor products A^{s_n} ... A^{s_1} of a strand.
 
     Returns an array of shape (2**n_sites, 2, 2) indexed by the physical
-    string with site 1 as the most significant bit.
+    string with site 1 as the most significant bit; a (k, 2, 2, 2) stack of
+    tensors gives a (k, 2**n_sites, 2, 2) stack.
     """
     prods = np.eye(2, dtype=complex)[None, :, :]
     for _ in range(n_sites):
         # new site multiplies from the left; its bit is least significant,
         # so reorder to keep site 1 most significant
-        prods = np.einsum("uab,pbc->puac", a, prods).reshape(-1, 2, 2)
+        prods = np.einsum("...uab,...pbc->...puac", a, prods)
+        prods = prods.reshape(prods.shape[:-4] + (-1, 2, 2))
     return prods
 
 
@@ -220,6 +222,7 @@ def window_ket(a_ket, gate_layer, n_sites):
 def window_overlap_map(ket, b_bra):
     """The window block applied to the identity bond operator,
     sum_t (B-prod_t)^dag K[t], for the ket side ``ket`` of
-    :func:`window_ket`: one (2 x 2**(n+1)) . (2**(n+1) x 2) product."""
-    pb = strand_products(b_bra, len(ket).bit_length() - 1)
-    return pb.conj().reshape(-1, 2).T @ ket.reshape(-1, 2)
+    :func:`window_ket`: one (2 x 2**(n+1)) . (2**(n+1) x 2) product, per
+    bra tensor of a (k, 2, 2, 2) stack."""
+    pb = strand_products(b_bra, len(ket).bit_length() - 1).conj()
+    return pb.reshape(pb.shape[:-3] + (-1, 2)).swapaxes(-1, -2) @ ket.reshape(-1, 2)

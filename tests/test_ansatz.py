@@ -55,6 +55,36 @@ class TestBuildUnitary:
         with pytest.raises(InvalidArgumentError):
             AnsatzParams(FULL15, np.zeros(8))
 
+    def test_complex_angles_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="real"):
+            AnsatzParams(FULL15, np.zeros(15) + 0.5j)
+        with pytest.raises(InvalidArgumentError, match="real"):
+            AnsatzParams(FULL15, np.zeros((2, 15), dtype=complex))
+
+    def test_bad_stacks_rejected(self):
+        angles = np.zeros((3, 15))
+        angles[1, 4] = np.nan
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            AnsatzParams(FULL15, angles)
+        for shape in [(2, 2, 15), (0, 15), ()]:
+            with pytest.raises(InvalidArgumentError):
+                AnsatzParams(FULL15, np.zeros(shape))
+
+    @pytest.mark.parametrize("template", [REDUCED8, FULL15])
+    def test_stack_rows_equal_single_sets(self, template):
+        rng = np.random.default_rng(4)
+        stack = random_params(template, rng).replace_angles(
+            rng.uniform(-np.pi, np.pi, (5, 8 if template == REDUCED8 else 15))
+        )
+        u, a = build_unitary(stack), tensor_of(stack)
+        assert u.shape == (5, 4, 4) and a.shape == (5, 2, 2, 2)
+        for row, u_row, a_row in zip(stack.angles, u, a):
+            single = AnsatzParams(template, row)
+            assert np.array_equal(u_row, build_unitary(single))
+            assert np.array_equal(a_row, tensor_of(single))
+        with pytest.raises(InvalidArgumentError, match="one parameter set"):
+            build_unitary(stack, grad=True)
+
     def test_template_nesting_is_exact(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -115,6 +145,16 @@ class TestMpsTensor:
     def test_rejects_non_unitary(self):
         with pytest.raises(InvalidArgumentError):
             mps_tensor(np.ones((4, 4), dtype=complex))
+
+    def test_rejects_stack_with_one_non_unitary_slice(self):
+        rng = np.random.default_rng(5)
+        stack = build_unitary(
+            AnsatzParams(FULL15, rng.uniform(-np.pi, np.pi, (3, 15)))
+        )
+        assert mps_tensor(stack).shape == (3, 2, 2, 2)
+        stack[2, 1, 3] += 1e-8
+        with pytest.raises(InvalidArgumentError, match="not unitary"):
+            mps_tensor(stack)
 
 
 class TestEulerZxz:

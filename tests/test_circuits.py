@@ -78,13 +78,21 @@ class TestCircuitDenseEquivalence:
             return AnsatzParams(FULL15, rng.uniform(-np.pi, np.pi, 15))
 
         current, candidates = full15(), [full15() for _ in range(4)]
+        stack = AnsatzParams(FULL15, np.array([pb.angles for pb in candidates]))
+        layer, _ = circuits.evolution_gate_layer(spec, dt)
         # one per-step function serves every candidate, with the current
-        # state or other parameters on the boundary copies
+        # state or other parameters on the boundary copies, and a (k, 15)
+        # stack of candidates gives each row's own probability exactly
         for copies in (None, full15()):
-            p_dense = success_probability_fn(current, spec, dt, copies_params=copies)
-            for pb in candidates:
+            p_dense = success_probability_fn(current, layer, copies_params=copies)
+            p_stack = p_dense(stack)
+            assert p_stack.shape == (len(candidates),)
+            assert np.array_equal(p_stack, [p_dense(pb) for pb in candidates])
+            for pb, p_row in zip(candidates, p_stack):
                 c = build_cost_circuit(current, pb, spec, dt=dt, copies_params=copies)
-                assert abs(exact_success_probability(c) - p_dense(pb)) < 1e-10
+                p_sv = exact_success_probability(c)
+                assert abs(p_sv - p_dense(pb)) < 1e-10
+                assert abs(p_sv - p_row) < 1e-10
         # the "circuit_lw" boundary: the copies are the candidate itself
         for pb in candidates:
             c = build_cost_circuit(current, pb, spec, dt=dt, copies_params=pb)

@@ -11,6 +11,34 @@ from quenchmps.qcore import InvalidArgumentError, NumericFailure
 H = 1e-5  # central-difference step; truncation and rounding both stay near 1e-10
 SHORT = replace(tfim.REFERENCE_QUENCH, t_max=0.3)  # three steps
 
+# accepted angles of evolve_stochastic(SHORT, "extrapolate", seed=3) from the
+# Full15 ground state of the ``ground`` fixture
+GOLDEN_SEED3_ANGLES = np.array(
+    [
+        [
+            -4.0160662291850657e-01, -1.2305007496725282e+00, 1.1198541752346909e+00,
+            -4.4033633776183723e-01, -4.6821994548723944e-01, 4.1714409838973021e-01,
+            2.7371550997014982e-01, -8.2798641712419407e-01, -7.2850924650405924e-01,
+            -3.9408601128789700e-01, -6.0027806592951727e-01, 4.7139589689210282e-01,
+            3.1184586004145351e-02, -8.1495242346213781e-01, -3.4743545815728494e-01,
+        ],
+        [
+            -3.2113607272376016e-01, -1.1540648414590149e+00, 1.2134242394267962e+00,
+            -6.1573709132487697e-01, -6.8710366308258752e-01, -9.9569552364729563e-01,
+            4.7272406583919629e-01, -5.2015751230289009e-01, -6.6872187019886242e-01,
+            -8.2246228911615638e-01, -1.0135418102950040e+00, 4.1602905323932277e-01,
+            4.5154589077632604e-02, -8.6344270714870563e-01, -6.8726383383259626e-01,
+        ],
+        [
+            -3.0848278394893802e-01, -9.4663345967133528e-01, 1.6315241800085343e+00,
+            -5.3254996986140457e-01, -9.9766187966224373e-01, -2.3103950495154790e+00,
+            6.1038095747285248e-01, -1.2184137350318713e-01, -4.3466699151485355e-01,
+            -1.1186558283643400e+00, -1.2881572188958812e+00, 4.2847947100646699e-01,
+            -4.9200908864571923e-02, -8.0360748981958174e-01, -1.0868673495403292e+00,
+        ],
+    ]
+)
+
 
 def central_difference(f, x):
     out = []
@@ -146,29 +174,60 @@ class TestDrivers:
     def test_spsa_raises_on_constant_cost(self):
         seed = AnsatzParams(FULL15, np.zeros(15))
         with pytest.raises(NumericFailure, match="zero gradient estimate"):
-            evolve.spsa_optimize(lambda x: 0.5, seed, evolve.SpsaSchedule(), 0)
+            evolve.spsa_optimize(
+                lambda xs: np.full(len(xs), 0.5), seed, evolve.SpsaSchedule(), 0
+            )
+
+    def test_spsa_evaluates_each_pair_in_one_call(self):
+        pairs = []
+
+        def cost(xs):
+            pairs.append(xs.copy())
+            return np.sum(xs**2, axis=1)
+
+        seed = AnsatzParams(FULL15, np.linspace(-1.0, 1.0, 15))
+        evolve.spsa_optimize(cost, seed, evolve.SpsaSchedule(steps=3), 0)
+        assert [p.shape for p in pairs] == [(2, 15)] * 3
+        # the first pair is x + c_0 delta, x - c_0 delta with c_0 = c = 0.1
+        plus, minus = pairs[0] - seed.angles
+        assert np.allclose(np.abs(plus), 0.1, rtol=0, atol=1e-15)
+        assert np.allclose(minus, -plus, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "options", [{"a": -1.0}, {"a": 0.0}, {"A": -5.0}, {"a": np.nan}]
+    )
+    def test_invalid_spsa_gains_rejected(self, options):
+        with pytest.raises(InvalidArgumentError):
+            evolve.SpsaSchedule(**options)
+
+    @pytest.mark.parametrize("shots", [0, -5, 2.5])
+    def test_invalid_shot_counts_rejected(self, ground, shots):
+        with pytest.raises(InvalidArgumentError, match="shots_per_eval"):
+            evolve.evolve_stochastic(
+                SHORT, "extrapolate", shots_per_eval=shots, ground=ground
+            )
 
 
 def patch_step_costs(monkeypatch, fail_after):
-    """Count the evaluations of each per-step cost, and make every one built
-    after the first ``fail_after`` raise :class:`NumericFailure`. Returns the
-    per-step evaluation counts."""
+    """Count the candidates evaluated by each per-step cost (one per row of
+    a stacked call), and make every cost built after the first ``fail_after``
+    raise :class:`NumericFailure`. Returns the per-step candidate counts."""
     real = circuits.success_probability_fn
     evaluations = []
 
-    def patched(params_t, spec, *args, **kwargs):
+    def patched(*args, **kwargs):
         evaluations.append(0)
         if len(evaluations) > fail_after:
 
-            def fails(candidate):
+            def fails(candidates):
                 raise NumericFailure("forced")
 
             return fails
-        p = real(params_t, spec, *args, **kwargs)
+        p = real(*args, **kwargs)
 
-        def counted(candidate, k=len(evaluations) - 1):
-            evaluations[k] += 1
-            return p(candidate)
+        def counted(candidates, k=len(evaluations) - 1):
+            evaluations[k] += len(candidates.angles)
+            return p(candidates)
 
         return counted
 
@@ -186,6 +245,11 @@ class TestStochastic:
         assert first.complete and first.failure is None and first.n_steps == 3
         for name in ("angles", "echoes", "costs", "cum_shots"):
             assert np.array_equal(getattr(first, name), getattr(again, name))
+        # pinned: reordering the +/- evaluations or their binomial draws
+        # moves the accepted angles
+        assert np.array_equal(first.angles[0], ground.angles)
+        assert np.max(np.abs(first.angles[1:] - GOLDEN_SEED3_ANGLES)) <= 1e-12
+        assert first.cum_shots.tolist() == [0, 98304, 196608, 221184]
 
     def test_shots_count_two_evaluations_per_spsa_iteration(self, ground, monkeypatch):
         evaluations = patch_step_costs(monkeypatch, fail_after=SHORT.n_steps)
