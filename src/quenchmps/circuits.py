@@ -40,8 +40,9 @@ is that function evaluated on one candidate.
 
 With the candidate equal to the current state and no evolution, every
 prepare/unprepare pair composes to the identity on the bond register via the
-left-isometry of the tensors, so the success probability is exactly 1; the
-cost sampled by :func:`sample` is `1 - p_hat`.
+left-isometry of the tensors, so the success probability is exactly 1. The
+stochastic driver samples the cost 1 - p_hat, with p_hat a binomial
+shot-noise estimate of this probability (:mod:`quenchmps.evolve`).
 """
 
 from dataclasses import dataclass, field
@@ -69,16 +70,6 @@ class CostCircuit:
     qubit_count: int
     ops: tuple
     measured_qubits: tuple
-    order: int = POWER_METHOD_ORDER
-    trotter_order: int = 1
-
-
-@dataclass(frozen=True)
-class ShotEstimate:
-    p_hat: float
-    shots: int
-    std_err: float
-    seed: int
 
 
 def evolution_gate_layer(spec, dt=None):
@@ -156,8 +147,6 @@ def build_cost_circuit(params_t, params_candidate, spec, dt=None, copies_params=
         qubit_count=n_sites + 1,
         ops=tuple(ops),
         measured_qubits=tuple(range(1, n_sites + 1)),
-        order=POWER_METHOD_ORDER,
-        trotter_order=spec.trotter_order,
     )
 
 
@@ -225,113 +214,3 @@ def dense_success_probability(params_t, params_candidate, spec, dt=None, copies_
     layer, _ = evolution_gate_layer(spec, dt)
     success_probability = success_probability_fn(params_t, layer, copies_params)
     return float(success_probability(params_candidate))
-
-
-def sample(circuit, shots, seed, per_shot=False):
-    """Shot-noise estimate of the success probability.
-
-    The default draws once from Binomial(shots, p_exact), statistically
-    identical to per-shot simulation and much faster; ``per_shot=True``
-    keeps the slow path that actually samples every mid-circuit measurement
-    (for auditing the reset semantics).
-    """
-    if shots < 1:
-        raise InvalidArgumentError("need at least one shot")
-    rng = np.random.default_rng(seed)
-    if per_shot:
-        successes = sum(_run_single_shot(circuit, rng) for _ in range(shots))
-    else:
-        successes = rng.binomial(shots, exact_success_probability(circuit))
-    p_hat = successes / shots
-    return ShotEstimate(
-        p_hat=float(p_hat),
-        shots=int(shots),
-        std_err=float(np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / shots)),
-        seed=int(seed),
-    )
-
-
-def _run_single_shot(circuit, rng):
-    psi = qcore.zero_state(circuit.qubit_count)
-    awaiting_reset = set()
-    success = True
-    for op in circuit.ops:
-        if op.kind == "gate":
-            psi = qcore.apply_gate(psi, op.matrix, op.targets)
-        elif op.kind == "measure":
-            q = op.targets[0]
-            p0 = qcore.outcome_probability(psi, q, 0)
-            outcome = 0 if rng.random() < p0 else 1
-            psi = qcore.project_qubit(psi, q, outcome)
-            psi = psi / np.linalg.norm(psi)
-            if outcome == 1:
-                success = False
-                awaiting_reset.add(q)
-        elif op.kind == "reset" and op.targets[0] in awaiting_reset:
-            psi = qcore.apply_gate(psi, qcore.PAULI_X, op.targets)
-            awaiting_reset.discard(op.targets[0])
-    return 1 if success else 0
-
-
-def _format_complex_row(mat):
-    return " ".join(
-        f"{z.real:.17g} {z.imag:.17g}" for z in np.asarray(mat).reshape(-1)
-    )
-
-
-def export_gate_list(circuit):
-    """Plain-text gate list, one operation per line; round-trips exactly."""
-    lines = [
-        "# quenchmps cost circuit",
-        f"qubits {circuit.qubit_count}",
-        f"order {circuit.order}",
-        f"trotter {circuit.trotter_order}",
-        "measured " + " ".join(str(q) for q in circuit.measured_qubits),
-    ]
-    for op in circuit.ops:
-        targets = " ".join(str(t) for t in op.targets)
-        if op.kind == "gate":
-            lines.append(f"gate {op.name} {targets} {_format_complex_row(op.matrix)}")
-        else:
-            lines.append(f"{op.kind} {targets}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_gate_list(text):
-    header = {}
-    measured = ()
-    ops = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] in ("qubits", "order", "trotter"):
-            header[parts[0]] = int(parts[1])
-        elif parts[0] == "measured":
-            measured = tuple(int(q) for q in parts[1:])
-        elif parts[0] == "gate":
-            name = parts[1]
-            values = np.array([float(x) for x in parts[2:]])
-            # targets come first; the matrix is the trailing 2*(4**k) floats
-            for k in (1, 2):
-                if len(values) == k + 2 * 4**k:
-                    targets = tuple(int(v) for v in values[:k])
-                    flat = values[k::2] + 1j * values[k + 1 :: 2]
-                    ops.append(
-                        CircuitOp("gate", targets, name, flat.reshape(2**k, 2**k))
-                    )
-                    break
-            else:
-                raise InvalidArgumentError(f"malformed gate line: {line!r}")
-        elif parts[0] in ("measure", "reset"):
-            ops.append(CircuitOp(parts[0], (int(parts[1]),)))
-        else:
-            raise InvalidArgumentError(f"unknown gate-list line: {line!r}")
-    return CostCircuit(
-        qubit_count=header["qubits"],
-        ops=tuple(ops),
-        measured_qubits=measured,
-        order=header.get("order", POWER_METHOD_ORDER),
-        trotter_order=header.get("trotter", 1),
-    )

@@ -46,7 +46,8 @@ class SpsaSchedule:
     ``a = None`` calibrates the step scale from the first gradient estimate
     so the first update moves at most 0.1 rad per angle; a given ``a`` must
     be positive. ``A = None`` takes 10% of the iterations; a given ``A``
-    must be nonnegative.
+    must be nonnegative. ``steps`` is a nonnegative integer, and every gain
+    must be finite.
     """
 
     steps: int = 6
@@ -61,14 +62,16 @@ class SpsaSchedule:
             raise InvalidArgumentError("alpha must lie in (0.5, 1]")
         if not 0.0 < self.gamma <= 0.5:
             raise InvalidArgumentError("gamma must lie in (0, 0.5]")
-        if self.steps < 0:
-            raise InvalidArgumentError("steps must be nonnegative")
-        if self.c <= 0:
-            raise InvalidArgumentError("c must be positive")
-        if self.a is not None and not self.a > 0:
-            raise InvalidArgumentError("a must be positive")
-        if self.A is not None and not self.A >= 0:
-            raise InvalidArgumentError("A must be nonnegative")
+        if not isinstance(self.steps, numbers.Integral) or self.steps < 0:
+            raise InvalidArgumentError(
+                f"steps must be a nonnegative integer, got {self.steps!r}"
+            )
+        if not 0 < self.c < np.inf:
+            raise InvalidArgumentError("c must be positive and finite")
+        if self.a is not None and not 0 < self.a < np.inf:
+            raise InvalidArgumentError("a must be positive and finite")
+        if self.A is not None and not 0 <= self.A < np.inf:
+            raise InvalidArgumentError("A must be nonnegative and finite")
 
     def stability_offset(self, steps):
         return self.A if self.A is not None else 0.1 * steps
@@ -120,7 +123,7 @@ def _right_fixed_point(a):
     the positive cone and settle with the (trace-preserving, positivity-
     preserving) map rho -> sum_s A^s rho (A^s)^dag, 30 times: E^30 on vec(rho).
     """
-    e = transfer.transfer_matrix(a, a).E
+    e = transfer.transfer_matrix(a, a)
     evals, evecs = np.linalg.eig(e)
     rho = evecs[:, int(np.argmax(np.abs(evals)))].reshape(2, 2)
     trace = np.trace(rho)
@@ -171,7 +174,7 @@ def energy_density(params, J, g, grad=False):
     ).reshape(len(da), 4, 2, 2)
     direct = np.einsum("ts,ksab,bc,tac->k", h2, dprods, rho, prods.conj())
     h_env = np.einsum("ts,tca,scb->ab", h2, prods.conj(), prods)
-    t_dag = transfer.transfer_matrix(a, a).E.conj().T
+    t_dag = transfer.transfer_matrix(a, a).conj().T
     pin = np.outer(transfer.VEC_IDENTITY, rho.reshape(4).conj())  # |vec 1><vec rho|
     y = np.linalg.solve(np.eye(4) - t_dag + pin, h_env.reshape(4)).reshape(2, 2)
     # Tr[Y dT(rho)] = 2 Re sum_s Tr[Y dA^s rho A^s^dag] for Hermitian Y and rho
@@ -201,7 +204,7 @@ def ground_state_optimize(J, g, template, optimizer_seed=0):
     res = minimize(objective, x0, method="BFGS", jac=True, options={"gtol": GTOL})
     ground = AnsatzParams(template, res.x)
     a = tensor_of(ground)
-    lam2 = np.sort(np.abs(np.linalg.eigvals(transfer.transfer_matrix(a, a).E)))[-2]
+    lam2 = np.sort(np.abs(np.linalg.eigvals(transfer.transfer_matrix(a, a))))[-2]
     if 1.0 - lam2 < GROUND_GAP_TOL:
         raise NumericFailure(
             f"ground state from optimizer seed {optimizer_seed} is reducible: "
@@ -222,8 +225,6 @@ def extrapolate(theta_prev, theta_curr):
     """Linear extrapolation 2*curr - prev from the two previous steps.
 
     Angles must be unwrapped (continuous across steps)."""
-    if theta_prev.template != theta_curr.template:
-        raise InvalidArgumentError("extrapolation requires matching templates")
     return theta_curr.replace_angles(2.0 * theta_curr.angles - theta_prev.angles)
 
 
@@ -321,10 +322,8 @@ def evolve_stochastic(
     (:func:`_sampled_cost`), and each SPSA iteration evaluates its +/- pair
     as one stacked call.
 
-    The default template is Full15 because Reduced8 cannot represent the
-    initial paramagnet: a derivative-free search stops at E = -1.000 per site
-    against the exact -1.672 at g = 1.5, and :func:`ground_state_optimize`
-    rejects its end point as reducible.
+    ``template`` must be ``FULL15``, the only template; any other name is
+    rejected with :class:`InvalidArgumentError`.
     """
     if init_scheme not in INIT_SCHEMES:
         raise InvalidArgumentError(f"unknown init scheme {init_scheme!r}")
@@ -429,7 +428,10 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
     Each step is one BFGS minimization from the linear extrapolation of the
     previous two steps. The "eigen" objective supplies its exact gradient,
     d lambda = <l| dE |r> / <l|r> with dE from the closed-form dU/dtheta; the
-    circuit costs use scipy's finite-difference gradient.
+    circuit costs use scipy's finite-difference gradient. A step on which
+    BFGS returns non-finite angles ends the run: the trajectory is truncated
+    before it, marked incomplete, and ``failure`` names the step and the
+    optimizer's message.
     """
     if cost_mode not in COST_MODES:
         raise InvalidArgumentError(f"unknown cost mode {cost_mode!r}")
@@ -440,7 +442,7 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
     angles[0] = ground.angles
     echoes = np.zeros(len(times))
     costs = np.zeros(len(times))
-    complete = True
+    failure = None
     for step in range(1, len(times)):
         prev = AnsatzParams(template, angles[step - 1].copy())
         if step >= 3:
@@ -457,7 +459,10 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
             options={"gtol": GTOL},
         )
         if not np.all(np.isfinite(res.x)):
-            complete = False
+            failure = (
+                f"NumericFailure: step {step}: BFGS returned non-finite angles "
+                f"({res.message})"
+            )
             times, angles = times[:step], angles[:step]
             echoes, costs = echoes[:step], costs[:step]
             break
@@ -477,7 +482,8 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
         echoes=echoes,
         costs=costs,
         cum_shots=np.zeros(len(times), dtype=np.int64),
-        complete=complete,
+        complete=failure is None,
+        failure=failure,
     )
 
 
@@ -515,8 +521,7 @@ def ensemble_run(
     ground=None,
 ):
     """Ensemble of perfect-gate stochastic runs (shot noise only), all
-    started from ``ground`` (solved here when not given). Full15 is the
-    default template for the reason given in :func:`evolve_stochastic`."""
+    started from ``ground`` (solved here when not given)."""
     if n_runs < 2:
         raise InvalidArgumentError("an ensemble needs at least 2 runs")
     if seeds is None:

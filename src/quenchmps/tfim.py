@@ -55,6 +55,11 @@ class QuenchSpec:
     trotter_order: int = 1
 
     def __post_init__(self):
+        for name in ("J", "g0", "g1", "dt", "t_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidArgumentError(
+                    f"{name} must be finite, got {getattr(self, name)!r}"
+                )
         if self.J == 0.0:
             raise InvalidArgumentError("coupling J must be nonzero")
         if not self.dt > 0.0:

@@ -2,30 +2,46 @@ import numpy as np
 import pytest
 
 from quenchmps import ansatz, circuits, qcore, tfim, transfer
-from quenchmps.ansatz import FULL15, REDUCED8, AnsatzParams
+from quenchmps.ansatz import FULL15, AnsatzParams
 from quenchmps.circuits import (
     CircuitOp,
     CostCircuit,
     build_cost_circuit,
     dense_success_probability,
     exact_success_probability,
-    export_gate_list,
-    parse_gate_list,
-    sample,
     success_probability_fn,
 )
-from quenchmps.qcore import InvalidArgumentError, ResourceLimitError
+from quenchmps.qcore import ResourceLimitError
 from conftest import random_unitary
 
 
-def random_reduced(rng):
-    return AnsatzParams(REDUCED8, rng.uniform(-np.pi, np.pi, 8))
+def random_params(rng):
+    return AnsatzParams(FULL15, rng.uniform(-np.pi, np.pi, 15))
 
 
-def hadamard_circuit():
-    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2)
-    ops = (CircuitOp("gate", (0,), "H", h), CircuitOp("measure", (0,)))
-    return CostCircuit(qubit_count=1, ops=ops, measured_qubits=(0,))
+def run_single_shot(circuit, rng):
+    """One shot of the circuit as the hardware runs it: every measurement
+    samples an outcome and collapses the state, and a reset flips a qubit
+    that read 1 back to 0. Returns 1 when every measured qubit read 0."""
+    psi = qcore.zero_state(circuit.qubit_count)
+    awaiting_reset = set()
+    success = True
+    for op in circuit.ops:
+        if op.kind == "gate":
+            psi = qcore.apply_gate(psi, op.matrix, op.targets)
+        elif op.kind == "measure":
+            q = op.targets[0]
+            p0 = qcore.outcome_probability(psi, q, 0)
+            outcome = 0 if rng.random() < p0 else 1
+            psi = qcore.project_qubit(psi, q, outcome)
+            psi = psi / np.linalg.norm(psi)
+            if outcome == 1:
+                success = False
+                awaiting_reset.add(q)
+        elif op.kind == "reset" and op.targets[0] in awaiting_reset:
+            psi = qcore.apply_gate(psi, qcore.PAULI_X, op.targets)
+            awaiting_reset.discard(op.targets[0])
+    return 1 if success else 0
 
 
 class TestExactSuccessProbability:
@@ -45,7 +61,7 @@ class TestExactSuccessProbability:
         rng = np.random.default_rng(1)
         spec = tfim.QuenchSpec()
         for _ in range(5):
-            p = random_reduced(rng)
+            p = random_params(rng)
             c = build_cost_circuit(p, p, spec, dt=0.0)
             assert exact_success_probability(c) == pytest.approx(1.0, abs=1e-12)
 
@@ -62,7 +78,7 @@ class TestCircuitDenseEquivalence:
         spec = tfim.QuenchSpec(trotter_order=trotter_order)
         for trial in range(30):
             dt = (0.0, 0.05, 0.1)[trial % 3]
-            pa, pb = random_reduced(rng), random_reduced(rng)
+            pa, pb = random_params(rng), random_params(rng)
             c = build_cost_circuit(pa, pb, spec, dt=dt)
             p_sv = exact_success_probability(c)
             p_dense = dense_success_probability(pa, pb, spec, dt=dt)
@@ -103,7 +119,7 @@ class TestCircuitDenseEquivalence:
         # un-updated candidate already reaches p = 1 - O(dt^2)
         rng = np.random.default_rng(3)
         spec = tfim.QuenchSpec()
-        p = AnsatzParams(REDUCED8, 0.7 * rng.standard_normal(8))
+        p = AnsatzParams(FULL15, 0.7 * rng.standard_normal(15))
         dts = np.array([0.05, 0.1, 0.2])
         deficits = np.array(
             [1.0 - dense_success_probability(p, p, spec, dt=dt) for dt in dts]
@@ -116,7 +132,7 @@ class TestCircuitDenseEquivalence:
         # both strands is a no-op (the reason the bond qubit stays unmeasured)
         rng = np.random.default_rng(4)
         spec = tfim.QuenchSpec()
-        pa, pb = random_reduced(rng), random_reduced(rng)
+        pa, pb = random_params(rng), random_params(rng)
         base = build_cost_circuit(pa, pb, spec)
         p_base = exact_success_probability(base)
         v = random_unitary(4, rng)
@@ -143,81 +159,22 @@ class TestCircuitDenseEquivalence:
         assert np.max(np.abs(m - np.eye(2))) < 1e-12
 
 
-class TestSample:
-    def test_certain_outcomes(self):
-        rng = np.random.default_rng(5)
-        spec = tfim.QuenchSpec()
-        p = random_reduced(rng)
-        c = build_cost_circuit(p, p, spec, dt=0.0)
-        est = sample(c, shots=50, seed=7)
-        assert est.p_hat == 1.0
-        ops = (
-            CircuitOp("gate", (0,), "X", qcore.PAULI_X),
-            CircuitOp("measure", (0,)),
-        )
-        zero = CostCircuit(qubit_count=1, ops=ops, measured_qubits=(0,))
-        assert sample(zero, shots=50, seed=7).p_hat == 0.0
-
-    def test_deterministic_given_seed(self):
-        c = hadamard_circuit()
-        a = sample(c, shots=200, seed=11)
-        b = sample(c, shots=200, seed=11)
-        assert a == b
-        assert sample(c, shots=200, seed=12) != a
-
-    def test_rms_error_scales_with_shot_noise(self):
-        c = hadamard_circuit()
-        shot_levels = np.array([100, 1000, 10000, 100000])
-        rms = []
-        for shots in shot_levels:
-            errs = [
-                sample(c, shots=int(shots), seed=s).p_hat - 0.5 for s in range(200)
-            ]
-            rms.append(np.sqrt(np.mean(np.square(errs))))
-        exponent = np.polyfit(np.log(shot_levels), np.log(rms), 1)[0]
-        assert abs(exponent + 0.5) < 0.1
-
-    def test_estimator_unbiased(self):
-        c = hadamard_circuit()
-        estimates = [sample(c, shots=400, seed=s) for s in range(400)]
-        mean = np.mean([e.p_hat for e in estimates])
-        sem = np.mean([e.std_err for e in estimates]) / np.sqrt(len(estimates))
-        assert abs(mean - 0.5) < 3 * sem
-
+class TestPerShotSimulation:
     def test_per_shot_path_consistent(self):
+        # mid-circuit measurement with reset gives the postselected probability
         rng = np.random.default_rng(6)
         spec = tfim.QuenchSpec()
-        pa = AnsatzParams(REDUCED8, 0.8 * rng.standard_normal(8))
-        pb = pa.replace_angles(pa.angles + 0.25 * rng.standard_normal(8))
+        pa = AnsatzParams(FULL15, 0.8 * rng.standard_normal(15))
+        pb = pa.replace_angles(pa.angles + 0.25 * rng.standard_normal(15))
         c = build_cost_circuit(pa, pb, spec)
         p = exact_success_probability(c)
         assert 0.05 < p < 0.95  # meaningful statistics for the check below
-        est = sample(c, shots=150, seed=21, per_shot=True)
+
+        def estimate(seed):
+            shot_rng = np.random.default_rng(seed)
+            return np.mean([run_single_shot(c, shot_rng) for _ in range(150)])
+
+        p_hat = estimate(21)
         sigma = np.sqrt(p * (1 - p) / 150)
-        assert abs(est.p_hat - p) < 4 * sigma
-        assert sample(c, shots=150, seed=21, per_shot=True) == est
-
-    def test_rejects_zero_shots(self):
-        with pytest.raises(InvalidArgumentError):
-            sample(hadamard_circuit(), shots=0, seed=1)
-
-
-class TestGateListFormat:
-    @pytest.mark.parametrize("trotter_order", [1, 2])
-    def test_round_trip(self, trotter_order):
-        rng = np.random.default_rng(8)
-        spec = tfim.QuenchSpec(trotter_order=trotter_order)
-        c = build_cost_circuit(random_reduced(rng), random_reduced(rng), spec)
-        text = export_gate_list(c)
-        back = parse_gate_list(text)
-        assert back.qubit_count == c.qubit_count
-        assert back.measured_qubits == c.measured_qubits
-        assert back.order == c.order
-        assert back.trotter_order == c.trotter_order
-        assert len(back.ops) == len(c.ops)
-        for got, want in zip(back.ops, c.ops):
-            assert got.kind == want.kind
-            assert got.targets == want.targets
-            if want.kind == "gate":
-                assert np.array_equal(got.matrix, want.matrix)
-        assert exact_success_probability(back) == exact_success_probability(c)
+        assert abs(p_hat - p) < 4 * sigma
+        assert estimate(21) == p_hat

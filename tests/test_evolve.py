@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import OptimizeResult
 
 from quenchmps import circuits, evolve, tfim, transfer
-from quenchmps.ansatz import FULL15, REDUCED8, AnsatzParams, build_unitary, tensor_of
+from quenchmps.ansatz import FULL15, AnsatzParams, build_unitary, tensor_of
 from quenchmps.qcore import InvalidArgumentError, NumericFailure
 
 H = 1e-5  # central-difference step; truncation and rounding both stay near 1e-10
@@ -55,16 +55,13 @@ def ground():
 
 
 class TestGradients:
-    @pytest.mark.parametrize("template, n", [(FULL15, 15), (REDUCED8, 8)])
-    def test_unitary_derivative_matches_central_differences(self, template, n):
+    def test_unitary_derivative_matches_central_differences(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
-            x = rng.uniform(-np.pi, np.pi, n)
-            _, du = build_unitary(AnsatzParams(template, x), grad=True)
-            fd = central_difference(
-                lambda y: build_unitary(AnsatzParams(template, y)), x
-            )
-            assert du.shape == (n, 4, 4)
+            x = rng.uniform(-np.pi, np.pi, 15)
+            _, du = build_unitary(AnsatzParams(FULL15, x), grad=True)
+            fd = central_difference(lambda y: build_unitary(AnsatzParams(FULL15, y)), x)
+            assert du.shape == (15, 4, 4)
             assert np.max(np.abs(du - fd)) <= 1e-8
 
     def test_eigen_objective_gradient_matches_central_differences(self):
@@ -80,7 +77,6 @@ class TestGradients:
             assert np.max(np.abs(grad - fd)) <= 1e-8
 
     def test_energy_gradient_matches_central_differences(self):
-        # Full15 only: Reduced8 tensors are near-reducible almost everywhere
         def energy(y, grad=False):
             return evolve.energy_density(AnsatzParams(FULL15, y), 1.0, 1.5, grad=grad)
 
@@ -165,6 +161,17 @@ class TestDrivers:
         r_ff = tfim.loschmidt_exact_ff(spec.g0, spec.g1, traj.times, J=spec.J)
         assert np.max(np.abs(traj.echoes - r_ff)) <= 0.02
 
+    def test_reference_records_why_it_stopped(self, ground, monkeypatch):
+        def diverges(fun, x0, **kwargs):
+            return OptimizeResult(x=np.full(len(x0), np.nan), message="diverged")
+
+        monkeypatch.setattr(evolve, "minimize", diverges)
+        traj = evolve.evolve_exact_in_ansatz(SHORT, FULL15, "eigen", ground=ground)
+        assert not traj.complete and traj.n_steps == 0
+        assert traj.failure == (
+            "NumericFailure: step 1: BFGS returned non-finite angles (diverged)"
+        )
+
     def test_unknown_cost_mode_rejected(self, ground):
         with pytest.raises(InvalidArgumentError):
             evolve.evolve_exact_in_ansatz(
@@ -194,7 +201,16 @@ class TestDrivers:
         assert np.allclose(minus, -plus, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize(
-        "options", [{"a": -1.0}, {"a": 0.0}, {"A": -5.0}, {"a": np.nan}]
+        "options",
+        [
+            {"a": -1.0},
+            {"a": 0.0},
+            {"A": -5.0},
+            {"a": np.nan},
+            {"c": np.nan},
+            {"c": np.inf},
+            {"steps": 2.5},
+        ],
     )
     def test_invalid_spsa_gains_rejected(self, options):
         with pytest.raises(InvalidArgumentError):

@@ -45,6 +45,12 @@ class TestQuenchSpec:
         with pytest.raises(InvalidArgumentError):
             QuenchSpec(trotter_order=3)
 
+    @pytest.mark.parametrize("name", ["J", "g0", "g1", "t_max"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameters_rejected(self, name, value):
+        with pytest.raises(InvalidArgumentError, match=f"{name} must be finite"):
+            QuenchSpec(**{name: value})
+
 
 class TestHamiltonian:
     def test_pure_ising_two_sites(self):

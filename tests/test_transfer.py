@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from quenchmps import ansatz, qcore, tfim, transfer
-from quenchmps.ansatz import FULL15, REDUCED8, AnsatzParams, tensor_of, x_gauge_rotate
-from quenchmps.qcore import InvalidArgumentError
+from quenchmps import tfim
+from quenchmps.ansatz import FULL15, AnsatzParams, tensor_of
+from quenchmps.qcore import InvalidArgumentError, rot_gate
 from quenchmps.transfer import (
     VEC_IDENTITY,
-    DegenerateEstimateError,
-    approx_fixed_points,
+    cell_matrix,
     fidelity_density,
-    power_method_ratio,
     site_overlap_map,
     strand_products,
     transfer_matrix,
@@ -18,8 +16,8 @@ from quenchmps.transfer import (
 )
 
 
-def random_reduced(rng, scale=np.pi):
-    return AnsatzParams(REDUCED8, rng.uniform(-scale, scale, 8))
+def random_params(rng, scale=np.pi):
+    return AnsatzParams(FULL15, rng.uniform(-scale, scale, 15))
 
 
 def identity_params():
@@ -35,32 +33,23 @@ class TestTransferMatrix:
     def test_self_overlap_eigenvalue_is_one(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            a = tensor_of(random_reduced(rng))
+            a = tensor_of(random_params(rng))
             lam = fidelity_density(transfer_matrix(a, a))
             assert abs(abs(lam) - 1.0) < 1e-10
 
     def test_identity_gate_cell_is_square_of_one_site(self):
         rng = np.random.default_rng(2)
-        a = tensor_of(random_reduced(rng))
-        b = tensor_of(random_reduced(rng))
-        e1 = transfer_matrix(a, b).E
-        cell = transfer_matrix(a, b, np.eye(4)).E
+        a = tensor_of(random_params(rng))
+        b = tensor_of(random_params(rng))
+        e1 = transfer_matrix(a, b)
+        cell = cell_matrix(window_ket(a, np.eye(4), 2), b)
         assert np.max(np.abs(cell - e1 @ e1)) < 1e-12
-
-    def test_annotations(self):
-        rng = np.random.default_rng(3)
-        a = tensor_of(random_reduced(rng))
-        g = tfim.trotter_gate_first_order(1.0, 0.2, 0.1)
-        w_o, w_e = tfim.trotter_gates_second_order(1.0, 0.2, 0.5)
-        assert transfer_matrix(a, a).annotation == "identity"
-        assert transfer_matrix(a, a, g).annotation == "first-order"
-        assert transfer_matrix(a, a, (w_o, w_e)).annotation == "second-order"
 
     def test_distinct_states_decay_and_match_chain_contraction(self):
         rng = np.random.default_rng(4)
-        a = tensor_of(random_reduced(rng))
-        b = tensor_of(random_reduced(rng))
-        e = transfer_matrix(a, b).E
+        a = tensor_of(random_params(rng))
+        b = tensor_of(random_params(rng))
+        e = transfer_matrix(a, b)
         lam = abs(fidelity_density(e))
         assert lam < 1.0
         # brute-force statevector-style oracle at small n: explicit string sum
@@ -83,10 +72,10 @@ class TestTransferMatrix:
         rng = np.random.default_rng(5)
         g = tfim.trotter_gate_first_order(1.0, 0.2, 0.1)
         for _ in range(50):
-            a = tensor_of(random_reduced(rng))
-            b = tensor_of(random_reduced(rng))
-            for gate in (None, g):
-                radius = np.max(np.abs(np.linalg.eigvals(transfer_matrix(a, b, gate).E)))
+            a = tensor_of(random_params(rng))
+            b = tensor_of(random_params(rng))
+            for e in (transfer_matrix(a, b), cell_matrix(window_ket(a, g, 2), b)):
+                radius = np.max(np.abs(np.linalg.eigvals(e)))
                 assert radius <= 1.0 + 1e-9
 
     def test_rejects_bad_shapes(self):
@@ -94,27 +83,24 @@ class TestTransferMatrix:
         with pytest.raises(InvalidArgumentError):
             transfer_matrix(a[0], a)
         with pytest.raises(InvalidArgumentError):
-            transfer_matrix(a, a, np.eye(2))
+            window_ket(a, np.eye(2), 2)
 
 
 class TestFidelityDensity:
     def test_gauge_invariance_either_argument(self):
+        # a bond gauge A^s -> g A^s g^dag is a similarity transform of E
+        def gauged(a, theta):
+            g = rot_gate("X", theta)
+            return np.einsum("ij,sjk,kl->sil", g, a, g.conj().T)
+
         rng = np.random.default_rng(6)
         for _ in range(25):
-            p = random_reduced(rng)
-            q = random_reduced(rng)
+            a = tensor_of(random_params(rng))
+            b = tensor_of(random_params(rng))
             theta = rng.uniform(-np.pi, np.pi)
-            base = abs(fidelity_density(transfer_matrix(tensor_of(p), tensor_of(q))))
-            rot_ket = abs(
-                fidelity_density(
-                    transfer_matrix(tensor_of(x_gauge_rotate(p, theta)), tensor_of(q))
-                )
-            )
-            rot_bra = abs(
-                fidelity_density(
-                    transfer_matrix(tensor_of(p), tensor_of(x_gauge_rotate(q, theta)))
-                )
-            )
+            base = abs(fidelity_density(transfer_matrix(a, b)))
+            rot_ket = abs(fidelity_density(transfer_matrix(gauged(a, theta), b)))
+            rot_bra = abs(fidelity_density(transfer_matrix(a, gauged(b, theta))))
             assert abs(base - rot_ket) < 1e-10
             assert abs(base - rot_bra) < 1e-10
 
@@ -122,104 +108,18 @@ class TestFidelityDensity:
         rng = np.random.default_rng(7)
         for _ in range(20):
             e = transfer_matrix(
-                tensor_of(random_reduced(rng)), tensor_of(random_reduced(rng))
-            ).E
+                tensor_of(random_params(rng)), tensor_of(random_params(rng))
+            )
             lam = fidelity_density(e)
             expected = np.max(np.abs(np.linalg.eigvals(e)))
             assert abs(abs(lam) - expected) < 1e-10
 
 
-class TestApproxFixedPoints:
-    def test_identity_state_boundaries(self):
-        fp = approx_fixed_points(identity_params())
-        assert np.allclose(fp.left, VEC_IDENTITY, atol=1e-12)
-        assert np.allclose(fp.right, VEC_IDENTITY, atol=1e-12)
-
-    def test_left_equals_explicit_double_application(self):
-        rng = np.random.default_rng(8)
-        p = random_reduced(rng)
-        a = tensor_of(p)
-        e = transfer_matrix(a, a).E
-        expected = (e.conj().T @ (e.conj().T @ VEC_IDENTITY)).conj()
-        fp = approx_fixed_points(p)
-        assert np.max(np.abs(fp.left - expected)) < 1e-12
-        # left-isometry makes both legs exact identities
-        assert np.max(np.abs(fp.left - VEC_IDENTITY)) < 1e-12
-
-    def test_boundary_overlap_real_positive(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            fp = approx_fixed_points(random_reduced(rng))
-            overlap = fp.left @ fp.right
-            assert abs(overlap.imag) < 1e-12
-            assert overlap.real > 0.0
-
-
-class TestPowerMethodRatio:
-    def test_identity_transfer_gives_one(self):
-        fp = approx_fixed_points(identity_params())
-        for n in (1, 2, 3):
-            assert abs(power_method_ratio(np.eye(4, dtype=complex), fp, n) - 1.0) < 1e-12
-
-    def test_exact_eigenvectors_make_order_one_exact(self):
-        rng = np.random.default_rng(10)
-        for _ in range(50):
-            m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            evals, right = np.linalg.eig(m)
-            _, left = np.linalg.eig(m.conj().T)
-            k = int(np.argmax(np.abs(evals)))
-            lam = evals[k]
-            lk = int(np.argmin(np.abs(np.linalg.eigvals(m.conj().T).conj() - lam)))
-            fp = transfer.FixedPointPair(
-                left=left[:, lk].conj(), right=right[:, k]
-            )
-            ratio = power_method_ratio(m, fp, 1)
-            assert abs(ratio - lam) < 1e-10 * max(1.0, abs(lam))
-
-    @pytest.mark.parametrize("seed", [2, 7, 13])
-    def test_error_decreases_with_order(self, seed):
-        rng = np.random.default_rng(seed)
-        g = tfim.trotter_gate_first_order(1.0, 0.2, 0.1)
-        p = AnsatzParams(REDUCED8, rng.uniform(-1.5, 1.5, 8))
-        w = p.replace_angles(p.angles + 0.05 * rng.standard_normal(8))
-        e = transfer_matrix(tensor_of(p), tensor_of(w), g).E
-        fp = approx_fixed_points(p)
-        lam, _ = qcore.leading_eig(e)
-        errs = [abs(power_method_ratio(e, fp, n) - lam) for n in (1, 2, 3, 4)]
-        assert all(errs[i + 1] < errs[i] for i in range(3))
-
-    def test_higher_order_usually_improves_in_physical_regime(self):
-        # only a typical-case property: individual states can buck the trend
-        rng = np.random.default_rng(11)
-        g = tfim.trotter_gate_first_order(1.0, 0.2, 0.1)
-        improved, n_monotone = 0, 0
-        trials = 20
-        for _ in range(trials):
-            p = AnsatzParams(REDUCED8, rng.uniform(-1.5, 1.5, 8))
-            w = p.replace_angles(p.angles + 0.05 * rng.standard_normal(8))
-            e = transfer_matrix(tensor_of(p), tensor_of(w), g).E
-            fp = approx_fixed_points(p)
-            lam, _ = qcore.leading_eig(e)
-            errs = [abs(power_method_ratio(e, fp, n) - lam) for n in (1, 2, 3, 4)]
-            improved += errs[3] <= errs[0]
-            n_monotone += all(errs[i + 1] <= errs[i] * 1.02 for i in range(3))
-        assert improved >= 0.7 * trials
-        assert n_monotone >= 0.5 * trials
-
-    def test_vanishing_denominator_raises(self):
-        fp = transfer.FixedPointPair(
-            left=np.array([0.0, 1.0, 1.0, 0.0], dtype=complex),
-            right=VEC_IDENTITY.copy(),
-        )
-        with pytest.raises(DegenerateEstimateError):
-            power_method_ratio(np.eye(4, dtype=complex), fp, 1)
-
-
 class TestOverlapMaps:
     def test_window_matches_nested_cells(self):
         rng = np.random.default_rng(12)
-        a = tensor_of(random_reduced(rng))
-        b = tensor_of(random_reduced(rng))
+        a = tensor_of(random_params(rng))
+        b = tensor_of(random_params(rng))
         g = tfim.trotter_gate_first_order(1.0, 0.2, 0.1)
         layer = np.kron(g, g)
         eye = np.eye(2, dtype=complex)
@@ -233,9 +133,9 @@ class TestOverlapMaps:
 
     def test_site_map_against_vec_contraction(self):
         rng = np.random.default_rng(13)
-        a = tensor_of(random_reduced(rng))
-        b = tensor_of(random_reduced(rng))
-        e = transfer_matrix(a, b).E
+        a = tensor_of(random_params(rng))
+        b = tensor_of(random_params(rng))
+        e = transfer_matrix(a, b)
         m = np.eye(2, dtype=complex)
         for n in range(1, 6):
             m = site_overlap_map(m, a, b)
