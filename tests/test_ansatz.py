@@ -85,6 +85,26 @@ class TestBuildUnitary:
             assert np.max(np.abs(got - expected)) < 1e-12
 
 
+    def test_angles_are_read_only_and_replace_copies(self):
+        params = AnsatzParams(FULL15, np.linspace(-1.0, 1.0, 15))
+        with pytest.raises(ValueError):
+            params.angles[0] = 0.0
+        moved = params.replace_angles(params.angles + 1.0)
+        assert moved.template == FULL15
+        assert np.array_equal(moved.angles, params.angles + 1.0)
+        assert not np.shares_memory(moved.angles, params.angles)
+
+    def test_full_turn_of_any_angle_changes_global_sign_at_most(self):
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-np.pi, np.pi, 15)
+        u = build_unitary(AnsatzParams(FULL15, x))
+        for k in range(15):
+            turned = x.copy()
+            turned[k] += 2.0 * np.pi
+            u_turned = build_unitary(AnsatzParams(FULL15, turned))
+            assert min(np.max(np.abs(u_turned - u)), np.max(np.abs(u_turned + u))) < 1e-12
+
+
 class TestMpsTensor:
     def test_identity_unitary(self):
         a = mps_tensor(np.eye(4, dtype=complex))
@@ -114,3 +134,24 @@ class TestMpsTensor:
         stack[2, 1, 3] += 1e-8
         with pytest.raises(InvalidArgumentError, match="not unitary"):
             mps_tensor(stack)
+
+    def test_rejects_bad_shapes(self):
+        for shape in [(3, 3), (4,), (2, 2, 4, 4)]:
+            with pytest.raises(InvalidArgumentError, match="4x4 unitary"):
+                mps_tensor(np.zeros(shape, dtype=complex))
+
+    def test_tensor_derivative_matches_central_differences(self):
+        h = 1e-5
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-np.pi, np.pi, 15)
+        a, da = tensor_of(AnsatzParams(FULL15, x), grad=True)
+        assert np.array_equal(a, tensor_of(AnsatzParams(FULL15, x)))
+        assert da.shape == (15, 2, 2, 2)
+        for k in range(15):
+            step = np.zeros(15)
+            step[k] = h
+            fd = (
+                tensor_of(AnsatzParams(FULL15, x + step))
+                - tensor_of(AnsatzParams(FULL15, x - step))
+            ) / (2 * h)
+            assert np.max(np.abs(da[k] - fd)) <= 1e-8

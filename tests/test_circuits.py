@@ -44,6 +44,57 @@ def run_single_shot(circuit, rng):
     return 1 if success else 0
 
 
+def embed(gate, lo, n_sites=4):
+    """Dense embedding of a two-site gate on sites (lo, lo + 1)."""
+    return np.kron(np.eye(2**lo), np.kron(gate, np.eye(2 ** (n_sites - 2 - lo))))
+
+
+class TestEvolutionGateLayer:
+    def test_zero_step_is_identity(self):
+        layer, placed = circuits.evolution_gate_layer(tfim.QuenchSpec(), dt=0.0)
+        assert np.array_equal(layer, np.eye(16)) and placed == []
+
+    def test_default_step_is_the_spec_step(self):
+        spec = tfim.QuenchSpec(dt=0.05, trotter_order=2)
+        default, _ = circuits.evolution_gate_layer(spec)
+        assert np.array_equal(default, circuits.evolution_gate_layer(spec, 0.05)[0])
+
+    @pytest.mark.parametrize("trotter_order", [1, 2])
+    def test_layer_is_the_product_of_its_placed_gates(self, trotter_order):
+        spec = tfim.QuenchSpec(trotter_order=trotter_order)
+        layer, placed = circuits.evolution_gate_layer(spec)
+        expected = np.eye(16)
+        for _, gate, (lo, hi) in placed:
+            assert hi == lo + 1
+            expected = embed(gate, lo) @ expected
+        assert np.max(np.abs(layer - expected)) < 1e-14
+        assert qcore.is_unitary(layer, tol=1e-12)
+        names = [name for name, _, _ in placed]
+        assert names == (["G", "G"] if trotter_order == 1 else ["Wo", "We", "We", "Wo"])
+
+
+class TestCostCircuitLayout:
+    @pytest.mark.parametrize("trotter_order", [1, 2])
+    def test_ket_gates_then_mirrored_bra_with_measure_and_reset(self, trotter_order):
+        rng = np.random.default_rng(10)
+        spec = tfim.QuenchSpec(trotter_order=trotter_order)
+        c = build_cost_circuit(random_params(rng), random_params(rng), spec)
+        assert c.qubit_count == 7 and c.measured_qubits == (1, 2, 3, 4, 5, 6)
+        ket = [(op.name, op.targets) for op in c.ops[:6]]
+        assert ket == [("V", (1, 0)), ("V", (2, 0))] + [("U", (q, 0)) for q in (3, 4, 5, 6)]
+        n_evo = 2 if trotter_order == 1 else 4
+        evo = c.ops[6 : 6 + n_evo]
+        assert all(op.kind == "gate" and 0 not in op.targets for op in evo)
+        bra = c.ops[6 + n_evo :]
+        assert len(bra) == 18
+        mirror = [(q, "W_dag") for q in (6, 5, 4, 3)] + [(q, "V_dag") for q in (2, 1)]
+        for i, (site, name) in enumerate(mirror):
+            gate, measure, reset = bra[3 * i : 3 * i + 3]
+            assert (gate.kind, gate.name, gate.targets) == ("gate", name, (site, 0))
+            assert (measure.kind, measure.targets) == ("measure", (site,))
+            assert (reset.kind, reset.targets) == ("reset", (site,))
+
+
 class TestExactSuccessProbability:
     def test_empty_circuit(self):
         c = CostCircuit(qubit_count=2, ops=(), measured_qubits=())
@@ -178,3 +229,20 @@ class TestPerShotSimulation:
         sigma = np.sqrt(p * (1 - p) / 150)
         assert abs(p_hat - p) < 4 * sigma
         assert estimate(21) == p_hat
+
+    def test_certain_outcomes(self):
+        spec = tfim.QuenchSpec()
+        p = random_params(np.random.default_rng(7))
+        certain = build_cost_circuit(p, p, spec, dt=0.0)
+        flip = CostCircuit(
+            qubit_count=1,
+            ops=(
+                CircuitOp("gate", (0,), "X", qcore.PAULI_X),
+                CircuitOp("measure", (0,)),
+                CircuitOp("reset", (0,)),
+            ),
+            measured_qubits=(0,),
+        )
+        shot_rng = np.random.default_rng(8)
+        assert all(run_single_shot(certain, shot_rng) == 1 for _ in range(20))
+        assert all(run_single_shot(flip, shot_rng) == 0 for _ in range(20))

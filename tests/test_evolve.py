@@ -210,11 +210,28 @@ class TestDrivers:
             {"c": np.nan},
             {"c": np.inf},
             {"steps": 2.5},
+            {"steps": -1},
+            {"A": np.inf},
+            {"alpha": 0.5},
+            {"alpha": 1.5},
+            {"gamma": 0.0},
+            {"gamma": 0.6},
         ],
     )
     def test_invalid_spsa_gains_rejected(self, options):
         with pytest.raises(InvalidArgumentError):
             evolve.SpsaSchedule(**options)
+
+    def test_unknown_init_scheme_rejected(self, ground):
+        with pytest.raises(InvalidArgumentError, match="init scheme"):
+            evolve.evolve_stochastic(SHORT, "linear", ground=ground)
+
+    @pytest.mark.parametrize(
+        "n_runs, seeds, match", [(1, None, "at least 2"), (3, [0, 1], "one seed")]
+    )
+    def test_invalid_ensemble_rejected(self, ground, n_runs, seeds, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            evolve.ensemble_run(SHORT, "extrapolate", n_runs, seeds=seeds, ground=ground)
 
     @pytest.mark.parametrize("shots", [0, -5, 2.5])
     def test_invalid_shot_counts_rejected(self, ground, shots):
@@ -304,3 +321,158 @@ class TestStochastic:
         assert np.all(np.isnan(stats.variance[2:]))
         assert np.all(stats.envelope_lo <= stats.envelope_hi + 1e-15)
         assert stats.total_shots == full.cum_shots[-1] + 2 * 4 * 6 * 2048
+
+    @pytest.mark.parametrize("init_scheme", ["copy", "random"])
+    def test_other_init_schemes_run_and_repeat(self, ground, init_scheme):
+        spsa = evolve.SpsaSchedule(steps=1)
+        first, again = (
+            evolve.evolve_stochastic(SHORT, init_scheme, spsa=spsa, seed=5, ground=ground)
+            for _ in range(2)
+        )
+        assert first.complete and first.n_steps == SHORT.n_steps
+        assert first.init_scheme == init_scheme
+        assert np.array_equal(first.angles, again.angles)
+        assert np.all(np.isfinite(first.echoes)) and first.echoes[0] == 0.0
+        assert np.diff(first.cum_shots).tolist() == [2 * 4 * 2048] * 2 + [2 * 2048]
+
+
+def pair_with_mid_probability():
+    """A current state, a candidate and the default gate layer at which the
+    cost circuit succeeds with a probability well inside (0, 1)."""
+    rng = np.random.default_rng(6)
+    current = AnsatzParams(FULL15, 0.8 * rng.standard_normal(15))
+    candidate = current.replace_angles(current.angles + 0.25 * rng.standard_normal(15))
+    layer, _ = circuits.evolution_gate_layer(tfim.REFERENCE_QUENCH)
+    p = float(circuits.success_probability_fn(current, layer)(candidate))
+    assert 0.05 < p < 0.95
+    return current, candidate, layer, p
+
+
+class TestSampledCost:
+    def test_certain_outcomes(self):
+        # the current state against itself through the identity layer always succeeds
+        current = AnsatzParams(FULL15, np.linspace(-1.0, 1.0, 15))
+        stack = np.tile(current.angles, (4, 1))
+        for shots in (1, 2048):
+            cost = evolve._sampled_cost(
+                current, np.eye(16), shots, np.random.SeedSequence(0)
+            )
+            assert cost(stack) == [0.0] * 4
+
+    def test_deterministic_given_seed(self):
+        current, candidate, layer, _ = pair_with_mid_probability()
+        stack = np.tile(candidate.angles, (20, 1))
+
+        def draws(seed, shots=64):
+            seedseq = np.random.SeedSequence(seed)
+            return evolve._sampled_cost(current, layer, shots, seedseq)(stack)
+
+        assert draws(1) == draws(1)
+        assert draws(1) != draws(2)
+        # every cost is 1 - (successes / shots)
+        assert all(0.0 <= c <= 1.0 and (64 * c).is_integer() for c in draws(1))
+
+    def test_rows_drawn_in_order(self):
+        # one binomial draw per row, in row order, from the step's own stream
+        current, candidate, layer, _ = pair_with_mid_probability()
+        xs = np.array([candidate.angles, current.angles, 0.5 * candidate.angles])
+        p_rows = circuits.success_probability_fn(current, layer)(
+            AnsatzParams(FULL15, xs)
+        )
+        seedseq = np.random.SeedSequence(11)
+        rng = np.random.default_rng(seedseq)
+        expected = [1.0 - rng.binomial(100, min(p, 1.0)) / 100 for p in p_rows]
+        assert evolve._sampled_cost(current, layer, 100, seedseq)(xs) == expected
+
+    def test_estimator_unbiased(self):
+        current, candidate, layer, p = pair_with_mid_probability()
+        n_draws, shots = 400, 256
+        cost = evolve._sampled_cost(current, layer, shots, np.random.SeedSequence(3))
+        p_hat = 1.0 - np.mean(cost(np.tile(candidate.angles, (n_draws, 1))))
+        sigma = np.sqrt(p * (1 - p) / (shots * n_draws))
+        assert abs(p_hat - p) < 4 * sigma
+
+    def test_rms_error_scales_with_shot_noise(self):
+        current, candidate, layer, p = pair_with_mid_probability()
+        stack = np.tile(candidate.angles, (400, 1))
+        for shots in (16, 1024):
+            cost = evolve._sampled_cost(
+                current, layer, shots, np.random.SeedSequence(shots)
+            )
+            rms = np.sqrt(np.mean((1.0 - np.array(cost(stack)) - p) ** 2))
+            expected = np.sqrt(p * (1 - p) / shots)
+            assert 0.8 * expected < rms < 1.2 * expected
+
+
+class TestStepHelpers:
+    def test_extrapolate_is_linear(self):
+        prev = AnsatzParams(FULL15, np.linspace(-1.0, 1.0, 15))
+        curr = AnsatzParams(FULL15, np.linspace(0.5, -0.5, 15))
+        out = evolve.extrapolate(prev, curr)
+        assert out.template == FULL15
+        assert np.array_equal(out.angles, 2.0 * curr.angles - prev.angles)
+
+    def test_unwrap_toward_nearest_branch_changes_sign_at_most(self):
+        rng = np.random.default_rng(8)
+        reference = rng.uniform(-np.pi, np.pi, 15)
+        angles = reference + rng.uniform(-np.pi, np.pi, 15)
+        angles += 2.0 * np.pi * rng.integers(-3, 4, 15)
+        out = evolve.unwrap_toward(reference, angles)
+        turns = (out - angles) / (2.0 * np.pi)
+        assert np.allclose(turns, np.round(turns), rtol=0, atol=1e-12)
+        assert np.all(np.abs(out - reference) <= np.pi + 1e-12)
+        u = build_unitary(AnsatzParams(FULL15, angles))
+        u_out = build_unitary(AnsatzParams(FULL15, out))
+        sign = np.sign(np.real(np.vdot(u, u_out)))
+        assert np.max(np.abs(u_out - sign * u)) < 1e-12
+
+    def test_stability_offset(self):
+        assert evolve.SpsaSchedule().stability_offset(30) == pytest.approx(3.0)
+        assert evolve.SpsaSchedule(A=2.5).stability_offset(30) == 2.5
+
+    def test_spsa_zero_steps_returns_the_seed(self):
+        seed = AnsatzParams(FULL15, np.linspace(-1.0, 1.0, 15))
+
+        def never(xs):
+            raise AssertionError("a zero-step schedule evaluated the cost")
+
+        out, history = evolve.spsa_optimize(never, seed, evolve.SpsaSchedule(steps=0), 0)
+        assert np.array_equal(out.angles, seed.angles) and history == []
+
+    def test_spsa_descends_a_quadratic_deterministically(self):
+        target = np.linspace(-0.5, 0.5, 15)
+
+        def cost(xs):
+            return np.sum((xs - target) ** 2, axis=1)
+
+        seed = AnsatzParams(FULL15, np.zeros(15))
+        schedule = evolve.SpsaSchedule(steps=60)
+        out, history = evolve.spsa_optimize(cost, seed, schedule, 4)
+        again, _ = evolve.spsa_optimize(cost, seed, schedule, 4)
+        assert np.array_equal(out.angles, again.angles)
+        assert len(history) == 60
+        assert cost(out.angles[None])[0] < 0.5 * cost(seed.angles[None])[0]
+
+    def test_trajectory_params_at(self):
+        angles = np.arange(45.0).reshape(3, 15)
+        traj = evolve.Trajectory(
+            spec=SHORT, template=FULL15, init_scheme="copy", seed=0,
+            shots_per_eval=1, times=SHORT.times[:3], angles=angles,
+            echoes=np.zeros(3), costs=np.zeros(3), cum_shots=np.zeros(3, dtype=int),
+        )
+        assert traj.n_steps == 2
+        params = traj.params_at(1)
+        assert params.template == FULL15
+        assert np.array_equal(params.angles, angles[1])
+        assert not np.shares_memory(params.angles, angles)
+
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 2.0])
+    def test_echo_of_product_state_quench(self, theta):
+        # only a1 set: U = Rx(theta) (x) 1, so A^0 = cos(theta/2) 1 and
+        # A^1 = -i sin(theta/2) 1, and E = cos(theta/2) against the zero state
+        angles = np.zeros(15)
+        angles[1] = theta
+        r = evolve.echo_density(
+            AnsatzParams(FULL15, np.zeros(15)), AnsatzParams(FULL15, angles)
+        )
+        assert abs(r + np.log(np.cos(0.5 * theta) ** 2)) < 1e-12

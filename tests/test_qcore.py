@@ -8,7 +8,9 @@ from quenchmps.qcore import (
     PAULI_Z,
     apply_gate,
     leading_eig,
+    n_qubits_of,
     outcome_probability,
+    project_qubit,
     rot_gate,
     two_site_exp,
     zero_state,
@@ -236,3 +238,27 @@ class TestOutcomeProbability:
     def test_rejects_bad_qubit(self):
         with pytest.raises(InvalidArgumentError):
             outcome_probability(zero_state(2), 5, 0)
+
+
+class TestStateHelpers:
+    def test_zero_state_needs_a_qubit(self):
+        assert np.array_equal(zero_state(2), [1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(InvalidArgumentError):
+            zero_state(0)
+
+    def test_qubit_count_needs_a_power_of_two(self):
+        assert n_qubits_of(np.zeros(8)) == 3
+        with pytest.raises(InvalidArgumentError, match="power of 2"):
+            n_qubits_of(np.zeros(6))
+
+    def test_projection_keeps_the_outcome_branch_unnormalized(self):
+        rng = np.random.default_rng(9)
+        psi = random_state(3, rng)
+        for qubit in range(3):
+            for outcome in (0, 1):
+                projected = project_qubit(psi, qubit, outcome)
+                p = outcome_probability(psi, qubit, outcome)
+                assert abs(np.vdot(projected, projected).real - p) < 1e-14
+                assert outcome_probability(projected, qubit, 1 - outcome) == 0.0
+                again = project_qubit(projected, qubit, outcome)
+                assert np.array_equal(again, projected)

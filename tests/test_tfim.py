@@ -75,6 +75,19 @@ class TestHamiltonian:
         with pytest.raises(ResourceLimitError):
             tfim_hamiltonian(1.0, 1.0, 16)
 
+    def test_periodic_chain_adds_the_wrap_bond(self):
+        n, J, g = 5, 0.7, 1.3
+        wrap = np.kron(qcore.PAULI_Z, np.kron(np.eye(2**(n - 2)), qcore.PAULI_Z))
+        diff = tfim_hamiltonian(J, g, n) - tfim_hamiltonian(J, g, n, periodic=False)
+        assert np.max(np.abs(diff - J * wrap)) < 1e-14
+
+    def test_quasiparticle_gap_at_zone_edges(self):
+        for J, g in [(1.0, 0.2), (1.0, 1.5), (0.5, 0.5)]:
+            e_0 = tfim.quasiparticle_energy(0.0, g, J)
+            e_pi = tfim.quasiparticle_energy(np.pi, g, J)
+            assert e_0 == pytest.approx(2 * abs(J - g), abs=1e-12)
+            assert e_pi == pytest.approx(2 * abs(J + g))
+
 
 class TestTrotterFirstOrder:
     def test_small_step_bound(self):

@@ -6,6 +6,7 @@ from quenchmps.ansatz import FULL15, AnsatzParams, tensor_of
 from quenchmps.qcore import InvalidArgumentError, rot_gate
 from quenchmps.transfer import (
     VEC_IDENTITY,
+    cell_eigenvalue_gradient,
     cell_matrix,
     fidelity_density,
     site_overlap_map,
@@ -84,6 +85,54 @@ class TestTransferMatrix:
             transfer_matrix(a[0], a)
         with pytest.raises(InvalidArgumentError):
             window_ket(a, np.eye(2), 2)
+
+
+    def test_identity_is_exact_left_eigenvector_for_isometric_tensors(self):
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            a = tensor_of(random_params(rng))
+            assert np.max(np.abs(VEC_IDENTITY @ transfer_matrix(a, a) - VEC_IDENTITY)) < 1e-12
+
+
+class TestStrandProducts:
+    def test_site_one_is_most_significant_and_rightmost(self):
+        rng = np.random.default_rng(15)
+        a = tensor_of(random_params(rng))
+        two, three = strand_products(a, 2), strand_products(a, 3)
+        assert two.shape == (4, 2, 2) and three.shape == (8, 2, 2)
+        for s1 in range(2):
+            for s2 in range(2):
+                assert np.max(np.abs(two[2 * s1 + s2] - a[s2] @ a[s1])) < 1e-15
+                for s3 in range(2):
+                    expected = a[s3] @ a[s2] @ a[s1]
+                    assert np.max(np.abs(three[4 * s1 + 2 * s2 + s3] - expected)) < 1e-15
+
+    def test_stack_rows_equal_single_tensors(self):
+        rng = np.random.default_rng(16)
+        stack = tensor_of(AnsatzParams(FULL15, rng.uniform(-np.pi, np.pi, (3, 15))))
+        ket = window_ket(stack[0], np.eye(16), 4)
+        window = window_overlap_map(ket, stack)
+        for n_sites in (1, 2, 3):
+            prods = strand_products(stack, n_sites)
+            assert prods.shape == (3, 2**n_sites, 2, 2)
+            for row, a in zip(prods, stack):
+                assert np.array_equal(row, strand_products(a, n_sites))
+        assert window.shape == (3, 2, 2)
+        for row, b in zip(window, stack):
+            assert np.array_equal(row, window_overlap_map(ket, b))
+
+
+class TestCellEigenvalueGradient:
+    def test_value_is_the_leading_cell_eigenvalue(self):
+        rng = np.random.default_rng(17)
+        g = tfim.trotter_gate_first_order(1.0, 0.2, 0.1)
+        for _ in range(10):
+            ket = window_ket(tensor_of(random_params(rng)), g, 2)
+            b = tensor_of(random_params(rng))
+            lam, dlam = cell_eigenvalue_gradient(ket, b, np.zeros((3, 2, 2, 2)))
+            evals = np.linalg.eigvals(cell_matrix(ket, b))
+            assert abs(lam - evals[np.argmax(np.abs(evals))]) < 1e-12
+            assert dlam.shape == (3,) and np.all(dlam == 0.0)
 
 
 class TestFidelityDensity:
