@@ -62,7 +62,7 @@ class AnsatzParams:
             raise InvalidArgumentError(f"unknown template {self.template!r}")
         if np.iscomplexobj(self.angles):
             raise InvalidArgumentError("angles must be real")
-        angles = np.asarray(self.angles, dtype=float)
+        angles = np.array(self.angles, dtype=float)  # a copy: the caller's stays writable
         n = N_ANGLES[self.template]
         if angles.ndim not in (1, 2) or angles.shape[-1] != n or not angles.size:
             raise InvalidArgumentError(
@@ -75,7 +75,7 @@ class AnsatzParams:
         object.__setattr__(self, "angles", angles)
 
     def replace_angles(self, angles):
-        return AnsatzParams(self.template, np.array(angles, dtype=float))
+        return AnsatzParams(self.template, angles)
 
 
 def _zxz(first, mid, last, grad=False):

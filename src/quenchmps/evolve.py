@@ -1,22 +1,25 @@
-"""Time-evolution drivers: SPSA over the sampled circuit cost, linear
-extrapolation seeding, ground-state preparation, the deterministic
-exact-in-ansatz reference, and ensemble experiments.
+"""Time evolution of the quench: ground-state preparation, one step loop
+with two step solvers, and ensemble experiments.
 
-The stochastic driver realizes one evolution step as
-
-    seed the candidate (random / copy / linear extrapolation)
-      -> a handful of SPSA iterations on the sampled cost 1 - p_hat
-      -> accept the final iterate, unwrap angles, record the echo,
-
-so the sampled circuit acts as a stochastic correction on top of the
-classical parameter extrapolation. Shot accounting is exact: every SPSA
-iteration spends exactly two cost evaluations.
-
-The deterministic reference instead maximizes the fidelity density of each
-step with BFGS on its exact angle gradient (see :func:`evolve_exact_in_ansatz`).
 Every quench starts from the variational ground state, one BFGS minimization
 of the energy density on its exact gradient through the fixed-point equation
-(see :func:`energy_density` and :func:`ground_state_optimize`).
+(see :func:`energy_density` and :func:`ground_state_optimize`). Each step of
+the evolution then runs the same loop (:func:`_evolve`):
+
+    extrapolate: seed from the previous step, linearly from the two
+                 previous steps once there are two
+      -> correct: the driver's step solver moves the seed
+      -> accept:  record the echo against the ground state, unwrap the
+                  angles, add up the shots.
+
+Only the correction differs between the drivers. The deterministic reference
+(:func:`evolve_exact_in_ansatz`) corrects with one BFGS solve of the dense
+step objective. The sampled experiment (:func:`evolve_stochastic`) corrects
+with a few SPSA iterations on the measured cost 1 - p_hat, so the circuit
+acts as a stochastic correction on top of the classical extrapolation;
+every SPSA iteration spends exactly two cost evaluations. A step that raises
+:class:`NumericFailure` or :class:`InvalidArgumentError` ends either run the
+same way: the trajectory is truncated before it and ``failure`` names it.
 """
 
 import numbers
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from . import circuits, qcore, tfim, transfer
+from . import circuits, tfim, transfer
 from .ansatz import FULL15, N_ANGLES, AnsatzParams, tensor_of
 from .qcore import InvalidArgumentError, NumericFailure
 
@@ -91,11 +94,14 @@ class Trajectory:
     echoes: np.ndarray = field(repr=False)
     costs: np.ndarray = field(repr=False)
     cum_shots: np.ndarray = field(repr=False)
-    complete: bool = True
     failure: str | None = None  # "<exception type>: <message>" of an early stop
 
+    @property
+    def complete(self):
+        return self.failure is None
+
     def params_at(self, step):
-        return AnsatzParams(self.template, self.angles[step].copy())
+        return AnsatzParams(self.template, self.angles[step])
 
     @property
     def n_steps(self):
@@ -246,7 +252,7 @@ def spsa_optimize(cost, seed_params, schedule, rng_seed):
     Returns the final iterate and the per-iteration mean measured cost.
     """
     rng = np.random.default_rng(rng_seed)
-    x = seed_params.angles.copy()
+    x = seed_params.angles
     n = len(x)
     a = schedule.a
     offset = schedule.stability_offset(schedule.steps)
@@ -296,6 +302,53 @@ def _sampled_cost(params_t, layer, shots_per_eval, seed_sequence):
     return cost
 
 
+def _evolve(spec, ground, solve_step, **labels):
+    """The step loop of both drivers, from ``ground`` over ``spec.times``.
+
+    Step n starts from step n - 1, or from ``extrapolate`` of steps n - 2 and
+    n - 1 once n >= 3; ``solve_step(n, prev, seed_params)`` corrects it and
+    returns ``(accepted, cost, shots)``. The echo is taken against the ground
+    tensor, built once, and the angles are unwrapped toward step n - 1. A
+    solve or echo that raises :class:`NumericFailure` or
+    :class:`InvalidArgumentError` truncates the run before step n, with
+    ``failure = "<type>: <message>"``. ``labels`` fill the other fields of
+    the :class:`Trajectory`.
+    """
+    times = spec.times
+    angles = np.zeros((len(times), len(ground.angles)))
+    angles[0] = ground.angles
+    echoes = np.zeros(len(times))
+    costs = np.zeros(len(times))
+    cum_shots = np.zeros(len(times), dtype=np.int64)
+    a_0 = tensor_of(ground)
+    end, failure = len(times), None
+    for step in range(1, len(times)):
+        prev = AnsatzParams(ground.template, angles[step - 1])
+        seed_params = prev if step < 3 else extrapolate(
+            AnsatzParams(ground.template, angles[step - 2]), prev
+        )
+        try:
+            accepted, cost, shots = solve_step(step, prev, seed_params)
+            echoes[step] = _echo_of_tensors(a_0, tensor_of(accepted))
+        except (NumericFailure, InvalidArgumentError) as exc:
+            end, failure = step, f"{type(exc).__name__}: {exc}"
+            break
+        angles[step] = unwrap_toward(angles[step - 1], accepted.angles)
+        costs[step] = cost
+        cum_shots[step] = cum_shots[step - 1] + shots
+    return Trajectory(
+        spec=spec,
+        template=ground.template,
+        times=times[:end],
+        angles=angles[:end],
+        echoes=echoes[:end],
+        costs=costs[:end],
+        cum_shots=cum_shots[:end],
+        failure=failure,
+        **labels,
+    )
+
+
 def evolve_stochastic(
     spec,
     init_scheme,
@@ -307,20 +360,19 @@ def evolve_stochastic(
 ):
     """Stochastic variational evolution of the quench.
 
-    Per step: seed the candidate via ``init_scheme``, run SPSA on the
-    sampled cost, accept the final iterate. The first two steps use a
-    ``BOOTSTRAP_FACTOR`` larger SPSA budget (extrapolation needs two
-    previous points). Bit-identical for identical ``(spec, seed)``.
+    The step solver of :func:`_evolve`: seed the candidate via ``init_scheme``
+    ("extrapolate" keeps the loop's seed, "copy" takes the previous step,
+    "random" draws uniform angles), run SPSA on the sampled cost, accept the
+    final iterate. The first two steps use a ``BOOTSTRAP_FACTOR`` larger SPSA
+    budget (extrapolation needs two previous points). Bit-identical for
+    identical ``(spec, seed)``: each step draws its init, SPSA and shot
+    streams from its own link of one ``SeedSequence`` chain. A cost or echo
+    failure ends the run (see :func:`_evolve`). ``shots_per_eval`` must be a
+    positive integer.
 
-    A step whose cost or echo raises :class:`NumericFailure` or
-    :class:`InvalidArgumentError` ends the run: the trajectory is truncated
-    before it, marked incomplete, and ``failure`` holds the exception.
-    ``shots_per_eval`` must be a positive integer.
-
-    The gate layer and the ground-state tensor are built once per run; each
-    step builds the side of the cost fixed by its current state
-    (:func:`_sampled_cost`), and each SPSA iteration evaluates its +/- pair
-    as one stacked call.
+    The gate layer is built once per run; each step builds the side of the
+    cost fixed by its current state (:func:`_sampled_cost`), and each SPSA
+    iteration evaluates its +/- pair as one stacked call.
 
     ``template`` must be ``FULL15``, the only template; any other name is
     rejected with :class:`InvalidArgumentError`.
@@ -334,67 +386,45 @@ def evolve_stochastic(
     if ground is None:
         ground = ground_state_optimize(spec.J, spec.g0, template)
     layer, _ = circuits.evolution_gate_layer(spec)
-    a_0 = tensor_of(ground)
-    n_angles = len(ground.angles)
-    times = spec.times
-    angles = np.zeros((len(times), n_angles))
-    angles[0] = ground.angles
-    echoes = np.zeros(len(times))
-    costs = np.zeros(len(times))
-    cum_shots = np.zeros(len(times), dtype=np.int64)
-    seedseq = np.random.SeedSequence(seed)
-    failure = None
-    for step in range(1, len(times)):
-        prev = AnsatzParams(template, angles[step - 1].copy())
-        init_seed, spsa_seed, shot_seed = seedseq.spawn(3)
-        seedseq = seedseq.spawn(1)[0]
+    link, step_seeds = np.random.SeedSequence(seed), []
+    for _ in range(spec.n_steps):
+        step_seeds.append(link.spawn(3))  # (init, spsa, shot)
+        link = link.spawn(1)[0]
+
+    def solve_step(step, prev, seed_params):
+        init_seed, spsa_seed, shot_seed = step_seeds[step - 1]
         if init_scheme == "random":
-            x0 = np.random.default_rng(init_seed).uniform(-np.pi, np.pi, n_angles)
-            seed_params = AnsatzParams(template, x0)
-        elif init_scheme == "copy" or step < 3:
+            x0 = np.random.default_rng(init_seed).uniform(-np.pi, np.pi, len(prev.angles))
+            seed_params = prev.replace_angles(x0)
+        elif init_scheme == "copy":
             seed_params = prev
-        else:
-            older = AnsatzParams(template, angles[step - 2].copy())
-            seed_params = extrapolate(older, prev)
         budget = spsa.steps * (BOOTSTRAP_FACTOR if step <= 2 else 1)
         schedule = replace(spsa, steps=budget)
-        try:
-            cost = _sampled_cost(prev, layer, shots_per_eval, shot_seed)
-            new_params, history = spsa_optimize(
-                cost, seed_params, schedule, spsa_seed
-            )
-            echoes[step] = _echo_of_tensors(a_0, tensor_of(new_params))
-        except (NumericFailure, qcore.InvalidArgumentError) as exc:
-            failure = f"{type(exc).__name__}: {exc}"
-            times = times[:step]
-            angles, echoes = angles[:step], echoes[:step]
-            costs, cum_shots = costs[:step], cum_shots[:step]
-            break
-        angles[step] = unwrap_toward(angles[step - 1], new_params.angles)
-        costs[step] = history[-1] if history else np.nan
+        cost = _sampled_cost(prev, layer, shots_per_eval, shot_seed)
+        accepted, history = spsa_optimize(cost, seed_params, schedule, spsa_seed)
         # two cost evaluations per SPSA iteration
-        cum_shots[step] = cum_shots[step - 1] + 2 * schedule.steps * shots_per_eval
-    return Trajectory(
-        spec=spec,
-        template=template,
-        init_scheme=init_scheme,
-        seed=seed,
-        shots_per_eval=shots_per_eval,
-        times=times,
-        angles=angles,
-        echoes=echoes,
-        costs=costs,
-        cum_shots=cum_shots,
-        complete=failure is None,
-        failure=failure,
+        shots = 2 * schedule.steps * shots_per_eval
+        return accepted, history[-1] if history else np.nan, shots
+
+    return _evolve(
+        spec, ground, solve_step,
+        init_scheme=init_scheme, seed=seed, shots_per_eval=shots_per_eval,
     )
+
+
+def _check_cost_mode(spec, cost_mode):
+    if cost_mode not in COST_MODES:
+        raise InvalidArgumentError(f"unknown cost mode {cost_mode!r}")
+    if cost_mode == "eigen" and spec.trotter_order != 1:
+        raise InvalidArgumentError("eigen needs first-order Trotter gates")
 
 
 def _step_objective(params_t, spec, cost_mode):
     """Objective of one reference step and its ``jac`` argument for
     ``minimize``: ``True`` when the objective returns its exact gradient,
     ``None`` for a finite-difference gradient."""
-    if cost_mode == "eigen" and spec.trotter_order == 1:
+    _check_cost_mode(spec, cost_mode)
+    if cost_mode == "eigen":
         gate = tfim.trotter_gate_first_order(spec.J, spec.g1, spec.dt)
         ket = transfer.window_ket(tensor_of(params_t), gate, 2)
 
@@ -420,70 +450,37 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
     fidelity objective to high precision (no sampling).
 
     ``cost_mode``: "eigen" maximizes |fidelity density| of the
-    evolution-inserted transfer matrix (first order); "circuit_lt" /
-    "circuit_lw" maximize the dense circuit cost with boundary copies taken
-    from the current state / the candidate. Second-order Trotterisation
-    always uses the circuit cost (the odd/even window).
+    evolution-inserted transfer matrix and needs first-order Trotter gates
+    (a second-order ``spec`` is rejected with :class:`InvalidArgumentError`);
+    "circuit_lt" / "circuit_lw" maximize the dense circuit cost, at either
+    Trotter order, with boundary copies taken from the current state / the
+    candidate.
 
-    Each step is one BFGS minimization from the linear extrapolation of the
-    previous two steps. The "eigen" objective supplies its exact gradient,
-    d lambda = <l| dE |r> / <l|r> with dE from the closed-form dU/dtheta; the
-    circuit costs use scipy's finite-difference gradient. A step on which
-    BFGS returns non-finite angles ends the run: the trajectory is truncated
-    before it, marked incomplete, and ``failure`` names the step and the
-    optimizer's message.
+    Each step is one BFGS minimization from the seed of :func:`_evolve`. The
+    "eigen" objective supplies its exact gradient, d lambda = <l| dE |r> /
+    <l|r> with dE from the closed-form dU/dtheta; the circuit costs use
+    scipy's finite-difference gradient. A step whose objective raises
+    :class:`NumericFailure` or :class:`InvalidArgumentError`, or on which
+    BFGS returns non-finite angles, ends the run (see :func:`_evolve`); the
+    latter's ``failure`` names the step and the optimizer's message.
     """
-    if cost_mode not in COST_MODES:
-        raise InvalidArgumentError(f"unknown cost mode {cost_mode!r}")
+    _check_cost_mode(spec, cost_mode)
     if ground is None:
         ground = ground_state_optimize(spec.J, spec.g0, template)
-    times = spec.times
-    angles = np.zeros((len(times), len(ground.angles)))
-    angles[0] = ground.angles
-    echoes = np.zeros(len(times))
-    costs = np.zeros(len(times))
-    failure = None
-    for step in range(1, len(times)):
-        prev = AnsatzParams(template, angles[step - 1].copy())
-        if step >= 3:
-            older = AnsatzParams(template, angles[step - 2].copy())
-            seed_params = extrapolate(older, prev)
-        else:
-            seed_params = prev
+
+    def solve_step(step, prev, seed_params):
         objective, jac = _step_objective(prev, spec, cost_mode)
         res = minimize(
-            objective,
-            seed_params.angles,
-            method="BFGS",
-            jac=jac,
-            options={"gtol": GTOL},
+            objective, seed_params.angles, method="BFGS", jac=jac, options={"gtol": GTOL}
         )
         if not np.all(np.isfinite(res.x)):
-            failure = (
-                f"NumericFailure: step {step}: BFGS returned non-finite angles "
-                f"({res.message})"
+            raise NumericFailure(
+                f"step {step}: BFGS returned non-finite angles ({res.message})"
             )
-            times, angles = times[:step], angles[:step]
-            echoes, costs = echoes[:step], costs[:step]
-            break
-        angles[step] = unwrap_toward(angles[step - 1], res.x)
-        costs[step] = res.fun
-        echoes[step] = echo_density(
-            AnsatzParams(template, angles[0]), AnsatzParams(template, angles[step])
-        )
-    return Trajectory(
-        spec=spec,
-        template=template,
-        init_scheme="extrapolate",
-        seed=None,
-        shots_per_eval=0,
-        times=times,
-        angles=angles,
-        echoes=echoes,
-        costs=costs,
-        cum_shots=np.zeros(len(times), dtype=np.int64),
-        complete=failure is None,
-        failure=failure,
+        return prev.replace_angles(res.x), res.fun, 0
+
+    return _evolve(
+        spec, ground, solve_step, init_scheme="extrapolate", seed=None, shots_per_eval=0
     )
 
 

@@ -157,20 +157,6 @@ def apply_gate(state, gate, targets):
     return psi.reshape(-1)
 
 
-def outcome_probability(state, qubit, outcome):
-    """Probability that measuring `qubit` in the computational basis gives
-    `outcome` (0 or 1)."""
-    state = np.asarray(state)
-    n = n_qubits_of(state)
-    if qubit < 0 or qubit >= n:
-        raise InvalidArgumentError(f"qubit {qubit} out of range for {n} qubits")
-    if outcome not in (0, 1):
-        raise InvalidArgumentError(f"outcome must be 0 or 1, got {outcome!r}")
-    psi = state.reshape([2] * n)
-    block = np.take(psi, outcome, axis=qubit)
-    return float(np.sum(np.abs(block) ** 2))
-
-
 def project_qubit(state, qubit, outcome):
     """Project (without renormalizing) onto the given measurement outcome.
 

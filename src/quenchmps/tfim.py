@@ -35,7 +35,7 @@ import scipy.sparse.linalg as spla
 from . import qcore
 from .qcore import InvalidArgumentError, ResourceLimitError
 
-MAX_ED_SITES = 14
+MAX_ED_SITES = 10  # a 10-site dense Hamiltonian is 16 MiB
 
 _ZZ = np.kron(qcore.PAULI_Z, qcore.PAULI_Z)
 _X_SUM = np.kron(qcore.PAULI_X, qcore.IDENTITY_2) + np.kron(
@@ -127,7 +127,7 @@ def tfim_hamiltonian_sparse(J, g, n_sites, periodic=True):
         raise InvalidArgumentError("need at least 2 sites")
     if n_sites > MAX_ED_SITES:
         raise ResourceLimitError(
-            f"dense/sparse diagonalization limited to {MAX_ED_SITES} sites"
+            f"exact diagonalization limited to {MAX_ED_SITES} sites"
         )
     dim = 2**n_sites
     h = sp.csr_matrix((dim, dim), dtype=complex)
@@ -144,18 +144,9 @@ def tfim_hamiltonian_sparse(J, g, n_sites, periodic=True):
 def tfim_hamiltonian(J, g, n_sites, periodic=True):
     """Dense Hermitian matrix of the chain Hamiltonian.
 
-    Memory grows as 4^n; capped at 14 sites.
+    Memory grows as 4^n; capped at ``MAX_ED_SITES`` sites.
     """
     return np.asarray(tfim_hamiltonian_sparse(J, g, n_sites, periodic).todense())
-
-
-def _ground_state(h_sparse, n_sites):
-    if n_sites <= 10:
-        energies, states = np.linalg.eigh(np.asarray(h_sparse.todense()))
-        return energies[0], states[:, 0]
-    # Lanczos for the larger chains; identical result, far cheaper
-    energies, states = spla.eigsh(h_sparse.real, k=1, which="SA")
-    return energies[0], states[:, 0].astype(complex)
 
 
 def loschmidt_exact_ed(spec, n_sites, t):
@@ -164,9 +155,8 @@ def loschmidt_exact_ed(spec, n_sites, t):
     Prepares the ground state of H(g0), evolves it exactly under H(g1) and
     returns -(1/n) log |<psi0|psi(t)>|^2. Accepts a scalar time or an array.
     """
-    h0 = tfim_hamiltonian_sparse(spec.J, spec.g0, n_sites, periodic=True)
+    psi0 = np.linalg.eigh(tfim_hamiltonian(spec.J, spec.g0, n_sites))[1][:, 0]
     h1 = tfim_hamiltonian_sparse(spec.J, spec.g1, n_sites, periodic=True)
-    _, psi0 = _ground_state(h0, n_sites)
     times = np.atleast_1d(np.asarray(t, dtype=float))
     rates = np.empty(times.shape)
     for i, ti in enumerate(times):

@@ -94,6 +94,13 @@ class TestBuildUnitary:
         assert np.array_equal(moved.angles, params.angles + 1.0)
         assert not np.shares_memory(moved.angles, params.angles)
 
+    def test_callers_array_stays_writable_and_unaliased(self):
+        a = np.zeros(15)
+        params = AnsatzParams(FULL15, a)
+        a[0] = 1.0
+        assert params.angles[0] == 0.0
+        assert not np.shares_memory(params.angles, a)
+
     def test_full_turn_of_any_angle_changes_global_sign_at_most(self):
         rng = np.random.default_rng(6)
         x = rng.uniform(-np.pi, np.pi, 15)

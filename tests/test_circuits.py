@@ -31,7 +31,8 @@ def run_single_shot(circuit, rng):
             psi = qcore.apply_gate(psi, op.matrix, op.targets)
         elif op.kind == "measure":
             q = op.targets[0]
-            p0 = qcore.outcome_probability(psi, q, 0)
+            zero_branch = np.take(psi.reshape([2] * circuit.qubit_count), 0, axis=q)
+            p0 = np.sum(np.abs(zero_branch) ** 2)
             outcome = 0 if rng.random() < p0 else 1
             psi = qcore.project_qubit(psi, q, outcome)
             psi = psi / np.linalg.norm(psi)

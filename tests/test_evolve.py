@@ -172,6 +172,36 @@ class TestDrivers:
             "NumericFailure: step 1: BFGS returned non-finite angles (diverged)"
         )
 
+    @pytest.mark.parametrize("error", [NumericFailure, InvalidArgumentError])
+    def test_reference_records_a_failing_objective(self, ground, monkeypatch, error):
+        # the objective of step 2 raises; step 1 is kept
+        steps = []
+        real_ket, real_gradient = transfer.window_ket, transfer.cell_eigenvalue_gradient
+
+        def counted_ket(*args):
+            steps.append(args)
+            return real_ket(*args)
+
+        def fails_on_step_2(*args):
+            if len(steps) == 2:
+                raise error("forced")
+            return real_gradient(*args)
+
+        monkeypatch.setattr(transfer, "window_ket", counted_ket)
+        monkeypatch.setattr(transfer, "cell_eigenvalue_gradient", fails_on_step_2)
+        traj = evolve.evolve_exact_in_ansatz(SHORT, FULL15, "eigen", ground=ground)
+        assert not traj.complete and traj.n_steps == 1
+        assert traj.failure == f"{error.__name__}: forced"
+        assert len(traj.angles) == len(traj.echoes) == len(traj.costs) == 2
+        assert traj.echoes[1] > 0.0
+
+    def test_eigen_needs_first_order_gates(self, ground):
+        spec = replace(SHORT, trotter_order=2)
+        with pytest.raises(InvalidArgumentError, match="first-order"):
+            evolve.evolve_exact_in_ansatz(spec, FULL15, "eigen", ground=ground)
+        with pytest.raises(InvalidArgumentError, match="first-order"):
+            evolve._step_objective(ground, spec, "eigen")
+
     def test_unknown_cost_mode_rejected(self, ground):
         with pytest.raises(InvalidArgumentError):
             evolve.evolve_exact_in_ansatz(
@@ -300,6 +330,23 @@ class TestStochastic:
         assert traj.failure == "NumericFailure: forced"
         assert traj.n_steps == 2
         assert len(traj.angles) == len(traj.echoes) == len(traj.cum_shots) == 3
+
+    def test_echo_failure_is_recorded(self, ground, monkeypatch):
+        real = transfer.fidelity_density
+        calls = []
+
+        def fails_on_step_3(e):
+            calls.append(e)
+            if len(calls) == 3:
+                raise NumericFailure("no simple leading eigenvalue")
+            return real(e)
+
+        monkeypatch.setattr(transfer, "fidelity_density", fails_on_step_3)
+        traj = evolve.evolve_stochastic(SHORT, "extrapolate", seed=3, ground=ground)
+        assert not traj.complete and traj.n_steps == 2
+        assert traj.failure == "NumericFailure: no simple leading eigenvalue"
+        assert np.max(np.abs(traj.angles[1:] - GOLDEN_SEED3_ANGLES[:2])) <= 1e-12
+        assert traj.cum_shots.tolist() == [0, 98304, 196608]
 
     def test_ensemble_keeps_a_truncated_run(self, ground, monkeypatch):
         full = evolve.evolve_stochastic(SHORT, "extrapolate", seed=0, ground=ground)
@@ -465,6 +512,18 @@ class TestStepHelpers:
         assert params.template == FULL15
         assert np.array_equal(params.angles, angles[1])
         assert not np.shares_memory(params.angles, angles)
+
+    def test_trajectory_complete_follows_failure(self):
+        traj = evolve.Trajectory(
+            spec=SHORT, template=FULL15, init_scheme="copy", seed=0,
+            shots_per_eval=1, times=SHORT.times[:1], angles=np.zeros((1, 15)),
+            echoes=np.zeros(1), costs=np.zeros(1), cum_shots=np.zeros(1, dtype=int),
+        )
+        assert traj.complete and traj.failure is None
+        traj.failure = "NumericFailure: forced"
+        assert not traj.complete
+        traj.failure = None
+        assert traj.complete
 
     @pytest.mark.parametrize("theta", [0.3, 1.0, 2.0])
     def test_echo_of_product_state_quench(self, theta):

@@ -9,7 +9,6 @@ from quenchmps.qcore import (
     apply_gate,
     leading_eig,
     n_qubits_of,
-    outcome_probability,
     project_qubit,
     rot_gate,
     two_site_exp,
@@ -212,34 +211,6 @@ class TestApplyGate:
             apply_gate(psi, np.eye(4), (0,))
 
 
-class TestOutcomeProbability:
-    def test_zero_state(self):
-        assert outcome_probability(zero_state(1), 0, 0) == pytest.approx(1.0)
-
-    def test_plus_state(self):
-        psi = np.array([1.0, 1.0]) / np.sqrt(2)
-        assert outcome_probability(psi, 0, 1) == pytest.approx(0.5, abs=1e-12)
-
-    def test_against_amplitude_mask_oracle(self):
-        rng = np.random.default_rng(43)
-        psi = random_state(3, rng)
-        for qubit in range(3):
-            for outcome in (0, 1):
-                mask = [
-                    (i >> (2 - qubit)) & 1 == outcome for i in range(8)
-                ]
-                expected = float(np.sum(np.abs(psi[mask]) ** 2))
-                got = outcome_probability(psi, qubit, outcome)
-                assert abs(got - expected) < 1e-12
-        p0 = outcome_probability(psi, 1, 0)
-        p1 = outcome_probability(psi, 1, 1)
-        assert abs(p0 + p1 - 1.0) < 1e-12
-
-    def test_rejects_bad_qubit(self):
-        with pytest.raises(InvalidArgumentError):
-            outcome_probability(zero_state(2), 5, 0)
-
-
 class TestStateHelpers:
     def test_zero_state_needs_a_qubit(self):
         assert np.array_equal(zero_state(2), [1.0, 0.0, 0.0, 0.0])
@@ -257,8 +228,8 @@ class TestStateHelpers:
         for qubit in range(3):
             for outcome in (0, 1):
                 projected = project_qubit(psi, qubit, outcome)
-                p = outcome_probability(psi, qubit, outcome)
-                assert abs(np.vdot(projected, projected).real - p) < 1e-14
-                assert outcome_probability(projected, qubit, 1 - outcome) == 0.0
+                kept = [(i >> (2 - qubit)) & 1 == outcome for i in range(8)]
+                assert np.array_equal(projected[kept], psi[kept])
+                assert np.all(projected[np.logical_not(kept)] == 0.0)
                 again = project_qubit(projected, qubit, outcome)
                 assert np.array_equal(again, projected)
