@@ -35,7 +35,9 @@ from .qcore import InvalidArgumentError, NumericFailure
 
 INIT_SCHEMES = ("random", "copy", "extrapolate")
 COST_MODES = ("eigen", "circuit_lt", "circuit_lw")
-GTOL = 1e-10  # BFGS gradient-norm tolerance of a reference step and the ground state
+# BFGS gradient-norm tolerance of a reference step and the ground state; above the
+# objective's rounding floor (~1e-10), so every solve ends on it (scipy status 0)
+GTOL = 1e-7
 GROUND_GAP_TOL = 1e-6  # least 1 - |lambda_2| of an accepted ground state
 GROUND_GRAD_TOL = 1e-6  # largest energy gradient component of an accepted ground state
 BOOTSTRAP_FACTOR = 4  # SPSA budget multiplier while extrapolation lacks history
@@ -120,36 +122,13 @@ def _echo_of_tensors(a_0, a_t):
     return float(-np.log(max(abs(lam) ** 2, 1e-300)))
 
 
-def _right_fixed_point(a):
-    """Positive, trace-one right fixed point of the state's transfer matrix.
-
-    The eigenvector route alone is unsafe: for almost-reducible tensors the
-    top of the spectrum degenerates and an eigenvector mix Hermitizes to an
-    indefinite matrix, which an optimizer will happily exploit. Project onto
-    the positive cone and settle with the (trace-preserving, positivity-
-    preserving) map rho -> sum_s A^s rho (A^s)^dag, 30 times: E^30 on vec(rho).
-    """
-    e = transfer.transfer_matrix(a, a)
-    evals, evecs = np.linalg.eig(e)
-    rho = evecs[:, int(np.argmax(np.abs(evals)))].reshape(2, 2)
-    trace = np.trace(rho)
-    rho = rho * (np.conj(trace) / max(abs(trace), 1e-300))
-    rho = 0.5 * (rho + rho.conj().T)
-    w, u = np.linalg.eigh(rho)
-    w = np.maximum(w.real, 0.0)
-    if w.sum() < 1e-12:
-        rho = 0.5 * np.eye(2, dtype=complex)
-    else:
-        rho = (u * w) @ u.conj().T / w.sum()
-    rho = (np.linalg.matrix_power(e, 30) @ rho.reshape(4)).reshape(2, 2)
-    return rho / np.trace(rho).real
-
-
 def energy_density(params, J, g, grad=False):
     """Energy per site of the iMPS, e = sum_{t,s} h[t,s] Tr[P_s rho P_t^dag],
     with P the two-site strand products, the identity as left fixed point
-    (exact for left-isometric tensors) and rho the right fixed point of
-    T(X) = sum_s A^s X A^s^dag (:func:`_right_fixed_point`).
+    (exact for left-isometric tensors) and rho the trace-one right fixed point
+    of T(X) = sum_s A^s X A^s^dag, whose matrix is E = ``transfer_matrix(a, a)``.
+    As <vec 1| is a left null vector of 1 - E, rho is one solve with the pinned
+    matrix P = 1 - E + |vec 1><vec 1|: P vec rho = vec 1.
 
     With ``grad``, returns ``(e, de/dtheta)``. Only rho moves besides the
     tensors, so for a tangent dA (from ``tensor_of(params, grad=True)``)
@@ -157,18 +136,19 @@ def energy_density(params, J, g, grad=False):
         de = 2 Re sum_{t,s} h[t,s] Tr[dP_s rho P_t^dag] + Tr[Y dT(rho)],
         dT(rho) = sum_s (dA^s rho A^s^dag + A^s rho dA^s^dag),
 
-    where Y solves the adjoint fixed-point equation Y - T^dag(Y) = H_env - e 1,
-    H_env = sum_{t,s} h[t,s] P_t^dag P_s. That is one 4x4 solve,
-    (1 - T^dag + |vec 1><vec rho|) vec Y = vec H_env: its rank-one term gives
-    Tr[rho Y] = e, which supplies the -e 1, and leaves Y fixed up to a multiple
-    of 1, which Tr[1 dT(rho)] = 0 does not see. The value is the same float
-    with and without ``grad``.
+    where Y solves the adjoint equation Y - T^dag(Y) = H_env - e 1, with
+    H_env = sum_{t,s} h[t,s] P_t^dag P_s. That is the solve on the same pinned
+    matrix, P^dag vec Y = vec H_env: <vec rho| applied to it gives Tr Y = e,
+    which supplies the -e 1. The value is the same float with and without
+    ``grad``.
     """
     if grad:
         a, da = tensor_of(params, grad=True)
     else:
         a = tensor_of(params)
-    rho = _right_fixed_point(a)
+    pinned = np.eye(4) - transfer.transfer_matrix(a, a)
+    pinned += np.outer(transfer.VEC_IDENTITY, transfer.VEC_IDENTITY)
+    rho = np.linalg.solve(pinned, transfer.VEC_IDENTITY).reshape(2, 2)
     prods = transfer.strand_products(a, 2)
     h2 = tfim.bond_hamiltonian(J, g)
     value = float(np.einsum("ts,sab,bc,tac->", h2, prods, rho, prods.conj()).real)
@@ -180,9 +160,7 @@ def energy_density(params, J, g, grad=False):
     ).reshape(len(da), 4, 2, 2)
     direct = np.einsum("ts,ksab,bc,tac->k", h2, dprods, rho, prods.conj())
     h_env = np.einsum("ts,tca,scb->ab", h2, prods.conj(), prods)
-    t_dag = transfer.transfer_matrix(a, a).conj().T
-    pin = np.outer(transfer.VEC_IDENTITY, rho.reshape(4).conj())  # |vec 1><vec rho|
-    y = np.linalg.solve(np.eye(4) - t_dag + pin, h_env.reshape(4)).reshape(2, 2)
+    y = np.linalg.solve(pinned.conj().T, h_env.reshape(4)).reshape(2, 2)
     # Tr[Y dT(rho)] = 2 Re sum_s Tr[Y dA^s rho A^s^dag] for Hermitian Y and rho
     moved = np.einsum("ab,ksbc,cd,sad->k", y, da, rho, a.conj())
     return value, 2.0 * (direct + moved).real
@@ -519,8 +497,10 @@ def ensemble_run(
 ):
     """Ensemble of perfect-gate stochastic runs (shot noise only), all
     started from ``ground`` (solved here when not given)."""
-    if n_runs < 2:
-        raise InvalidArgumentError("an ensemble needs at least 2 runs")
+    if not isinstance(n_runs, numbers.Integral) or n_runs < 2:
+        raise InvalidArgumentError(
+            f"an ensemble needs an integer number of at least 2 runs, got {n_runs!r}"
+        )
     if seeds is None:
         seeds = list(range(n_runs))
     if len(seeds) != n_runs:

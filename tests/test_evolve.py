@@ -11,8 +11,19 @@ from quenchmps.qcore import InvalidArgumentError, NumericFailure
 H = 1e-5  # central-difference step; truncation and rounding both stay near 1e-10
 SHORT = replace(tfim.REFERENCE_QUENCH, t_max=0.3)  # three steps
 
+# Full15 ground state ground_state_optimize(1.0, 1.5, FULL15) as solved with
+# BFGS gtol 1e-10; the golden SPSA runs start from it, so they do not move with
+# the ground solver's stopping rule
+GOLDEN_GROUND_ANGLES = [
+    0.05029208843735358, -1.5707963268595133, 0.5450410327611752,
+    -0.07397143880371868, -0.3046512420997071, -0.11293897022451826,
+    0.8562885201643545, -0.6589070277084386, -0.5176226398320246,
+    -0.6363209836960773, -3.9682769809066186e-11, -0.11344482638328449,
+    -0.9507638701460915, -1.1279367581958528, -0.6142958645661426,
+]
+
 # accepted angles of evolve_stochastic(SHORT, "extrapolate", seed=3) from the
-# Full15 ground state of the ``ground`` fixture
+# ground state GOLDEN_GROUND_ANGLES
 GOLDEN_SEED3_ANGLES = np.array(
     [
         [
@@ -52,6 +63,26 @@ def central_difference(f, x):
 @pytest.fixture(scope="module")
 def ground():
     return evolve.ground_state_optimize(1.0, 1.5, FULL15)
+
+
+@pytest.fixture(scope="module")
+def golden_ground():
+    return AnsatzParams(FULL15, np.array(GOLDEN_GROUND_ANGLES))
+
+
+def spy(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that every call appends ``(args, result)`` to
+    the returned list."""
+    real = getattr(owner, name)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
 
 
 class TestGradients:
@@ -146,13 +177,39 @@ class TestDrivers:
         with pytest.raises(NumericFailure, match="optimizer seed 7 is not stationary"):
             evolve.ground_state_optimize(1.0, 1.5, FULL15, optimizer_seed=7)
 
-    def test_right_fixed_point_is_a_positive_fixed_point(self, ground):
-        a = tensor_of(ground)
-        rho = evolve._right_fixed_point(a)
-        mapped = np.einsum("sab,bc,sdc->ad", a, rho, a.conj())  # one map step
-        assert np.max(np.abs(mapped - rho)) < 1e-10
-        assert abs(np.trace(rho) - 1.0) < 1e-12
-        assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() > 0.0
+    def test_right_fixed_point_is_a_positive_fixed_point(self, ground, monkeypatch):
+        # rho is the first solve of energy_density; BFGS also evaluates the
+        # energy far from the ground state, hence the random tensors
+        solves = spy(monkeypatch, np.linalg, "solve")
+        rng = np.random.default_rng(4)
+        points = [ground] + [
+            AnsatzParams(FULL15, rng.uniform(-np.pi, np.pi, 15)) for _ in range(5)
+        ]
+        for params in points:
+            solves.clear()
+            evolve.energy_density(params, 1.0, 1.5)
+            a, rho = tensor_of(params), solves[0][1].reshape(2, 2)
+            mapped = np.einsum("sab,bc,sdc->ad", a, rho, a.conj())  # one map step
+            assert np.max(np.abs(mapped - rho)) < 1e-10
+            assert abs(np.trace(rho) - 1.0) < 1e-12
+            assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() > 0.0
+
+    def test_energy_solves_share_one_pinned_matrix(self, ground, monkeypatch):
+        builds = spy(monkeypatch, transfer, "transfer_matrix")
+        solves = spy(monkeypatch, np.linalg, "solve")
+        evolve.energy_density(ground, 1.0, 1.5, grad=True)
+        assert len(builds) == 1 and len(solves) == 2
+        (pinned, _), (adjoint, _) = (args for args, _ in solves)
+        assert np.array_equal(adjoint, pinned.conj().T)
+
+    def test_bfgs_ends_on_its_gradient_test(self, ground, monkeypatch):
+        # scipy status 0 is the gradient test; 2 is a stop on precision loss
+        solves = spy(monkeypatch, evolve, "minimize")
+        evolve.ground_state_optimize(1.0, 1.5, FULL15, optimizer_seed=0)
+        spec = replace(tfim.REFERENCE_QUENCH, t_max=1.0)
+        traj = evolve.evolve_exact_in_ansatz(spec, FULL15, "eigen", ground=ground)
+        assert traj.complete
+        assert [res.status for _, res in solves] == [0] * (1 + spec.n_steps)
 
     def test_full15_reference_tracks_free_fermion_echo(self, ground):
         spec = replace(tfim.REFERENCE_QUENCH, t_max=1.0)
@@ -257,7 +314,13 @@ class TestDrivers:
             evolve.evolve_stochastic(SHORT, "linear", ground=ground)
 
     @pytest.mark.parametrize(
-        "n_runs, seeds, match", [(1, None, "at least 2"), (3, [0, 1], "one seed")]
+        "n_runs, seeds, match",
+        [
+            (1, None, "at least 2"),
+            (3, [0, 1], "one seed"),
+            (2.0, None, "integer"),
+            (2.5, None, "integer"),
+        ],
     )
     def test_invalid_ensemble_rejected(self, ground, n_runs, seeds, match):
         with pytest.raises(InvalidArgumentError, match=match):
@@ -299,9 +362,9 @@ def patch_step_costs(monkeypatch, fail_after):
 
 
 class TestStochastic:
-    def test_seeded_full15_run_is_bit_identical(self, ground):
+    def test_seeded_full15_run_is_bit_identical(self, golden_ground):
         first, again = (
-            evolve.evolve_stochastic(SHORT, "extrapolate", seed=3, ground=ground)
+            evolve.evolve_stochastic(SHORT, "extrapolate", seed=3, ground=golden_ground)
             for _ in range(2)
         )
         assert first.template == FULL15
@@ -310,7 +373,7 @@ class TestStochastic:
             assert np.array_equal(getattr(first, name), getattr(again, name))
         # pinned: reordering the +/- evaluations or their binomial draws
         # moves the accepted angles
-        assert np.array_equal(first.angles[0], ground.angles)
+        assert np.array_equal(first.angles[0], golden_ground.angles)
         assert np.max(np.abs(first.angles[1:] - GOLDEN_SEED3_ANGLES)) <= 1e-12
         assert first.cum_shots.tolist() == [0, 98304, 196608, 221184]
 
@@ -331,7 +394,7 @@ class TestStochastic:
         assert traj.n_steps == 2
         assert len(traj.angles) == len(traj.echoes) == len(traj.cum_shots) == 3
 
-    def test_echo_failure_is_recorded(self, ground, monkeypatch):
+    def test_echo_failure_is_recorded(self, golden_ground, monkeypatch):
         real = transfer.fidelity_density
         calls = []
 
@@ -342,7 +405,7 @@ class TestStochastic:
             return real(e)
 
         monkeypatch.setattr(transfer, "fidelity_density", fails_on_step_3)
-        traj = evolve.evolve_stochastic(SHORT, "extrapolate", seed=3, ground=ground)
+        traj = evolve.evolve_stochastic(SHORT, "extrapolate", seed=3, ground=golden_ground)
         assert not traj.complete and traj.n_steps == 2
         assert traj.failure == "NumericFailure: no simple leading eigenvalue"
         assert np.max(np.abs(traj.angles[1:] - GOLDEN_SEED3_ANGLES[:2])) <= 1e-12
