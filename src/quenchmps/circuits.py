@@ -6,8 +6,8 @@ carries the bond index; physical qubits are emitted by U(t), passed through
 the evolution gate layer, absorbed by W^dag, and measured. Success is the
 all-zero outcome on the measured (physical) qubits; the auxiliary qubit is
 never measured, which realizes the identity approximation of the right
-boundary, while the two leading/trailing copies of the current state unitary
-realize the left boundary.
+boundary, while two copies of the current state unitary in front of the
+window realize the left boundary.
 
 Layout for power-method order 2 (first-order Trotter; sites are numbered in
 ket emission order, qubit 0 is the bond qubit)::
@@ -51,7 +51,7 @@ import numpy as np
 
 from . import qcore, tfim, transfer
 from .ansatz import build_unitary, tensor_of
-from .qcore import InvalidArgumentError, ResourceLimitError
+from .qcore import ResourceLimitError
 
 MAX_CIRCUIT_QUBITS = 12
 POWER_METHOD_ORDER = 2
@@ -79,7 +79,6 @@ def evolution_gate_layer(spec, dt=None):
     """
     if dt is None:
         dt = spec.dt
-    eye4 = np.eye(4, dtype=complex)
     if dt == 0.0:
         return np.eye(16, dtype=complex), []
     if spec.trotter_order == 1:
@@ -102,47 +101,41 @@ def evolution_gate_layer(spec, dt=None):
     return layer, placed
 
 
-def build_cost_circuit(params_t, params_candidate, spec, dt=None, copies_params=None):
+def build_cost_circuit(params_t, params_candidate, spec, dt=None):
     """Sequential cost circuit for one evolution step.
 
-    ``params_t`` describes the current state (ket strand), ``params_candidate``
-    the trial update absorbed on the bra strand. The two boundary copies
-    default to the current state unitary (``copies_params`` overrides, e.g.
-    to probe the boundary-choice robustness). The evolution insertion follows
-    ``spec`` (``dt`` may be overridden, e.g. zero for pure-overlap
-    diagnostics).
+    ``params_t`` describes the current state: it is emitted on the ket
+    strand and on the two boundary copies (gates named "V"), which the bra
+    strand unprepares last. ``params_candidate`` is the trial update
+    absorbed on the bra strand of the window. The evolution insertion
+    follows ``spec`` (``dt`` may be overridden, e.g. zero for pure-overlap
+    diagnostics). Qubit 0 is the bond register; qubit q carries site q.
     """
-    if spec.trotter_order not in (1, 2):
-        raise InvalidArgumentError("unsupported trotter_order")
     u = build_unitary(params_t)
     w = build_unitary(params_candidate)
-    v = u if copies_params is None else build_unitary(copies_params)
     n_copies = 2
     n_evo = 2 * POWER_METHOD_ORDER
     n_sites = n_copies + n_evo
-    qubit = lambda site: site  # qubit 0 is the bond register
     ops = []
     for site in range(1, n_copies + 1):
-        ops.append(CircuitOp("gate", (qubit(site), 0), "V", v))
+        ops.append(CircuitOp("gate", (site, 0), "V", u))
     for site in range(n_copies + 1, n_sites + 1):
-        ops.append(CircuitOp("gate", (qubit(site), 0), "U", u))
+        ops.append(CircuitOp("gate", (site, 0), "U", u))
     _, placed = evolution_gate_layer(spec, dt)
     first_evo = n_copies + 1
     for name, gate, (lo, hi) in placed:
-        ops.append(
-            CircuitOp("gate", (qubit(first_evo + lo), qubit(first_evo + hi)), name, gate)
-        )
+        ops.append(CircuitOp("gate", (first_evo + lo, first_evo + hi), name, gate))
     w_dag = w.conj().T
-    v_dag = v.conj().T
+    u_dag = u.conj().T
     bra_order = []
     for cell in reversed(range(POWER_METHOD_ORDER)):
         s1 = n_copies + 2 * cell + 1
         bra_order.extend([(s1 + 1, "W_dag", w_dag), (s1, "W_dag", w_dag)])
-    bra_order.extend([(2, "V_dag", v_dag), (1, "V_dag", v_dag)])
+    bra_order.extend([(2, "V_dag", u_dag), (1, "V_dag", u_dag)])
     for site, name, mat in bra_order:
-        ops.append(CircuitOp("gate", (qubit(site), 0), name, mat))
-        ops.append(CircuitOp("measure", (qubit(site),)))
-        ops.append(CircuitOp("reset", (qubit(site),)))
+        ops.append(CircuitOp("gate", (site, 0), name, mat))
+        ops.append(CircuitOp("measure", (site,)))
+        ops.append(CircuitOp("reset", (site,)))
     return CostCircuit(
         qubit_count=n_sites + 1,
         ops=tuple(ops),
@@ -172,7 +165,7 @@ def exact_success_probability(circuit):
     return float(np.sum(np.abs(psi) ** 2))
 
 
-def success_probability_fn(params_t, layer, copies_params=None):
+def success_probability_fn(params_t, layer):
     """Exact success probability of the cost diagram as a function of the
     candidates, for one evolution step with the dense gate layer ``layer``
     (:func:`evolution_gate_layer`).
@@ -189,11 +182,10 @@ def success_probability_fn(params_t, layer, copies_params=None):
     statevector route.
     """
     a = tensor_of(params_t)
-    v = a if copies_params is None else tensor_of(copies_params)
     ket = transfer.window_ket(a, layer, 2 * POWER_METHOD_ORDER)
     copies = np.eye(4, dtype=complex).reshape(4, 2, 2)  # the unit bond operators
     for _ in range(2):
-        copies = transfer.site_overlap_map(copies, v, v)
+        copies = transfer.site_overlap_map(copies, a, a)
     boundary = copies[:, :, 0].T  # (2, 4): vec(M) -> column 0 of the copies' output
 
     def success_probability(candidates):
@@ -206,11 +198,11 @@ def success_probability_fn(params_t, layer, copies_params=None):
     return success_probability
 
 
-def dense_success_probability(params_t, params_candidate, spec, dt=None, copies_params=None):
+def dense_success_probability(params_t, params_candidate, spec, dt=None):
     """Exact contraction of the cost diagram in the bond-operator algebra:
     the evolution window nested inside the two boundary copies, applied to
     the initial bond state |0> (:func:`success_probability_fn` on one
     candidate)."""
     layer, _ = evolution_gate_layer(spec, dt)
-    success_probability = success_probability_fn(params_t, layer, copies_params)
+    success_probability = success_probability_fn(params_t, layer)
     return float(success_probability(params_candidate))

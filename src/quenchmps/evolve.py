@@ -34,7 +34,6 @@ from .ansatz import FULL15, N_ANGLES, AnsatzParams, tensor_of
 from .qcore import InvalidArgumentError, NumericFailure
 
 INIT_SCHEMES = ("random", "copy", "extrapolate")
-COST_MODES = ("eigen", "circuit_lt", "circuit_lw")
 # BFGS gradient-norm tolerance of a reference step and the ground state; above the
 # objective's rounding floor (~1e-10), so every solve ends on it (scipy status 0)
 GTOL = 1e-7
@@ -176,10 +175,13 @@ def ground_state_optimize(J, g, template, optimizer_seed=0):
     eigenvalue within ``GROUND_GAP_TOL`` of the unit circle (a reducible
     state, where BFGS can stop on a saddle) or when a component of its energy
     gradient exceeds ``GROUND_GRAD_TOL``. The message names the optimizer
-    seed and the offending value.
+    seed and the offending value. A non-finite ``J`` or ``g`` is rejected
+    with :class:`InvalidArgumentError` before solving.
     """
     if template not in N_ANGLES:
         raise InvalidArgumentError(f"unknown template {template!r}")
+    if not np.all(np.isfinite([J, g])):
+        raise InvalidArgumentError(f"J and g must be finite, got J={J!r}, g={g!r}")
 
     def objective(x):
         return energy_density(AnsatzParams(template, x), J, g, grad=True)
@@ -189,14 +191,14 @@ def ground_state_optimize(J, g, template, optimizer_seed=0):
     ground = AnsatzParams(template, res.x)
     a = tensor_of(ground)
     lam2 = np.sort(np.abs(np.linalg.eigvals(transfer.transfer_matrix(a, a))))[-2]
-    if 1.0 - lam2 < GROUND_GAP_TOL:
+    if not 1.0 - lam2 >= GROUND_GAP_TOL:
         raise NumericFailure(
             f"ground state from optimizer seed {optimizer_seed} is reducible: "
             f"1 - |lambda_2| = {1.0 - lam2:.3e} for its second transfer eigenvalue",
             residual=1.0 - lam2,
         )
     worst = np.max(np.abs(energy_density(ground, J, g, grad=True)[1]))
-    if worst > GROUND_GRAD_TOL:
+    if not worst <= GROUND_GRAD_TOL:
         raise NumericFailure(
             f"ground state from optimizer seed {optimizer_seed} is not stationary: "
             f"largest energy gradient component {worst:.3e}",
@@ -390,20 +392,14 @@ def evolve_stochastic(
     )
 
 
-def _check_cost_mode(spec, cost_mode):
-    if cost_mode not in COST_MODES:
-        raise InvalidArgumentError(f"unknown cost mode {cost_mode!r}")
-    if cost_mode == "eigen" and spec.trotter_order != 1:
-        raise InvalidArgumentError("eigen needs first-order Trotter gates")
-
-
-def _step_objective(params_t, spec, cost_mode):
+def _step_objective(params_t, gate, cost_mode):
     """Objective of one reference step and its ``jac`` argument for
     ``minimize``: ``True`` when the objective returns its exact gradient,
-    ``None`` for a finite-difference gradient."""
-    _check_cost_mode(spec, cost_mode)
+    ``None`` for a finite-difference gradient. ``gate`` is the run's
+    evolution gate (see :func:`evolve_exact_in_ansatz`); the side fixed by
+    the current state ``params_t`` is built here, so each evaluation builds
+    only the candidate."""
     if cost_mode == "eigen":
-        gate = tfim.trotter_gate_first_order(spec.J, spec.g1, spec.dt)
         ket = transfer.window_ket(tensor_of(params_t), gate, 2)
 
         def objective(x):
@@ -412,13 +408,10 @@ def _step_objective(params_t, spec, cost_mode):
             return -abs(lam), -np.real(np.conj(lam) * dlam) / abs(lam)
 
         return objective, True
+    success_probability = circuits.success_probability_fn(params_t, gate)
 
     def objective(x):
-        candidate = AnsatzParams(params_t.template, x)
-        copies = candidate if cost_mode == "circuit_lw" else None
-        return -circuits.dense_success_probability(
-            params_t, candidate, spec, copies_params=copies
-        )
+        return -float(success_probability(AnsatzParams(params_t.template, x)))
 
     return objective, None
 
@@ -430,24 +423,32 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
     ``cost_mode``: "eigen" maximizes |fidelity density| of the
     evolution-inserted transfer matrix and needs first-order Trotter gates
     (a second-order ``spec`` is rejected with :class:`InvalidArgumentError`);
-    "circuit_lt" / "circuit_lw" maximize the dense circuit cost, at either
-    Trotter order, with boundary copies taken from the current state / the
-    candidate.
+    "circuit_lt" maximizes the exact success probability that
+    :func:`_sampled_cost` samples, at either Trotter order. The evolution
+    gate (the cell gate for "eigen", the dense gate layer for "circuit_lt")
+    is built once per run, and the current state's side once per step.
 
     Each step is one BFGS minimization from the seed of :func:`_evolve`. The
     "eigen" objective supplies its exact gradient, d lambda = <l| dE |r> /
-    <l|r> with dE from the closed-form dU/dtheta; the circuit costs use
-    scipy's finite-difference gradient. A step whose objective raises
+    <l|r> with dE from the closed-form dU/dtheta; "circuit_lt" uses scipy's
+    finite-difference gradient. A step whose objective raises
     :class:`NumericFailure` or :class:`InvalidArgumentError`, or on which
     BFGS returns non-finite angles, ends the run (see :func:`_evolve`); the
     latter's ``failure`` names the step and the optimizer's message.
     """
-    _check_cost_mode(spec, cost_mode)
+    if cost_mode == "eigen":
+        if spec.trotter_order != 1:
+            raise InvalidArgumentError("eigen needs first-order Trotter gates")
+        gate = tfim.trotter_gate_first_order(spec.J, spec.g1, spec.dt)
+    elif cost_mode == "circuit_lt":
+        gate, _ = circuits.evolution_gate_layer(spec)
+    else:
+        raise InvalidArgumentError(f"unknown cost mode {cost_mode!r}")
     if ground is None:
         ground = ground_state_optimize(spec.J, spec.g0, template)
 
     def solve_step(step, prev, seed_params):
-        objective, jac = _step_objective(prev, spec, cost_mode)
+        objective, jac = _step_objective(prev, gate, cost_mode)
         res = minimize(
             objective, seed_params.angles, method="BFGS", jac=jac, options={"gtol": GTOL}
         )

@@ -148,24 +148,16 @@ class TestCircuitDenseEquivalence:
         current, candidates = full15(), [full15() for _ in range(4)]
         stack = AnsatzParams(FULL15, np.array([pb.angles for pb in candidates]))
         layer, _ = circuits.evolution_gate_layer(spec, dt)
-        # one per-step function serves every candidate, with the current
-        # state or other parameters on the boundary copies, and a (k, 15)
-        # stack of candidates gives each row's own probability exactly
-        for copies in (None, full15()):
-            p_dense = success_probability_fn(current, layer, copies_params=copies)
-            p_stack = p_dense(stack)
-            assert p_stack.shape == (len(candidates),)
-            assert np.array_equal(p_stack, [p_dense(pb) for pb in candidates])
-            for pb, p_row in zip(candidates, p_stack):
-                c = build_cost_circuit(current, pb, spec, dt=dt, copies_params=copies)
-                p_sv = exact_success_probability(c)
-                assert abs(p_sv - p_dense(pb)) < 1e-10
-                assert abs(p_sv - p_row) < 1e-10
-        # the "circuit_lw" boundary: the copies are the candidate itself
-        for pb in candidates:
-            c = build_cost_circuit(current, pb, spec, dt=dt, copies_params=pb)
-            p = dense_success_probability(current, pb, spec, dt=dt, copies_params=pb)
-            assert abs(exact_success_probability(c) - p) < 1e-10
+        # one per-step function serves every candidate, and a (k, 15) stack
+        # of candidates gives each row's own probability exactly
+        p_dense = success_probability_fn(current, layer)
+        p_stack = p_dense(stack)
+        assert p_stack.shape == (len(candidates),)
+        assert np.array_equal(p_stack, [p_dense(pb) for pb in candidates])
+        for pb, p_row in zip(candidates, p_stack):
+            p_sv = exact_success_probability(build_cost_circuit(current, pb, spec, dt=dt))
+            assert abs(p_sv - p_dense(pb)) < 1e-10
+            assert abs(p_sv - p_row) < 1e-10
 
     def test_quench_step_cost_near_one_at_small_dt(self):
         # un-updated candidate already reaches p = 1 - O(dt^2)

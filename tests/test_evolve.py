@@ -98,9 +98,10 @@ class TestGradients:
     def test_eigen_objective_gradient_matches_central_differences(self):
         rng = np.random.default_rng(1)
         spec = tfim.REFERENCE_QUENCH
+        gate = tfim.trotter_gate_first_order(spec.J, spec.g1, spec.dt)
         for _ in range(5):
             current = AnsatzParams(FULL15, rng.uniform(-np.pi, np.pi, 15))
-            objective, jac = evolve._step_objective(current, spec, "eigen")
+            objective, jac = evolve._step_objective(current, gate, "eigen")
             assert jac is True
             x = current.angles + 0.1 * rng.standard_normal(15)
             _, grad = objective(x)
@@ -125,14 +126,10 @@ class TestGradients:
         current = AnsatzParams(FULL15, rng.uniform(-np.pi, np.pi, 15))
         x = current.angles + 0.3 * rng.standard_normal(15)
         cand = AnsatzParams(FULL15, x)
-        lt, jac_lt = evolve._step_objective(current, spec, "circuit_lt")
-        lw, jac_lw = evolve._step_objective(current, spec, "circuit_lw")
-        assert jac_lt is None and jac_lw is None
-        p_lt = circuits.dense_success_probability(current, cand, spec)
-        p_lw = circuits.dense_success_probability(current, cand, spec, copies_params=cand)
-        assert abs(p_lt - p_lw) > 1e-6  # the two boundaries differ here
-        assert lt(x) == -p_lt
-        assert lw(x) == -p_lw
+        layer, _ = circuits.evolution_gate_layer(spec)
+        lt, jac = evolve._step_objective(current, layer, "circuit_lt")
+        assert jac is None
+        assert lt(x) == -circuits.dense_success_probability(current, cand, spec)
 
     def test_non_simple_top_eigenvalue_raises(self):
         # identity-state bra: the cell matrix is K[0] (x) 1, here a Jordan block
@@ -256,14 +253,38 @@ class TestDrivers:
         spec = replace(SHORT, trotter_order=2)
         with pytest.raises(InvalidArgumentError, match="first-order"):
             evolve.evolve_exact_in_ansatz(spec, FULL15, "eigen", ground=ground)
-        with pytest.raises(InvalidArgumentError, match="first-order"):
-            evolve._step_objective(ground, spec, "eigen")
 
-    def test_unknown_cost_mode_rejected(self, ground):
-        with pytest.raises(InvalidArgumentError):
+    @pytest.mark.parametrize("cost_mode", ["eigenvalue", "circuit_lw"])
+    def test_unknown_cost_mode_rejected(self, ground, cost_mode):
+        with pytest.raises(InvalidArgumentError, match="unknown cost mode"):
             evolve.evolve_exact_in_ansatz(
-                tfim.REFERENCE_QUENCH, FULL15, "eigenvalue", ground=ground
+                tfim.REFERENCE_QUENCH, FULL15, cost_mode, ground=ground
             )
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_circuit_reference_tracks_free_fermion_echo(
+        self, golden_ground, monkeypatch, order
+    ):
+        # the gate layer is built once per run, the current state's side once per step
+        layers = spy(monkeypatch, circuits, "evolution_gate_layer")
+        sides = spy(monkeypatch, circuits, "success_probability_fn")
+        spec = replace(SHORT, trotter_order=order)
+        traj = evolve.evolve_exact_in_ansatz(spec, FULL15, "circuit_lt", ground=golden_ground)
+        assert traj.complete and traj.n_steps == spec.n_steps
+        assert len(layers) == 1 and len(sides) == spec.n_steps
+        r_ff = tfim.loschmidt_exact_ff(spec.g0, spec.g1, traj.times, J=spec.J)
+        assert np.max(np.abs(traj.echoes - r_ff)) <= 0.03
+
+    def test_eigen_reference_builds_its_gate_once(self, golden_ground, monkeypatch):
+        gates = spy(monkeypatch, tfim, "trotter_gate_first_order")
+        traj = evolve.evolve_exact_in_ansatz(SHORT, FULL15, "eigen", ground=golden_ground)
+        assert traj.complete and traj.n_steps == SHORT.n_steps
+        assert len(gates) == 1
+
+    @pytest.mark.parametrize("J, g", [(np.nan, 1.5), (1.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_ground_field_rejected(self, J, g):
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            evolve.ground_state_optimize(J, g, FULL15)
 
     def test_spsa_raises_on_constant_cost(self):
         seed = AnsatzParams(FULL15, np.zeros(15))
