@@ -10,9 +10,20 @@ both legs around a three-parameter XX+YY+ZZ entangler,
 
 written in matrix order (rightmost factor acts first), where
 zxz(r,s,t) = Rz(t) Rx(s) Rz(r) and the physical leg is the first tensor
-factor. All angles zero gives the identity. One closed form builds U and, on
-request, dU/dtheta: 2x2 chains, and the entangler diagonal in the Bell basis
-(exactly unitary at any angle).
+factor. All angles zero gives the identity.
+
+The two legs' blocks commute, and so do XX, YY and ZZ, so U is the product
+of 15 Pauli rotations in angle order, U = G_14 ... G_1 G_0 with
+
+    G_k = exp(-i s_k a_k P_k) = cos(s_k a_k) 1 - i sin(s_k a_k) P_k,
+
+P_k the Pauli string of angle k, s_k = 1/2 for the twelve Euler angles and 1
+for the entangler; each G_k is exactly unitary at any angle. The 15 gates are
+built in one broadcast step, and their prefix products Pre_k = G_k ... G_0 in
+a log-depth scan of four batched products, U = Pre_14. As
+dG_k/da_k = -i s_k P_k G_k, the derivative is three batched products,
+
+    dU/da_k = G_14 ... G_{k+1} (-i s_k P_k) Pre_k = U Pre_k^dag (-i s_k P_k) Pre_k.
 
 The MPS tensor of a unitary is A^s_{ab} = <s, a| U |0, b> (physical index
 first); unitarity of U makes A left-isometric: sum_s (A^s)^dag A^s = 1.
@@ -28,18 +39,13 @@ from .qcore import InvalidArgumentError
 FULL15 = "Full15"
 N_ANGLES = {FULL15: 15}
 
-# Full15 slots of the (first, mid, last) angles of the four ZXZ chains:
-# physical and auxiliary leg before the entangler, then after it
-_CHAIN_SLOTS = np.array([[0, 3, 9, 12], [1, 4, 10, 13], [2, 5, 11, 14]])
-
-_Z_SIGNS = np.array([1.0, -1.0])  # Rz(phi) = diag(exp(-i phi _Z_SIGNS / 2))
-
-# Bell basis (columns Phi+, Phi-, Psi+, Psi-) and the eigenvalues of XX, YY
-# and ZZ (rows) on it
-_BELL = np.array(
-    [[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [1, -1, 0, 0]]
-) / np.sqrt(2)
-_BELL_PAULI = np.array([[1, -1, 1, -1], [-1, 1, 1, -1], [1, 1, -1, -1]])
+# Pauli string P_k (physical leg first) and scale s_k of each angle's rotation
+_PAULIS = {"I": qcore.IDENTITY_2, "X": qcore.PAULI_X, "Y": qcore.PAULI_Y, "Z": qcore.PAULI_Z}
+_STRINGS = "ZI XI ZI IZ IX IZ XX YY ZZ ZI XI ZI IZ IX IZ".split()
+_SCALES = np.array([0.5] * 6 + [1.0] * 3 + [0.5] * 6)
+_NEG_I_P = np.stack([-1j * np.kron(_PAULIS[p], _PAULIS[q]) for p, q in _STRINGS])
+_GENERATORS = _SCALES[:, None, None] * _NEG_I_P  # dG_k/da_k = _GENERATORS[k] G_k
+_EYE_4 = np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -78,51 +84,17 @@ class AnsatzParams:
         return AnsatzParams(self.template, angles)
 
 
-def _zxz(first, mid, last, grad=False):
-    """Rz(last) Rx(mid) Rz(first) in closed form, broadcast over arrays of
-    angles to shape (..., 2, 2); with ``grad``, also its derivatives with
-    respect to (first, mid, last), shape (3, ..., 2, 2)."""
-    half_mid = 0.5 * np.asarray(mid)[..., None, None]
-    c, s = np.cos(half_mid), np.sin(half_mid)
-    phase_in = np.exp(-0.5j * np.multiply.outer(first, _Z_SIGNS))[..., None, :]
-    phase_out = np.exp(-0.5j * np.multiply.outer(last, _Z_SIGNS))[..., :, None]
-    eye, x = qcore.IDENTITY_2, qcore.PAULI_X
-    w = phase_out * (c * eye - 1j * s * x) * phase_in
-    if not grad:
-        return w
-    d_mid = phase_out * (-0.5 * s * eye - 0.5j * c * x) * phase_in
-    half = -0.5j * _Z_SIGNS
-    return w, np.stack([w * half, d_mid, w * half[:, None]])
-
-
-def _kron(x, y):
-    """Kronecker product of two (..., 2, 2) stacks, broadcast over the stack."""
-    out = x[..., :, None, :, None] * y[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (4, 4))
-
-
 def _full15_unitary(a, grad):
     """Full15 unitary of the angles ``a``, shape (..., 15) to (..., 4, 4);
     with ``grad`` (one parameter set only), also dU/da, shape (15, 4, 4)."""
-    chains = _zxz(*a.T[_CHAIN_SLOTS], grad=grad)  # (first, mid, last), each (4, ...)
-    w, dw = chains if grad else (chains, None)
-    pre, post = _kron(w[0::2], w[1::2])  # physical (x) auxiliary leg, either side
-    phases = np.exp(-1j * (a[..., 6:9] @ _BELL_PAULI))
-    ent = (_BELL * phases[..., None, :]) @ _BELL.T
+    half = (_SCALES * a)[..., None, None]
+    pre = np.cos(half) * _EYE_4 + np.sin(half) * _NEG_I_P  # G_k, shape (..., 15, 4, 4)
+    for shift in (1, 2, 4, 8):  # prefix products Pre_k = G_k ... G_0
+        pre[..., shift:, :, :] = pre[..., shift:, :, :] @ pre[..., :-shift, :, :]
+    u = pre[..., -1, :, :]
     if not grad:
-        return post @ ent @ pre
-    left, right = post @ ent, ent @ pre
-    d_ent = (_BELL * (-1j * _BELL_PAULI * phases)[:, None, :]) @ _BELL.T
-    du = np.concatenate(
-        [
-            left @ _kron(dw[:, 0], w[1]),
-            left @ _kron(w[0], dw[:, 1]),
-            post @ d_ent @ pre,
-            _kron(dw[:, 2], w[3]) @ right,
-            _kron(w[2], dw[:, 3]) @ right,
-        ]
-    )
-    return left @ pre, du
+        return u
+    return u, u @ (pre.conj().swapaxes(-1, -2) @ _GENERATORS @ pre)
 
 
 def build_unitary(params, grad=False):

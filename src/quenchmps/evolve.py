@@ -225,7 +225,8 @@ def unwrap_toward(reference, angles):
 def spsa_optimize(cost, seed_params, schedule, rng_seed):
     """Simultaneous-perturbation minimization of a noisy scalar cost.
 
-    Rademacher perturbation directions. ``cost`` takes a (2, n) stack of
+    Rademacher perturbation directions, all drawn up front in one call (the
+    same stream as one draw per iteration). ``cost`` takes a (2, n) stack of
     angles, the pair x + c_k delta, x - c_k delta in that order, and returns
     the two costs; it is called once per iteration, so a sampled cost draws
     the + evaluation before the - one. Deterministic given ``rng_seed``.
@@ -237,9 +238,9 @@ def spsa_optimize(cost, seed_params, schedule, rng_seed):
     a = schedule.a
     offset = schedule.stability_offset(schedule.steps)
     history = []
-    for k in range(schedule.steps):
+    deltas = rng.integers(0, 2, size=(schedule.steps, n)) * 2.0 - 1.0
+    for k, delta in enumerate(deltas):
         ck = schedule.c / (k + 1) ** schedule.gamma
-        delta = rng.integers(0, 2, size=n) * 2.0 - 1.0
         y_plus, y_minus = cost(x + _PLUS_MINUS * (ck * delta))
         ghat = (y_plus - y_minus) / (2.0 * ck) * delta
         if a is None:

@@ -95,8 +95,8 @@ def leading_eig(m):
 
     One call of the backward-stable QR algorithm. Returns
     ``(eigenvalue, eigenvector)`` with the eigenvector normalized. Raises
-    :class:`NumericFailure` (residual attached) if the pair misses a residual
-    of ``1e-9 * ||m||``.
+    :class:`NumericFailure` if the QR algorithm does not converge, or (residual
+    attached) if the pair misses a residual of ``1e-9 * ||m||``.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -104,7 +104,10 @@ def leading_eig(m):
     scale = np.linalg.norm(m, ord=np.inf)
     if scale == 0.0:
         raise InvalidArgumentError("matrix is zero")
-    evals, evecs = np.linalg.eig(m)
+    try:
+        evals, evecs = np.linalg.eig(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure(f"eigensolver failed: {exc}") from exc
     k = int(np.argmax(np.abs(evals)))
     lam, v = evals[k], evecs[:, k] / np.linalg.norm(evecs[:, k])
     residual = np.linalg.norm(m @ v - lam * v)

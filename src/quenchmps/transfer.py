@@ -34,21 +34,37 @@ from .qcore import InvalidArgumentError, NumericFailure
 VEC_IDENTITY = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
 MIN_EIGVEC_OVERLAP = 1e-6  # eigenvalue condition number 1/|<l|r>| at most 1e6
 
+# LAPACK's complex eigensolver, with the workspace of a 4x4 cell matrix queried once
+_GEEV, _GEEV_LWORK = scipy.linalg.get_lapack_funcs(("geev", "geev_lwork"), dtype=complex)
+_CELL_LWORK = int(_GEEV_LWORK(4, compute_vl=1, compute_vr=1)[0].real)
+
 
 def strand_products(a, n_sites):
     """All ordered tensor products A^{s_n} ... A^{s_1} of a strand.
 
     Returns an array of shape (2**n_sites, 2, 2) indexed by the physical
     string with site 1 as the most significant bit; a (k, 2, 2, 2) stack of
-    tensors gives a (k, 2**n_sites, 2, 2) stack.
+    tensors gives a (k, 2**n_sites, 2, 2) stack. The strand is built by
+    squaring: the products of 2, 4, 8, ... sites each join a block with
+    itself, and the blocks of the set bits of ``n_sites`` are joined in turn
+    (two sites are one product, four are two, five are three).
     """
-    prods = np.eye(2, dtype=complex)[None, :, :]
-    for _ in range(n_sites):
-        # new site multiplies from the left; its bit is least significant,
-        # so reorder to keep site 1 most significant
-        prods = np.einsum("...uab,...pbc->...puac", a, prods)
-        prods = prods.reshape(prods.shape[:-4] + (-1, 2, 2))
+    if n_sites < 1:
+        raise InvalidArgumentError(f"a strand needs at least one site, got {n_sites}")
+    prods, block = None, a  # block: the products of 2**j sites
+    while n_sites:
+        if n_sites & 1:
+            prods = block if prods is None else _join_strands(prods, block)
+        n_sites >>= 1
+        if n_sites:
+            block = _join_strands(block, block)
     return prods
+
+
+def _join_strands(first, then):
+    """Strand products of ``first`` (more significant, acting first) then ``then``."""
+    out = np.einsum("...qab,...pbc->...pqac", then, first)
+    return out.reshape(out.shape[:-4] + (-1, 2, 2))
 
 
 def cell_matrix(ket, b_bra):
@@ -64,12 +80,16 @@ def cell_eigenvalue_gradient(ket, b_bra, db):
     bra tangents ``db`` (shape (n, 2, 2, 2)).
 
     First-order perturbation theory of a simple eigenvalue,
-    d lambda = <l| dE |r> / <l|r>, with both eigenvectors from one LAPACK call.
-    Raises :class:`NumericFailure` when |<l|r>| of the unit eigenvectors falls
-    below ``MIN_EIGVEC_OVERLAP``: the top eigenvalue is then (nearly) non-simple
-    and its derivative unbounded.
+    d lambda = <l| dE |r> / <l|r>, with both eigenvectors from one direct LAPACK
+    ``geev`` call (the floats of ``scipy.linalg.eig(left=True, right=True)``
+    without its per-call checks). Raises :class:`NumericFailure` when ``geev``
+    does not converge, or when |<l|r>| of the unit eigenvectors falls below
+    ``MIN_EIGVEC_OVERLAP``: the top eigenvalue is then (nearly) non-simple and
+    its derivative unbounded.
     """
-    w, vl, vr = scipy.linalg.eig(cell_matrix(ket, b_bra), left=True, right=True)
+    w, vl, vr, info = _GEEV(cell_matrix(ket, b_bra), lwork=_CELL_LWORK)
+    if info != 0:
+        raise NumericFailure(f"eigensolver of the cell matrix failed (geev info {info})")
     k = int(np.argmax(np.abs(w)))
     left, right = vl[:, k].conj(), vr[:, k]
     overlap = left @ right

@@ -63,6 +63,18 @@ class TestBuildUnitary:
         with pytest.raises(InvalidArgumentError, match="one parameter set"):
             build_unitary(stack, grad=True)
 
+    @pytest.mark.parametrize("magnitude", [1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
+    def test_unitary_and_stack_rows_at_large_angles(self, magnitude):
+        rng = np.random.default_rng(8)
+        angles = magnitude * rng.choice([-1.0, 1.0], (4, 15)) * rng.uniform(1.0, 10.0, (4, 15))
+        stack = AnsatzParams(FULL15, angles)
+        u = build_unitary(stack)
+        assert qcore.is_unitary(u, tol=1e-12)
+        for row, u_row in zip(angles, u):
+            single = build_unitary(AnsatzParams(FULL15, row))
+            assert qcore.is_unitary(single, tol=1e-12)
+            assert np.array_equal(u_row, single)
+
     def test_matches_product_formula_oracle(self):
         # the module docstring's definitions, from rot_gate, kron and expm
         def zxz(first, mid, last):

@@ -249,6 +249,33 @@ class TestDrivers:
         assert len(traj.angles) == len(traj.echoes) == len(traj.costs) == 2
         assert traj.echoes[1] > 0.0
 
+    @pytest.mark.parametrize("solver", ["geev", "eig"])
+    def test_reference_records_an_eigensolver_failure(self, ground, monkeypatch, solver):
+        # LAPACK does not converge from step 2 on: in the cell eigenpairs of the
+        # objective (geev) or in the echo's leading eigenpair (eig); step 1 is kept
+        steps = spy(monkeypatch, transfer, "window_ket")  # one call per step
+        if solver == "geev":
+            real_geev = transfer._GEEV
+
+            def geev(*args, **kwargs):
+                w, vl, vr, info = real_geev(*args, **kwargs)
+                return w, vl, vr, 1 if len(steps) == 2 else info
+
+            monkeypatch.setattr(transfer, "_GEEV", geev)
+        else:
+            real_eig = np.linalg.eig
+
+            def eig(m):
+                if len(steps) == 2:
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                return real_eig(m)
+
+            monkeypatch.setattr(np.linalg, "eig", eig)
+        traj = evolve.evolve_exact_in_ansatz(SHORT, FULL15, "eigen", ground=ground)
+        assert not traj.complete and traj.n_steps == 1
+        assert traj.failure.startswith("NumericFailure")
+        assert traj.echoes[1] > 0.0
+
     def test_eigen_needs_first_order_gates(self, ground):
         spec = replace(SHORT, trotter_order=2)
         with pytest.raises(InvalidArgumentError, match="first-order"):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -107,12 +109,30 @@ class TestStrandProducts:
                     expected = a[s3] @ a[s2] @ a[s1]
                     assert np.max(np.abs(three[4 * s1 + 2 * s2 + s3] - expected)) < 1e-15
 
+    @pytest.mark.parametrize("n_sites", [4, 5])
+    def test_squared_strands_match_explicit_products(self, n_sites):
+        # four sites join two squared blocks; five add a single site to them
+        rng = np.random.default_rng(18)
+        a = tensor_of(random_params(rng))
+        prods = strand_products(a, n_sites)
+        assert prods.shape == (2**n_sites, 2, 2)
+        for index, string in enumerate(itertools.product(range(2), repeat=n_sites)):
+            expected = np.eye(2)
+            for s in string:  # site 1 is the most significant bit and acts first
+                expected = a[s] @ expected
+            assert np.max(np.abs(prods[index] - expected)) < 1e-15
+
+    def test_empty_strand_rejected(self):
+        a = tensor_of(identity_params())
+        with pytest.raises(InvalidArgumentError, match="at least one site"):
+            strand_products(a, 0)
+
     def test_stack_rows_equal_single_tensors(self):
         rng = np.random.default_rng(16)
         stack = tensor_of(AnsatzParams(FULL15, rng.uniform(-np.pi, np.pi, (3, 15))))
         ket = window_ket(stack[0], np.eye(16), 4)
         window = window_overlap_map(ket, stack)
-        for n_sites in (1, 2, 3):
+        for n_sites in (1, 2, 3, 4):
             prods = strand_products(stack, n_sites)
             assert prods.shape == (3, 2**n_sites, 2, 2)
             for row, a in zip(prods, stack):
