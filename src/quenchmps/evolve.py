@@ -330,6 +330,14 @@ def _evolve(spec, ground, solve_step, **labels):
     )
 
 
+def _check_seed(seed):
+    """Reject a run seed that is not a nonnegative integer; a bool is not one."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidArgumentError(
+            f"a run seed must be a nonnegative integer, got {seed!r}"
+        )
+
+
 def evolve_stochastic(
     spec,
     init_scheme,
@@ -348,8 +356,8 @@ def evolve_stochastic(
     budget (extrapolation needs two previous points). Bit-identical for
     identical ``(spec, seed)``: each step draws its init, SPSA and shot
     streams from its own link of one ``SeedSequence`` chain. A cost or echo
-    failure ends the run (see :func:`_evolve`). ``shots_per_eval`` must be a
-    positive integer.
+    failure ends the run (see :func:`_evolve`). ``seed`` must be a
+    nonnegative integer and ``shots_per_eval`` a positive one.
 
     The gate layer is built once per run; each step builds the side of the
     cost fixed by its current state (:func:`_sampled_cost`), and each SPSA
@@ -364,6 +372,7 @@ def evolve_stochastic(
         raise InvalidArgumentError(
             f"shots_per_eval must be a positive integer, got {shots_per_eval!r}"
         )
+    _check_seed(seed)
     if ground is None:
         ground = ground_state_optimize(spec.J, spec.g0, template)
     layer, _ = circuits.evolution_gate_layer(spec)
@@ -498,15 +507,22 @@ def ensemble_run(
     ground=None,
 ):
     """Ensemble of perfect-gate stochastic runs (shot noise only), all
-    started from ``ground`` (solved here when not given)."""
+    started from ``ground`` (solved here when not given).
+
+    ``seeds`` is any iterable of ``n_runs`` distinct run seeds, each a
+    nonnegative integer (default ``range(n_runs)``); bad seeds are rejected
+    with :class:`InvalidArgumentError` before any run starts."""
     if not isinstance(n_runs, numbers.Integral) or n_runs < 2:
         raise InvalidArgumentError(
             f"an ensemble needs an integer number of at least 2 runs, got {n_runs!r}"
         )
-    if seeds is None:
-        seeds = list(range(n_runs))
+    seeds = list(range(n_runs) if seeds is None else seeds)
     if len(seeds) != n_runs:
         raise InvalidArgumentError("need one seed per run")
+    for s in seeds:
+        _check_seed(s)
+    if len(set(seeds)) != n_runs:
+        raise InvalidArgumentError(f"run seeds must be distinct, got {seeds!r}")
     if ground is None:
         ground = ground_state_optimize(spec.J, spec.g0, template)
     runs = [

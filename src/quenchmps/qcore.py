@@ -13,6 +13,8 @@ Conventions fixed project-wide here:
 * All arithmetic is double precision complex.
 """
 
+import functools
+
 import numpy as np
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -43,11 +45,18 @@ class ResourceLimitError(RuntimeError):
     """Raised when a request exceeds the dense-simulation size limits."""
 
 
+@functools.cache
+def _identity(n):
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def is_unitary(m, tol=1e-10):
     """Whether the square matrix ``m``, or every slice of a stack of them,
     satisfies |m^dag m - 1| < ``tol`` entrywise."""
     m = np.asarray(m)
-    return np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max() < tol
+    return np.abs(m.conj().swapaxes(-1, -2) @ m - _identity(m.shape[-1])).max() < tol
 
 
 def is_hermitian(m, tol=1e-12):

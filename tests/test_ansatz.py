@@ -75,6 +75,22 @@ class TestBuildUnitary:
             assert qcore.is_unitary(single, tol=1e-12)
             assert np.array_equal(u_row, single)
 
+    @pytest.mark.parametrize("magnitude", [0.0, 1.0, np.pi, 1e3, 1e8])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_no_gradient_path_equals_gradient_path(self, k, magnitude):
+        # the halving tree without gradients and the prefix scan with them
+        # form U in one bracketing, so they agree bit for bit
+        rng = np.random.default_rng(9)
+        for trial in range(20):
+            signs = rng.choice([-1.0, 1.0], (k, 15))
+            angles = magnitude * (signs if trial == 0 else rng.uniform(-1.0, 1.0, (k, 15)))
+            stack = build_unitary(AnsatzParams(FULL15, angles))
+            for row, u_row in zip(angles, stack):
+                single = AnsatzParams(FULL15, row)
+                u, _ = build_unitary(single, grad=True)
+                assert np.array_equal(build_unitary(single), u)
+                assert np.array_equal(u_row, u)
+
     def test_matches_product_formula_oracle(self):
         # the module docstring's definitions, from rot_gate, kron and expm
         def zxz(first, mid, last):

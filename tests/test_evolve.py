@@ -50,6 +50,34 @@ GOLDEN_SEED3_ANGLES = np.array(
     ]
 )
 
+# accepted angles of evolve_stochastic(replace(SHORT, trotter_order=2),
+# "extrapolate", seed=3) from the ground state GOLDEN_GROUND_ANGLES
+GOLDEN_SEED3_ORDER2_ANGLES = np.array(
+    [
+        [
+            -4.9733081283777991e-01, -1.7372014030428213e+00, 8.5167653177115754e-01,
+            -7.2651256204157766e-01, -1.0629169318414080e+00, -5.3565682374975265e-01,
+            -1.4985312845853950e-02, -3.4617884004578003e-01, -6.8708204377465026e-02,
+            -2.5206055302261970e-01, -1.7591201782270979e-01, 3.6638467339937220e-01,
+            -5.6074819963066258e-01, -1.7591579052526078e+00, 1.6689757022599003e-01,
+        ],
+        [
+            1.7258246557501145e-01, -2.4530299638556539e+00, 9.3894653862852484e-01,
+            -1.9232899300920823e+00, -2.5578638878215421e-01, 7.7337824605039451e-01,
+            4.1780883626279398e-03, -3.8759452674600448e-01, -2.9023384064227686e-01,
+            -6.5049668114544235e-01, 6.2139704173974508e-01, 4.8080559857036620e-01,
+            -1.1996293943143617e+00, -2.7259123325524559e+00, 4.1465367089801297e-01,
+        ],
+        [
+            1.9603097190697625e+00, -1.4069694805572088e+00, -2.4026917301721917e-01,
+            -4.0324023086501537e+00, -1.3669031178427815e-01, -2.8436276265327809e-01,
+            -1.9136550799121270e+00, 7.0309932164446687e-01, -1.3539446509640087e+00,
+            2.6888116581369559e-01, -3.1829046818103812e-01, -5.2258745134059836e-01,
+            -1.3504761229366835e+00, -4.1807012259136798e+00, 2.2188198511069239e+00,
+        ],
+    ]
+)
+
 
 def central_difference(f, x):
     out = []
@@ -368,11 +396,39 @@ class TestDrivers:
             (3, [0, 1], "one seed"),
             (2.0, None, "integer"),
             (2.5, None, "integer"),
+            (2, [3, 3], "distinct"),
+            (3, (s for s in [0, 4, 0]), "distinct"),
+            (2, [0, -1], "nonnegative integer"),
+            (2, [0, 1.5], "nonnegative integer"),
+            (2, [True, 0], "nonnegative integer"),
+            (2, [0, None], "nonnegative integer"),
         ],
     )
-    def test_invalid_ensemble_rejected(self, ground, n_runs, seeds, match):
+    def test_invalid_ensemble_rejected(self, monkeypatch, n_runs, seeds, match):
+        # rejected before the ground state is solved or any run starts
+        for name in ("ground_state_optimize", "evolve_stochastic"):
+            monkeypatch.setattr(evolve, name, self.must_not_run)
         with pytest.raises(InvalidArgumentError, match=match):
-            evolve.ensemble_run(SHORT, "extrapolate", n_runs, seeds=seeds, ground=ground)
+            evolve.ensemble_run(SHORT, "extrapolate", n_runs, seeds=seeds)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, np.bool_(True), None, "3"])
+    def test_invalid_run_seed_rejected(self, monkeypatch, seed):
+        monkeypatch.setattr(evolve, "ground_state_optimize", self.must_not_run)
+        with pytest.raises(InvalidArgumentError, match="nonnegative integer"):
+            evolve.evolve_stochastic(SHORT, "extrapolate", seed=seed)
+
+    @staticmethod
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before its options were checked")
+
+    def test_ensemble_takes_any_iterable_of_seeds(self, ground):
+        spsa = evolve.SpsaSchedule(steps=1)
+        stats = evolve.ensemble_run(
+            SHORT, "copy", 2, seeds=(s for s in (7, np.int64(2))), spsa=spsa, ground=ground
+        )
+        for row, seed in zip(stats.echoes, (7, 2)):
+            run = evolve.evolve_stochastic(SHORT, "copy", spsa=spsa, seed=seed, ground=ground)
+            assert np.array_equal(row, run.echoes)
 
     @pytest.mark.parametrize("shots", [0, -5, 2.5])
     def test_invalid_shot_counts_rejected(self, ground, shots):
@@ -424,6 +480,15 @@ class TestStochastic:
         assert np.array_equal(first.angles[0], golden_ground.angles)
         assert np.max(np.abs(first.angles[1:] - GOLDEN_SEED3_ANGLES)) <= 1e-12
         assert first.cum_shots.tolist() == [0, 98304, 196608, 221184]
+
+    def test_seeded_second_order_run_is_pinned(self, golden_ground):
+        # the 16x16 odd/even window path of the cost circuit
+        spec = replace(SHORT, trotter_order=2)
+        traj = evolve.evolve_stochastic(spec, "extrapolate", seed=3, ground=golden_ground)
+        assert traj.complete and traj.failure is None and traj.n_steps == 3
+        assert np.array_equal(traj.angles[0], golden_ground.angles)
+        assert np.max(np.abs(traj.angles[1:] - GOLDEN_SEED3_ORDER2_ANGLES)) <= 1e-12
+        assert traj.cum_shots.tolist() == [0, 98304, 196608, 221184]
 
     def test_shots_count_two_evaluations_per_spsa_iteration(self, ground, monkeypatch):
         evaluations = patch_step_costs(monkeypatch, fail_after=SHORT.n_steps)
