@@ -28,15 +28,17 @@ The same diagram is contracted exactly in the 2x2 bond-operator algebra
 to 1e-9 is the core correctness gate of the whole artifact. The contraction
 is split by what an optimizer varies. The gate layer depends on the quench
 only (:func:`evolution_gate_layer`). :func:`success_probability_fn` builds
-the side fixed by the current state once per step: the ket side of the
-evolution window K[t] = sum_s <t|L|s> A-prod_s (16 x 2 x 2) and the two
-boundary copies folded into one 2 x 4 map. It returns a function of the
+the side fixed by the current state once per step, from the current state's
+MPS tensor A, which the step loop of :mod:`quenchmps.evolve` builds once per
+accepted state and hands over: the ket side of the evolution window
+K[t] = sum_s <t|L|s> A-prod_s (16 x 2 x 2) and the two boundary copies
+folded into one 2 x 4 map. It returns a function of the
 candidates that builds only their tensors and strand products and does one
 (2 x 32) . (32 x 2) product per candidate. The candidates come as one
 :class:`~quenchmps.ansatz.AnsatzParams` with a (k, n) stack of angles (an
 SPSA +/- pair is k = 2), and the function returns one probability per row,
 each the same float that row gives on its own. :func:`dense_success_probability`
-is that function evaluated on one candidate.
+is that function evaluated on one candidate, from parameters on both sides.
 
 With the candidate equal to the current state and no evolution, every
 prepare/unprepare pair composes to the identity on the bond register via the
@@ -165,10 +167,11 @@ def exact_success_probability(circuit):
     return float(np.sum(np.abs(psi) ** 2))
 
 
-def success_probability_fn(params_t, layer):
+def success_probability_fn(a_t, layer):
     """Exact success probability of the cost diagram as a function of the
-    candidates, for one evolution step with the dense gate layer ``layer``
-    (:func:`evolution_gate_layer`).
+    candidates, for one evolution step from the current state's MPS tensor
+    ``a_t`` (shape (2, 2, 2), built by the caller) with the dense gate layer
+    ``layer`` (:func:`evolution_gate_layer`).
 
     Everything fixed by the current state is built here, once: the window's
     ket side K[t] (:func:`transfer.window_ket` of the gate layer on the
@@ -181,11 +184,10 @@ def success_probability_fn(params_t, layer):
     stack and returns a probability of shape () or (k,). Independent of the
     statevector route.
     """
-    a = tensor_of(params_t)
-    ket = transfer.window_ket(a, layer, 2 * POWER_METHOD_ORDER)
+    ket = transfer.window_ket(a_t, layer, 2 * POWER_METHOD_ORDER)
     copies = np.eye(4, dtype=complex).reshape(4, 2, 2)  # the unit bond operators
     for _ in range(2):
-        copies = transfer.site_overlap_map(copies, a, a)
+        copies = transfer.site_overlap_map(copies, a_t, a_t)
     boundary = copies[:, :, 0].T  # (2, 4): vec(M) -> column 0 of the copies' output
 
     def success_probability(candidates):
@@ -204,5 +206,5 @@ def dense_success_probability(params_t, params_candidate, spec, dt=None):
     the initial bond state |0> (:func:`success_probability_fn` on one
     candidate)."""
     layer, _ = evolution_gate_layer(spec, dt)
-    success_probability = success_probability_fn(params_t, layer)
+    success_probability = success_probability_fn(tensor_of(params_t), layer)
     return float(success_probability(params_candidate))

@@ -8,21 +8,26 @@ the evolution then runs the same loop (:func:`_evolve`):
 
     extrapolate: seed from the previous step, linearly from the two
                  previous steps once there are two
-      -> correct: the driver's step solver moves the seed
-      -> accept:  record the echo against the ground state, unwrap the
-                  angles, add up the shots.
+      -> correct: the driver's step solver moves the seed from the current
+                  state's MPS tensor
+      -> accept:  unwrap the angles, build their tensor once, record the
+                  echo against the ground state from it, add up the shots.
 
-Only the correction differs between the drivers. The deterministic reference
+The accepted state's tensor is built once, from the stored (unwrapped)
+angles, and serves both its echo and the next step's current state. Only
+the correction differs between the drivers. The deterministic reference
 (:func:`evolve_exact_in_ansatz`) corrects with one BFGS solve of the dense
 step objective. The sampled experiment (:func:`evolve_stochastic`) corrects
 with a few SPSA iterations on the measured cost 1 - p_hat, so the circuit
 acts as a stochastic correction on top of the classical extrapolation;
-every SPSA iteration spends exactly two cost evaluations. A step that raises
+every SPSA iteration spends exactly two cost evaluations. Its step n draws
+stream i (0 init, 1 SPSA, 2 shots) from
+``SeedSequence(seed, spawn_key=(3,) * (n - 1) + (i,))``, built when the step
+runs (:func:`_step_stream`). A step that raises
 :class:`NumericFailure` or :class:`InvalidArgumentError` ends either run the
 same way: the trajectory is truncated before it and ``failure`` names it.
 """
 
-import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -31,7 +36,7 @@ from scipy.optimize import minimize
 
 from . import circuits, tfim, transfer
 from .ansatz import FULL15, N_ANGLES, AnsatzParams, tensor_of
-from .qcore import InvalidArgumentError, NumericFailure
+from .qcore import InvalidArgumentError, NumericFailure, is_count
 
 INIT_SCHEMES = ("random", "copy", "extrapolate")
 # BFGS gradient-norm tolerance of a reference step and the ground state; above the
@@ -41,6 +46,7 @@ GROUND_GAP_TOL = 1e-6  # least 1 - |lambda_2| of an accepted ground state
 GROUND_GRAD_TOL = 1e-6  # largest energy gradient component of an accepted ground state
 BOOTSTRAP_FACTOR = 4  # SPSA budget multiplier while extrapolation lacks history
 _PLUS_MINUS = np.array([[1.0], [-1.0]])  # rows of an SPSA pair x +/- c_k delta
+INIT_STREAM, SPSA_STREAM, SHOT_STREAM = 0, 1, 2  # a stochastic step's streams
 
 
 @dataclass(frozen=True)
@@ -50,8 +56,8 @@ class SpsaSchedule:
     ``a = None`` calibrates the step scale from the first gradient estimate
     so the first update moves at most 0.1 rad per angle; a given ``a`` must
     be positive. ``A = None`` takes 10% of the iterations; a given ``A``
-    must be nonnegative. ``steps`` is a nonnegative integer, and every gain
-    must be finite.
+    must be nonnegative. ``steps`` is a nonnegative integer (not a bool),
+    and every gain must be finite.
     """
 
     steps: int = 6
@@ -66,7 +72,7 @@ class SpsaSchedule:
             raise InvalidArgumentError("alpha must lie in (0.5, 1]")
         if not 0.0 < self.gamma <= 0.5:
             raise InvalidArgumentError("gamma must lie in (0, 0.5]")
-        if not isinstance(self.steps, numbers.Integral) or self.steps < 0:
+        if not is_count(self.steps) or self.steps < 0:
             raise InvalidArgumentError(
                 f"steps must be a nonnegative integer, got {self.steps!r}"
             )
@@ -257,24 +263,25 @@ def spsa_optimize(cost, seed_params, schedule, rng_seed):
     return seed_params.replace_angles(x), history
 
 
-def _sampled_cost(params_t, layer, shots_per_eval, seed_sequence):
-    """Stochastic cost oracle 1 - p_hat for one evolution step with the
-    dense gate layer ``layer``.
+def _sampled_cost(a_t, layer, shots_per_eval, seed_sequence):
+    """Stochastic cost oracle 1 - p_hat for one evolution step from the
+    current state's MPS tensor ``a_t`` with the dense gate layer ``layer``.
 
-    The side of the cost diagram fixed by the current state (current tensor,
-    ket window, boundary copies) is built once per step, by
+    ``a_t`` is the tensor that :func:`_evolve` built when it accepted the
+    current state; the side of the cost diagram it fixes (ket window,
+    boundary copies) is built from it once per step, by
     :func:`circuits.success_probability_fn`. The oracle takes a (k, n) stack
     of candidate angles, builds their tensors and contracts them against that
     side in one pass, and returns k costs. The exact probabilities equal the
     statevector circuit to machine precision (the equivalence is enforced by
     the acceptance suite) and are sampled with one binomial draw per row, in
-    row order.
+    row order, from ``seed_sequence`` (the step's shot stream).
     """
     rng = np.random.default_rng(seed_sequence)
-    success_probability = circuits.success_probability_fn(params_t, layer)
+    success_probability = circuits.success_probability_fn(a_t, layer)
 
     def cost(xs):
-        p_exact = success_probability(AnsatzParams(params_t.template, xs))
+        p_exact = success_probability(AnsatzParams(FULL15, xs))
         return [
             1.0 - rng.binomial(shots_per_eval, min(max(p, 0.0), 1.0)) / shots_per_eval
             for p in p_exact.tolist()
@@ -287,13 +294,17 @@ def _evolve(spec, ground, solve_step, **labels):
     """The step loop of both drivers, from ``ground`` over ``spec.times``.
 
     Step n starts from step n - 1, or from ``extrapolate`` of steps n - 2 and
-    n - 1 once n >= 3; ``solve_step(n, prev, seed_params)`` corrects it and
-    returns ``(accepted, cost, shots)``. The echo is taken against the ground
-    tensor, built once, and the angles are unwrapped toward step n - 1. A
-    solve or echo that raises :class:`NumericFailure` or
-    :class:`InvalidArgumentError` truncates the run before step n, with
-    ``failure = "<type>: <message>"``. ``labels`` fill the other fields of
-    the :class:`Trajectory`.
+    n - 1 once n >= 3; ``solve_step(n, prev, a_prev, seed_params)`` corrects
+    it from the previous state ``prev`` and its MPS tensor ``a_prev``, and
+    returns ``(accepted, cost, shots)``. The accepted angles are unwrapped
+    toward step n - 1 and stored, and their tensor is built once: the echo is
+    taken from it against the ground tensor, and it is step n + 1's
+    ``a_prev``. A 2*pi shift of an angle flips the unitary's sign, which no
+    echo observes, so the echo of the stored angles is that of the accepted
+    ones up to rounding. A solve, tensor or echo that raises
+    :class:`NumericFailure` or :class:`InvalidArgumentError` truncates the
+    run before step n, with ``failure = "<type>: <message>"``. ``labels``
+    fill the other fields of the :class:`Trajectory`.
     """
     times = spec.times
     angles = np.zeros((len(times), len(ground.angles)))
@@ -301,7 +312,7 @@ def _evolve(spec, ground, solve_step, **labels):
     echoes = np.zeros(len(times))
     costs = np.zeros(len(times))
     cum_shots = np.zeros(len(times), dtype=np.int64)
-    a_0 = tensor_of(ground)
+    a_0 = a_prev = tensor_of(ground)
     end, failure = len(times), None
     for step in range(1, len(times)):
         prev = AnsatzParams(ground.template, angles[step - 1])
@@ -309,12 +320,13 @@ def _evolve(spec, ground, solve_step, **labels):
             AnsatzParams(ground.template, angles[step - 2]), prev
         )
         try:
-            accepted, cost, shots = solve_step(step, prev, seed_params)
-            echoes[step] = _echo_of_tensors(a_0, tensor_of(accepted))
+            accepted, cost, shots = solve_step(step, prev, a_prev, seed_params)
+            angles[step] = unwrap_toward(angles[step - 1], accepted.angles)
+            a_prev = tensor_of(AnsatzParams(ground.template, angles[step]))
+            echoes[step] = _echo_of_tensors(a_0, a_prev)
         except (NumericFailure, InvalidArgumentError) as exc:
             end, failure = step, f"{type(exc).__name__}: {exc}"
             break
-        angles[step] = unwrap_toward(angles[step - 1], accepted.angles)
         costs[step] = cost
         cum_shots[step] = cum_shots[step - 1] + shots
     return Trajectory(
@@ -332,10 +344,37 @@ def _evolve(spec, ground, solve_step, **labels):
 
 def _check_seed(seed):
     """Reject a run seed that is not a nonnegative integer; a bool is not one."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+    if not is_count(seed) or seed < 0:
         raise InvalidArgumentError(
             f"a run seed must be a nonnegative integer, got {seed!r}"
         )
+
+
+def _check_start(template, ground):
+    """Reject an unknown ``template`` and a given ``ground`` that holds a
+    stack of angles, before anything is solved or stepped. A ``ground`` is always
+    of a known template, so with ``FULL15`` the only one, a ``template``
+    that differs from it is an unknown one."""
+    if template not in N_ANGLES:
+        raise InvalidArgumentError(f"unknown template {template!r}")
+    if ground is not None and ground.angles.ndim != 1:
+        raise InvalidArgumentError(
+            f"ground state must be one parameter set, got angles of shape "
+            f"{ground.angles.shape}"
+        )
+
+
+def _step_stream(seed, step, stream):
+    """Seed sequence of stream ``stream`` (``INIT_STREAM``, ``SPSA_STREAM``
+    or ``SHOT_STREAM``) of step ``step`` >= 1 of the stochastic run ``seed``.
+
+    The key is the one a spawn chain gives it: link 1 is
+    ``SeedSequence(seed)``, step n takes children 0, 1 and 2 of link n as its
+    streams (``link.spawn(3)``), and link n + 1 is the next child, 3
+    (``link.spawn(1)[0]``), so link n has key (3,) * (n - 1). Built from the
+    key alone, a stream costs one ``SeedSequence``, only when its step runs.
+    """
+    return np.random.SeedSequence(seed, spawn_key=(3,) * (step - 1) + (stream,))
 
 
 def evolve_stochastic(
@@ -353,45 +392,52 @@ def evolve_stochastic(
     ("extrapolate" keeps the loop's seed, "copy" takes the previous step,
     "random" draws uniform angles), run SPSA on the sampled cost, accept the
     final iterate. The first two steps use a ``BOOTSTRAP_FACTOR`` larger SPSA
-    budget (extrapolation needs two previous points). Bit-identical for
-    identical ``(spec, seed)``: each step draws its init, SPSA and shot
-    streams from its own link of one ``SeedSequence`` chain. A cost or echo
-    failure ends the run (see :func:`_evolve`). ``seed`` must be a
-    nonnegative integer and ``shots_per_eval`` a positive one.
+    budget (extrapolation needs two previous points); both schedules are
+    built once per run. Bit-identical for identical ``(spec, seed)``: step n
+    draws its init, SPSA and shot streams from
+    ``SeedSequence(seed, spawn_key=(3,) * (n - 1) + (i,))`` with i = 0, 1, 2
+    (:func:`_step_stream`), the keys of one ``SeedSequence`` spawn chain,
+    each built when its step runs; the init stream only for "random". A cost
+    or echo failure ends the run (see :func:`_evolve`).
 
     The gate layer is built once per run; each step builds the side of the
-    cost fixed by its current state (:func:`_sampled_cost`), and each SPSA
-    iteration evaluates its +/- pair as one stacked call.
+    cost fixed by its current state from the tensor that :func:`_evolve`
+    hands over (:func:`_sampled_cost`), and each SPSA iteration evaluates
+    its +/- pair as one stacked call.
 
-    ``template`` must be ``FULL15``, the only template; any other name is
-    rejected with :class:`InvalidArgumentError`.
+    ``seed`` must be a nonnegative integer and ``shots_per_eval`` a positive
+    one; a bool is neither. ``template`` must be ``FULL15``, the only
+    template, and a given ``ground`` one parameter set of it. Each of these
+    is checked before the ground state is solved, with
+    :class:`InvalidArgumentError`.
     """
     if init_scheme not in INIT_SCHEMES:
         raise InvalidArgumentError(f"unknown init scheme {init_scheme!r}")
-    if not isinstance(shots_per_eval, numbers.Integral) or shots_per_eval < 1:
+    if not is_count(shots_per_eval) or shots_per_eval < 1:
         raise InvalidArgumentError(
             f"shots_per_eval must be a positive integer, got {shots_per_eval!r}"
         )
     _check_seed(seed)
+    _check_start(template, ground)
     if ground is None:
         ground = ground_state_optimize(spec.J, spec.g0, template)
     layer, _ = circuits.evolution_gate_layer(spec)
-    link, step_seeds = np.random.SeedSequence(seed), []
-    for _ in range(spec.n_steps):
-        step_seeds.append(link.spawn(3))  # (init, spsa, shot)
-        link = link.spawn(1)[0]
+    bootstrap = replace(spsa, steps=spsa.steps * BOOTSTRAP_FACTOR)
 
-    def solve_step(step, prev, seed_params):
-        init_seed, spsa_seed, shot_seed = step_seeds[step - 1]
+    def solve_step(step, prev, a_prev, seed_params):
         if init_scheme == "random":
-            x0 = np.random.default_rng(init_seed).uniform(-np.pi, np.pi, len(prev.angles))
+            rng = np.random.default_rng(_step_stream(seed, step, INIT_STREAM))
+            x0 = rng.uniform(-np.pi, np.pi, len(prev.angles))
             seed_params = prev.replace_angles(x0)
         elif init_scheme == "copy":
             seed_params = prev
-        budget = spsa.steps * (BOOTSTRAP_FACTOR if step <= 2 else 1)
-        schedule = replace(spsa, steps=budget)
-        cost = _sampled_cost(prev, layer, shots_per_eval, shot_seed)
-        accepted, history = spsa_optimize(cost, seed_params, schedule, spsa_seed)
+        schedule = bootstrap if step <= 2 else spsa
+        cost = _sampled_cost(
+            a_prev, layer, shots_per_eval, _step_stream(seed, step, SHOT_STREAM)
+        )
+        accepted, history = spsa_optimize(
+            cost, seed_params, schedule, _step_stream(seed, step, SPSA_STREAM)
+        )
         # two cost evaluations per SPSA iteration
         shots = 2 * schedule.steps * shots_per_eval
         return accepted, history[-1] if history else np.nan, shots
@@ -402,26 +448,27 @@ def evolve_stochastic(
     )
 
 
-def _step_objective(params_t, gate, cost_mode):
+def _step_objective(a_t, gate, cost_mode):
     """Objective of one reference step and its ``jac`` argument for
     ``minimize``: ``True`` when the objective returns its exact gradient,
     ``None`` for a finite-difference gradient. ``gate`` is the run's
     evolution gate (see :func:`evolve_exact_in_ansatz`); the side fixed by
-    the current state ``params_t`` is built here, so each evaluation builds
-    only the candidate."""
+    the current state is built here from its MPS tensor ``a_t`` (built once
+    per accepted state by :func:`_evolve`), so each evaluation builds only
+    the candidate."""
     if cost_mode == "eigen":
-        ket = transfer.window_ket(tensor_of(params_t), gate, 2)
+        ket = transfer.window_ket(a_t, gate, 2)
 
         def objective(x):
-            b, db = tensor_of(AnsatzParams(params_t.template, x), grad=True)
+            b, db = tensor_of(AnsatzParams(FULL15, x), grad=True)
             lam, dlam = transfer.cell_eigenvalue_gradient(ket, b, db)
             return -abs(lam), -np.real(np.conj(lam) * dlam) / abs(lam)
 
         return objective, True
-    success_probability = circuits.success_probability_fn(params_t, gate)
+    success_probability = circuits.success_probability_fn(a_t, gate)
 
     def objective(x):
-        return -float(success_probability(AnsatzParams(params_t.template, x)))
+        return -float(success_probability(AnsatzParams(FULL15, x)))
 
     return objective, None
 
@@ -445,7 +492,12 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
     :class:`NumericFailure` or :class:`InvalidArgumentError`, or on which
     BFGS returns non-finite angles, ends the run (see :func:`_evolve`); the
     latter's ``failure`` names the step and the optimizer's message.
+
+    An unknown ``template``, or a given ``ground`` of another template or
+    holding a stack of angles, is rejected with :class:`InvalidArgumentError`
+    before any solve.
     """
+    _check_start(template, ground)
     if cost_mode == "eigen":
         if spec.trotter_order != 1:
             raise InvalidArgumentError("eigen needs first-order Trotter gates")
@@ -457,8 +509,8 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
     if ground is None:
         ground = ground_state_optimize(spec.J, spec.g0, template)
 
-    def solve_step(step, prev, seed_params):
-        objective, jac = _step_objective(prev, gate, cost_mode)
+    def solve_step(step, prev, a_prev, seed_params):
+        objective, jac = _step_objective(a_prev, gate, cost_mode)
         res = minimize(
             objective, seed_params.angles, method="BFGS", jac=jac, options={"gtol": GTOL}
         )
@@ -510,9 +562,10 @@ def ensemble_run(
     started from ``ground`` (solved here when not given).
 
     ``seeds`` is any iterable of ``n_runs`` distinct run seeds, each a
-    nonnegative integer (default ``range(n_runs)``); bad seeds are rejected
-    with :class:`InvalidArgumentError` before any run starts."""
-    if not isinstance(n_runs, numbers.Integral) or n_runs < 2:
+    nonnegative integer (default ``range(n_runs)``); bad seeds, an unknown
+    ``template`` and a ``ground`` that :func:`evolve_stochastic` would reject
+    are rejected with :class:`InvalidArgumentError` before any run starts."""
+    if not is_count(n_runs) or n_runs < 2:
         raise InvalidArgumentError(
             f"an ensemble needs an integer number of at least 2 runs, got {n_runs!r}"
         )
@@ -523,6 +576,7 @@ def ensemble_run(
         _check_seed(s)
     if len(set(seeds)) != n_runs:
         raise InvalidArgumentError(f"run seeds must be distinct, got {seeds!r}")
+    _check_start(template, ground)
     if ground is None:
         ground = ground_state_optimize(spec.J, spec.g0, template)
     runs = [

@@ -14,6 +14,7 @@ Conventions fixed project-wide here:
 """
 
 import functools
+import numbers
 
 import numpy as np
 
@@ -43,6 +44,12 @@ class NumericFailure(RuntimeError):
 
 class ResourceLimitError(RuntimeError):
     """Raised when a request exceeds the dense-simulation size limits."""
+
+
+def is_count(value):
+    """Whether ``value`` is an integer and not a bool: Python and NumPy
+    integers count, ``True`` and ``numpy.True_`` do not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @functools.cache

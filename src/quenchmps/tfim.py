@@ -66,8 +66,10 @@ class QuenchSpec:
             raise InvalidArgumentError("time step dt must be positive")
         if self.t_max < self.dt:
             raise InvalidArgumentError("t_max must be at least one time step")
-        if self.trotter_order not in (1, 2):
-            raise InvalidArgumentError("trotter_order must be 1 or 2")
+        if not qcore.is_count(self.trotter_order) or self.trotter_order not in (1, 2):
+            raise InvalidArgumentError(
+                f"trotter_order must be the integer 1 or 2, got {self.trotter_order!r}"
+            )
 
     @property
     def n_steps(self):

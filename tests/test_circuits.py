@@ -150,7 +150,7 @@ class TestCircuitDenseEquivalence:
         layer, _ = circuits.evolution_gate_layer(spec, dt)
         # one per-step function serves every candidate, and a (k, 15) stack
         # of candidates gives each row's own probability exactly
-        p_dense = success_probability_fn(current, layer)
+        p_dense = success_probability_fn(ansatz.tensor_of(current), layer)
         p_stack = p_dense(stack)
         assert p_stack.shape == (len(candidates),)
         assert np.array_equal(p_stack, [p_dense(pb) for pb in candidates])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from quenchmps import circuits, evolve, tfim, transfer
+from quenchmps import ansatz, circuits, evolve, tfim, transfer
 from quenchmps.ansatz import FULL15, AnsatzParams, build_unitary, tensor_of
 from quenchmps.qcore import InvalidArgumentError, NumericFailure
 
@@ -78,6 +78,34 @@ GOLDEN_SEED3_ORDER2_ANGLES = np.array(
     ]
 )
 
+# accepted angles of evolve_stochastic(SHORT, "random", spsa=SpsaSchedule(steps=1),
+# seed=5) from the ground state GOLDEN_GROUND_ANGLES
+GOLDEN_SEED5_RANDOM_ANGLES = np.array(
+    [
+        [
+            -2.0397704935810312e-01, 1.1886166342484090e+00, 3.5787149209019367e+00,
+            -2.9741277019969843e+00, -2.2522608696830666e+00, 8.1311156969265164e-01,
+            -2.2237306698493775e+00, -1.2694372411107429e+00, -9.4356035274940769e-03,
+            -2.6316490226581033e+00, -5.2996295271873328e-01, 2.5504940349547516e+00,
+            -6.5823550858919799e-01, -2.2369687125240985e+00, -2.9022698955183479e+00,
+        ],
+        [
+            1.5312335676102919e+00, -1.4053141324458034e+00, 4.0731194780505522e+00,
+            -3.5998998114739602e+00, -4.2243551954710199e+00, -1.7620684655655211e-01,
+            -3.3847307956015444e+00, 1.6453710562616455e+00, 1.9768830928578907e+00,
+            -3.9740761379393965e+00, 1.9875227609830088e+00, 1.4471885905582682e+00,
+            -3.3011689089893053e+00, -1.8357486465723403e+00, -1.8113086311434898e+00,
+        ],
+        [
+            2.9610861784803340e+00, -2.7798887669685919e+00, 5.1967083470143098e+00,
+            -2.3336958535601089e+00, -1.1262449778974113e+00, -1.3622626703358254e+00,
+            -1.1540947241301724e+00, 4.2091610935851040e+00, 1.8667233004331156e+00,
+            -5.7372999775283695e+00, -4.2192500938159794e-01, 2.4698382315726133e+00,
+            -1.6327006628236205e+00, -2.1098145396936565e+00, -1.8976680922949853e+00,
+        ],
+    ]
+)
+
 
 def central_difference(f, x):
     out = []
@@ -113,6 +141,12 @@ def spy(monkeypatch, owner, name):
     return calls
 
 
+def no_grad_build_shapes(calls):
+    """Angle shapes of the ``ansatz.build_unitary`` calls recorded by
+    :func:`spy` that built no gradient (a gradient build returns a pair)."""
+    return [args[0].angles.shape for args, u in calls if not isinstance(u, tuple)]
+
+
 class TestGradients:
     def test_unitary_derivative_matches_central_differences(self):
         rng = np.random.default_rng(0)
@@ -129,7 +163,7 @@ class TestGradients:
         gate = tfim.trotter_gate_first_order(spec.J, spec.g1, spec.dt)
         for _ in range(5):
             current = AnsatzParams(FULL15, rng.uniform(-np.pi, np.pi, 15))
-            objective, jac = evolve._step_objective(current, gate, "eigen")
+            objective, jac = evolve._step_objective(tensor_of(current), gate, "eigen")
             assert jac is True
             x = current.angles + 0.1 * rng.standard_normal(15)
             _, grad = objective(x)
@@ -155,7 +189,7 @@ class TestGradients:
         x = current.angles + 0.3 * rng.standard_normal(15)
         cand = AnsatzParams(FULL15, x)
         layer, _ = circuits.evolution_gate_layer(spec)
-        lt, jac = evolve._step_objective(current, layer, "circuit_lt")
+        lt, jac = evolve._step_objective(tensor_of(current), layer, "circuit_lt")
         assert jac is None
         assert lt(x) == -circuits.dense_success_probability(current, cand, spec)
 
@@ -336,6 +370,16 @@ class TestDrivers:
         assert traj.complete and traj.n_steps == SHORT.n_steps
         assert len(gates) == 1
 
+    def test_reference_builds_one_tensor_per_accepted_state(
+        self, golden_ground, monkeypatch
+    ):
+        # the ground state's and each accepted state's, each serving its echo
+        # and the next step's current state; candidates build with gradients
+        calls = spy(monkeypatch, ansatz, "build_unitary")
+        traj = evolve.evolve_exact_in_ansatz(SHORT, FULL15, "eigen", ground=golden_ground)
+        assert traj.complete
+        assert no_grad_build_shapes(calls) == [(15,)] * (SHORT.n_steps + 1)
+
     @pytest.mark.parametrize("J, g", [(np.nan, 1.5), (1.0, np.nan), (1.0, np.inf)])
     def test_non_finite_ground_field_rejected(self, J, g):
         with pytest.raises(InvalidArgumentError, match="must be finite"):
@@ -374,6 +418,7 @@ class TestDrivers:
             {"c": np.inf},
             {"steps": 2.5},
             {"steps": -1},
+            {"steps": True},
             {"A": np.inf},
             {"alpha": 0.5},
             {"alpha": 1.5},
@@ -421,6 +466,38 @@ class TestDrivers:
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran before its options were checked")
 
+    @pytest.mark.parametrize("entry", ["stochastic", "reference", "ensemble"])
+    @pytest.mark.parametrize(
+        "template, stacked, match",
+        [
+            ("Bogus", False, "unknown template"),
+            ("Reduced8", True, "unknown template"),
+            (FULL15, True, "one parameter set"),
+        ],
+    )
+    def test_bad_template_or_ground_rejected(
+        self, golden_ground, monkeypatch, entry, template, stacked, match
+    ):
+        # rejected before the ground state is solved or any step runs
+        for name in ("ground_state_optimize", "_evolve"):
+            monkeypatch.setattr(evolve, name, self.must_not_run)
+        ground = golden_ground
+        if stacked:
+            ground = ground.replace_angles(np.tile(ground.angles, (2, 1)))
+        run = {
+            "stochastic": lambda: evolve.evolve_stochastic(
+                SHORT, "extrapolate", template=template, ground=ground
+            ),
+            "reference": lambda: evolve.evolve_exact_in_ansatz(
+                SHORT, template, ground=ground
+            ),
+            "ensemble": lambda: evolve.ensemble_run(
+                SHORT, "extrapolate", 2, template=template, ground=ground
+            ),
+        }[entry]
+        with pytest.raises(InvalidArgumentError, match=match):
+            run()
+
     def test_ensemble_takes_any_iterable_of_seeds(self, ground):
         spsa = evolve.SpsaSchedule(steps=1)
         stats = evolve.ensemble_run(
@@ -430,7 +507,7 @@ class TestDrivers:
             run = evolve.evolve_stochastic(SHORT, "copy", spsa=spsa, seed=seed, ground=ground)
             assert np.array_equal(row, run.echoes)
 
-    @pytest.mark.parametrize("shots", [0, -5, 2.5])
+    @pytest.mark.parametrize("shots", [0, -5, 2.5, True])
     def test_invalid_shot_counts_rejected(self, ground, shots):
         with pytest.raises(InvalidArgumentError, match="shots_per_eval"):
             evolve.evolve_stochastic(
@@ -489,6 +566,40 @@ class TestStochastic:
         assert np.array_equal(traj.angles[0], golden_ground.angles)
         assert np.max(np.abs(traj.angles[1:] - GOLDEN_SEED3_ORDER2_ANGLES)) <= 1e-12
         assert traj.cum_shots.tolist() == [0, 98304, 196608, 221184]
+
+    def test_seeded_random_init_run_is_pinned(self, golden_ground):
+        # the init stream: "random" draws each step's seed angles from it
+        spsa = evolve.SpsaSchedule(steps=1)
+        traj = evolve.evolve_stochastic(
+            SHORT, "random", spsa=spsa, seed=5, ground=golden_ground
+        )
+        assert traj.complete and traj.n_steps == 3
+        assert np.array_equal(traj.angles[0], golden_ground.angles)
+        assert np.max(np.abs(traj.angles[1:] - GOLDEN_SEED5_RANDOM_ANGLES)) <= 1e-12
+        assert traj.cum_shots.tolist() == [0, 16384, 32768, 36864]
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**40])
+    def test_step_streams_are_the_spawn_chain(self, seed):
+        # each step takes three children of its link, and the next link is
+        # the fourth child
+        link = np.random.SeedSequence(seed)
+        streams = (evolve.INIT_STREAM, evolve.SPSA_STREAM, evolve.SHOT_STREAM)
+        for step in range(1, 31):
+            for stream, child in zip(streams, link.spawn(3)):
+                on_demand = evolve._step_stream(seed, step, stream)
+                assert np.array_equal(on_demand.generate_state(4), child.generate_state(4))
+            link = link.spawn(1)[0]
+
+    def test_one_tensor_per_accepted_state(self, golden_ground, monkeypatch):
+        # single builds: the ground state's and each accepted state's; every
+        # other build is an SPSA +/- candidate pair
+        calls = spy(monkeypatch, ansatz, "build_unitary")
+        traj = evolve.evolve_stochastic(SHORT, "extrapolate", seed=3, ground=golden_ground)
+        assert traj.complete
+        builds = no_grad_build_shapes(calls)
+        assert len(builds) == len(calls)
+        assert builds.count((15,)) == SHORT.n_steps + 1
+        assert builds.count((2, 15)) == len(builds) - (SHORT.n_steps + 1) == 4 * 6 * 2 + 6
 
     def test_shots_count_two_evaluations_per_spsa_iteration(self, ground, monkeypatch):
         evaluations = patch_step_costs(monkeypatch, fail_after=SHORT.n_steps)
@@ -566,7 +677,7 @@ def pair_with_mid_probability():
     current = AnsatzParams(FULL15, 0.8 * rng.standard_normal(15))
     candidate = current.replace_angles(current.angles + 0.25 * rng.standard_normal(15))
     layer, _ = circuits.evolution_gate_layer(tfim.REFERENCE_QUENCH)
-    p = float(circuits.success_probability_fn(current, layer)(candidate))
+    p = float(circuits.success_probability_fn(tensor_of(current), layer)(candidate))
     assert 0.05 < p < 0.95
     return current, candidate, layer, p
 
@@ -578,7 +689,7 @@ class TestSampledCost:
         stack = np.tile(current.angles, (4, 1))
         for shots in (1, 2048):
             cost = evolve._sampled_cost(
-                current, np.eye(16), shots, np.random.SeedSequence(0)
+                tensor_of(current), np.eye(16), shots, np.random.SeedSequence(0)
             )
             assert cost(stack) == [0.0] * 4
 
@@ -588,7 +699,7 @@ class TestSampledCost:
 
         def draws(seed, shots=64):
             seedseq = np.random.SeedSequence(seed)
-            return evolve._sampled_cost(current, layer, shots, seedseq)(stack)
+            return evolve._sampled_cost(tensor_of(current), layer, shots, seedseq)(stack)
 
         assert draws(1) == draws(1)
         assert draws(1) != draws(2)
@@ -599,18 +710,20 @@ class TestSampledCost:
         # one binomial draw per row, in row order, from the step's own stream
         current, candidate, layer, _ = pair_with_mid_probability()
         xs = np.array([candidate.angles, current.angles, 0.5 * candidate.angles])
-        p_rows = circuits.success_probability_fn(current, layer)(
+        p_rows = circuits.success_probability_fn(tensor_of(current), layer)(
             AnsatzParams(FULL15, xs)
         )
         seedseq = np.random.SeedSequence(11)
         rng = np.random.default_rng(seedseq)
         expected = [1.0 - rng.binomial(100, min(p, 1.0)) / 100 for p in p_rows]
-        assert evolve._sampled_cost(current, layer, 100, seedseq)(xs) == expected
+        assert evolve._sampled_cost(tensor_of(current), layer, 100, seedseq)(xs) == expected
 
     def test_estimator_unbiased(self):
         current, candidate, layer, p = pair_with_mid_probability()
         n_draws, shots = 400, 256
-        cost = evolve._sampled_cost(current, layer, shots, np.random.SeedSequence(3))
+        cost = evolve._sampled_cost(
+            tensor_of(current), layer, shots, np.random.SeedSequence(3)
+        )
         p_hat = 1.0 - np.mean(cost(np.tile(candidate.angles, (n_draws, 1))))
         sigma = np.sqrt(p * (1 - p) / (shots * n_draws))
         assert abs(p_hat - p) < 4 * sigma
@@ -620,7 +733,7 @@ class TestSampledCost:
         stack = np.tile(candidate.angles, (400, 1))
         for shots in (16, 1024):
             cost = evolve._sampled_cost(
-                current, layer, shots, np.random.SeedSequence(shots)
+                tensor_of(current), layer, shots, np.random.SeedSequence(shots)
             )
             rms = np.sqrt(np.mean((1.0 - np.array(cost(stack)) - p) ** 2))
             expected = np.sqrt(p * (1 - p) / shots)

@@ -44,6 +44,9 @@ class TestQuenchSpec:
             QuenchSpec(t_max=0.05)
         with pytest.raises(InvalidArgumentError):
             QuenchSpec(trotter_order=3)
+        for order in (True, np.True_):  # a bool is not an order
+            with pytest.raises(InvalidArgumentError, match="trotter_order"):
+                QuenchSpec(trotter_order=order)
 
     @pytest.mark.parametrize("name", ["J", "g0", "g1", "t_max"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
