@@ -43,8 +43,11 @@ is that function evaluated on one candidate, from parameters on both sides.
 With the candidate equal to the current state and no evolution, every
 prepare/unprepare pair composes to the identity on the bond register via the
 left-isometry of the tensors, so the success probability is exactly 1. The
-stochastic driver samples the cost 1 - p_hat, with p_hat a binomial
-shot-noise estimate of this probability (:mod:`quenchmps.evolve`).
+evolution is always one step ``spec.dt``; a check without evolution gives
+:func:`success_probability_fn` the identity layer, or drops the gates that do
+not touch qubit 0 from the circuit. The stochastic driver samples the cost
+1 - p_hat, with p_hat a binomial shot-noise estimate of this probability
+(:mod:`quenchmps.evolve`).
 """
 
 from dataclasses import dataclass, field
@@ -74,19 +77,14 @@ class CostCircuit:
     measured_qubits: tuple
 
 
-def evolution_gate_layer(spec, dt=None):
-    """Dense gate layer on the four evolution sites of the cost window.
-
-    ``dt = 0`` yields the identity layer (useful for overlap-only checks).
-    """
-    if dt is None:
-        dt = spec.dt
-    if dt == 0.0:
-        return np.eye(16, dtype=complex), []
+def evolution_gate_layer(spec):
+    """Dense gate layer on the four evolution sites of the cost window, one
+    Trotter step ``spec.dt`` of ``spec``'s order, and the placed gates as
+    ``(name, gate, (lo, hi))``."""
     if spec.trotter_order == 1:
-        g = tfim.trotter_gate_first_order(spec.J, spec.g1, dt)
+        g = tfim.trotter_gate_first_order(spec.J, spec.g1, spec.dt)
         return np.kron(g, g), [("G", g, (0, 1)), ("G", g, (2, 3))]
-    w_o, w_e = tfim.trotter_gates_second_order(spec.J, spec.g1, dt)
+    w_o, w_e = tfim.trotter_gates_second_order(spec.J, spec.g1, spec.dt)
     placed = [
         ("Wo", w_o, (1, 2)),
         ("We", w_e, (0, 1)),
@@ -103,15 +101,15 @@ def evolution_gate_layer(spec, dt=None):
     return layer, placed
 
 
-def build_cost_circuit(params_t, params_candidate, spec, dt=None):
+def build_cost_circuit(params_t, params_candidate, spec):
     """Sequential cost circuit for one evolution step.
 
     ``params_t`` describes the current state: it is emitted on the ket
     strand and on the two boundary copies (gates named "V"), which the bra
     strand unprepares last. ``params_candidate`` is the trial update
-    absorbed on the bra strand of the window. The evolution insertion
-    follows ``spec`` (``dt`` may be overridden, e.g. zero for pure-overlap
-    diagnostics). Qubit 0 is the bond register; qubit q carries site q.
+    absorbed on the bra strand of the window. The evolution insertion is
+    one step of ``spec``; its gates are the only ones that do not touch the
+    bond register, qubit 0. Qubit q carries site q.
     """
     u = build_unitary(params_t)
     w = build_unitary(params_candidate)
@@ -123,7 +121,7 @@ def build_cost_circuit(params_t, params_candidate, spec, dt=None):
         ops.append(CircuitOp("gate", (site, 0), "V", u))
     for site in range(n_copies + 1, n_sites + 1):
         ops.append(CircuitOp("gate", (site, 0), "U", u))
-    _, placed = evolution_gate_layer(spec, dt)
+    _, placed = evolution_gate_layer(spec)
     first_evo = n_copies + 1
     for name, gate, (lo, hi) in placed:
         ops.append(CircuitOp("gate", (first_evo + lo, first_evo + hi), name, gate))
@@ -200,11 +198,11 @@ def success_probability_fn(a_t, layer):
     return success_probability
 
 
-def dense_success_probability(params_t, params_candidate, spec, dt=None):
+def dense_success_probability(params_t, params_candidate, spec):
     """Exact contraction of the cost diagram in the bond-operator algebra:
     the evolution window nested inside the two boundary copies, applied to
     the initial bond state |0> (:func:`success_probability_fn` on one
     candidate)."""
-    layer, _ = evolution_gate_layer(spec, dt)
+    layer, _ = evolution_gate_layer(spec)
     success_probability = success_probability_fn(tensor_of(params_t), layer)
     return float(success_probability(params_candidate))

@@ -20,8 +20,10 @@ the correction differs between the drivers. The deterministic reference
 step objective. The sampled experiment (:func:`evolve_stochastic`) corrects
 with a few SPSA iterations on the measured cost 1 - p_hat, so the circuit
 acts as a stochastic correction on top of the classical extrapolation;
-every SPSA iteration spends exactly two cost evaluations. Its step n draws
-stream i (0 init, 1 SPSA, 2 shots) from
+every SPSA iteration spends exactly two cost evaluations. Its candidate
+starts from the loop's seed ("extrapolate", the paper's protocol) or from the
+previous step ("copy", the baseline without extrapolation). Its step n draws
+stream i (1 SPSA, 2 shots; stream 0 is reserved) from
 ``SeedSequence(seed, spawn_key=(3,) * (n - 1) + (i,))``, built when the step
 runs (:func:`_step_stream`). A step that raises
 :class:`NumericFailure` or :class:`InvalidArgumentError` ends either run the
@@ -38,7 +40,7 @@ from . import circuits, tfim, transfer
 from .ansatz import FULL15, N_ANGLES, AnsatzParams, tensor_of
 from .qcore import InvalidArgumentError, NumericFailure, is_count
 
-INIT_SCHEMES = ("random", "copy", "extrapolate")
+INIT_SCHEMES = ("copy", "extrapolate")
 # BFGS gradient-norm tolerance of a reference step and the ground state; above the
 # objective's rounding floor (~1e-10), so every solve ends on it (scipy status 0)
 GTOL = 1e-7
@@ -46,7 +48,7 @@ GROUND_GAP_TOL = 1e-6  # least 1 - |lambda_2| of an accepted ground state
 GROUND_GRAD_TOL = 1e-6  # largest energy gradient component of an accepted ground state
 BOOTSTRAP_FACTOR = 4  # SPSA budget multiplier while extrapolation lacks history
 _PLUS_MINUS = np.array([[1.0], [-1.0]])  # rows of an SPSA pair x +/- c_k delta
-INIT_STREAM, SPSA_STREAM, SHOT_STREAM = 0, 1, 2  # a stochastic step's streams
+SPSA_STREAM, SHOT_STREAM = 1, 2  # a stochastic step's streams; stream 0 is reserved
 
 
 @dataclass(frozen=True)
@@ -181,13 +183,18 @@ def ground_state_optimize(J, g, template, optimizer_seed=0):
     eigenvalue within ``GROUND_GAP_TOL`` of the unit circle (a reducible
     state, where BFGS can stop on a saddle) or when a component of its energy
     gradient exceeds ``GROUND_GRAD_TOL``. The message names the optimizer
-    seed and the offending value. A non-finite ``J`` or ``g`` is rejected
-    with :class:`InvalidArgumentError` before solving.
+    seed and the offending value. A non-finite ``J`` or ``g``, or an
+    ``optimizer_seed`` that is not a nonnegative integer (a bool is not one),
+    is rejected with :class:`InvalidArgumentError` before solving.
     """
     if template not in N_ANGLES:
         raise InvalidArgumentError(f"unknown template {template!r}")
     if not np.all(np.isfinite([J, g])):
         raise InvalidArgumentError(f"J and g must be finite, got J={J!r}, g={g!r}")
+    if not is_count(optimizer_seed) or optimizer_seed < 0:
+        raise InvalidArgumentError(
+            f"optimizer_seed must be a nonnegative integer, got {optimizer_seed!r}"
+        )
 
     def objective(x):
         return energy_density(AnsatzParams(template, x), J, g, grad=True)
@@ -342,12 +349,26 @@ def _evolve(spec, ground, solve_step, **labels):
     )
 
 
-def _check_seed(seed):
-    """Reject a run seed that is not a nonnegative integer; a bool is not one."""
-    if not is_count(seed) or seed < 0:
+def _check_run(init_scheme, spsa, shots_per_eval, seeds, template, ground):
+    """The checks both stochastic drivers make before anything is solved or
+    stepped: reject an unknown ``init_scheme``, a ``spsa`` that is not a
+    :class:`SpsaSchedule`, a ``shots_per_eval`` that is not a positive
+    integer, a run seed that is not a nonnegative one (a bool is neither),
+    and what :func:`_check_start` rejects."""
+    if init_scheme not in INIT_SCHEMES:
+        raise InvalidArgumentError(f"unknown init scheme {init_scheme!r}")
+    if not isinstance(spsa, SpsaSchedule):
+        raise InvalidArgumentError(f"spsa must be a SpsaSchedule, got {spsa!r}")
+    if not is_count(shots_per_eval) or shots_per_eval < 1:
         raise InvalidArgumentError(
-            f"a run seed must be a nonnegative integer, got {seed!r}"
+            f"shots_per_eval must be a positive integer, got {shots_per_eval!r}"
         )
+    for seed in seeds:
+        if not is_count(seed) or seed < 0:
+            raise InvalidArgumentError(
+                f"a run seed must be a nonnegative integer, got {seed!r}"
+            )
+    _check_start(template, ground)
 
 
 def _check_start(template, ground):
@@ -365,14 +386,15 @@ def _check_start(template, ground):
 
 
 def _step_stream(seed, step, stream):
-    """Seed sequence of stream ``stream`` (``INIT_STREAM``, ``SPSA_STREAM``
-    or ``SHOT_STREAM``) of step ``step`` >= 1 of the stochastic run ``seed``.
+    """Seed sequence of stream ``stream`` (``SPSA_STREAM`` or
+    ``SHOT_STREAM``) of step ``step`` >= 1 of the stochastic run ``seed``.
 
     The key is the one a spawn chain gives it: link 1 is
     ``SeedSequence(seed)``, step n takes children 0, 1 and 2 of link n as its
-    streams (``link.spawn(3)``), and link n + 1 is the next child, 3
-    (``link.spawn(1)[0]``), so link n has key (3,) * (n - 1). Built from the
-    key alone, a stream costs one ``SeedSequence``, only when its step runs.
+    streams (``link.spawn(3)``; child 0 is reserved and unused), and link
+    n + 1 is the next child, 3 (``link.spawn(1)[0]``), so link n has key
+    (3,) * (n - 1). Built from the key alone, a stream costs one
+    ``SeedSequence``, only when its step runs.
     """
     return np.random.SeedSequence(seed, spawn_key=(3,) * (step - 1) + (stream,))
 
@@ -389,47 +411,31 @@ def evolve_stochastic(
     """Stochastic variational evolution of the quench.
 
     The step solver of :func:`_evolve`: seed the candidate via ``init_scheme``
-    ("extrapolate" keeps the loop's seed, "copy" takes the previous step,
-    "random" draws uniform angles), run SPSA on the sampled cost, accept the
-    final iterate. The first two steps use a ``BOOTSTRAP_FACTOR`` larger SPSA
-    budget (extrapolation needs two previous points); both schedules are
-    built once per run. Bit-identical for identical ``(spec, seed)``: step n
-    draws its init, SPSA and shot streams from
-    ``SeedSequence(seed, spawn_key=(3,) * (n - 1) + (i,))`` with i = 0, 1, 2
-    (:func:`_step_stream`), the keys of one ``SeedSequence`` spawn chain,
-    each built when its step runs; the init stream only for "random". A cost
-    or echo failure ends the run (see :func:`_evolve`).
+    ("extrapolate" keeps the loop's seed, "copy" takes the previous step),
+    run SPSA on the sampled cost, accept the final iterate. The first two
+    steps use a ``BOOTSTRAP_FACTOR`` larger SPSA budget (extrapolation needs
+    two previous points); both schedules are built once per run.
+    Bit-identical for identical ``(spec, seed)``: step n draws its SPSA and
+    shot streams from the spawn chain of ``SeedSequence(seed)``
+    (:func:`_step_stream`). A cost or echo failure ends the run (see
+    :func:`_evolve`).
 
     The gate layer is built once per run; each step builds the side of the
     cost fixed by its current state from the tensor that :func:`_evolve`
     hands over (:func:`_sampled_cost`), and each SPSA iteration evaluates
     its +/- pair as one stacked call.
 
-    ``seed`` must be a nonnegative integer and ``shots_per_eval`` a positive
-    one; a bool is neither. ``template`` must be ``FULL15``, the only
-    template, and a given ``ground`` one parameter set of it. Each of these
-    is checked before the ground state is solved, with
-    :class:`InvalidArgumentError`.
+    Bad options are rejected with :class:`InvalidArgumentError` before the
+    ground state is solved (:func:`_check_run`).
     """
-    if init_scheme not in INIT_SCHEMES:
-        raise InvalidArgumentError(f"unknown init scheme {init_scheme!r}")
-    if not is_count(shots_per_eval) or shots_per_eval < 1:
-        raise InvalidArgumentError(
-            f"shots_per_eval must be a positive integer, got {shots_per_eval!r}"
-        )
-    _check_seed(seed)
-    _check_start(template, ground)
+    _check_run(init_scheme, spsa, shots_per_eval, [seed], template, ground)
     if ground is None:
         ground = ground_state_optimize(spec.J, spec.g0, template)
     layer, _ = circuits.evolution_gate_layer(spec)
     bootstrap = replace(spsa, steps=spsa.steps * BOOTSTRAP_FACTOR)
 
     def solve_step(step, prev, a_prev, seed_params):
-        if init_scheme == "random":
-            rng = np.random.default_rng(_step_stream(seed, step, INIT_STREAM))
-            x0 = rng.uniform(-np.pi, np.pi, len(prev.angles))
-            seed_params = prev.replace_angles(x0)
-        elif init_scheme == "copy":
+        if init_scheme == "copy":
             seed_params = prev
         schedule = bootstrap if step <= 2 else spsa
         cost = _sampled_cost(
@@ -543,10 +549,6 @@ class EnsembleStats:
     envelope_hi: np.ndarray
     total_shots: int
 
-    @property
-    def envelope_width(self):
-        return self.envelope_hi - self.envelope_lo
-
 
 def ensemble_run(
     spec,
@@ -562,9 +564,11 @@ def ensemble_run(
     started from ``ground`` (solved here when not given).
 
     ``seeds`` is any iterable of ``n_runs`` distinct run seeds, each a
-    nonnegative integer (default ``range(n_runs)``); bad seeds, an unknown
-    ``template`` and a ``ground`` that :func:`evolve_stochastic` would reject
-    are rejected with :class:`InvalidArgumentError` before any run starts."""
+    nonnegative integer (default ``range(n_runs)``); bad seeds, and any
+    ``init_scheme``, ``spsa``, ``shots_per_eval``, ``template`` or ``ground``
+    that :func:`evolve_stochastic` would reject, are rejected with
+    :class:`InvalidArgumentError` before the ground state is solved or any
+    run starts."""
     if not is_count(n_runs) or n_runs < 2:
         raise InvalidArgumentError(
             f"an ensemble needs an integer number of at least 2 runs, got {n_runs!r}"
@@ -572,11 +576,9 @@ def ensemble_run(
     seeds = list(range(n_runs) if seeds is None else seeds)
     if len(seeds) != n_runs:
         raise InvalidArgumentError("need one seed per run")
-    for s in seeds:
-        _check_seed(s)
+    _check_run(init_scheme, spsa, shots_per_eval, seeds, template, ground)
     if len(set(seeds)) != n_runs:
         raise InvalidArgumentError(f"run seeds must be distinct, got {seeds!r}")
-    _check_start(template, ground)
     if ground is None:
         ground = ground_state_optimize(spec.J, spec.g0, template)
     runs = [

@@ -17,6 +17,7 @@ import functools
 import numbers
 
 import numpy as np
+import scipy.linalg
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -24,6 +25,9 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 _PAULIS = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+
+# LAPACK's complex eigensolver and its workspace query
+_GEEV, _GEEV_LWORK = scipy.linalg.get_lapack_funcs(("geev", "geev_lwork"), dtype=complex)
 
 
 class InvalidArgumentError(ValueError):
@@ -59,16 +63,17 @@ def _identity(n):
     return eye
 
 
+@functools.cache
+def _geev_lwork(n):
+    """``geev`` workspace for an n x n matrix with both eigenvectors."""
+    return int(_GEEV_LWORK(n, compute_vl=1, compute_vr=1)[0].real)
+
+
 def is_unitary(m, tol=1e-10):
     """Whether the square matrix ``m``, or every slice of a stack of them,
     satisfies |m^dag m - 1| < ``tol`` entrywise."""
     m = np.asarray(m)
     return np.abs(m.conj().swapaxes(-1, -2) @ m - _identity(m.shape[-1])).max() < tol
-
-
-def is_hermitian(m, tol=1e-12):
-    m = np.asarray(m)
-    return np.max(np.abs(m - m.conj().T)) < tol
 
 
 def rot_gate(axis, angle):
@@ -98,7 +103,7 @@ def two_site_exp(h, tau):
     h = np.asarray(h, dtype=complex)
     if h.shape != (4, 4):
         raise InvalidArgumentError(f"expected a 4x4 generator, got shape {h.shape}")
-    if not is_hermitian(h, tol=1e-10):
+    if not np.max(np.abs(h - h.conj().T)) < 1e-10:
         raise InvalidArgumentError("generator is not Hermitian within 1e-10")
     if not np.isfinite(tau):
         raise InvalidArgumentError("time step must be finite")
@@ -109,10 +114,13 @@ def two_site_exp(h, tau):
 def leading_eig(m):
     """Leading eigenpair (largest |eigenvalue|) of a small square matrix.
 
-    One call of the backward-stable QR algorithm. Returns
-    ``(eigenvalue, eigenvector)`` with the eigenvector normalized. Raises
-    :class:`NumericFailure` if the QR algorithm does not converge, or (residual
-    attached) if the pair misses a residual of ``1e-9 * ||m||``.
+    One direct LAPACK ``geev`` call (the backward-stable QR algorithm) with
+    both eigenvectors, its workspace queried once per matrix size. Returns
+    ``(lam, right, left)``: m right = lam right, and the row vector ``left``
+    (the conjugated left eigenvector l, so ``left`` is l^dag) gives
+    left m = lam left; both are LAPACK's unit vectors. Raises
+    :class:`NumericFailure` if ``geev`` does not converge, or (residual
+    attached) if the right pair misses a residual of ``1e-9 * ||m||``.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -120,17 +128,16 @@ def leading_eig(m):
     scale = np.linalg.norm(m, ord=np.inf)
     if scale == 0.0:
         raise InvalidArgumentError("matrix is zero")
-    try:
-        evals, evecs = np.linalg.eig(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"eigensolver failed: {exc}") from exc
-    k = int(np.argmax(np.abs(evals)))
-    lam, v = evals[k], evecs[:, k] / np.linalg.norm(evecs[:, k])
-    residual = np.linalg.norm(m @ v - lam * v)
+    w, vl, vr, info = _GEEV(m, lwork=_geev_lwork(len(m)))
+    if info != 0:
+        raise NumericFailure(f"eigensolver failed (geev info {info})")
+    k = int(np.argmax(np.abs(w)))
+    lam, right = w[k], vr[:, k]
+    residual = np.linalg.norm(m @ right - lam * right)
     if not residual <= 1e-9 * scale:
         msg = f"leading eigenpair did not converge (residual {residual:.3e})"
         raise NumericFailure(msg, residual=residual)
-    return lam, v
+    return lam, right, vl[:, k].conj()
 
 
 def zero_state(n_qubits):

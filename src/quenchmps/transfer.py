@@ -26,17 +26,12 @@ cost circuits lives in :mod:`quenchmps.circuits`.
 """
 
 import numpy as np
-import scipy.linalg
 
 from . import qcore
 from .qcore import InvalidArgumentError, NumericFailure
 
 VEC_IDENTITY = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
 MIN_EIGVEC_OVERLAP = 1e-6  # eigenvalue condition number 1/|<l|r>| at most 1e6
-
-# LAPACK's complex eigensolver, with the workspace of a 4x4 cell matrix queried once
-_GEEV, _GEEV_LWORK = scipy.linalg.get_lapack_funcs(("geev", "geev_lwork"), dtype=complex)
-_CELL_LWORK = int(_GEEV_LWORK(4, compute_vl=1, compute_vr=1)[0].real)
 
 
 def strand_products(a, n_sites):
@@ -68,10 +63,11 @@ def _join_strands(first, then):
 
 
 def cell_matrix(ket, b_bra):
-    """Cell matrix E[(a c), (a' c')] = sum_t K[t]_{a a'} conj(B^{t2} B^{t1})_{c c'}
-    of the ket side ``ket`` (:func:`window_ket` of two sites) and the bra
-    tensor."""
-    pb = strand_products(b_bra, 2)
+    """Cell matrix E[(a c), (a' c')] = sum_t K[t]_{a a'} conj(B-prod_t)_{c c'}
+    of the ket side ``ket`` (:func:`window_ket` of two sites, or the tensor A
+    itself for one site) and the bra tensor; the site count is read from
+    ``len(ket)``."""
+    pb = strand_products(b_bra, len(ket).bit_length() - 1)
     return np.einsum("tab,tcd->acbd", ket, pb.conj()).reshape(4, 4)
 
 
@@ -80,18 +76,13 @@ def cell_eigenvalue_gradient(ket, b_bra, db):
     bra tangents ``db`` (shape (n, 2, 2, 2)).
 
     First-order perturbation theory of a simple eigenvalue,
-    d lambda = <l| dE |r> / <l|r>, with both eigenvectors from one direct LAPACK
-    ``geev`` call (the floats of ``scipy.linalg.eig(left=True, right=True)``
-    without its per-call checks). Raises :class:`NumericFailure` when ``geev``
-    does not converge, or when |<l|r>| of the unit eigenvectors falls below
+    d lambda = <l| dE |r> / <l|r>, with both eigenvectors from
+    :func:`qcore.leading_eig`. Raises :class:`NumericFailure` when that
+    does, or when |<l|r>| of the unit eigenvectors falls below
     ``MIN_EIGVEC_OVERLAP``: the top eigenvalue is then (nearly) non-simple and
     its derivative unbounded.
     """
-    w, vl, vr, info = _GEEV(cell_matrix(ket, b_bra), lwork=_CELL_LWORK)
-    if info != 0:
-        raise NumericFailure(f"eigensolver of the cell matrix failed (geev info {info})")
-    k = int(np.argmax(np.abs(w)))
-    left, right = vl[:, k].conj(), vr[:, k]
+    lam, right, left = qcore.leading_eig(cell_matrix(ket, b_bra))
     overlap = left @ right
     if abs(overlap) < MIN_EIGVEC_OVERLAP:
         raise NumericFailure(
@@ -105,7 +96,7 @@ def cell_eigenvalue_gradient(ket, b_bra, db):
     b_conj = b_bra.conj()
     env = np.einsum("uvcd,ued->vce", m, b_conj) + np.einsum("vce,uvcd->ued", b_conj, m)
     dlam = db.reshape(len(db), 8).conj() @ env.reshape(8)
-    return w[k], dlam / overlap
+    return lam, dlam / overlap
 
 
 def transfer_matrix(a_ket, b_bra):
@@ -114,13 +105,12 @@ def transfer_matrix(a_ket, b_bra):
     b_bra = np.asarray(b_bra, dtype=complex)
     if a_ket.shape != (2, 2, 2) or b_bra.shape != (2, 2, 2):
         raise InvalidArgumentError("tensors must have shape (2, 2, 2)")
-    return np.einsum("sab,scd->acbd", a_ket, b_bra.conj()).reshape(4, 4)
+    return cell_matrix(a_ket, b_bra)
 
 
 def fidelity_density(e):
     """Leading eigenvalue of the mixed transfer matrix."""
-    lam, _ = qcore.leading_eig(e)
-    return lam
+    return qcore.leading_eig(e)[0]
 
 
 def site_overlap_map(m, a_ket, b_bra):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,20 +47,45 @@ def run_single_shot(circuit, rng):
     return 1 if success else 0
 
 
+def one_step(spec, dt):
+    """``spec`` with the step ``dt``, which is also its whole horizon."""
+    return replace(spec, dt=dt, t_max=dt)
+
+
+def without_evolution(circuit):
+    """The circuit with its evolution gates, the gate ops that do not touch
+    bond qubit 0, filtered out."""
+    ops = tuple(op for op in circuit.ops if op.kind != "gate" or 0 in op.targets)
+    return replace(circuit, ops=ops)
+
+
+def circuit_at(pa, pb, spec, dt):
+    """Cost circuit of one step ``dt`` of ``spec``; ``dt = 0`` is the circuit
+    without evolution."""
+    if dt == 0.0:
+        return without_evolution(build_cost_circuit(pa, pb, spec))
+    return build_cost_circuit(pa, pb, one_step(spec, dt))
+
+
+def layer_at(spec, dt):
+    """Gate layer of one step ``dt`` of ``spec``; the identity at ``dt = 0``."""
+    if dt == 0.0:
+        return np.eye(16)
+    return circuits.evolution_gate_layer(one_step(spec, dt))[0]
+
+
 def embed(gate, lo, n_sites=4):
     """Dense embedding of a two-site gate on sites (lo, lo + 1)."""
     return np.kron(np.eye(2**lo), np.kron(gate, np.eye(2 ** (n_sites - 2 - lo))))
 
 
 class TestEvolutionGateLayer:
-    def test_zero_step_is_identity(self):
-        layer, placed = circuits.evolution_gate_layer(tfim.QuenchSpec(), dt=0.0)
-        assert np.array_equal(layer, np.eye(16)) and placed == []
-
     def test_default_step_is_the_spec_step(self):
         spec = tfim.QuenchSpec(dt=0.05, trotter_order=2)
-        default, _ = circuits.evolution_gate_layer(spec)
-        assert np.array_equal(default, circuits.evolution_gate_layer(spec, 0.05)[0])
+        _, placed = circuits.evolution_gate_layer(spec)
+        w_o, w_e = tfim.trotter_gates_second_order(spec.J, spec.g1, 0.05)
+        for (_, gate, _), want in zip(placed, [w_o, w_e, w_e, w_o], strict=True):
+            assert np.array_equal(gate, want)
 
     @pytest.mark.parametrize("trotter_order", [1, 2])
     def test_layer_is_the_product_of_its_placed_gates(self, trotter_order):
@@ -114,7 +141,7 @@ class TestExactSuccessProbability:
         spec = tfim.QuenchSpec()
         for _ in range(5):
             p = random_params(rng)
-            c = build_cost_circuit(p, p, spec, dt=0.0)
+            c = without_evolution(build_cost_circuit(p, p, spec))
             assert exact_success_probability(c) == pytest.approx(1.0, abs=1e-12)
 
     def test_resource_limit(self):
@@ -131,9 +158,11 @@ class TestCircuitDenseEquivalence:
         for trial in range(30):
             dt = (0.0, 0.05, 0.1)[trial % 3]
             pa, pb = random_params(rng), random_params(rng)
-            c = build_cost_circuit(pa, pb, spec, dt=dt)
-            p_sv = exact_success_probability(c)
-            p_dense = dense_success_probability(pa, pb, spec, dt=dt)
+            p_sv = exact_success_probability(circuit_at(pa, pb, spec, dt))
+            if dt == 0.0:
+                p_dense = success_probability_fn(ansatz.tensor_of(pa), np.eye(16))(pb)
+            else:
+                p_dense = dense_success_probability(pa, pb, one_step(spec, dt))
             assert abs(p_sv - p_dense) < 1e-10
 
     @pytest.mark.parametrize("trotter_order", [1, 2])
@@ -147,7 +176,7 @@ class TestCircuitDenseEquivalence:
 
         current, candidates = full15(), [full15() for _ in range(4)]
         stack = AnsatzParams(FULL15, np.array([pb.angles for pb in candidates]))
-        layer, _ = circuits.evolution_gate_layer(spec, dt)
+        layer = layer_at(spec, dt)
         # one per-step function serves every candidate, and a (k, 15) stack
         # of candidates gives each row's own probability exactly
         p_dense = success_probability_fn(ansatz.tensor_of(current), layer)
@@ -155,7 +184,7 @@ class TestCircuitDenseEquivalence:
         assert p_stack.shape == (len(candidates),)
         assert np.array_equal(p_stack, [p_dense(pb) for pb in candidates])
         for pb, p_row in zip(candidates, p_stack):
-            p_sv = exact_success_probability(build_cost_circuit(current, pb, spec, dt=dt))
+            p_sv = exact_success_probability(circuit_at(current, pb, spec, dt))
             assert abs(p_sv - p_dense(pb)) < 1e-10
             assert abs(p_sv - p_row) < 1e-10
 
@@ -166,7 +195,7 @@ class TestCircuitDenseEquivalence:
         p = AnsatzParams(FULL15, 0.7 * rng.standard_normal(15))
         dts = np.array([0.05, 0.1, 0.2])
         deficits = np.array(
-            [1.0 - dense_success_probability(p, p, spec, dt=dt) for dt in dts]
+            [1.0 - dense_success_probability(p, p, one_step(spec, dt)) for dt in dts]
         )
         exponent = np.polyfit(np.log(dts), np.log(deficits), 1)[0]
         assert abs(exponent - 2.0) < 0.5
@@ -226,7 +255,7 @@ class TestPerShotSimulation:
     def test_certain_outcomes(self):
         spec = tfim.QuenchSpec()
         p = random_params(np.random.default_rng(7))
-        certain = build_cost_circuit(p, p, spec, dt=0.0)
+        certain = without_evolution(build_cost_circuit(p, p, spec))
         flip = CostCircuit(
             qubit_count=1,
             ops=(

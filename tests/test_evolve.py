@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from quenchmps import ansatz, circuits, evolve, tfim, transfer
+from quenchmps import ansatz, circuits, evolve, qcore, tfim, transfer
 from quenchmps.ansatz import FULL15, AnsatzParams, build_unitary, tensor_of
 from quenchmps.qcore import InvalidArgumentError, NumericFailure
 
@@ -77,35 +77,6 @@ GOLDEN_SEED3_ORDER2_ANGLES = np.array(
         ],
     ]
 )
-
-# accepted angles of evolve_stochastic(SHORT, "random", spsa=SpsaSchedule(steps=1),
-# seed=5) from the ground state GOLDEN_GROUND_ANGLES
-GOLDEN_SEED5_RANDOM_ANGLES = np.array(
-    [
-        [
-            -2.0397704935810312e-01, 1.1886166342484090e+00, 3.5787149209019367e+00,
-            -2.9741277019969843e+00, -2.2522608696830666e+00, 8.1311156969265164e-01,
-            -2.2237306698493775e+00, -1.2694372411107429e+00, -9.4356035274940769e-03,
-            -2.6316490226581033e+00, -5.2996295271873328e-01, 2.5504940349547516e+00,
-            -6.5823550858919799e-01, -2.2369687125240985e+00, -2.9022698955183479e+00,
-        ],
-        [
-            1.5312335676102919e+00, -1.4053141324458034e+00, 4.0731194780505522e+00,
-            -3.5998998114739602e+00, -4.2243551954710199e+00, -1.7620684655655211e-01,
-            -3.3847307956015444e+00, 1.6453710562616455e+00, 1.9768830928578907e+00,
-            -3.9740761379393965e+00, 1.9875227609830088e+00, 1.4471885905582682e+00,
-            -3.3011689089893053e+00, -1.8357486465723403e+00, -1.8113086311434898e+00,
-        ],
-        [
-            2.9610861784803340e+00, -2.7798887669685919e+00, 5.1967083470143098e+00,
-            -2.3336958535601089e+00, -1.1262449778974113e+00, -1.3622626703358254e+00,
-            -1.1540947241301724e+00, 4.2091610935851040e+00, 1.8667233004331156e+00,
-            -5.7372999775283695e+00, -4.2192500938159794e-01, 2.4698382315726133e+00,
-            -1.6327006628236205e+00, -2.1098145396936565e+00, -1.8976680922949853e+00,
-        ],
-    ]
-)
-
 
 def central_difference(f, x):
     out = []
@@ -311,31 +282,31 @@ class TestDrivers:
         assert len(traj.angles) == len(traj.echoes) == len(traj.costs) == 2
         assert traj.echoes[1] > 0.0
 
-    @pytest.mark.parametrize("solver", ["geev", "eig"])
-    def test_reference_records_an_eigensolver_failure(self, ground, monkeypatch, solver):
-        # LAPACK does not converge from step 2 on: in the cell eigenpairs of the
-        # objective (geev) or in the echo's leading eigenpair (eig); step 1 is kept
+    @pytest.mark.parametrize("site", ["objective", "echo"])
+    def test_reference_records_an_eigensolver_failure(self, ground, monkeypatch, site):
+        # the one geev does not converge in step 2, called from the objective's
+        # cell eigenpairs or from the echo's leading eigenpair; step 1 is kept
         steps = spy(monkeypatch, transfer, "window_ket")  # one call per step
-        if solver == "geev":
-            real_geev = transfer._GEEV
+        in_echo = []
+        real_geev, real_fidelity = qcore._GEEV, transfer.fidelity_density
 
-            def geev(*args, **kwargs):
-                w, vl, vr, info = real_geev(*args, **kwargs)
-                return w, vl, vr, 1 if len(steps) == 2 else info
+        def geev(*args, **kwargs):
+            w, vl, vr, info = real_geev(*args, **kwargs)
+            fails = len(steps) == 2 and bool(in_echo) == (site == "echo")
+            return w, vl, vr, 1 if fails else info
 
-            monkeypatch.setattr(transfer, "_GEEV", geev)
-        else:
-            real_eig = np.linalg.eig
+        def fidelity_density(e):
+            in_echo.append(e)
+            try:
+                return real_fidelity(e)
+            finally:
+                in_echo.pop()
 
-            def eig(m):
-                if len(steps) == 2:
-                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-                return real_eig(m)
-
-            monkeypatch.setattr(np.linalg, "eig", eig)
+        monkeypatch.setattr(qcore, "_GEEV", geev)
+        monkeypatch.setattr(transfer, "fidelity_density", fidelity_density)
         traj = evolve.evolve_exact_in_ansatz(SHORT, FULL15, "eigen", ground=ground)
         assert not traj.complete and traj.n_steps == 1
-        assert traj.failure.startswith("NumericFailure")
+        assert traj.failure == "NumericFailure: eigensolver failed (geev info 1)"
         assert traj.echoes[1] > 0.0
 
     def test_eigen_needs_first_order_gates(self, ground):
@@ -384,6 +355,12 @@ class TestDrivers:
     def test_non_finite_ground_field_rejected(self, J, g):
         with pytest.raises(InvalidArgumentError, match="must be finite"):
             evolve.ground_state_optimize(J, g, FULL15)
+
+    @pytest.mark.parametrize("optimizer_seed", [True, np.True_, -1, 2.5, None, "0"])
+    def test_invalid_optimizer_seed_rejected(self, monkeypatch, optimizer_seed):
+        monkeypatch.setattr(evolve, "minimize", self.must_not_run)
+        with pytest.raises(InvalidArgumentError, match="optimizer_seed"):
+            evolve.ground_state_optimize(1.0, 1.5, FULL15, optimizer_seed=optimizer_seed)
 
     def test_spsa_raises_on_constant_cost(self):
         seed = AnsatzParams(FULL15, np.zeros(15))
@@ -507,6 +484,31 @@ class TestDrivers:
             run = evolve.evolve_stochastic(SHORT, "copy", spsa=spsa, seed=seed, ground=ground)
             assert np.array_equal(row, run.echoes)
 
+    @pytest.mark.parametrize("entry", ["stochastic", "ensemble"])
+    @pytest.mark.parametrize(
+        "options, match",
+        [
+            ({"init_scheme": "bogus"}, "init scheme"),
+            ({"init_scheme": "random"}, "init scheme"),
+            ({"shots_per_eval": 0}, "shots_per_eval"),
+            ({"spsa": "x"}, "SpsaSchedule"),
+            ({"spsa": None}, "SpsaSchedule"),
+        ],
+        ids=["bogus-init", "random-init", "zero-shots", "spsa-str", "spsa-none"],
+    )
+    def test_bad_run_options_rejected_before_the_ground_solve(
+        self, monkeypatch, entry, options, match
+    ):
+        for name in ("ground_state_optimize", "_evolve"):
+            monkeypatch.setattr(evolve, name, self.must_not_run)
+        kwargs = {"init_scheme": "extrapolate"} | options
+        run = {
+            "stochastic": lambda: evolve.evolve_stochastic(SHORT, **kwargs),
+            "ensemble": lambda: evolve.ensemble_run(SHORT, n_runs=2, **kwargs),
+        }[entry]
+        with pytest.raises(InvalidArgumentError, match=match):
+            run()
+
     @pytest.mark.parametrize("shots", [0, -5, 2.5, True])
     def test_invalid_shot_counts_rejected(self, ground, shots):
         with pytest.raises(InvalidArgumentError, match="shots_per_eval"):
@@ -567,27 +569,19 @@ class TestStochastic:
         assert np.max(np.abs(traj.angles[1:] - GOLDEN_SEED3_ORDER2_ANGLES)) <= 1e-12
         assert traj.cum_shots.tolist() == [0, 98304, 196608, 221184]
 
-    def test_seeded_random_init_run_is_pinned(self, golden_ground):
-        # the init stream: "random" draws each step's seed angles from it
-        spsa = evolve.SpsaSchedule(steps=1)
-        traj = evolve.evolve_stochastic(
-            SHORT, "random", spsa=spsa, seed=5, ground=golden_ground
-        )
-        assert traj.complete and traj.n_steps == 3
-        assert np.array_equal(traj.angles[0], golden_ground.angles)
-        assert np.max(np.abs(traj.angles[1:] - GOLDEN_SEED5_RANDOM_ANGLES)) <= 1e-12
-        assert traj.cum_shots.tolist() == [0, 16384, 32768, 36864]
-
     @pytest.mark.parametrize("seed", [0, 3, 2**40])
     def test_step_streams_are_the_spawn_chain(self, seed):
         # each step takes three children of its link, and the next link is
         # the fourth child
+        # the fourth child; child 0 stays reserved, so the SPSA and shot
+        # streams are children 1 and 2
         link = np.random.SeedSequence(seed)
-        streams = (evolve.INIT_STREAM, evolve.SPSA_STREAM, evolve.SHOT_STREAM)
         for step in range(1, 31):
-            for stream, child in zip(streams, link.spawn(3)):
+            children = link.spawn(3)
+            for stream in (evolve.SPSA_STREAM, evolve.SHOT_STREAM):
                 on_demand = evolve._step_stream(seed, step, stream)
-                assert np.array_equal(on_demand.generate_state(4), child.generate_state(4))
+                want = children[stream].generate_state(4)
+                assert np.array_equal(on_demand.generate_state(4), want)
             link = link.spawn(1)[0]
 
     def test_one_tensor_per_accepted_state(self, golden_ground, monkeypatch):
@@ -656,7 +650,7 @@ class TestStochastic:
         assert np.all(stats.envelope_lo <= stats.envelope_hi + 1e-15)
         assert stats.total_shots == full.cum_shots[-1] + 2 * 4 * 6 * 2048
 
-    @pytest.mark.parametrize("init_scheme", ["copy", "random"])
+    @pytest.mark.parametrize("init_scheme", ["copy"])
     def test_other_init_schemes_run_and_repeat(self, ground, init_scheme):
         spsa = evolve.SpsaSchedule(steps=1)
         first, again = (

@@ -4,6 +4,7 @@ import pytest
 from quenchmps import qcore
 from quenchmps.qcore import (
     InvalidArgumentError,
+    NumericFailure,
     PAULI_X,
     PAULI_Z,
     apply_gate,
@@ -119,12 +120,12 @@ class TestTwoSiteExp:
 
 class TestLeadingEig:
     def test_identity(self):
-        lam, v = leading_eig(np.eye(4, dtype=complex))
+        lam, v, _ = leading_eig(np.eye(4, dtype=complex))
         assert abs(lam - 1.0) < 1e-12
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
     def test_diagonal(self):
-        lam, v = leading_eig(np.diag([2.0, 1.0, 0.5, 0.1]).astype(complex))
+        lam, v, _ = leading_eig(np.diag([2.0, 1.0, 0.5, 0.1]).astype(complex))
         assert abs(lam - 2.0) < 1e-10
         assert abs(abs(v[0]) - 1.0) < 1e-8
 
@@ -132,7 +133,7 @@ class TestLeadingEig:
         rng = np.random.default_rng(17)
         for _ in range(50):
             m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            lam, _ = leading_eig(m)
+            lam, _, _ = leading_eig(m)
             roots = charpoly_roots(m)
             expected = roots[np.argmax(np.abs(roots))]
             assert abs(lam - expected) < 1e-8 * max(1.0, abs(expected))
@@ -141,9 +142,49 @@ class TestLeadingEig:
         rng = np.random.default_rng(23)
         for _ in range(1000):
             m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            lam, v = leading_eig(m)
+            lam, v, _ = leading_eig(m)
             residual = np.linalg.norm(m @ v - lam * v)
             assert residual < 1e-9 * np.linalg.norm(m, ord=np.inf)
+
+    def test_left_eigenvector(self):
+        # the row vector l^dag of the same eigenvalue: l^dag m = lam l^dag
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            lam, right, left = leading_eig(m)
+            assert np.linalg.norm(left @ m - lam * left) <= 1e-12 * np.linalg.norm(m)
+            assert abs(np.linalg.norm(left) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(right) - 1.0) < 1e-12
+
+    def test_other_sizes_get_their_own_workspace(self):
+        for n in (2, 4, 16):
+            m = np.diag(np.arange(1.0, n + 1.0)).astype(complex)
+            lam, v, _ = leading_eig(m)
+            assert abs(lam - n) < 1e-12 and abs(abs(v[-1]) - 1.0) < 1e-12
+
+    def test_residual_check_fires_on_a_corrupted_pair(self, monkeypatch):
+        real_geev = qcore._GEEV
+
+        def corrupted(*args, **kwargs):
+            w, vl, vr, info = real_geev(*args, **kwargs)
+            return w, vl, np.roll(vr, 1, axis=0), info
+
+        monkeypatch.setattr(qcore, "_GEEV", corrupted)
+        m = np.diag([2.0, 1.0, 0.5, 0.1]).astype(complex)
+        with pytest.raises(NumericFailure, match="did not converge") as err:
+            leading_eig(m)
+        assert err.value.residual > 1e-9 * np.linalg.norm(m, ord=np.inf)
+
+    def test_geev_failure_raises(self, monkeypatch):
+        real_geev = qcore._GEEV
+
+        def not_converged(*args, **kwargs):
+            w, vl, vr, _ = real_geev(*args, **kwargs)
+            return w, vl, vr, 2
+
+        monkeypatch.setattr(qcore, "_GEEV", not_converged)
+        with pytest.raises(NumericFailure, match="geev info 2"):
+            leading_eig(np.eye(4, dtype=complex))
 
     def test_rejects_zero_matrix(self):
         with pytest.raises(InvalidArgumentError):

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import expm
 
 from quenchmps import qcore, tfim
@@ -10,12 +14,70 @@ from quenchmps.tfim import (
     bond_hamiltonian,
     critical_momentum,
     cusp_times,
-    loschmidt_exact_ed,
     loschmidt_exact_ff,
-    tfim_hamiltonian,
     trotter_gate_first_order,
     trotter_gates_second_order,
 )
+
+# Exact diagonalization (ED) of finite chains: the tests' independent check
+# of the free-fermion oracle ``loschmidt_exact_ff``.
+MAX_ED_SITES = 10  # a 10-site dense Hamiltonian is 16 MiB
+
+
+def _pauli_sparse(op, site, n):
+    mats = [sp.identity(2, format="csr", dtype=complex)] * n
+    mats[site] = sp.csr_matrix(op)
+    out = mats[0]
+    for m in mats[1:]:
+        out = sp.kron(out, m, format="csr")
+    return out
+
+
+def tfim_hamiltonian_sparse(J, g, n_sites, periodic=True):
+    if n_sites < 2:
+        raise InvalidArgumentError("need at least 2 sites")
+    if n_sites > MAX_ED_SITES:
+        raise ResourceLimitError(
+            f"exact diagonalization limited to {MAX_ED_SITES} sites"
+        )
+    dim = 2**n_sites
+    h = sp.csr_matrix((dim, dim), dtype=complex)
+    n_bonds = n_sites if periodic else n_sites - 1
+    for i in range(n_bonds):
+        zi = _pauli_sparse(qcore.PAULI_Z, i, n_sites)
+        zj = _pauli_sparse(qcore.PAULI_Z, (i + 1) % n_sites, n_sites)
+        h = h + J * (zi @ zj)
+    for i in range(n_sites):
+        h = h + g * _pauli_sparse(qcore.PAULI_X, i, n_sites)
+    return h
+
+
+def tfim_hamiltonian(J, g, n_sites, periodic=True):
+    """Dense Hermitian matrix of the chain Hamiltonian.
+
+    Memory grows as 4^n; capped at ``MAX_ED_SITES`` sites.
+    """
+    return np.asarray(tfim_hamiltonian_sparse(J, g, n_sites, periodic).todense())
+
+
+def loschmidt_exact_ed(spec, n_sites, t):
+    """Finite-chain (periodic) echo density by exact diagonalization.
+
+    Prepares the ground state of H(g0), evolves it exactly under H(g1) and
+    returns -(1/n) log |<psi0|psi(t)>|^2. Accepts a scalar time or an array.
+    """
+    psi0 = np.linalg.eigh(tfim_hamiltonian(spec.J, spec.g0, n_sites))[1][:, 0]
+    h1 = tfim_hamiltonian_sparse(spec.J, spec.g1, n_sites, periodic=True)
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    rates = np.empty(times.shape)
+    for i, ti in enumerate(times):
+        if ti == 0.0:
+            overlap = 1.0 + 0.0j
+        else:
+            psi_t = spla.expm_multiply(-1j * ti * h1, psi0)
+            overlap = np.vdot(psi0, psi_t)
+        rates[i] = -np.log(max(np.abs(overlap) ** 2, 1e-300)) / n_sites
+    return rates if np.ndim(t) else float(rates[0])
 
 
 def embed_bond_gate(gate, bond, n):
@@ -47,6 +109,22 @@ class TestQuenchSpec:
         for order in (True, np.True_):  # a bool is not an order
             with pytest.raises(InvalidArgumentError, match="trotter_order"):
                 QuenchSpec(trotter_order=order)
+
+    @pytest.mark.parametrize("t_max", [0.26, 2.46, 0.34, 0.15])
+    def test_t_max_must_be_a_whole_number_of_steps(self, t_max):
+        with pytest.raises(InvalidArgumentError, match="whole number of steps"):
+            QuenchSpec(t_max=t_max)
+
+    def test_whole_step_horizons_accepted(self):
+        # the benchmark's horizons, the tests' and a dt sweep's; t_max / dt
+        # rounds off a whole number in several of them
+        for t_max in (1.0, 2.5, 0.2, 0.3, 0.7):
+            spec = replace(REFERENCE_QUENCH, t_max=t_max)
+            assert spec.n_steps == round(t_max / 0.1)
+            assert spec.times[-1] == pytest.approx(t_max, rel=1e-12)
+        for dt in (0.1, 0.05, 0.025, 0.0125):
+            assert QuenchSpec(dt=dt, t_max=2.5).n_steps == round(2.5 / dt)
+        assert QuenchSpec(dt=0.05, t_max=0.05).n_steps == 1
 
     @pytest.mark.parametrize("name", ["J", "g0", "g1", "t_max"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
