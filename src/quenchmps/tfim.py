@@ -32,6 +32,7 @@ from . import qcore
 from .qcore import InvalidArgumentError
 
 STEP_RTOL = 1e-9  # how far t_max / dt may lie from a whole number, relatively
+MIN_K_POINTS = 64  # coarsest momentum grid the free-fermion integrals accept
 
 _ZZ = np.kron(qcore.PAULI_Z, qcore.PAULI_Z)
 _X_SUM = np.kron(qcore.PAULI_X, qcore.IDENTITY_2) + np.kron(
@@ -128,10 +129,11 @@ def loschmidt_exact_ff(g0, g1, t, k_points=2048, J=1.0):
     Uniform momentum grid on (0, pi) with trapezoidal integration; the
     integrand has only an integrable log singularity at cusp times, where
     the default 2048-point grid keeps the error well below plotting
-    resolution. Accepts a scalar time or an array.
+    resolution. Accepts a scalar time or an array. A ``k_points`` that is
+    not an integer of at least ``MIN_K_POINTS`` is rejected with
+    :class:`InvalidArgumentError`.
     """
-    if k_points < 64:
-        raise InvalidArgumentError("k_points must be at least 64")
+    _check_k_points(k_points)
     k = np.linspace(0.0, np.pi, k_points + 1)
     delta = bogoliubov_angle(k, g1, J) - bogoliubov_angle(k, g0, J)
     eps1 = quasiparticle_energy(k, g1, J)
@@ -140,6 +142,13 @@ def loschmidt_exact_ff(g0, g1, t, k_points=2048, J=1.0):
     f = cos2[None, :] + sin2[None, :] * np.exp(-2j * eps1[None, :] * times[:, None])
     rates = -np.trapezoid(np.log(np.maximum(np.abs(f), 1e-300)), k, axis=1) / np.pi
     return rates if np.ndim(t) else float(rates[0])
+
+
+def _check_k_points(k_points):
+    if not qcore.is_count(k_points) or k_points < MIN_K_POINTS:
+        raise InvalidArgumentError(
+            f"k_points must be an integer of at least {MIN_K_POINTS}, got {k_points!r}"
+        )
 
 
 def critical_momentum(g0, g1, J=1.0):
@@ -153,7 +162,10 @@ def critical_momentum(g0, g1, J=1.0):
 
 
 def cusp_times(g0, g1, t_max, J=1.0):
-    """Nonanalytic times t*_n = (2n+1) pi / (2 e_{k*}(g1)) up to t_max."""
+    """Nonanalytic times t*_n = (2n+1) pi / (2 e_{k*}(g1)) up to t_max; a
+    non-finite ``t_max`` is rejected with :class:`InvalidArgumentError`."""
+    if not np.isfinite(t_max):
+        raise InvalidArgumentError(f"t_max must be finite, got {t_max!r}")
     eps_star = quasiparticle_energy(critical_momentum(g0, g1, J), g1, J)
     out = []
     n = 0
@@ -167,6 +179,8 @@ def cusp_times(g0, g1, t_max, J=1.0):
 
 def ground_energy_density_ff(J, g, k_points=4096):
     """Thermodynamic-limit ground energy per site from the free-fermion
-    dispersion: e0 = -(1/pi) int_0^pi sqrt(J^2 + g^2 - 2 J g cos k) dk."""
+    dispersion: e0 = -(1/pi) int_0^pi sqrt(J^2 + g^2 - 2 J g cos k) dk,
+    with ``k_points`` checked as in :func:`loschmidt_exact_ff`."""
+    _check_k_points(k_points)
     k = np.linspace(0.0, np.pi, k_points + 1)
     return float(-np.trapezoid(np.sqrt(J**2 + g**2 - 2 * J * g * np.cos(k)), k) / np.pi)

@@ -14,6 +14,7 @@ from quenchmps.tfim import (
     bond_hamiltonian,
     critical_momentum,
     cusp_times,
+    ground_energy_density_ff,
     loschmidt_exact_ff,
     trotter_gate_first_order,
     trotter_gates_second_order,
@@ -274,6 +275,24 @@ class TestLoschmidtFreeFermion:
     def test_k_points_floor(self):
         with pytest.raises(InvalidArgumentError):
             loschmidt_exact_ff(1.5, 0.2, 1.0, k_points=16)
+
+    @pytest.mark.parametrize("k_points", [0, 1, 63, 100.5, 4096.0, True, None])
+    def test_oracles_reject_a_bad_k_points(self, k_points):
+        # a coarser grid gives a wrong value, not an error (1 point: -1.5 against -1.672)
+        with pytest.raises(InvalidArgumentError, match="k_points must be an integer"):
+            loschmidt_exact_ff(1.5, 0.2, 1.0, k_points=k_points)
+        with pytest.raises(InvalidArgumentError, match="k_points must be an integer"):
+            ground_energy_density_ff(1.0, 1.5, k_points=k_points)
+
+    def test_ground_energy_takes_the_smallest_grid(self):
+        # a smooth periodic integrand: the trapezoid rule is already exact at 64 points
+        e0 = ground_energy_density_ff(1.0, 1.5, k_points=tfim.MIN_K_POINTS)
+        assert abs(e0 - ground_energy_density_ff(1.0, 1.5, k_points=1 << 16)) < 1e-12
+
+    @pytest.mark.parametrize("t_max", [np.inf, -np.inf, np.nan])
+    def test_cusp_times_reject_a_non_finite_horizon(self, t_max):
+        with pytest.raises(InvalidArgumentError, match="t_max must be finite"):
+            cusp_times(1.5, 0.2, t_max)
 
 
 class TestLoschmidtExactDiagonalization:
