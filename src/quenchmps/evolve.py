@@ -39,7 +39,7 @@ from scipy.optimize import minimize
 
 from . import circuits, tfim, transfer
 from .ansatz import FULL15, N_ANGLES, AnsatzParams, tensor_of
-from .qcore import InvalidArgumentError, NumericFailure, is_count
+from .qcore import InvalidArgumentError, NumericFailure, is_count, is_finite_real
 
 INIT_SCHEMES = ("copy", "extrapolate")
 # largest gradient component at which a reference step (L-BFGS-B) and the ground
@@ -61,7 +61,7 @@ class SpsaSchedule:
     so the first update moves at most 0.1 rad per angle; a given ``a`` must
     be positive. ``A = None`` takes 10% of the iterations; a given ``A``
     must be nonnegative. ``steps`` is a nonnegative integer (not a bool),
-    and every gain must be finite.
+    and every gain is a finite real number (not a bool).
     """
 
     steps: int = 6
@@ -72,20 +72,20 @@ class SpsaSchedule:
     gamma: float = 0.101
 
     def __post_init__(self):
-        if not 0.5 < self.alpha <= 1.0:
-            raise InvalidArgumentError("alpha must lie in (0.5, 1]")
-        if not 0.0 < self.gamma <= 0.5:
-            raise InvalidArgumentError("gamma must lie in (0, 0.5]")
+        if not (is_finite_real(self.alpha) and 0.5 < self.alpha <= 1.0):
+            raise InvalidArgumentError("alpha must be a real number in (0.5, 1]")
+        if not (is_finite_real(self.gamma) and 0.0 < self.gamma <= 0.5):
+            raise InvalidArgumentError("gamma must be a real number in (0, 0.5]")
         if not is_count(self.steps) or self.steps < 0:
             raise InvalidArgumentError(
                 f"steps must be a nonnegative integer, got {self.steps!r}"
             )
-        if not 0 < self.c < np.inf:
-            raise InvalidArgumentError("c must be positive and finite")
-        if self.a is not None and not 0 < self.a < np.inf:
-            raise InvalidArgumentError("a must be positive and finite")
-        if self.A is not None and not 0 <= self.A < np.inf:
-            raise InvalidArgumentError("A must be nonnegative and finite")
+        if not (is_finite_real(self.c) and self.c > 0):
+            raise InvalidArgumentError("c must be a positive finite real number")
+        if self.a is not None and not (is_finite_real(self.a) and self.a > 0):
+            raise InvalidArgumentError("a must be a positive finite real number")
+        if self.A is not None and not (is_finite_real(self.A) and self.A >= 0):
+            raise InvalidArgumentError("A must be a nonnegative finite real number")
 
     def stability_offset(self, steps):
         return self.A if self.A is not None else 0.1 * steps
@@ -163,10 +163,7 @@ def energy_density(params, J, g, grad=False):
     value = float(np.einsum("ts,sab,bc,tac->", h2, prods, rho, prods.conj()).real)
     if not grad:
         return value
-    # strand_products holds P[2p + u] = A^u A^p
-    dprods = (
-        np.einsum("kuab,pbc->kpuac", da, a) + np.einsum("uab,kpbc->kpuac", a, da)
-    ).reshape(len(da), 4, 2, 2)
+    dprods = transfer.join_strands(a, da) + transfer.join_strands(da, a)
     direct = np.einsum("ts,ksab,bc,tac->k", h2, dprods, rho, prods.conj())
     h_env = np.einsum("ts,tca,scb->ab", h2, prods.conj(), prods)
     y = np.linalg.solve(pinned.conj().T, h_env.reshape(4)).reshape(2, 2)
@@ -185,14 +182,14 @@ def ground_state_optimize(J, g, template, optimizer_seed=0):
     eigenvalue within ``GROUND_GAP_TOL`` of the unit circle (a reducible
     state, where BFGS can stop on a saddle) or when a component of its energy
     gradient exceeds ``GROUND_GRAD_TOL``. The message names the optimizer
-    seed and the offending value. A non-finite ``J`` or ``g``, or an
-    ``optimizer_seed`` that is not a nonnegative integer (a bool is not one),
-    is rejected with :class:`InvalidArgumentError` before solving.
+    seed and the offending value. A ``J`` or ``g`` that is not a finite real
+    number, or an ``optimizer_seed`` that is not a nonnegative integer (a
+    bool is neither), is rejected with :class:`InvalidArgumentError` before
+    solving.
     """
-    if template not in N_ANGLES:
-        raise InvalidArgumentError(f"unknown template {template!r}")
-    if not np.all(np.isfinite([J, g])):
-        raise InvalidArgumentError(f"J and g must be finite, got J={J!r}, g={g!r}")
+    _check_start(template, None)
+    if not (is_finite_real(J) and is_finite_real(g)):
+        raise InvalidArgumentError(f"J and g must be finite reals, got J={J!r}, g={g!r}")
     if not is_count(optimizer_seed) or optimizer_seed < 0:
         raise InvalidArgumentError(
             f"optimizer_seed must be a nonnegative integer, got {optimizer_seed!r}"
@@ -563,8 +560,7 @@ class EnsembleStats:
 def ensemble_run(
     spec,
     init_scheme,
-    n_runs,
-    seeds=None,
+    seeds,
     spsa=SpsaSchedule(),
     shots_per_eval=2048,
     template=FULL15,
@@ -573,37 +569,25 @@ def ensemble_run(
     """Ensemble of perfect-gate stochastic runs (shot noise only), all
     started from ``ground`` (solved here when not given).
 
-    ``seeds`` is any iterable of ``n_runs`` distinct run seeds, each a
-    nonnegative integer (default ``range(n_runs)``); bad seeds, and any
-    ``init_scheme``, ``spsa``, ``shots_per_eval``, ``template`` or ``ground``
-    that :func:`evolve_stochastic` would reject, are rejected with
+    ``seeds`` is any iterable of at least 2 distinct run seeds, one per run,
+    each a nonnegative integer; bad seeds, and any ``init_scheme``, ``spsa``,
+    ``shots_per_eval``, ``template`` or ``ground`` that
+    :func:`evolve_stochastic` would reject, are rejected with
     :class:`InvalidArgumentError` before the ground state is solved or any
     run starts."""
-    if not is_count(n_runs) or n_runs < 2:
-        raise InvalidArgumentError(
-            f"an ensemble needs an integer number of at least 2 runs, got {n_runs!r}"
-        )
-    seeds = list(range(n_runs) if seeds is None else seeds)
-    if len(seeds) != n_runs:
-        raise InvalidArgumentError("need one seed per run")
+    seeds = list(seeds)
+    if len(seeds) < 2:
+        raise InvalidArgumentError(f"an ensemble needs at least 2 seeds, got {seeds!r}")
     _check_run(init_scheme, spsa, shots_per_eval, seeds, template, ground)
-    if len(set(seeds)) != n_runs:
+    if len(set(seeds)) != len(seeds):
         raise InvalidArgumentError(f"run seeds must be distinct, got {seeds!r}")
     if ground is None:
         ground = ground_state_optimize(spec.J, spec.g0, template)
-    runs = [
-        evolve_stochastic(
-            spec,
-            init_scheme,
-            spsa=spsa,
-            shots_per_eval=shots_per_eval,
-            seed=s,
-            template=template,
-            ground=ground,
-        )
-        for s in seeds
-    ]
-    echoes = np.full((n_runs, len(spec.times)), np.nan)
+    options = dict(
+        spsa=spsa, shots_per_eval=shots_per_eval, template=template, ground=ground
+    )
+    runs = [evolve_stochastic(spec, init_scheme, seed=s, **options) for s in seeds]
+    echoes = np.full((len(runs), len(spec.times)), np.nan)
     for row, run in zip(echoes, runs):
         row[: len(run.echoes)] = run.echoes
     with warnings.catch_warnings():

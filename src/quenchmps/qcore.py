@@ -14,6 +14,7 @@ Conventions fixed project-wide here:
 """
 
 import functools
+import math
 import numbers
 
 import numpy as np
@@ -56,24 +57,17 @@ def is_count(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-@functools.cache
-def _identity(n):
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
+def is_finite_real(value):
+    """Whether ``value`` is a finite real number: Python and NumPy integers and
+    floats count; complex numbers, strings and bools do not."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and math.isfinite(value)
 
 
 @functools.cache
 def _geev_lwork(n):
     """``geev`` workspace for an n x n matrix with both eigenvectors."""
     return int(_GEEV_LWORK(n, compute_vl=1, compute_vr=1)[0].real)
-
-
-def is_unitary(m, tol=1e-10):
-    """Whether the square matrix ``m``, or every slice of a stack of them,
-    satisfies |m^dag m - 1| < ``tol`` entrywise."""
-    m = np.asarray(m)
-    return np.abs(m.conj().swapaxes(-1, -2) @ m - _identity(m.shape[-1])).max() < tol
 
 
 def rot_gate(axis, angle):

@@ -53,9 +53,9 @@ class QuenchSpec:
 
     def __post_init__(self):
         for name in ("J", "g0", "g1", "dt", "t_max"):
-            if not np.isfinite(getattr(self, name)):
+            if not qcore.is_finite_real(getattr(self, name)):
                 raise InvalidArgumentError(
-                    f"{name} must be finite, got {getattr(self, name)!r}"
+                    f"{name} must be finite and real, got {getattr(self, name)!r}"
                 )
         if self.J == 0.0:
             raise InvalidArgumentError("coupling J must be nonzero")
@@ -152,7 +152,12 @@ def _check_k_points(k_points):
 
 
 def critical_momentum(g0, g1, J=1.0):
-    """Momentum k* where the quench Bogoliubov angles differ by pi/4."""
+    """Momentum k* where the quench Bogoliubov angles differ by pi/4; a zero
+    ``J`` or ``g0 + g1`` is rejected with :class:`InvalidArgumentError`."""
+    if J * (g0 + g1) == 0.0:
+        raise InvalidArgumentError(
+            f"no critical momentum for J={J!r}, g0 + g1 = {g0 + g1!r}"
+        )
     c = (J**2 + g0 * g1) / (J * (g0 + g1))
     if not -1.0 <= c <= 1.0:
         raise InvalidArgumentError(

@@ -3,10 +3,11 @@ maps of the cost circuits.
 
 Conventions
 -----------
-Bond operators are vectorized column-stacked into 4-vectors; the mixed
-transfer matrix acts as E = sum_s A^s (x) conj(B^s) (ket factor first). The
-identity vectorizes to (1, 0, 0, 1) either way, and for left-isometric
-tensors it is an exact *left* eigenvector of E with eigenvalue 1.
+Bond operators are vectorized row-major into 4-vectors, X[b, d] at index
+2b + d; the mixed transfer matrix is E = sum_s A^s (x) conj(B^s) (ket factor
+first), so E vec(X) = vec(sum_s A^s X (B^s)^dag). The identity vectorizes to
+(1, 0, 0, 1), and for left-isometric tensors it is an exact *left*
+eigenvector of E with eigenvalue 1.
 
 With a two-site evolution gate G inserted between bra and ket, the cell
 matrix of :func:`cell_matrix` covers one two-site unit cell::
@@ -49,15 +50,17 @@ def strand_products(a, n_sites):
     prods, block = None, a  # block: the products of 2**j sites
     while n_sites:
         if n_sites & 1:
-            prods = block if prods is None else _join_strands(prods, block)
+            prods = block if prods is None else join_strands(prods, block)
         n_sites >>= 1
         if n_sites:
-            block = _join_strands(block, block)
+            block = join_strands(block, block)
     return prods
 
 
-def _join_strands(first, then):
-    """Strand products of ``first`` (more significant, acting first) then ``then``."""
+def join_strands(first, then):
+    """Strand products of ``first`` (more significant, acting first) then
+    ``then``: then^q first^p at index p * 2**m + q, with m the sites of
+    ``then``. Leading stack axes broadcast."""
     out = np.einsum("...qab,...pbc->...pqac", then, first)
     return out.reshape(out.shape[:-4] + (-1, 2, 2))
 

@@ -368,8 +368,22 @@ class TestDrivers:
         assert traj.complete
         assert no_grad_build_shapes(calls) == [(15,)] * (SHORT.n_steps + 1)
 
-    @pytest.mark.parametrize("J, g", [(np.nan, 1.5), (1.0, np.nan), (1.0, np.inf)])
-    def test_non_finite_ground_field_rejected(self, J, g):
+    @pytest.mark.parametrize(
+        "J, g",
+        [
+            (np.nan, 1.5),
+            (1.0, np.nan),
+            (1.0, np.inf),
+            (1.0, 1.5 + 0.1j),
+            (1.0 + 0j, 1.5),
+            (True, 1.5),
+            (1.0, np.True_),
+            ("1", 1.5),
+            (1.0, None),
+        ],
+    )
+    def test_non_finite_ground_field_rejected(self, monkeypatch, J, g):
+        monkeypatch.setattr(evolve, "minimize", self.must_not_run)
         with pytest.raises(InvalidArgumentError, match="must be finite"):
             evolve.ground_state_optimize(J, g, FULL15)
 
@@ -418,6 +432,15 @@ class TestDrivers:
             {"alpha": 1.5},
             {"gamma": 0.0},
             {"gamma": 0.6},
+            {"c": 1j},
+            {"a": 0.1 + 0j},
+            {"A": 1j},
+            {"alpha": True},
+            {"A": np.True_},
+            {"c": True},
+            {"a": True},
+            {"c": "0.1"},
+            {"alpha": None},
         ],
     )
     def test_invalid_spsa_gains_rejected(self, options):
@@ -429,26 +452,24 @@ class TestDrivers:
             evolve.evolve_stochastic(SHORT, "linear", ground=ground)
 
     @pytest.mark.parametrize(
-        "n_runs, seeds, match",
+        "seeds, match",
         [
-            (1, None, "at least 2"),
-            (3, [0, 1], "one seed"),
-            (2.0, None, "integer"),
-            (2.5, None, "integer"),
-            (2, [3, 3], "distinct"),
-            (3, (s for s in [0, 4, 0]), "distinct"),
-            (2, [0, -1], "nonnegative integer"),
-            (2, [0, 1.5], "nonnegative integer"),
-            (2, [True, 0], "nonnegative integer"),
-            (2, [0, None], "nonnegative integer"),
+            ([0], "at least 2"),
+            ([], "at least 2"),
+            ([3, 3], "distinct"),
+            ((s for s in [0, 4, 0]), "distinct"),
+            ([0, -1], "nonnegative integer"),
+            ([0, 1.5], "nonnegative integer"),
+            ([True, 0], "nonnegative integer"),
+            ([0, None], "nonnegative integer"),
         ],
     )
-    def test_invalid_ensemble_rejected(self, monkeypatch, n_runs, seeds, match):
+    def test_invalid_ensemble_rejected(self, monkeypatch, seeds, match):
         # rejected before the ground state is solved or any run starts
         for name in ("ground_state_optimize", "evolve_stochastic"):
             monkeypatch.setattr(evolve, name, self.must_not_run)
         with pytest.raises(InvalidArgumentError, match=match):
-            evolve.ensemble_run(SHORT, "extrapolate", n_runs, seeds=seeds)
+            evolve.ensemble_run(SHORT, "extrapolate", seeds)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, np.bool_(True), None, "3"])
     def test_invalid_run_seed_rejected(self, monkeypatch, seed):
@@ -486,7 +507,7 @@ class TestDrivers:
                 SHORT, template, ground=ground
             ),
             "ensemble": lambda: evolve.ensemble_run(
-                SHORT, "extrapolate", 2, template=template, ground=ground
+                SHORT, "extrapolate", [0, 1], template=template, ground=ground
             ),
         }[entry]
         with pytest.raises(InvalidArgumentError, match=match):
@@ -495,7 +516,7 @@ class TestDrivers:
     def test_ensemble_takes_any_iterable_of_seeds(self, ground):
         spsa = evolve.SpsaSchedule(steps=1)
         stats = evolve.ensemble_run(
-            SHORT, "copy", 2, seeds=(s for s in (7, np.int64(2))), spsa=spsa, ground=ground
+            SHORT, "copy", (s for s in (7, np.int64(2))), spsa=spsa, ground=ground
         )
         for row, seed in zip(stats.echoes, (7, 2)):
             run = evolve.evolve_stochastic(SHORT, "copy", spsa=spsa, seed=seed, ground=ground)
@@ -521,7 +542,7 @@ class TestDrivers:
         kwargs = {"init_scheme": "extrapolate"} | options
         run = {
             "stochastic": lambda: evolve.evolve_stochastic(SHORT, **kwargs),
-            "ensemble": lambda: evolve.ensemble_run(SHORT, n_runs=2, **kwargs),
+            "ensemble": lambda: evolve.ensemble_run(SHORT, seeds=[0, 1], **kwargs),
         }[entry]
         with pytest.raises(InvalidArgumentError, match=match):
             run()
@@ -655,7 +676,7 @@ class TestStochastic:
         monkeypatch.setattr(evolve, "ground_state_optimize", no_solve)
         # run 0 builds three step costs; run 1 fails on its second step
         patch_step_costs(monkeypatch, fail_after=SHORT.n_steps + 1)
-        stats = evolve.ensemble_run(SHORT, "extrapolate", 2, ground=ground)
+        stats = evolve.ensemble_run(SHORT, "extrapolate", [0, 1], ground=ground)
         assert np.array_equal(stats.times, SHORT.times)
         assert stats.reached.tolist() == [2, 2, 1, 1]
         assert np.array_equal(stats.echoes[0], full.echoes)

@@ -127,8 +127,10 @@ class TestQuenchSpec:
             assert QuenchSpec(dt=dt, t_max=2.5).n_steps == round(2.5 / dt)
         assert QuenchSpec(dt=0.05, t_max=0.05).n_steps == 1
 
-    @pytest.mark.parametrize("name", ["J", "g0", "g1", "t_max"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["J", "g0", "g1", "dt", "t_max"])
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, 1.5 + 0.1j, True, np.True_, "1", None]
+    )
     def test_non_finite_parameters_rejected(self, name, value):
         with pytest.raises(InvalidArgumentError, match=f"{name} must be finite"):
             QuenchSpec(**{name: value})
@@ -271,6 +273,12 @@ class TestLoschmidtFreeFermion:
     def test_no_critical_momentum_without_crossing(self):
         with pytest.raises(InvalidArgumentError):
             critical_momentum(1.5, 1.2)
+        # a zero J or g0 + g1 leaves the crossing condition undefined
+        for g0, g1, J in [(1.0, -1.0, 1.0), (1.5, 0.2, 0.0), (0.0, 0.0, 0.0)]:
+            with pytest.raises(InvalidArgumentError, match="no critical momentum"):
+                critical_momentum(g0, g1, J)
+        with pytest.raises(InvalidArgumentError, match="no critical momentum"):
+            cusp_times(1.0, -1.0, 2.5)
 
     def test_k_points_floor(self):
         with pytest.raises(InvalidArgumentError):

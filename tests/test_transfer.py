@@ -11,6 +11,7 @@ from quenchmps.transfer import (
     cell_eigenvalue_gradient,
     cell_matrix,
     fidelity_density,
+    join_strands,
     site_overlap_map,
     strand_products,
     transfer_matrix,
@@ -39,6 +40,33 @@ class TestTransferMatrix:
             a = tensor_of(random_params(rng))
             lam = fidelity_density(transfer_matrix(a, a))
             assert abs(abs(lam) - 1.0) < 1e-10
+
+    def test_bond_operators_vectorize_row_major(self):
+        # X[b, d] sits at index 2b + d: E vec(X) = vec(sum_s A^s X (B^s)^dag)
+        rng = np.random.default_rng(11)
+        a, b, x = (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for shape in [(2, 2, 2), (2, 2, 2), (2, 2)]
+        )
+        image = sum(a[s] @ x @ b[s].conj().T for s in range(2))
+        e = transfer_matrix(a, b)
+        assert np.max(np.abs(e @ x.reshape(-1) - image.reshape(-1))) < 1e-12
+        column_stacked = e @ x.reshape(-1, order="F") - image.reshape(-1, order="F")
+        assert np.max(np.abs(column_stacked)) > 1e-3
+        assert np.array_equal(VEC_IDENTITY, np.eye(2).reshape(-1))
+
+    def test_joined_strands_broadcast_over_a_stack(self):
+        # P[2p + u] = then^u first^p, for each tensor of a stacked side
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+        da = rng.standard_normal((3, 2, 2, 2)) + 1j * rng.standard_normal((3, 2, 2, 2))
+        for first, then in [(a, da), (da, a)]:
+            joined = join_strands(first, then)
+            assert joined.shape == (3, 4, 2, 2)
+            for k, p, u in itertools.product(range(3), range(2), range(2)):
+                f = first[k] if first.ndim == 4 else first
+                t = then[k] if then.ndim == 4 else then
+                assert np.allclose(joined[k, 2 * p + u], t[u] @ f[p], rtol=0, atol=1e-14)
 
     def test_identity_gate_cell_is_square_of_one_site(self):
         rng = np.random.default_rng(2)
