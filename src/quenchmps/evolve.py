@@ -18,10 +18,12 @@ angles, and serves both its echo and the next step's current state. Only
 the correction differs between the drivers. The deterministic reference
 (:func:`evolve_exact_in_ansatz`) corrects with one L-BFGS-B solve of the
 dense step objective, which stops on its gradient test alone. The sampled
-experiment (:func:`evolve_stochastic`) corrects with a few SPSA iterations
-on the measured cost 1 - p_hat, so the circuit acts as a stochastic
-correction on top of the classical extrapolation; every SPSA iteration
-spends exactly two cost evaluations. Its candidate starts from the loop's
+experiment (:func:`evolve_stochastic`) corrects with ``SPSA_STEPS`` SPSA
+iterations (``BOOTSTRAP_FACTOR`` times as many on steps 1 and 2) on the
+measured cost 1 - p_hat, so the circuit acts as a stochastic correction on
+top of the classical extrapolation; every SPSA iteration spends exactly two
+cost evaluations. Its gain schedule is fixed by the module's ``SPSA_*``
+constants, not by an option. Its candidate starts from the loop's
 seed ("extrapolate", the paper's protocol) or from the previous step
 ("copy", the baseline without extrapolation). Its step n draws
 stream i (1 SPSA, 2 shots; stream 0 is reserved) from
@@ -32,7 +34,7 @@ same way: the trajectory is truncated before it and ``failure`` names it.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
@@ -49,46 +51,16 @@ GTOL = 1e-7
 GROUND_GAP_TOL = 1e-6  # least 1 - |lambda_2| of an accepted ground state
 GROUND_GRAD_TOL = 1e-6  # largest energy gradient component of an accepted ground state
 BOOTSTRAP_FACTOR = 4  # SPSA budget multiplier while extrapolation lacks history
+# SPSA gains a_k = a/(k+1+A)^alpha, c_k = c/(k+1)^gamma, with Spall's practical
+# values (IEEE TAES 34, 817, 1998); see spsa_optimize
+SPSA_STEPS = 6  # iterations per step after the bootstrap
+SPSA_C = 0.1
+SPSA_ALPHA = 0.602
+SPSA_GAMMA = 0.101
+SPSA_A_FRACTION = 0.1  # A as a fraction of the iterations
+SPSA_FIRST_MOVE = 0.1  # largest first update of an angle (rad); calibrates a
 _PLUS_MINUS = np.array([[1.0], [-1.0]])  # rows of an SPSA pair x +/- c_k delta
 SPSA_STREAM, SHOT_STREAM = 1, 2  # a stochastic step's streams; stream 0 is reserved
-
-
-@dataclass(frozen=True)
-class SpsaSchedule:
-    """Gain schedule a_k = a/(k+1+A)^alpha, c_k = c/(k+1)^gamma.
-
-    ``a = None`` calibrates the step scale from the first gradient estimate
-    so the first update moves at most 0.1 rad per angle; a given ``a`` must
-    be positive. ``A = None`` takes 10% of the iterations; a given ``A``
-    must be nonnegative. ``steps`` is a nonnegative integer (not a bool),
-    and every gain is a finite real number (not a bool).
-    """
-
-    steps: int = 6
-    a: float | None = None
-    c: float = 0.1
-    A: float | None = None
-    alpha: float = 0.602
-    gamma: float = 0.101
-
-    def __post_init__(self):
-        if not (is_finite_real(self.alpha) and 0.5 < self.alpha <= 1.0):
-            raise InvalidArgumentError("alpha must be a real number in (0.5, 1]")
-        if not (is_finite_real(self.gamma) and 0.0 < self.gamma <= 0.5):
-            raise InvalidArgumentError("gamma must be a real number in (0, 0.5]")
-        if not is_count(self.steps) or self.steps < 0:
-            raise InvalidArgumentError(
-                f"steps must be a nonnegative integer, got {self.steps!r}"
-            )
-        if not (is_finite_real(self.c) and self.c > 0):
-            raise InvalidArgumentError("c must be a positive finite real number")
-        if self.a is not None and not (is_finite_real(self.a) and self.a > 0):
-            raise InvalidArgumentError("a must be a positive finite real number")
-        if self.A is not None and not (is_finite_real(self.A) and self.A >= 0):
-            raise InvalidArgumentError("A must be a nonnegative finite real number")
-
-    def stability_offset(self, steps):
-        return self.A if self.A is not None else 0.1 * steps
 
 
 @dataclass
@@ -234,8 +206,10 @@ def unwrap_toward(reference, angles):
     return angles + two_pi * np.round((reference - angles) / two_pi)
 
 
-def spsa_optimize(cost, seed_params, schedule, rng_seed):
-    """Simultaneous-perturbation minimization of a noisy scalar cost.
+def spsa_optimize(cost, seed_params, steps, rng_seed):
+    """Simultaneous-perturbation minimization of a noisy scalar cost in
+    ``steps`` iterations with the ``SPSA_*`` gains; a is calibrated on the
+    first gradient estimate so that no angle moves more than ``SPSA_FIRST_MOVE``.
 
     Rademacher perturbation directions, all drawn up front in one call (the
     same stream as one draw per iteration). ``cost`` takes a (2, n) stack of
@@ -246,24 +220,19 @@ def spsa_optimize(cost, seed_params, schedule, rng_seed):
     """
     rng = np.random.default_rng(rng_seed)
     x = seed_params.angles
-    n = len(x)
-    a = schedule.a
-    offset = schedule.stability_offset(schedule.steps)
+    offset = SPSA_A_FRACTION * steps
     history = []
-    deltas = rng.integers(0, 2, size=(schedule.steps, n)) * 2.0 - 1.0
+    deltas = rng.integers(0, 2, size=(steps, len(x))) * 2.0 - 1.0
     for k, delta in enumerate(deltas):
-        ck = schedule.c / (k + 1) ** schedule.gamma
+        ck = SPSA_C / (k + 1) ** SPSA_GAMMA
         y_plus, y_minus = cost(x + _PLUS_MINUS * (ck * delta))
         ghat = (y_plus - y_minus) / (2.0 * ck) * delta
-        if a is None:
-            # first-step calibration: move at most 0.1 rad per angle
+        if k == 0:
             gmax = np.max(np.abs(ghat))
             if gmax == 0.0:
-                raise NumericFailure(
-                    "SPSA gain calibration on a zero gradient estimate"
-                )
-            a = 0.1 * (1 + offset) ** schedule.alpha / gmax
-        ak = a / (k + 1 + offset) ** schedule.alpha
+                raise NumericFailure("SPSA gain calibration on a zero gradient estimate")
+            a = SPSA_FIRST_MOVE * (1 + offset) ** SPSA_ALPHA / gmax
+        ak = a / (k + 1 + offset) ** SPSA_ALPHA
         x = x - ak * ghat
         history.append(0.5 * (y_plus + y_minus))
     return seed_params.replace_angles(x), history
@@ -348,16 +317,13 @@ def _evolve(spec, ground, solve_step, **labels):
     )
 
 
-def _check_run(init_scheme, spsa, shots_per_eval, seeds, template, ground):
+def _check_run(init_scheme, shots_per_eval, seeds, template, ground):
     """The checks both stochastic drivers make before anything is solved or
-    stepped: reject an unknown ``init_scheme``, a ``spsa`` that is not a
-    :class:`SpsaSchedule`, a ``shots_per_eval`` that is not a positive
-    integer, a run seed that is not a nonnegative one (a bool is neither),
-    and what :func:`_check_start` rejects."""
+    stepped: reject an unknown ``init_scheme``, a ``shots_per_eval`` that is
+    not a positive integer, a run seed that is not a nonnegative one (a bool
+    is neither), and what :func:`_check_start` rejects."""
     if init_scheme not in INIT_SCHEMES:
         raise InvalidArgumentError(f"unknown init scheme {init_scheme!r}")
-    if not isinstance(spsa, SpsaSchedule):
-        raise InvalidArgumentError(f"spsa must be a SpsaSchedule, got {spsa!r}")
     if not is_count(shots_per_eval) or shots_per_eval < 1:
         raise InvalidArgumentError(
             f"shots_per_eval must be a positive integer, got {shots_per_eval!r}"
@@ -399,22 +365,16 @@ def _step_stream(seed, step, stream):
 
 
 def evolve_stochastic(
-    spec,
-    init_scheme,
-    spsa=SpsaSchedule(),
-    shots_per_eval=2048,
-    seed=0,
-    template=FULL15,
-    ground=None,
+    spec, init_scheme, shots_per_eval=2048, seed=0, template=FULL15, ground=None
 ):
     """Stochastic variational evolution of the quench.
 
     The step solver of :func:`_evolve`: seed the candidate via ``init_scheme``
     ("extrapolate" keeps the loop's seed, "copy" takes the previous step),
-    run SPSA on the sampled cost, accept the final iterate. The first two
-    steps use a ``BOOTSTRAP_FACTOR`` larger SPSA budget (extrapolation needs
-    two previous points); both schedules are built once per run.
-    Bit-identical for identical ``(spec, seed)``: step n draws its SPSA and
+    run ``SPSA_STEPS`` iterations of SPSA (:func:`spsa_optimize`) on the
+    sampled cost, accept the final iterate. The first two steps run
+    ``BOOTSTRAP_FACTOR`` times as many (extrapolation needs two previous
+    points). Bit-identical for identical ``(spec, seed)``: step n draws its SPSA and
     shot streams from the spawn chain of ``SeedSequence(seed)``
     (:func:`_step_stream`). A cost or echo failure ends the run (see
     :func:`_evolve`).
@@ -427,25 +387,23 @@ def evolve_stochastic(
     Bad options are rejected with :class:`InvalidArgumentError` before the
     ground state is solved (:func:`_check_run`).
     """
-    _check_run(init_scheme, spsa, shots_per_eval, [seed], template, ground)
+    _check_run(init_scheme, shots_per_eval, [seed], template, ground)
     if ground is None:
         ground = ground_state_optimize(spec.J, spec.g0, template)
     layer, _ = circuits.evolution_gate_layer(spec)
-    bootstrap = replace(spsa, steps=spsa.steps * BOOTSTRAP_FACTOR)
 
     def solve_step(step, prev, a_prev, seed_params):
         if init_scheme == "copy":
             seed_params = prev
-        schedule = bootstrap if step <= 2 else spsa
+        steps = SPSA_STEPS * BOOTSTRAP_FACTOR if step <= 2 else SPSA_STEPS
         cost = _sampled_cost(
             a_prev, layer, shots_per_eval, _step_stream(seed, step, SHOT_STREAM)
         )
         accepted, history = spsa_optimize(
-            cost, seed_params, schedule, _step_stream(seed, step, SPSA_STREAM)
+            cost, seed_params, steps, _step_stream(seed, step, SPSA_STREAM)
         )
         # two cost evaluations per SPSA iteration
-        shots = 2 * schedule.steps * shots_per_eval
-        return accepted, history[-1] if history else np.nan, shots
+        return accepted, history[-1], 2 * steps * shots_per_eval
 
     return _evolve(
         spec, ground, solve_step,
@@ -558,19 +516,13 @@ class EnsembleStats:
 
 
 def ensemble_run(
-    spec,
-    init_scheme,
-    seeds,
-    spsa=SpsaSchedule(),
-    shots_per_eval=2048,
-    template=FULL15,
-    ground=None,
+    spec, init_scheme, seeds, shots_per_eval=2048, template=FULL15, ground=None
 ):
     """Ensemble of perfect-gate stochastic runs (shot noise only), all
     started from ``ground`` (solved here when not given).
 
     ``seeds`` is any iterable of at least 2 distinct run seeds, one per run,
-    each a nonnegative integer; bad seeds, and any ``init_scheme``, ``spsa``,
+    each a nonnegative integer; bad seeds, and any ``init_scheme``,
     ``shots_per_eval``, ``template`` or ``ground`` that
     :func:`evolve_stochastic` would reject, are rejected with
     :class:`InvalidArgumentError` before the ground state is solved or any
@@ -578,14 +530,12 @@ def ensemble_run(
     seeds = list(seeds)
     if len(seeds) < 2:
         raise InvalidArgumentError(f"an ensemble needs at least 2 seeds, got {seeds!r}")
-    _check_run(init_scheme, spsa, shots_per_eval, seeds, template, ground)
+    _check_run(init_scheme, shots_per_eval, seeds, template, ground)
     if len(set(seeds)) != len(seeds):
         raise InvalidArgumentError(f"run seeds must be distinct, got {seeds!r}")
     if ground is None:
         ground = ground_state_optimize(spec.J, spec.g0, template)
-    options = dict(
-        spsa=spsa, shots_per_eval=shots_per_eval, template=template, ground=ground
-    )
+    options = dict(shots_per_eval=shots_per_eval, template=template, ground=ground)
     runs = [evolve_stochastic(spec, init_scheme, seed=s, **options) for s in seeds]
     echoes = np.full((len(runs), len(spec.times)), np.nan)
     for row, run in zip(echoes, runs):

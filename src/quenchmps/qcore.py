@@ -135,9 +135,9 @@ def leading_eig(m):
 
 
 def zero_state(n_qubits):
-    """|0...0> on `n_qubits` qubits."""
-    if n_qubits < 1:
-        raise InvalidArgumentError("need at least one qubit")
+    """|0...0> on `n_qubits` qubits, a positive integer (not a bool)."""
+    if not is_count(n_qubits) or n_qubits < 1:
+        raise InvalidArgumentError(f"need a positive qubit count, got {n_qubits!r}")
     psi = np.zeros(2**n_qubits, dtype=complex)
     psi[0] = 1.0
     return psi
@@ -181,9 +181,15 @@ def project_qubit(state, qubit, outcome):
     """Project (without renormalizing) onto the given measurement outcome.
 
     Used for exact success-branch bookkeeping of postselected circuits.
+    ``qubit`` must be an integer in [0, n) and ``outcome`` the integer 0 or
+    1 (bools are neither), as :class:`InvalidArgumentError` enforces.
     """
     state = np.asarray(state, dtype=complex)
     n = n_qubits_of(state)
+    if not (is_count(qubit) and 0 <= qubit < n and is_count(outcome) and outcome in (0, 1)):
+        raise InvalidArgumentError(
+            f"need a qubit in [0, {n}) and an outcome 0 or 1, got {qubit!r}, {outcome!r}"
+        )
     psi = state.reshape([2] * n).copy()
     idx = [slice(None)] * n
     idx[qubit] = 1 - outcome

@@ -40,6 +40,14 @@ _X_SUM = np.kron(qcore.PAULI_X, qcore.IDENTITY_2) + np.kron(
 )
 
 
+def _check_reals(**values):
+    """Reject a value that is not a finite real number (a bool is not) with
+    :class:`InvalidArgumentError`, naming its keyword."""
+    for name, value in values.items():
+        if not qcore.is_finite_real(value):
+            raise InvalidArgumentError(f"{name} must be finite and real, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QuenchSpec:
     """Parameters of a transverse-field quench experiment."""
@@ -52,11 +60,7 @@ class QuenchSpec:
     trotter_order: int = 1
 
     def __post_init__(self):
-        for name in ("J", "g0", "g1", "dt", "t_max"):
-            if not qcore.is_finite_real(getattr(self, name)):
-                raise InvalidArgumentError(
-                    f"{name} must be finite and real, got {getattr(self, name)!r}"
-                )
+        _check_reals(J=self.J, g0=self.g0, g1=self.g1, dt=self.dt, t_max=self.t_max)
         if self.J == 0.0:
             raise InvalidArgumentError("coupling J must be nonzero")
         if not self.dt > 0.0:
@@ -129,15 +133,21 @@ def loschmidt_exact_ff(g0, g1, t, k_points=2048, J=1.0):
     Uniform momentum grid on (0, pi) with trapezoidal integration; the
     integrand has only an integrable log singularity at cusp times, where
     the default 2048-point grid keeps the error well below plotting
-    resolution. Accepts a scalar time or an array. A ``k_points`` that is
-    not an integer of at least ``MIN_K_POINTS`` is rejected with
-    :class:`InvalidArgumentError`.
+    resolution. Accepts a scalar time or an array. A ``J``, ``g0`` or ``g1``
+    that is not a finite real, a zero ``J``, a time that is not a finite
+    real, and a ``k_points`` that is not an integer of at least
+    ``MIN_K_POINTS`` are rejected with :class:`InvalidArgumentError`.
     """
+    _check_reals(J=J, g0=g0, g1=g1)
+    if J == 0.0:
+        raise InvalidArgumentError("coupling J must be nonzero")
+    times = np.atleast_1d(t)
+    if times.dtype.kind not in "iuf" or not np.all(np.isfinite(times)):
+        raise InvalidArgumentError(f"times must be finite and real, got {t!r}")
     _check_k_points(k_points)
     k = np.linspace(0.0, np.pi, k_points + 1)
     delta = bogoliubov_angle(k, g1, J) - bogoliubov_angle(k, g0, J)
     eps1 = quasiparticle_energy(k, g1, J)
-    times = np.atleast_1d(np.asarray(t, dtype=float))
     cos2, sin2 = np.cos(delta) ** 2, np.sin(delta) ** 2
     f = cos2[None, :] + sin2[None, :] * np.exp(-2j * eps1[None, :] * times[:, None])
     rates = -np.trapezoid(np.log(np.maximum(np.abs(f), 1e-300)), k, axis=1) / np.pi
@@ -184,8 +194,10 @@ def cusp_times(g0, g1, t_max, J=1.0):
 
 def ground_energy_density_ff(J, g, k_points=4096):
     """Thermodynamic-limit ground energy per site from the free-fermion
-    dispersion: e0 = -(1/pi) int_0^pi sqrt(J^2 + g^2 - 2 J g cos k) dk,
-    with ``k_points`` checked as in :func:`loschmidt_exact_ff`."""
+    dispersion: e0 = -(1/pi) int_0^pi sqrt(J^2 + g^2 - 2 J g cos k) dk.
+    ``J`` and ``g`` must be finite reals (``J = 0`` gives -|g|), and
+    ``k_points`` is checked as in :func:`loschmidt_exact_ff`."""
+    _check_reals(J=J, g=g)
     _check_k_points(k_points)
     k = np.linspace(0.0, np.pi, k_points + 1)
     return float(-np.trapezoid(np.sqrt(J**2 + g**2 - 2 * J * g * np.cos(k)), k) / np.pi)

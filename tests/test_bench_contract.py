@@ -1,7 +1,11 @@
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
+
+from quenchmps import circuits, evolve
+from quenchmps.ansatz import FULL15
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -17,3 +21,28 @@ def test_every_traced_name_resolves(monkeypatch):
         owner, attr = name.split(".")
         module = importlib.import_module(f"quenchmps.{owner}")
         assert callable(getattr(module, attr, None)), name
+
+
+def _binds(fn, *args, **kwargs):
+    inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_benchmark_call_shapes_bind():
+    # the exact calls that bench/harness.py and bench/selftest.py make; a
+    # renamed or dropped parameter breaks the benchmark before any test runs it
+    spec, ground, prev = object(), object(), object()
+    _binds(evolve.ground_state_optimize, 1.0, 1.5, FULL15)
+    _binds(evolve.evolve_exact_in_ansatz, spec, FULL15, "eigen", ground=ground)
+    _binds(
+        evolve.evolve_stochastic, spec, "extrapolate",
+        template=FULL15, shots_per_eval=2048, seed=0, ground=ground,
+    )
+    _binds(
+        evolve.Trajectory, spec=spec, template=FULL15, init_scheme="extrapolate",
+        seed=0, shots_per_eval=0, times=None, angles=None, echoes=None, costs=None,
+        cum_shots=None,
+    )
+    _binds(circuits.dense_success_probability, prev, prev, spec)
+    _binds(circuits.build_cost_circuit, prev, prev, spec)
+    _binds(evolve.echo_density, ground, ground)
+    _binds(evolve.energy_density, ground, 1.0, 1.5)

@@ -258,6 +258,21 @@ class TestStateHelpers:
         with pytest.raises(InvalidArgumentError):
             zero_state(0)
 
+    @pytest.mark.parametrize("n_qubits", [True, np.True_, 2.0, -1, None])
+    def test_zero_state_rejects_a_non_count(self, n_qubits):
+        with pytest.raises(InvalidArgumentError, match="positive qubit count"):
+            zero_state(n_qubits)
+
+    @pytest.mark.parametrize(
+        "qubit, outcome",
+        [(-1, 0), (3, 0), (5, 1), (1.0, 0), (True, 0), (0, 2), (0, -1), (0, True), (0, 0.0)],
+    )
+    def test_projection_rejects_a_bad_qubit_or_outcome(self, qubit, outcome):
+        # unchecked, qubit -1 would project the last qubit, outcome 2 would act
+        # as 0, and qubit 5 would raise a bare IndexError
+        with pytest.raises(InvalidArgumentError, match="need a qubit in"):
+            project_qubit(zero_state(3), qubit, outcome)
+
     def test_qubit_count_needs_a_power_of_two(self):
         assert n_qubits_of(np.zeros(8)) == 3
         with pytest.raises(InvalidArgumentError, match="power of 2"):

@@ -292,6 +292,42 @@ class TestLoschmidtFreeFermion:
         with pytest.raises(InvalidArgumentError, match="k_points must be an integer"):
             ground_energy_density_ff(1.0, 1.5, k_points=k_points)
 
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: loschmidt_exact_ff(1.5, 0.2, 1.0, J=0.0), "J must be nonzero"),
+            (lambda: loschmidt_exact_ff(1.5 + 0.1j, 0.2, 1.0), "g0 must be finite"),
+            (lambda: loschmidt_exact_ff(np.nan, 0.2, 1.0), "g0 must be finite"),
+            (lambda: loschmidt_exact_ff(1.5, np.inf, 1.0), "g1 must be finite"),
+            (lambda: loschmidt_exact_ff(1.5, 0.2, 1.0, J=True), "J must be finite"),
+            (lambda: loschmidt_exact_ff(1.5, 0.2, 1.0, J="1"), "J must be finite"),
+            (lambda: loschmidt_exact_ff(1.5, 0.2, np.nan), "times must be finite"),
+            (lambda: loschmidt_exact_ff(1.5, 0.2, [0.5, np.inf]), "times must be finite"),
+            (lambda: loschmidt_exact_ff(1.5, 0.2, 1.0 + 0j), "times must be finite"),
+            (lambda: loschmidt_exact_ff(1.5, 0.2, "1"), "times must be finite"),
+            (lambda: ground_energy_density_ff(1.0, 1.5 + 1j), "g must be finite"),
+            (lambda: ground_energy_density_ff(1.0, np.nan), "g must be finite"),
+            (lambda: ground_energy_density_ff(np.inf, 1.5), "J must be finite"),
+            (lambda: ground_energy_density_ff(None, 1.5), "J must be finite"),
+        ],
+        ids=[
+            "ff-J-zero", "ff-g0-complex", "ff-g0-nan", "ff-g1-inf", "ff-J-bool",
+            "ff-J-str", "ff-t-nan", "ff-t-inf-in-array", "ff-t-complex", "ff-t-str",
+            "e0-g-complex", "e0-g-nan", "e0-J-inf", "e0-J-none",
+        ],
+    )
+    def test_oracles_reject_bad_couplings_and_times(self, call, match):
+        # unchecked, J = 0 divides by zero, a complex field escapes as a numpy
+        # TypeError or gives a wrong real energy, and a NaN gives a NaN rate
+        with pytest.raises(InvalidArgumentError, match=match):
+            call()
+
+    def test_oracles_take_integer_couplings_and_times(self):
+        assert loschmidt_exact_ff(2, 0, [1, 2], J=1).tolist() == (
+            loschmidt_exact_ff(2.0, 0.0, [1.0, 2.0]).tolist()
+        )
+        assert ground_energy_density_ff(0, 2) == pytest.approx(-2.0, abs=1e-12)
+
     def test_ground_energy_takes_the_smallest_grid(self):
         # a smooth periodic integrand: the trapezoid rule is already exact at 64 points
         e0 = ground_energy_density_ff(1.0, 1.5, k_points=tfim.MIN_K_POINTS)
