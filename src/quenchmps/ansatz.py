@@ -42,6 +42,14 @@ first); unitarity of U makes A left-isometric: sum_s (A^s)^dag A^s = 1. U is
 unitary by construction, as a product of exactly unitary G_k; the tests prove
 it within 1e-12 at angles from 0 to 1e8, and no call checks it again. The
 same slice of dU/da_k gives dA/da_k.
+
+The float operations live once, in private helpers on raw angle arrays: the
+rotation stack, the halving tree, the prefix scan with dU, and the U -> A
+slice, which is a view. :func:`build_unitary`, :func:`mps_tensor` and
+:func:`tensor_of` wrap them for :class:`AnsatzParams`; the step objectives,
+which run them thousands of times per step on the optimizer's own angle
+array, call :func:`angle_tensor` instead, which checks only that the angles
+are finite and gives the same floats.
 """
 
 from dataclasses import dataclass, field
@@ -90,10 +98,14 @@ class AnsatzParams:
                 f"{self.template} expects {n} angles or a nonempty (k, {n}) stack, "
                 f"got shape {angles.shape}"
             )
-        if not np.isfinite(angles).all():
-            raise InvalidArgumentError("angles must be finite")
+        _check_finite(angles)
         angles.flags.writeable = False
         object.__setattr__(self, "angles", angles)
+
+    def __array__(self, dtype=None, copy=None):
+        """The angles, so that :func:`angle_tensor` takes the parameters as
+        readily as a raw array."""
+        return np.array(self.angles, dtype=dtype, copy=copy)
 
     def replace_angles(self, angles):
         return AnsatzParams(self.template, angles)
@@ -112,21 +124,11 @@ def build_unitary(params, grad=False):
     14 products per set instead of 45 (see the module docstring).
     """
     a = params.angles
-    if grad and a.ndim != 1:
-        raise InvalidArgumentError("gradients take one parameter set, not a stack")
-    half = (_SCALES * a)[..., None, None]
-    pre = np.cos(half) * _EYE_4 + np.sin(half) * _NEG_I_P  # G_k, shape (..., 15, 4, 4)
     if not grad:
-        # pairs (G_2 G_1), ..., (G_14 G_13) beside G_0, which stands for G_0 1
-        pre[..., 2::2, :, :] = pre[..., 2::2, :, :] @ pre[..., 1::2, :, :]
-        tree = pre[..., ::2, :, :]
-        for _ in range(3):
-            tree = tree[..., 1::2, :, :] @ tree[..., ::2, :, :]
-        return tree[..., 0, :, :]
-    for shift in (1, 2, 4, 8):  # prefix products Pre_k = G_k ... G_0
-        pre[..., shift:, :, :] = pre[..., shift:, :, :] @ pre[..., :-shift, :, :]
-    u = pre[..., -1, :, :]
-    return u, u @ (pre.conj().swapaxes(-1, -2) @ _GENERATORS @ pre)
+        return _tree_unitary(a)
+    if a.ndim != 1:
+        raise InvalidArgumentError("gradients take one parameter set, not a stack")
+    return _scan_unitary(a)
 
 
 def mps_tensor(u):
@@ -142,7 +144,7 @@ def mps_tensor(u):
         raise InvalidArgumentError(
             f"expected a 4x4 unitary or a stack of them, got shape {u.shape}"
         )
-    return u.reshape(u.shape[:-2] + (2, 2, 2, 2))[..., 0, :]
+    return _slice(u)
 
 
 def tensor_of(params, grad=False):
@@ -152,3 +154,59 @@ def tensor_of(params, grad=False):
         return mps_tensor(build_unitary(params))
     u, du = build_unitary(params, grad=True)
     return mps_tensor(u), mps_tensor(du)
+
+
+def angle_tensor(angles, grad=False):
+    """:func:`tensor_of` straight from a raw array of ``FULL15`` angles, the
+    optimizers' own iterate: (15,) or, without ``grad``, a (k, 15) stack, or
+    anything ``numpy.asarray`` makes one of (an :class:`AnsatzParams` gives
+    its angles). The hot step objectives call it once per evaluation. Its
+    one check is that every angle is finite (:class:`InvalidArgumentError`
+    otherwise, as :class:`AnsatzParams` raises); the shape is not checked.
+    It builds U with the same float operations as :func:`build_unitary`, and
+    A (and dA) are views of U (and dU), so each value is bit for bit
+    :func:`tensor_of`'s.
+    """
+    angles = np.asarray(angles, dtype=float)
+    _check_finite(angles)
+    if not grad:
+        return _slice(_tree_unitary(angles))
+    u, du = _scan_unitary(angles)
+    return _slice(u), _slice(du)
+
+
+def _check_finite(angles):
+    if not np.isfinite(angles).all():
+        raise InvalidArgumentError("angles must be finite")
+
+
+def _gates(angles):
+    """The rotations G_k of raw angles, shape (..., 15, 4, 4)."""
+    half = (_SCALES * angles)[..., None, None]
+    return np.cos(half) * _EYE_4 + np.sin(half) * _NEG_I_P
+
+
+def _tree_unitary(angles):
+    """U of raw angles (or a stack) by the halving tree."""
+    g = _gates(angles)
+    # pairs (G_2 G_1), ..., (G_14 G_13) beside G_0, which stands for G_0 1
+    g[..., 2::2, :, :] = g[..., 2::2, :, :] @ g[..., 1::2, :, :]
+    tree = g[..., ::2, :, :]
+    for _ in range(3):
+        tree = tree[..., 1::2, :, :] @ tree[..., ::2, :, :]
+    return tree[..., 0, :, :]
+
+
+def _scan_unitary(angles):
+    """(U, dU) of one raw parameter set by the prefix scan."""
+    pre = _gates(angles)
+    for shift in (1, 2, 4, 8):  # prefix products Pre_k = G_k ... G_0
+        pre[..., shift:, :, :] = pre[..., shift:, :, :] @ pre[..., :-shift, :, :]
+    u = pre[..., -1, :, :]
+    return u, u @ (pre.conj().swapaxes(-1, -2) @ _GENERATORS @ pre)
+
+
+def _slice(u):
+    """The view A[s, a, b] = <s, a| U |0, b> of a unitary, a stack of them or
+    their derivatives (trailing 4x4 axes)."""
+    return u.reshape(u.shape[:-2] + (2, 2, 2, 2))[..., 0, :]

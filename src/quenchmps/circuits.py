@@ -31,14 +31,14 @@ only (:func:`evolution_gate_layer`). :func:`success_probability_fn` builds
 the side fixed by the current state once per step, from the current state's
 MPS tensor A, which the step loop of :mod:`quenchmps.evolve` builds once per
 accepted state and hands over: the ket side of the evolution window
-K[t] = sum_s <t|L|s> A-prod_s (16 x 2 x 2) and the two boundary copies
-folded into one 2 x 4 map. It returns a function of the
-candidates that builds only their tensors and strand products and does one
-(2 x 32) . (32 x 2) product per candidate. The candidates come as one
-:class:`~quenchmps.ansatz.AnsatzParams` with a (k, n) stack of angles (an
-SPSA +/- pair is k = 2), and the function returns one probability per row,
-each the same float that row gives on its own. :func:`dense_success_probability`
-is that function evaluated on one candidate, from parameters on both sides.
+K[t] = sum_s <t|L|s> A-prod_s (16 x 2 x 2) with the two boundary copies
+folded into it, one (64 x 2) matrix. It returns a function of the
+candidates' raw angles that builds only their tensors and four-site strand
+products and does one (1 x 64) . (64 x 2) product per candidate. The
+candidates come as one angle set or a (k, 15) stack (an SPSA +/- pair is
+k = 2), and the function returns one probability per row, each the same
+float that row gives on its own. :func:`dense_success_probability` is that
+function evaluated on one candidate, from parameters on both sides.
 
 With the candidate equal to the current state and no evolution, every
 prepare/unprepare pair composes to the identity on the bond register via the
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qcore, tfim, transfer
-from .ansatz import build_unitary, tensor_of
+from .ansatz import angle_tensor, build_unitary, tensor_of
 from .qcore import ResourceLimitError
 
 MAX_CIRCUIT_QUBITS = 12
@@ -173,27 +173,29 @@ def success_probability_fn(a_t, layer):
 
     Everything fixed by the current state is built here, once: the window's
     ket side K[t] (:func:`transfer.window_ket` of the gate layer on the
-    current state's four-site strand products) and the two boundary copies,
-    folded into one linear map from the window's bond operator onto column 0
-    of the final one. Each call of the returned function then builds only the
-    candidate tensors and contracts the window
-    (:func:`transfer.window_overlap_map`); the unmeasured bond qubit is
-    traced by the norm of that column. It takes one parameter set or a (k, n)
-    stack and returns a probability of shape () or (k,). Independent of the
-    statevector route.
+    current state's four-site strand products), and the two boundary copies,
+    a linear map from the window's bond operator M[c, d] onto column 0 of the
+    final one, folded into it: S[t, a, c, i] = sum_d K[t]_{a d} C[i, (c d)],
+    one (64, 2) matrix. The returned function takes the optimizer's raw
+    angles, one set of shape (15,) or a (k, 15) stack (or anything
+    :func:`ansatz.angle_tensor` takes), builds only the candidates' tensors
+    and four-site strands, and contracts each against S in one
+    (1 x 64) . (64 x 2) product (:func:`transfer.window_overlap_map`); the
+    unmeasured bond qubit is traced by the norm of that row. It returns a
+    probability of shape () or (k,), each row the same float that row gives
+    on its own, and raises :class:`~quenchmps.qcore.InvalidArgumentError` on
+    an angle that is not finite. Independent of the statevector route.
     """
     ket = transfer.window_ket(a_t, layer, 2 * POWER_METHOD_ORDER)
     copies = np.eye(4, dtype=complex).reshape(4, 2, 2)  # the unit bond operators
     for _ in range(2):
         copies = transfer.site_overlap_map(copies, a_t, a_t)
-    boundary = copies[:, :, 0].T  # (2, 4): vec(M) -> column 0 of the copies' output
+    # copies[(c d), i, 0]: entry i of column 0 of the copies' image of unit operator (c d)
+    side = np.einsum("tad,cdi->taci", ket, copies[:, :, 0].reshape(2, 2, 2))
 
     def success_probability(candidates):
-        m = transfer.window_overlap_map(ket, tensor_of(candidates))
-        # a (2 x 4) . (4 x 1) product per candidate, the matrix-vector
-        # product of a single candidate, so each row rounds as it would alone
-        column = boundary @ m.reshape(m.shape[:-2] + (4, 1))
-        return (np.abs(column[..., 0]) ** 2).sum(axis=-1)
+        row = transfer.window_overlap_map(side, angle_tensor(candidates))
+        return (np.abs(row[..., 0, :]) ** 2).sum(axis=-1)
 
     return success_probability
 

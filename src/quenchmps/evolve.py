@@ -40,7 +40,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import circuits, tfim, transfer
-from .ansatz import FULL15, N_ANGLES, AnsatzParams, tensor_of
+from .ansatz import FULL15, N_ANGLES, AnsatzParams, angle_tensor, tensor_of
 from .qcore import InvalidArgumentError, NumericFailure, is_count, is_finite_real
 
 INIT_SCHEMES = ("copy", "extrapolate")
@@ -243,11 +243,13 @@ def _sampled_cost(a_t, layer, shots_per_eval, seed_sequence):
     current state's MPS tensor ``a_t`` with the dense gate layer ``layer``.
 
     ``a_t`` is the tensor that :func:`_evolve` built when it accepted the
-    current state; the side of the cost diagram it fixes (ket window,
-    boundary copies) is built from it once per step, by
-    :func:`circuits.success_probability_fn`. The oracle takes a (k, n) stack
-    of candidate angles, builds their tensors and contracts them against that
-    side in one pass, and returns k costs. The exact probabilities equal the
+    current state; the side of the cost diagram it fixes (ket window with the
+    boundary copies folded in) is built from it once per step, by
+    :func:`circuits.success_probability_fn`. The oracle takes SPSA's raw
+    (k, n) stack of candidate angles, goes from them to the k exact
+    probabilities in one pass (finiteness check, tensors, strands, one
+    product per row), and returns k costs; a non-finite angle raises
+    :class:`InvalidArgumentError`. The exact probabilities equal the
     statevector circuit to machine precision (the equivalence is enforced by
     the acceptance suite) and are sampled with one binomial draw per row, in
     row order, from ``seed_sequence`` (the step's shot stream).
@@ -256,7 +258,7 @@ def _sampled_cost(a_t, layer, shots_per_eval, seed_sequence):
     success_probability = circuits.success_probability_fn(a_t, layer)
 
     def cost(xs):
-        p_exact = success_probability(AnsatzParams(FULL15, xs))
+        p_exact = success_probability(xs)
         return [
             1.0 - rng.binomial(shots_per_eval, min(max(p, 0.0), 1.0)) / shots_per_eval
             for p in p_exact.tolist()
@@ -418,20 +420,27 @@ def _step_objective(a_t, gate, cost_mode):
     evolution gate (see :func:`evolve_exact_in_ansatz`); the side fixed by
     the current state is built here from its MPS tensor ``a_t`` (built once
     per accepted state by :func:`_evolve`), so each evaluation builds only
-    the candidate."""
+    the candidate. The objective takes the optimizer's raw angle array and
+    goes straight to its value: for "eigen", :func:`ansatz.angle_tensor`
+    (one finiteness check, then the tensor and its tangents) and
+    :func:`transfer.cell_eigenvalue_gradient` on the step's two-site ket
+    side; for "circuit_lt", the function of
+    :func:`circuits.success_probability_fn`. A non-finite angle raises
+    :class:`InvalidArgumentError`."""
     if cost_mode == "eigen":
         ket = transfer.window_ket(a_t, gate, 2)
 
         def objective(x):
-            b, db = tensor_of(AnsatzParams(FULL15, x), grad=True)
+            b, db = angle_tensor(x, grad=True)
             lam, dlam = transfer.cell_eigenvalue_gradient(ket, b, db)
-            return -abs(lam), -np.real(np.conj(lam) * dlam) / abs(lam)
+            # d|lambda| = Re(conj(lambda) d lambda) / |lambda|
+            return -abs(lam), (dlam * (-lam.conjugate() / abs(lam))).real
 
         return objective, True
     success_probability = circuits.success_probability_fn(a_t, gate)
 
     def objective(x):
-        return -float(success_probability(AnsatzParams(FULL15, x)))
+        return -float(success_probability(x))
 
     return objective, None
 

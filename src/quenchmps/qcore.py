@@ -144,31 +144,36 @@ def zero_state(n_qubits):
 
 
 def n_qubits_of(state):
-    n = int(np.log2(len(state)))
-    if 2**n != len(state):
-        raise InvalidArgumentError(f"state length {len(state)} is not a power of 2")
+    """Qubit count n of a statevector: a 1-D array of length 2**n."""
+    length = len(state) if np.ndim(state) == 1 else 0
+    n = length.bit_length() - 1
+    if not length or length != 2**n:
+        raise InvalidArgumentError(
+            f"a state needs a 1-D shape of a power of 2 length, got {np.shape(state)}"
+        )
     return n
 
 
 def apply_gate(state, gate, targets):
     """Apply a k-qubit gate to the given target qubits of a statevector.
 
-    ``targets`` are distinct qubit indices; ``targets[0]`` corresponds to the
-    first (slow) index of the gate matrix. Returns a new array.
+    ``targets`` are distinct qubit indices, integers in [0, n) (a bool or a
+    float is none); ``targets[0]`` corresponds to the first (slow) index of
+    the gate matrix. Returns a new array.
     """
     state = np.asarray(state, dtype=complex)
     gate = np.asarray(gate, dtype=complex)
     n = n_qubits_of(state)
-    targets = tuple(int(t) for t in targets)
+    targets = tuple(targets)
     k = len(targets)
     if gate.shape != (2**k, 2**k):
         raise InvalidArgumentError(
             f"gate shape {gate.shape} does not match {k} target qubits"
         )
+    if not all(is_count(t) and 0 <= t < n for t in targets):
+        raise InvalidArgumentError(f"targets must be qubits in [0, {n}), got {targets!r}")
     if len(set(targets)) != k:
         raise InvalidArgumentError(f"duplicate target qubits in {targets}")
-    if any(t < 0 or t >= n for t in targets):
-        raise InvalidArgumentError(f"target out of range for {n} qubits: {targets}")
     psi = state.reshape([2] * n)
     psi = np.moveaxis(psi, targets, range(k))
     shape = psi.shape

@@ -69,23 +69,34 @@ def cell_matrix(ket, b_bra):
     """Cell matrix E[(a c), (a' c')] = sum_t K[t]_{a a'} conj(B-prod_t)_{c c'}
     of the ket side ``ket`` (:func:`window_ket` of two sites, or the tensor A
     itself for one site) and the bra tensor; the site count is read from
-    ``len(ket)``."""
+    ``len(ket)``. It is :func:`transfer_matrix` for one site; for two, the
+    reference that the tests hold :func:`cell_eigenvalue_gradient`'s own
+    two-product build of the same matrix to."""
     pb = strand_products(b_bra, len(ket).bit_length() - 1)
     return np.einsum("tab,tcd->acbd", ket, pb.conj()).reshape(4, 4)
 
 
 def cell_eigenvalue_gradient(ket, b_bra, db):
-    """Leading eigenvalue of the cell matrix and its derivatives along the
-    bra tangents ``db`` (shape (n, 2, 2, 2)).
+    """Leading eigenvalue of the two-site cell matrix of the ket side ``ket``
+    (:func:`window_ket` of two sites) and the bra tensor ``b_bra``, and its
+    derivatives along the bra tangents ``db`` (shape (n, 2, 2, 2)).
 
-    First-order perturbation theory of a simple eigenvalue,
-    d lambda = <l| dE |r> / <l|r>, with both eigenvectors from
-    :func:`qcore.leading_eig`. Raises :class:`NumericFailure` when that
-    does, or when |<l|r>| of the unit eigenvectors falls below
-    ``MIN_EIGVEC_OVERLAP``: the top eigenvalue is then (nearly) non-simple and
-    its derivative unbounded.
+    The matrix is :func:`cell_matrix`'s, built in two products: the bra's
+    conjugated strand products conj(P[2 t1 + t2]) = conj(B^{t2} B^{t1}) as
+    one broadcast 2x2 product of conj(B), and E as one (4 x 4) . (4 x 4)
+    product of the ket side's (a a', t) transpose with conj(P) in (t, c c')
+    layout, reordered to E[(a c), (a' c')]. The derivative is first-order perturbation theory of
+    a simple eigenvalue, d lambda = <l| dE |r> / <l|r>, with both
+    eigenvectors from :func:`qcore.leading_eig`. Raises
+    :class:`NumericFailure` when that does, or when |<l|r>| of the unit
+    eigenvectors falls below ``MIN_EIGVEC_OVERLAP``: the top eigenvalue is
+    then (nearly) non-simple and its derivative unbounded.
     """
-    lam, right, left = qcore.leading_eig(cell_matrix(ket, b_bra))
+    b_conj = b_bra.conj()
+    pb_conj = b_conj @ b_conj[:, None]  # pb_conj[t1, t2] = conj(B^{t2} B^{t1})
+    cell = ket.reshape(4, 4).T @ pb_conj.reshape(4, 4)
+    cell = cell.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    lam, right, left = qcore.leading_eig(cell)
     overlap = left @ right
     if abs(overlap) < MIN_EIGVEC_OVERLAP:
         raise NumericFailure(
@@ -93,10 +104,9 @@ def cell_eigenvalue_gradient(ket, b_bra, db):
             residual=abs(overlap),
         )
     # <l| dE |r> = sum_{t,c,d} M[t]_cd conj(dP[t])_cd, with M[t] = L^T K[t] R for
-    # the 2x2 reshapes L, R of the eigenvectors and P[t] = B^{t2} B^{t1}; the
-    # product rule leaves one environment per bra site, summed in ``env``
+    # the 2x2 reshapes L, R of the eigenvectors; the product rule leaves one
+    # environment per bra site, summed in ``env``
     m = (left.reshape(2, 2).T @ ket @ right.reshape(2, 2)).reshape(2, 2, 2, 2)
-    b_conj = b_bra.conj()
     env = np.einsum("uvcd,ued->vce", m, b_conj) + np.einsum("vce,uvcd->ued", b_conj, m)
     dlam = db.reshape(len(db), 8).conj() @ env.reshape(8)
     return lam, dlam / overlap
@@ -137,10 +147,23 @@ def window_ket(a_ket, gate_layer, n_sites):
     return np.einsum("ts,sab->tab", gate_layer, strand_products(a_ket, n_sites))
 
 
-def window_overlap_map(ket, b_bra):
-    """The window block applied to the identity bond operator,
-    sum_t (B-prod_t)^dag K[t], for the ket side ``ket`` of
-    :func:`window_ket`: one (2 x 2**(n+1)) . (2**(n+1) x 2) product, per
-    bra tensor of a (k, 2, 2, 2) stack."""
-    pb = strand_products(b_bra, len(ket).bit_length() - 1).conj()
-    return pb.reshape(pb.shape[:-3] + (-1, 2)).swapaxes(-1, -2) @ ket.reshape(-1, 2)
+def window_overlap_map(side, b_bra):
+    """The bra strand of a window contracted against a side of the diagram,
+    per bra tensor of a (k, 2, 2, 2) stack.
+
+    ``side`` has shape (2**n, 2, ...): the bra's physical string t and the
+    incoming bond index a of its strand products Pb_t[a, c], then the side's
+    own axes, of which the last is kept. The conjugated products,
+    flattened in (t, a, c) order, are contracted with every axis of the side
+    but its last, and what is left of (t, a, c) becomes the rows of the
+    result. For the ket side K of :func:`window_ket` that is the window block
+    on the identity bond operator, sum_t (Pb_t)^dag K[t]: one
+    (2 x 2**(n+1)) . (2**(n+1) x 2) product. For a side of shape
+    (2**n, 2, 2, m) that also carries the outgoing bond index c, as the cost
+    circuit's side with its boundary copies folded in does, it is one
+    (1 x 2**(n+2)) . (2**(n+2) x m) product, a (1, m) row per bra tensor.
+    Each row rounds as that bra tensor alone does.
+    """
+    pb = strand_products(b_bra, len(side).bit_length() - 1).conj()
+    flat = side.reshape(-1, side.shape[-1])
+    return pb.reshape(pb.shape[:-3] + (len(flat), -1)).swapaxes(-1, -2) @ flat

@@ -3,7 +3,14 @@ import pytest
 import scipy.linalg
 
 from quenchmps import evolve, qcore
-from quenchmps.ansatz import FULL15, AnsatzParams, build_unitary, mps_tensor, tensor_of
+from quenchmps.ansatz import (
+    FULL15,
+    AnsatzParams,
+    angle_tensor,
+    build_unitary,
+    mps_tensor,
+    tensor_of,
+)
 from quenchmps.qcore import InvalidArgumentError, rot_gate
 from conftest import unitarity_defect
 
@@ -170,6 +177,18 @@ class TestMpsTensor:
         u, du = build_unitary(params, grad=True)
         assert np.array_equal(a, mps_tensor(u))
         assert np.array_equal(da, mps_tensor(du))
+
+    def test_raw_angles_give_the_same_tensors(self):
+        # the step objectives' entry: the floats of tensor_of, bit for bit
+        rng = np.random.default_rng(6)
+        angles = rng.uniform(-np.pi, np.pi, (3, 15))
+        stack, params = AnsatzParams(FULL15, angles), AnsatzParams(FULL15, angles[0])
+        assert np.array_equal(angle_tensor(angles), tensor_of(stack))
+        pairs = zip(angle_tensor(params.angles, grad=True), tensor_of(params, grad=True))
+        assert all(np.array_equal(got, want) for got, want in pairs)
+        assert np.array_equal(angle_tensor(params), tensor_of(params))
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            angle_tensor(np.full(15, np.inf), grad=True)
 
     def test_tensor_derivative_matches_central_differences(self):
         h = 1e-5

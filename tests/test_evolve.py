@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import OptimizeResult
 
 from quenchmps import ansatz, circuits, evolve, qcore, tfim, transfer
@@ -140,6 +141,32 @@ class TestGradients:
             _, grad = objective(x)
             fd = central_difference(lambda y: objective(y)[0], x)
             assert np.max(np.abs(grad - fd)) <= 1e-8
+
+    def test_eigen_objective_matches_the_slow_formula(self):
+        # from public pieces: the cell matrix of the candidate's tensor, its
+        # leading eigenpair from scipy's eig with left vectors, and
+        # d lambda = <l| dE |r> / <l|r>, where dE along a tangent d is exact by
+        # polarization, as E is quadratic in the bra tensor
+        rng = np.random.default_rng(19)
+        gate = tfim.trotter_gate_first_order(1.0, 0.2, 0.1)
+        for _ in range(20):
+            current = AnsatzParams(FULL15, rng.uniform(-np.pi, np.pi, 15))
+            x = current.angles + 0.3 * rng.standard_normal(15)
+            a_t = tensor_of(current)
+            ket = transfer.window_ket(a_t, gate, 2)
+            b, db = tensor_of(AnsatzParams(FULL15, x), grad=True)
+            w, vl, vr = scipy.linalg.eig(transfer.cell_matrix(ket, b), left=True)
+            k = np.argmax(np.abs(w))
+            left, right = vl[:, k].conj(), vr[:, k]
+            de = [
+                transfer.cell_matrix(ket, b + d) - transfer.cell_matrix(ket, b - d)
+                for d in db
+            ]
+            dlam = np.array([left @ e @ right for e in de]) / (2.0 * (left @ right))
+            value, grad = evolve._step_objective(a_t, gate, "eigen")[0](x)
+            assert abs(value + abs(w[k])) <= 1e-13
+            slow = -np.real(np.conj(w[k]) * dlam) / abs(w[k])
+            assert np.max(np.abs(grad - slow)) <= 1e-13
 
     def test_energy_gradient_matches_central_differences(self):
         def energy(y, grad=False):
@@ -298,6 +325,29 @@ class TestDrivers:
         assert traj.failure == f"{error.__name__}: forced"
         assert len(traj.angles) == len(traj.echoes) == len(traj.costs) == 2
         assert traj.echoes[1] > 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_step_costs_reject_a_non_finite_angle(self, bad):
+        current = AnsatzParams(FULL15, np.linspace(-1.0, 1.0, 15))
+        x = current.angles.copy()
+        x[4] = bad
+        gate = tfim.trotter_gate_first_order(1.0, 0.2, 0.1)
+        layer, _ = circuits.evolution_gate_layer(tfim.REFERENCE_QUENCH)
+        objective, _ = evolve._step_objective(tensor_of(current), gate, "eigen")
+        probability = circuits.success_probability_fn(tensor_of(current), layer)
+        pair = [current.angles, x]
+        for cost, angles in [(objective, x), (probability, x), (probability, pair)]:
+            with pytest.raises(InvalidArgumentError, match="angles must be finite"):
+                cost(angles)
+
+    def test_reference_records_a_non_finite_candidate(self, ground, monkeypatch):
+        def evaluates_nan(fun, x0, **kwargs):
+            fun(np.full(len(x0), np.nan))
+
+        monkeypatch.setattr(evolve, "minimize", evaluates_nan)
+        traj = evolve.evolve_exact_in_ansatz(SHORT, FULL15, "eigen", ground=ground)
+        assert not traj.complete and traj.n_steps == 0
+        assert traj.failure == "InvalidArgumentError: angles must be finite"
 
     @pytest.mark.parametrize("site", ["objective", "echo"])
     def test_reference_records_an_eigensolver_failure(self, ground, monkeypatch, site):
@@ -522,8 +572,9 @@ class TestDrivers:
 
 def patch_step_costs(monkeypatch, fail_after):
     """Count the candidates evaluated by each per-step cost (one per row of
-    a stacked call), and make every cost built after the first ``fail_after``
-    raise :class:`NumericFailure`. Returns the per-step candidate counts."""
+    the raw angle stack), and make every cost built after the first
+    ``fail_after`` raise :class:`NumericFailure`. Returns the per-step
+    candidate counts."""
     real = circuits.success_probability_fn
     evaluations = []
 
@@ -538,7 +589,7 @@ def patch_step_costs(monkeypatch, fail_after):
         p = real(*args, **kwargs)
 
         def counted(candidates, k=len(evaluations) - 1):
-            evaluations[k] += len(candidates.angles)
+            evaluations[k] += len(candidates)
             return p(candidates)
 
         return counted
@@ -587,15 +638,17 @@ class TestStochastic:
             link = link.spawn(1)[0]
 
     def test_one_tensor_per_accepted_state(self, golden_ground, monkeypatch):
-        # single builds: the ground state's and each accepted state's; every
-        # other build is an SPSA +/- candidate pair
+        # parameter builds: the ground state's and each accepted state's; the
+        # cost builds every candidate tensor from an SPSA +/- pair of raw angles
         calls = spy(monkeypatch, ansatz, "build_unitary")
+        candidates = spy(monkeypatch, circuits, "angle_tensor")
         traj = evolve.evolve_stochastic(SHORT, "extrapolate", seed=3, ground=golden_ground)
         assert traj.complete
         builds = no_grad_build_shapes(calls)
         assert len(builds) == len(calls)
-        assert builds.count((15,)) == SHORT.n_steps + 1
-        assert builds.count((2, 15)) == len(builds) - (SHORT.n_steps + 1) == 4 * 6 * 2 + 6
+        assert builds == [(15,)] * (SHORT.n_steps + 1)
+        pairs = [np.shape(args[0]) for args, _ in candidates]
+        assert pairs == [(2, 15)] * (4 * 6 * 2 + 6)
 
     def test_shots_count_two_evaluations_per_spsa_iteration(self, ground, monkeypatch):
         evaluations = patch_step_costs(monkeypatch, fail_after=SHORT.n_steps)
@@ -613,6 +666,13 @@ class TestStochastic:
         assert traj.failure == "NumericFailure: forced"
         assert traj.n_steps == 2
         assert len(traj.angles) == len(traj.echoes) == len(traj.cum_shots) == 3
+
+    def test_non_finite_candidate_is_recorded(self, ground, monkeypatch):
+        # a NaN perturbation puts a NaN into both candidates of the first pair
+        monkeypatch.setattr(evolve, "SPSA_C", np.nan)
+        traj = evolve.evolve_stochastic(SHORT, "extrapolate", seed=3, ground=ground)
+        assert not traj.complete and traj.n_steps == 0
+        assert traj.failure == "InvalidArgumentError: angles must be finite"
 
     def test_echo_failure_is_recorded(self, golden_ground, monkeypatch):
         real = transfer.fidelity_density

@@ -251,6 +251,14 @@ class TestApplyGate:
         with pytest.raises(InvalidArgumentError):
             apply_gate(psi, np.eye(4), (0,))
 
+    @pytest.mark.parametrize(
+        "targets", [(1.7,), (1.0,), (True,), (np.True_,), ("1",), (-1,), (3,)]
+    )
+    def test_rejects_a_target_that_is_not_a_qubit_index(self, targets):
+        # truncated, (1.7,) and (True,) would flip qubit 1
+        with pytest.raises(InvalidArgumentError, match="targets must be qubits"):
+            apply_gate(zero_state(3), PAULI_X, targets)
+
 
 class TestStateHelpers:
     def test_zero_state_needs_a_qubit(self):
@@ -277,6 +285,11 @@ class TestStateHelpers:
         assert n_qubits_of(np.zeros(8)) == 3
         with pytest.raises(InvalidArgumentError, match="power of 2"):
             n_qubits_of(np.zeros(6))
+
+    @pytest.mark.parametrize("state", [np.zeros(0), np.array(1.0), np.zeros((2, 2))])
+    def test_qubit_count_needs_a_nonempty_vector(self, state):
+        with pytest.raises(InvalidArgumentError, match="1-D shape"):
+            n_qubits_of(state)
 
     def test_projection_keeps_the_outcome_branch_unnormalized(self):
         rng = np.random.default_rng(9)
