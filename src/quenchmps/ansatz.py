@@ -45,11 +45,10 @@ same slice of dU/da_k gives dA/da_k.
 
 The float operations live once, in private helpers on raw angle arrays: the
 rotation stack, the halving tree, the prefix scan with dU, and the U -> A
-slice, which is a view. :func:`build_unitary`, :func:`mps_tensor` and
-:func:`tensor_of` wrap them for :class:`AnsatzParams`; the step objectives,
-which run them thousands of times per step on the optimizer's own angle
-array, call :func:`angle_tensor` instead, which checks only that the angles
-are finite and gives the same floats.
+slice, which is a view. :func:`build_unitary` and :func:`tensor_of` are the
+one way in from angles. They take the optimizers' own iterate, a raw (15,)
+array or (k, 15) stack, as readily as an :class:`AnsatzParams`, and check
+the angles once, with the same rule as :class:`AnsatzParams`.
 """
 
 from dataclasses import dataclass, field
@@ -78,9 +77,9 @@ class AnsatzParams:
 
     ``angles`` holds one parameter set, shape (n,), or a stack of them,
     shape (k, n), one candidate per row (an SPSA +/- pair is a (2, n) stack).
-    :func:`build_unitary`, :func:`mps_tensor` and :func:`tensor_of` broadcast
-    over the stack, and each row gives exactly the floats of the same
-    parameter set on its own. The angles must be real and finite.
+    :func:`build_unitary` and :func:`tensor_of` broadcast over the stack,
+    and each row gives exactly the floats of the same parameter set on its
+    own. The angles must be real and finite.
     """
 
     template: str
@@ -89,41 +88,30 @@ class AnsatzParams:
     def __post_init__(self):
         if self.template not in N_ANGLES:
             raise InvalidArgumentError(f"unknown template {self.template!r}")
-        if np.iscomplexobj(self.angles):
-            raise InvalidArgumentError("angles must be real")
-        angles = np.array(self.angles, dtype=float)  # a copy: the caller's stays writable
-        n = N_ANGLES[self.template]
-        if angles.ndim not in (1, 2) or angles.shape[-1] != n or not angles.size:
-            raise InvalidArgumentError(
-                f"{self.template} expects {n} angles or a nonempty (k, {n}) stack, "
-                f"got shape {angles.shape}"
-            )
-        _check_finite(angles)
+        angles = _checked_angles(self.angles).copy()  # the caller's stays writable
         angles.flags.writeable = False
         object.__setattr__(self, "angles", angles)
 
     def __array__(self, dtype=None, copy=None):
-        """The angles, so that :func:`angle_tensor` takes the parameters as
-        readily as a raw array."""
+        """The angles, so that the builders take the parameters like a raw array."""
         return np.array(self.angles, dtype=dtype, copy=copy)
 
-    def replace_angles(self, angles):
-        return AnsatzParams(self.template, angles)
 
+def build_unitary(angles, grad=False):
+    """Two-qubit unitary (physical leg = first factor) for raw ``FULL15``
+    angles, (15,) or a (k, 15) stack, or an :class:`AnsatzParams`.
 
-def build_unitary(params, grad=False):
-    """Two-qubit unitary (physical leg = first factor) for the parameters.
-
-    A (k, n) stack of angles gives a (k, 4, 4) stack of unitaries. With
-    ``grad``, returns ``(U, dU)`` where dU[k] = dU/d(angle k), one 4x4 slice
-    per angle of the template; gradients take one parameter set. U is
-    unitary by construction and not checked per call.
+    A stack gives a (k, 4, 4) stack of unitaries. With ``grad``, returns
+    ``(U, dU)`` where dU[k] = dU/d(angle k), one 4x4 slice per angle;
+    gradients take one parameter set. Angles that :class:`AnsatzParams`
+    rejects raise :class:`InvalidArgumentError`, as does a stack with
+    ``grad``. U is unitary by construction and not checked per call.
 
     Without ``grad``, U is the halving tree over (1, G_0, ..., G_14): the
     scan's own bracketing of Pre_14, so the two paths agree bit for bit, in
     14 products per set instead of 45 (see the module docstring).
     """
-    a = params.angles
+    a = _checked_angles(angles)
     if not grad:
         return _tree_unitary(a)
     if a.ndim != 1:
@@ -147,37 +135,31 @@ def mps_tensor(u):
     return _slice(u)
 
 
-def tensor_of(params, grad=False):
-    """MPS tensor of the parameters (a stack of them for stacked angles);
-    with ``grad``, also its derivatives dA/dtheta, shape (n_angles, 2, 2, 2)."""
+def tensor_of(angles, grad=False):
+    """MPS tensor of the angles, taken as by :func:`build_unitary` (a stack
+    of them for stacked angles); with ``grad``, also its derivatives
+    dA/dtheta, shape (15, 2, 2, 2). A and dA are views of U and dU."""
     if not grad:
-        return mps_tensor(build_unitary(params))
-    u, du = build_unitary(params, grad=True)
-    return mps_tensor(u), mps_tensor(du)
-
-
-def angle_tensor(angles, grad=False):
-    """:func:`tensor_of` straight from a raw array of ``FULL15`` angles, the
-    optimizers' own iterate: (15,) or, without ``grad``, a (k, 15) stack, or
-    anything ``numpy.asarray`` makes one of (an :class:`AnsatzParams` gives
-    its angles). The hot step objectives call it once per evaluation. Its
-    one check is that every angle is finite (:class:`InvalidArgumentError`
-    otherwise, as :class:`AnsatzParams` raises); the shape is not checked.
-    It builds U with the same float operations as :func:`build_unitary`, and
-    A (and dA) are views of U (and dU), so each value is bit for bit
-    :func:`tensor_of`'s.
-    """
-    angles = np.asarray(angles, dtype=float)
-    _check_finite(angles)
-    if not grad:
-        return _slice(_tree_unitary(angles))
-    u, du = _scan_unitary(angles)
+        return _slice(build_unitary(angles))
+    u, du = build_unitary(angles, grad=True)
     return _slice(u), _slice(du)
 
 
-def _check_finite(angles):
+def _checked_angles(angles):
+    """The angles as a float array (no copy of one), checked: real, of shape
+    (15,) or a nonempty (k, 15), and finite (else InvalidArgumentError)."""
+    if np.iscomplexobj(angles):
+        raise InvalidArgumentError("angles must be real")
+    angles = np.asarray(angles, dtype=float)
+    n = N_ANGLES[FULL15]
+    if angles.ndim not in (1, 2) or angles.shape[-1] != n or not angles.size:
+        raise InvalidArgumentError(
+            f"{FULL15} expects {n} angles or a nonempty (k, {n}) stack, "
+            f"got shape {angles.shape}"
+        )
     if not np.isfinite(angles).all():
         raise InvalidArgumentError("angles must be finite")
+    return angles
 
 
 def _gates(angles):

@@ -55,8 +55,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qcore, tfim, transfer
-from .ansatz import angle_tensor, build_unitary, tensor_of
-from .qcore import ResourceLimitError
+from .ansatz import build_unitary, tensor_of
+from .qcore import InvalidArgumentError, ResourceLimitError
 
 MAX_CIRCUIT_QUBITS = 12
 POWER_METHOD_ORDER = 2
@@ -107,10 +107,12 @@ def build_cost_circuit(params_t, params_candidate, spec):
     ``params_t`` describes the current state: it is emitted on the ket
     strand and on the two boundary copies (gates named "V"), which the bra
     strand unprepares last. ``params_candidate`` is the trial update
-    absorbed on the bra strand of the window. The evolution insertion is
-    one step of ``spec``; its gates are the only ones that do not touch the
-    bond register, qubit 0. Qubit q carries site q.
+    absorbed on the bra strand of the window. Each is one parameter set; a
+    stack is rejected with :class:`InvalidArgumentError`. The evolution
+    insertion is one step of ``spec``; its gates are the only ones that do
+    not touch the bond register, qubit 0. Qubit q carries site q.
     """
+    _check_one_set(params_t, params_candidate)
     u = build_unitary(params_t)
     w = build_unitary(params_candidate)
     n_copies = 2
@@ -178,13 +180,14 @@ def success_probability_fn(a_t, layer):
     final one, folded into it: S[t, a, c, i] = sum_d K[t]_{a d} C[i, (c d)],
     one (64, 2) matrix. The returned function takes the optimizer's raw
     angles, one set of shape (15,) or a (k, 15) stack (or anything
-    :func:`ansatz.angle_tensor` takes), builds only the candidates' tensors
+    :func:`ansatz.tensor_of` takes), builds only the candidates' tensors
     and four-site strands, and contracts each against S in one
     (1 x 64) . (64 x 2) product (:func:`transfer.window_overlap_map`); the
     unmeasured bond qubit is traced by the norm of that row. It returns a
     probability of shape () or (k,), each row the same float that row gives
     on its own, and raises :class:`~quenchmps.qcore.InvalidArgumentError` on
-    an angle that is not finite. Independent of the statevector route.
+    angles that :func:`ansatz.tensor_of` rejects, such as a non-finite one.
+    Independent of the statevector route.
     """
     ket = transfer.window_ket(a_t, layer, 2 * POWER_METHOD_ORDER)
     copies = np.eye(4, dtype=complex).reshape(4, 2, 2)  # the unit bond operators
@@ -194,7 +197,7 @@ def success_probability_fn(a_t, layer):
     side = np.einsum("tad,cdi->taci", ket, copies[:, :, 0].reshape(2, 2, 2))
 
     def success_probability(candidates):
-        row = transfer.window_overlap_map(side, angle_tensor(candidates))
+        row = transfer.window_overlap_map(side, tensor_of(candidates))
         return (np.abs(row[..., 0, :]) ** 2).sum(axis=-1)
 
     return success_probability
@@ -204,7 +207,15 @@ def dense_success_probability(params_t, params_candidate, spec):
     """Exact contraction of the cost diagram in the bond-operator algebra:
     the evolution window nested inside the two boundary copies, applied to
     the initial bond state |0> (:func:`success_probability_fn` on one
-    candidate)."""
+    candidate). A stack on either side is an :class:`InvalidArgumentError`."""
+    _check_one_set(params_t, params_candidate)
     layer, _ = evolution_gate_layer(spec)
     success_probability = success_probability_fn(tensor_of(params_t), layer)
     return float(success_probability(params_candidate))
+
+
+def _check_one_set(*params):
+    """Reject a stack where the cost circuit takes one parameter set."""
+    for shape in map(np.shape, params):
+        if len(shape) != 1:
+            raise InvalidArgumentError(f"one parameter set expected, got shape {shape}")

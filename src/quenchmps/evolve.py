@@ -40,7 +40,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import circuits, tfim, transfer
-from .ansatz import FULL15, N_ANGLES, AnsatzParams, angle_tensor, tensor_of
+from .ansatz import FULL15, N_ANGLES, AnsatzParams, tensor_of
 from .qcore import InvalidArgumentError, NumericFailure, is_count, is_finite_real
 
 INIT_SCHEMES = ("copy", "extrapolate")
@@ -168,7 +168,7 @@ def ground_state_optimize(J, g, template, optimizer_seed=0):
         )
 
     def objective(x):
-        return energy_density(AnsatzParams(template, x), J, g, grad=True)
+        return energy_density(x, J, g, grad=True)
 
     x0 = 0.4 * np.random.default_rng(optimizer_seed).standard_normal(N_ANGLES[template])
     res = minimize(objective, x0, method="BFGS", jac=True, options={"gtol": GTOL})
@@ -192,10 +192,10 @@ def ground_state_optimize(J, g, template, optimizer_seed=0):
 
 
 def extrapolate(theta_prev, theta_curr):
-    """Linear extrapolation 2*curr - prev from the two previous steps.
+    """Linear extrapolation 2*curr - prev from the two previous steps' angles.
 
     Angles must be unwrapped (continuous across steps)."""
-    return theta_curr.replace_angles(2.0 * theta_curr.angles - theta_prev.angles)
+    return 2.0 * theta_curr - theta_prev
 
 
 def unwrap_toward(reference, angles):
@@ -206,20 +206,22 @@ def unwrap_toward(reference, angles):
     return angles + two_pi * np.round((reference - angles) / two_pi)
 
 
-def spsa_optimize(cost, seed_params, steps, rng_seed):
-    """Simultaneous-perturbation minimization of a noisy scalar cost in
-    ``steps`` iterations with the ``SPSA_*`` gains; a is calibrated on the
-    first gradient estimate so that no angle moves more than ``SPSA_FIRST_MOVE``.
+def spsa_optimize(cost, x0, steps, rng_seed):
+    """Simultaneous-perturbation minimization of a noisy scalar cost from the
+    angle array ``x0`` in ``steps`` iterations with the ``SPSA_*`` gains; a is
+    calibrated on the first gradient estimate so that no angle moves more than
+    ``SPSA_FIRST_MOVE``.
 
     Rademacher perturbation directions, all drawn up front in one call (the
     same stream as one draw per iteration). ``cost`` takes a (2, n) stack of
     angles, the pair x + c_k delta, x - c_k delta in that order, and returns
     the two costs; it is called once per iteration, so a sampled cost draws
     the + evaluation before the - one. Deterministic given ``rng_seed``.
-    Returns the final iterate and the per-iteration mean measured cost.
+    Returns the final angle array (``x0`` itself after zero iterations) and
+    the per-iteration mean measured cost.
     """
     rng = np.random.default_rng(rng_seed)
-    x = seed_params.angles
+    x = x0
     offset = SPSA_A_FRACTION * steps
     history = []
     deltas = rng.integers(0, 2, size=(steps, len(x))) * 2.0 - 1.0
@@ -235,7 +237,7 @@ def spsa_optimize(cost, seed_params, steps, rng_seed):
         ak = a / (k + 1 + offset) ** SPSA_ALPHA
         x = x - ak * ghat
         history.append(0.5 * (y_plus + y_minus))
-    return seed_params.replace_angles(x), history
+    return x, history
 
 
 def _sampled_cost(a_t, layer, shots_per_eval, seed_sequence):
@@ -258,10 +260,9 @@ def _sampled_cost(a_t, layer, shots_per_eval, seed_sequence):
     success_probability = circuits.success_probability_fn(a_t, layer)
 
     def cost(xs):
-        p_exact = success_probability(xs)
         return [
             1.0 - rng.binomial(shots_per_eval, min(max(p, 0.0), 1.0)) / shots_per_eval
-            for p in p_exact.tolist()
+            for p in success_probability(xs).tolist()
         ]
 
     return cost
@@ -270,18 +271,20 @@ def _sampled_cost(a_t, layer, shots_per_eval, seed_sequence):
 def _evolve(spec, ground, solve_step, **labels):
     """The step loop of both drivers, from ``ground`` over ``spec.times``.
 
-    Step n starts from step n - 1, or from ``extrapolate`` of steps n - 2 and
-    n - 1 once n >= 3; ``solve_step(n, prev, a_prev, seed_params)`` corrects
-    it from the previous state ``prev`` and its MPS tensor ``a_prev``, and
-    returns ``(accepted, cost, shots)``. The accepted angles are unwrapped
-    toward step n - 1 and stored, and their tensor is built once: the echo is
-    taken from it against the ground tensor, and it is step n + 1's
-    ``a_prev``. A 2*pi shift of an angle flips the unitary's sign, which no
-    echo observes, so the echo of the stored angles is that of the accepted
-    ones up to rounding. A solve, tensor or echo that raises
-    :class:`NumericFailure` or :class:`InvalidArgumentError` truncates the
-    run before step n, with ``failure = "<type>: <message>"``. ``labels``
-    fill the other fields of the :class:`Trajectory`.
+    Every state is a plain angle array. Step n starts from step n - 1, or from
+    ``extrapolate`` of steps n - 2 and n - 1 once n >= 3;
+    ``solve_step(n, prev, a_prev, x0)`` corrects those angles ``x0`` from the
+    previous state's angles ``prev`` and MPS tensor ``a_prev`` (both may be
+    views of stored rows, not to be written) and returns
+    ``(accepted, cost, shots)``. The accepted angles are unwrapped toward step
+    n - 1 and stored, and their tensor is built once: the echo is taken from it
+    against the ground tensor, and it is step n + 1's ``a_prev``. A 2*pi shift
+    of an angle flips the unitary's sign, which no echo observes, so the echo
+    of the stored angles is that of the accepted ones up to rounding. A solve,
+    tensor or echo that raises :class:`NumericFailure` or
+    :class:`InvalidArgumentError` truncates the run before step n, with
+    ``failure = "<type>: <message>"``. ``labels`` fill the other fields of the
+    :class:`Trajectory`.
     """
     times = spec.times
     angles = np.zeros((len(times), len(ground.angles)))
@@ -292,14 +295,12 @@ def _evolve(spec, ground, solve_step, **labels):
     a_0 = a_prev = tensor_of(ground)
     end, failure = len(times), None
     for step in range(1, len(times)):
-        prev = AnsatzParams(ground.template, angles[step - 1])
-        seed_params = prev if step < 3 else extrapolate(
-            AnsatzParams(ground.template, angles[step - 2]), prev
-        )
+        prev = angles[step - 1]
+        x0 = prev if step < 3 else extrapolate(angles[step - 2], prev)
         try:
-            accepted, cost, shots = solve_step(step, prev, a_prev, seed_params)
-            angles[step] = unwrap_toward(angles[step - 1], accepted.angles)
-            a_prev = tensor_of(AnsatzParams(ground.template, angles[step]))
+            accepted, cost, shots = solve_step(step, prev, a_prev, x0)
+            angles[step] = unwrap_toward(prev, accepted)
+            a_prev = tensor_of(angles[step])
             echoes[step] = _echo_of_tensors(a_0, a_prev)
         except (NumericFailure, InvalidArgumentError) as exc:
             end, failure = step, f"{type(exc).__name__}: {exc}"
@@ -394,15 +395,15 @@ def evolve_stochastic(
         ground = ground_state_optimize(spec.J, spec.g0, template)
     layer, _ = circuits.evolution_gate_layer(spec)
 
-    def solve_step(step, prev, a_prev, seed_params):
+    def solve_step(step, prev, a_prev, x0):
         if init_scheme == "copy":
-            seed_params = prev
+            x0 = prev
         steps = SPSA_STEPS * BOOTSTRAP_FACTOR if step <= 2 else SPSA_STEPS
         cost = _sampled_cost(
             a_prev, layer, shots_per_eval, _step_stream(seed, step, SHOT_STREAM)
         )
         accepted, history = spsa_optimize(
-            cost, seed_params, steps, _step_stream(seed, step, SPSA_STREAM)
+            cost, x0, steps, _step_stream(seed, step, SPSA_STREAM)
         )
         # two cost evaluations per SPSA iteration
         return accepted, history[-1], 2 * steps * shots_per_eval
@@ -421,8 +422,8 @@ def _step_objective(a_t, gate, cost_mode):
     the current state is built here from its MPS tensor ``a_t`` (built once
     per accepted state by :func:`_evolve`), so each evaluation builds only
     the candidate. The objective takes the optimizer's raw angle array and
-    goes straight to its value: for "eigen", :func:`ansatz.angle_tensor`
-    (one finiteness check, then the tensor and its tangents) and
+    goes straight to its value: for "eigen", :func:`ansatz.tensor_of` with
+    gradients (the angle check, then the tensor and its tangents) and
     :func:`transfer.cell_eigenvalue_gradient` on the step's two-site ket
     side; for "circuit_lt", the function of
     :func:`circuits.success_probability_fn`. A non-finite angle raises
@@ -431,7 +432,7 @@ def _step_objective(a_t, gate, cost_mode):
         ket = transfer.window_ket(a_t, gate, 2)
 
         def objective(x):
-            b, db = angle_tensor(x, grad=True)
+            b, db = tensor_of(x, grad=True)
             lam, dlam = transfer.cell_eigenvalue_gradient(ket, b, db)
             # d|lambda| = Re(conj(lambda) d lambda) / |lambda|
             return -abs(lam), (dlam * (-lam.conjugate() / abs(lam))).real
@@ -483,13 +484,13 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
     if ground is None:
         ground = ground_state_optimize(spec.J, spec.g0, template)
 
-    def solve_step(step, prev, a_prev, seed_params):
+    def solve_step(step, prev, a_prev, x0):
         objective, jac = _step_objective(a_prev, gate, cost_mode)
         # 2 * 15 correction pairs hold a whole step's iterations; a 10-pair
         # memory costs 34.4 evaluations per step to t = 1 instead of 25.6
         res = minimize(
             objective,
-            seed_params.angles,
+            x0,
             method="L-BFGS-B",
             jac=jac,
             options={"gtol": GTOL, "ftol": 0.0, "maxcor": 2 * N_ANGLES[FULL15]},
@@ -498,7 +499,7 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
             raise NumericFailure(
                 f"step {step}: L-BFGS-B returned non-finite angles ({res.message})"
             )
-        return prev.replace_angles(res.x), res.fun, 0
+        return res.x, res.fun, 0
 
     return _evolve(
         spec, ground, solve_step, init_scheme="extrapolate", seed=None, shots_per_eval=0

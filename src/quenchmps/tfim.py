@@ -91,7 +91,9 @@ def bond_hamiltonian(J, g):
     """Two-site bond term h2 = J Z(x)Z + (g/2)(X(x)1 + 1(x)X).
 
     The transverse field is split half-and-half onto the two adjacent bonds.
+    ``J`` and ``g`` must be finite reals (:class:`InvalidArgumentError`).
     """
+    _check_reals(J=J, g=g)
     return J * _ZZ + 0.5 * g * _X_SUM
 
 
@@ -100,8 +102,10 @@ def trotter_gate_first_order(J, g, dt):
 
     For translationally invariant states the first-order update only needs
     the even part of the Trotterisation with the time step doubled, so this
-    one gate per two-site cell implements the full step.
+    one gate per two-site cell implements the full step. ``dt`` must be a
+    positive real, and ``J`` and ``g`` as in :func:`bond_hamiltonian`.
     """
+    _check_reals(dt=dt)
     if not dt > 0:
         raise InvalidArgumentError("dt must be positive")
     return qcore.two_site_exp(bond_hamiltonian(J, g), 2.0 * dt)
@@ -113,6 +117,7 @@ def trotter_gates_second_order(J, g, dt):
     Both act with the bond generator of :func:`bond_hamiltonian`; composing
     odd(dt/2) . even(dt) . odd(dt/2) layers gives local error O(dt^3).
     """
+    _check_reals(dt=dt)
     if not dt > 0:
         raise InvalidArgumentError("dt must be positive")
     h2 = bond_hamiltonian(J, g)

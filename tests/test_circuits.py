@@ -13,7 +13,7 @@ from quenchmps.circuits import (
     exact_success_probability,
     success_probability_fn,
 )
-from quenchmps.qcore import ResourceLimitError
+from quenchmps.qcore import InvalidArgumentError, ResourceLimitError
 from conftest import random_unitary, unitarity_defect
 
 
@@ -188,6 +188,17 @@ class TestCircuitDenseEquivalence:
             assert abs(p_sv - p_dense(pb)) < 1e-10
             assert abs(p_sv - p_row) < 1e-10
 
+    def test_one_parameter_set_each(self):
+        # a stack escaped from the dense path as an einsum ValueError or a
+        # TypeError, and from the circuit only once a gate was applied
+        p = random_params(np.random.default_rng(5))
+        stack = AnsatzParams(FULL15, np.tile(p.angles, (2, 1)))
+        spec = tfim.QuenchSpec()
+        for call in (dense_success_probability, build_cost_circuit):
+            for params_t, candidate in [(stack, p), (p, stack), (p, stack.angles)]:
+                with pytest.raises(InvalidArgumentError, match="one parameter set"):
+                    call(params_t, candidate, spec)
+
     def test_quench_step_cost_near_one_at_small_dt(self):
         # un-updated candidate already reaches p = 1 - O(dt^2)
         rng = np.random.default_rng(3)
@@ -238,7 +249,7 @@ class TestPerShotSimulation:
         rng = np.random.default_rng(6)
         spec = tfim.QuenchSpec()
         pa = AnsatzParams(FULL15, 0.8 * rng.standard_normal(15))
-        pb = pa.replace_angles(pa.angles + 0.25 * rng.standard_normal(15))
+        pb = AnsatzParams(FULL15, pa.angles + 0.25 * rng.standard_normal(15))
         c = build_cost_circuit(pa, pb, spec)
         p = exact_success_probability(c)
         assert 0.05 < p < 0.95  # meaningful statistics for the check below

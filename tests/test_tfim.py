@@ -309,16 +309,28 @@ class TestLoschmidtFreeFermion:
             (lambda: ground_energy_density_ff(1.0, np.nan), "g must be finite"),
             (lambda: ground_energy_density_ff(np.inf, 1.5), "J must be finite"),
             (lambda: ground_energy_density_ff(None, 1.5), "J must be finite"),
+            (lambda: bond_hamiltonian(1.0, 1.5 + 1j), "g must be finite"),
+            (lambda: bond_hamiltonian(1.0, np.nan), "g must be finite"),
+            (lambda: bond_hamiltonian(True, 1.5), "J must be finite"),
+            (lambda: trotter_gate_first_order(np.nan, 1.5, 0.1), "J must be finite"),
+            (lambda: trotter_gate_first_order(1.0, 0.2, 0.1 + 0j), "dt must be finite"),
+            (lambda: trotter_gate_first_order(1.0, 0.2, True), "dt must be finite"),
+            (lambda: trotter_gates_second_order(1.0, 0.2, "0.1"), "dt must be finite"),
+            (lambda: trotter_gates_second_order(1.0, 0.2, 0.1j), "dt must be finite"),
         ],
         ids=[
             "ff-J-zero", "ff-g0-complex", "ff-g0-nan", "ff-g1-inf", "ff-J-bool",
             "ff-J-str", "ff-t-nan", "ff-t-inf-in-array", "ff-t-complex", "ff-t-str",
             "e0-g-complex", "e0-g-nan", "e0-J-inf", "e0-J-none",
+            "h2-g-complex", "h2-g-nan", "h2-J-bool", "gate1-J-nan", "gate1-dt-complex",
+            "gate1-dt-bool", "gate2-dt-str", "gate2-dt-imaginary",
         ],
     )
     def test_oracles_reject_bad_couplings_and_times(self, call, match):
         # unchecked, J = 0 divides by zero, a complex field escapes as a numpy
-        # TypeError or gives a wrong real energy, and a NaN gives a NaN rate
+        # TypeError or gives a wrong real energy, and a NaN gives a NaN rate;
+        # the bond term took the real part of a complex field, and the Trotter
+        # gates ran a bool step as 1 and called a NaN coupling non-Hermitian
         with pytest.raises(InvalidArgumentError, match=match):
             call()
 
