@@ -47,8 +47,8 @@ The float operations live once, in private helpers on raw angle arrays: the
 rotation stack, the halving tree, the prefix scan with dU, and the U -> A
 slice, which is a view. :func:`build_unitary` and :func:`tensor_of` are the
 one way in from angles. They take the optimizers' own iterate, a raw (15,)
-array or (k, 15) stack, as readily as an :class:`AnsatzParams`, and check
-the angles once, with the same rule as :class:`AnsatzParams`.
+array or (k, 15) stack, as readily as an :class:`AnsatzParams` (one set),
+and check the angles once, as :class:`AnsatzParams` does.
 """
 
 from dataclasses import dataclass, field
@@ -75,11 +75,8 @@ class AnsatzParams:
     """Rotation angles of the iMPS unitary template (``FULL15``, the only
     one; any other template name is rejected).
 
-    ``angles`` holds one parameter set, shape (n,), or a stack of them,
-    shape (k, n), one candidate per row (an SPSA +/- pair is a (2, n) stack).
-    :func:`build_unitary` and :func:`tensor_of` broadcast over the stack,
-    and each row gives exactly the floats of the same parameter set on its
-    own. The angles must be real and finite.
+    ``angles`` holds one parameter set, shape (n,), real and finite. A (k, n)
+    stack, such as an SPSA +/- pair, stays a raw array; it is rejected here.
     """
 
     template: str
@@ -89,6 +86,10 @@ class AnsatzParams:
         if self.template not in N_ANGLES:
             raise InvalidArgumentError(f"unknown template {self.template!r}")
         angles = _checked_angles(self.angles).copy()  # the caller's stays writable
+        if angles.ndim != 1:
+            raise InvalidArgumentError(
+                f"AnsatzParams holds one parameter set, got shape {angles.shape}"
+            )
         angles.flags.writeable = False
         object.__setattr__(self, "angles", angles)
 
@@ -103,9 +104,9 @@ def build_unitary(angles, grad=False):
 
     A stack gives a (k, 4, 4) stack of unitaries. With ``grad``, returns
     ``(U, dU)`` where dU[k] = dU/d(angle k), one 4x4 slice per angle;
-    gradients take one parameter set. Angles that :class:`AnsatzParams`
-    rejects raise :class:`InvalidArgumentError`, as does a stack with
-    ``grad``. U is unitary by construction and not checked per call.
+    gradients take one parameter set. Angles that are not real and finite,
+    or of another shape, raise :class:`InvalidArgumentError`, as does a
+    stack with ``grad``. U is unitary by construction and not checked per call.
 
     Without ``grad``, U is the halving tree over (1, G_0, ..., G_14): the
     scan's own bracketing of Pre_14, so the two paths agree bit for bit, in

@@ -189,7 +189,7 @@ def success_probability_fn(a_t, layer):
     angles that :func:`ansatz.tensor_of` rejects, such as a non-finite one.
     Independent of the statevector route.
     """
-    ket = transfer.window_ket(a_t, layer, 2 * POWER_METHOD_ORDER)
+    ket = transfer.window_ket(a_t, layer)
     copies = np.eye(4, dtype=complex).reshape(4, 2, 2)  # the unit bond operators
     for _ in range(2):
         copies = transfer.site_overlap_map(copies, a_t, a_t)

@@ -1,34 +1,33 @@
 """Time evolution of the quench: ground-state preparation, one step loop
-with two step solvers, and ensemble experiments.
+with two correctors, and ensemble experiments.
 
-Every quench starts from the variational ground state, one BFGS minimization
-of the energy density on its exact gradient through the fixed-point equation
-(see :func:`energy_density` and :func:`ground_state_optimize`). Each step of
-the evolution then runs the same loop (:func:`_evolve`):
+One loop owns every run (:func:`_evolve`). It starts from the variational
+ground state, which it solves unless one is given: one BFGS minimization of
+the energy density on its exact gradient through the fixed-point equation
+(see :func:`energy_density` and :func:`ground_state_optimize`). Each step
+then runs
 
-    extrapolate: seed from the previous step, linearly from the two
-                 previous steps once there are two
-      -> correct: the driver's step solver moves the seed from the current
+    predict: seed from the previous step under "copy" and on steps 1 and 2,
+             else linearly from the two previous steps (``extrapolate``)
+      -> correct: the driver's corrector moves the seed from the current
                   state's MPS tensor
       -> accept:  unwrap the angles, build their tensor once, record the
                   echo against the ground state from it, add up the shots.
 
-The accepted state's tensor is built once, from the stored (unwrapped)
-angles, and serves both its echo and the next step's current state. Only
-the correction differs between the drivers. The deterministic reference
-(:func:`evolve_exact_in_ansatz`) corrects with one L-BFGS-B solve of the
-dense step objective, which stops on its gradient test alone. The sampled
-experiment (:func:`evolve_stochastic`) corrects with ``SPSA_STEPS`` SPSA
-iterations (``BOOTSTRAP_FACTOR`` times as many on steps 1 and 2) on the
-measured cost 1 - p_hat, so the circuit acts as a stochastic correction on
-top of the classical extrapolation; every SPSA iteration spends exactly two
+The accepted state's tensor also serves as the next step's current state.
+A driver only checks its options and supplies the corrector. The
+deterministic reference (:func:`evolve_exact_in_ansatz`, always
+"extrapolate") corrects with one L-BFGS-B solve of the dense step
+objective, which stops on its gradient test alone. The sampled experiment
+(:func:`evolve_stochastic`) corrects with ``SPSA_STEPS`` SPSA iterations
+(``BOOTSTRAP_FACTOR`` times as many on steps 1 and 2) on the measured cost
+1 - p_hat, so the circuit acts as a stochastic correction on top of the
+classical prediction ("extrapolate", the paper's protocol, or "copy", the
+baseline without extrapolation); every SPSA iteration spends exactly two
 cost evaluations. Its gain schedule is fixed by the module's ``SPSA_*``
-constants, not by an option. Its candidate starts from the loop's
-seed ("extrapolate", the paper's protocol) or from the previous step
-("copy", the baseline without extrapolation). Its step n draws
-stream i (1 SPSA, 2 shots; stream 0 is reserved) from
-``SeedSequence(seed, spawn_key=(3,) * (n - 1) + (i,))``, built when the step
-runs (:func:`_step_stream`). A step that raises
+constants, not by an option. Its step n draws stream i (1 SPSA, 2 shots;
+stream 0 is reserved) from ``SeedSequence(seed, spawn_key=(3,) * (n - 1) +
+(i,))``, built when the step runs (:func:`_step_stream`). A step that raises
 :class:`NumericFailure` or :class:`InvalidArgumentError` ends either run the
 same way: the trajectory is truncated before it and ``failure`` names it.
 """
@@ -39,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from . import circuits, tfim, transfer
+from . import circuits, qcore, tfim, transfer
 from .ansatz import FULL15, N_ANGLES, AnsatzParams, tensor_of
 from .qcore import InvalidArgumentError, NumericFailure, is_count, is_finite_real
 
@@ -65,7 +64,22 @@ SPSA_STREAM, SHOT_STREAM = 1, 2  # a stochastic step's streams; stream 0 is rese
 
 @dataclass
 class Trajectory:
-    """Time series of one evolution run."""
+    """Time series of one evolution run, one row per time that it reached.
+
+    ``spec``: the quench; ``template``: the ansatz of the angles;
+    ``init_scheme``: the predictor ("extrapolate" for the reference);
+    ``seed``: the run seed (``None`` for the reference); ``shots_per_eval``:
+    shots per cost evaluation (0 for the reference). ``times``: ``spec.times``
+    up to the last accepted step. ``angles``: row 0 the ground state, row n
+    step n's accepted angles, unwrapped toward row n - 1. ``echoes``: the
+    echo rate of each row against row 0 (0 at row 0). ``costs``: 0 at row 0,
+    then what the corrector reports, which differs per driver: the reference
+    stores its minimized objective at the accepted angles, -|lambda| for
+    "eigen" and -p for "circuit_lt"; the sampled run stores the mean measured
+    1 - p_hat of its last SPSA +/- pair, not the cost at the accepted angles.
+    ``cum_shots``: the shots spent up to each step. ``failure``: ``None``, or
+    "<exception type>: <message>" of the step that ended the run early.
+    """
 
     spec: tfim.QuenchSpec
     template: str
@@ -77,7 +91,7 @@ class Trajectory:
     echoes: np.ndarray = field(repr=False)
     costs: np.ndarray = field(repr=False)
     cum_shots: np.ndarray = field(repr=False)
-    failure: str | None = None  # "<exception type>: <message>" of an early stop
+    failure: str | None = None
 
     @property
     def complete(self):
@@ -99,7 +113,7 @@ def echo_density(params_0, params_t):
 
 def _echo_of_tensors(a_0, a_t):
     """:func:`echo_density` of the MPS tensors ``a_0`` and ``a_t``."""
-    lam = transfer.fidelity_density(transfer.transfer_matrix(a_0, a_t))
+    lam = qcore.leading_eig(transfer.transfer_matrix(a_0, a_t))[0]
     return float(-np.log(max(abs(lam) ** 2, 1e-300)))
 
 
@@ -159,7 +173,7 @@ def ground_state_optimize(J, g, template, optimizer_seed=0):
     bool is neither), is rejected with :class:`InvalidArgumentError` before
     solving.
     """
-    _check_start(template, None)
+    _check_start(template)
     if not (is_finite_real(J) and is_finite_real(g)):
         raise InvalidArgumentError(f"J and g must be finite reals, got J={J!r}, g={g!r}")
     if not is_count(optimizer_seed) or optimizer_seed < 0:
@@ -268,24 +282,25 @@ def _sampled_cost(a_t, layer, shots_per_eval, seed_sequence):
     return cost
 
 
-def _evolve(spec, ground, solve_step, **labels):
-    """The step loop of both drivers, from ``ground`` over ``spec.times``.
+def _evolve(spec, template, ground, init_scheme, solve_step, **labels):
+    """The one run of both drivers, from ``ground`` (solved here at
+    ``spec.J``, ``spec.g0`` when ``None``) over ``spec.times``.
 
-    Every state is a plain angle array. Step n starts from step n - 1, or from
-    ``extrapolate`` of steps n - 2 and n - 1 once n >= 3;
-    ``solve_step(n, prev, a_prev, x0)`` corrects those angles ``x0`` from the
-    previous state's angles ``prev`` and MPS tensor ``a_prev`` (both may be
-    views of stored rows, not to be written) and returns
-    ``(accepted, cost, shots)``. The accepted angles are unwrapped toward step
-    n - 1 and stored, and their tensor is built once: the echo is taken from it
-    against the ground tensor, and it is step n + 1's ``a_prev``. A 2*pi shift
-    of an angle flips the unitary's sign, which no echo observes, so the echo
-    of the stored angles is that of the accepted ones up to rounding. A solve,
-    tensor or echo that raises :class:`NumericFailure` or
+    Every state is a plain angle array. Step n is seeded with the angles x0
+    of step n - 1 under "copy" and on steps 1 and 2, else with ``extrapolate``
+    of steps n - 2 and n - 1. The corrector ``solve_step(n, a_prev, x0)``
+    moves x0 (maybe a view of a stored row, not to be written) from the
+    previous state's MPS tensor ``a_prev`` and returns
+    ``(accepted, cost, shots)``. The accepted angles are unwrapped toward
+    step n - 1 and stored, and their tensor is built once: the echo is taken
+    from it against the ground tensor, and it is step n + 1's ``a_prev``. A
+    2*pi shift of an angle flips the unitary's sign, which no echo observes.
+    A solve, tensor or echo that raises :class:`NumericFailure` or
     :class:`InvalidArgumentError` truncates the run before step n, with
-    ``failure = "<type>: <message>"``. ``labels`` fill the other fields of the
-    :class:`Trajectory`.
+    ``failure = "<type>: <message>"``. ``labels`` fill the other fields.
     """
+    if ground is None:
+        ground = ground_state_optimize(spec.J, spec.g0, template)
     times = spec.times
     angles = np.zeros((len(times), len(ground.angles)))
     angles[0] = ground.angles
@@ -296,9 +311,10 @@ def _evolve(spec, ground, solve_step, **labels):
     end, failure = len(times), None
     for step in range(1, len(times)):
         prev = angles[step - 1]
-        x0 = prev if step < 3 else extrapolate(angles[step - 2], prev)
+        copy_prev = step < 3 or init_scheme == "copy"
+        x0 = prev if copy_prev else extrapolate(angles[step - 2], prev)
         try:
-            accepted, cost, shots = solve_step(step, prev, a_prev, x0)
+            accepted, cost, shots = solve_step(step, a_prev, x0)
             angles[step] = unwrap_toward(prev, accepted)
             a_prev = tensor_of(angles[step])
             echoes[step] = _echo_of_tensors(a_0, a_prev)
@@ -308,23 +324,17 @@ def _evolve(spec, ground, solve_step, **labels):
         costs[step] = cost
         cum_shots[step] = cum_shots[step - 1] + shots
     return Trajectory(
-        spec=spec,
-        template=ground.template,
-        times=times[:end],
-        angles=angles[:end],
-        echoes=echoes[:end],
-        costs=costs[:end],
-        cum_shots=cum_shots[:end],
-        failure=failure,
-        **labels,
+        spec=spec, template=template, init_scheme=init_scheme, times=times[:end],
+        angles=angles[:end], echoes=echoes[:end], costs=costs[:end],
+        cum_shots=cum_shots[:end], failure=failure, **labels,
     )
 
 
-def _check_run(init_scheme, shots_per_eval, seeds, template, ground):
+def _check_run(init_scheme, shots_per_eval, seeds, template):
     """The checks both stochastic drivers make before anything is solved or
     stepped: reject an unknown ``init_scheme``, a ``shots_per_eval`` that is
     not a positive integer, a run seed that is not a nonnegative one (a bool
-    is neither), and what :func:`_check_start` rejects."""
+    is neither), and an unknown ``template``."""
     if init_scheme not in INIT_SCHEMES:
         raise InvalidArgumentError(f"unknown init scheme {init_scheme!r}")
     if not is_count(shots_per_eval) or shots_per_eval < 1:
@@ -336,21 +346,14 @@ def _check_run(init_scheme, shots_per_eval, seeds, template, ground):
             raise InvalidArgumentError(
                 f"a run seed must be a nonnegative integer, got {seed!r}"
             )
-    _check_start(template, ground)
+    _check_start(template)
 
 
-def _check_start(template, ground):
-    """Reject an unknown ``template`` and a given ``ground`` that holds a
-    stack of angles, before anything is solved or stepped. A ``ground`` is always
-    of a known template, so with ``FULL15`` the only one, a ``template``
-    that differs from it is an unknown one."""
+def _check_start(template):
+    """Reject an unknown ``template``; with ``FULL15`` the only one, that is
+    also every ``template`` that a given ``ground`` is not of."""
     if template not in N_ANGLES:
         raise InvalidArgumentError(f"unknown template {template!r}")
-    if ground is not None and ground.angles.ndim != 1:
-        raise InvalidArgumentError(
-            f"ground state must be one parameter set, got angles of shape "
-            f"{ground.angles.shape}"
-        )
 
 
 def _step_stream(seed, step, stream):
@@ -370,17 +373,18 @@ def _step_stream(seed, step, stream):
 def evolve_stochastic(
     spec, init_scheme, shots_per_eval=2048, seed=0, template=FULL15, ground=None
 ):
-    """Stochastic variational evolution of the quench.
+    """Stochastic variational evolution of the quench from ``ground``
+    (solved when not given).
 
-    The step solver of :func:`_evolve`: seed the candidate via ``init_scheme``
-    ("extrapolate" keeps the loop's seed, "copy" takes the previous step),
-    run ``SPSA_STEPS`` iterations of SPSA (:func:`spsa_optimize`) on the
-    sampled cost, accept the final iterate. The first two steps run
-    ``BOOTSTRAP_FACTOR`` times as many (extrapolation needs two previous
-    points). Bit-identical for identical ``(spec, seed)``: step n draws its SPSA and
-    shot streams from the spawn chain of ``SeedSequence(seed)``
-    (:func:`_step_stream`). A cost or echo failure ends the run (see
-    :func:`_evolve`).
+    The corrector of :func:`_evolve`: from the seed that the loop predicts
+    under ``init_scheme`` ("extrapolate", the paper's protocol, or "copy",
+    the previous step), run ``SPSA_STEPS`` iterations of SPSA
+    (:func:`spsa_optimize`) on the sampled cost and accept the final iterate.
+    The first two steps run ``BOOTSTRAP_FACTOR`` times as many (extrapolation
+    needs two previous points). Bit-identical for identical ``(spec, seed)``:
+    step n draws its SPSA and shot streams from the spawn chain of
+    ``SeedSequence(seed)`` (:func:`_step_stream`). A cost or echo failure ends
+    the run (see :func:`_evolve`).
 
     The gate layer is built once per run; each step builds the side of the
     cost fixed by its current state from the tensor that :func:`_evolve`
@@ -390,14 +394,10 @@ def evolve_stochastic(
     Bad options are rejected with :class:`InvalidArgumentError` before the
     ground state is solved (:func:`_check_run`).
     """
-    _check_run(init_scheme, shots_per_eval, [seed], template, ground)
-    if ground is None:
-        ground = ground_state_optimize(spec.J, spec.g0, template)
+    _check_run(init_scheme, shots_per_eval, [seed], template)
     layer, _ = circuits.evolution_gate_layer(spec)
 
-    def solve_step(step, prev, a_prev, x0):
-        if init_scheme == "copy":
-            x0 = prev
+    def solve_step(step, a_prev, x0):
         steps = SPSA_STEPS * BOOTSTRAP_FACTOR if step <= 2 else SPSA_STEPS
         cost = _sampled_cost(
             a_prev, layer, shots_per_eval, _step_stream(seed, step, SHOT_STREAM)
@@ -409,8 +409,8 @@ def evolve_stochastic(
         return accepted, history[-1], 2 * steps * shots_per_eval
 
     return _evolve(
-        spec, ground, solve_step,
-        init_scheme=init_scheme, seed=seed, shots_per_eval=shots_per_eval,
+        spec, template, ground, init_scheme, solve_step,
+        seed=seed, shots_per_eval=shots_per_eval,
     )
 
 
@@ -429,7 +429,7 @@ def _step_objective(a_t, gate, cost_mode):
     :func:`circuits.success_probability_fn`. A non-finite angle raises
     :class:`InvalidArgumentError`."""
     if cost_mode == "eigen":
-        ket = transfer.window_ket(a_t, gate, 2)
+        ket = transfer.window_ket(a_t, gate)
 
         def objective(x):
             b, db = tensor_of(x, grad=True)
@@ -468,11 +468,11 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
     L-BFGS-B returns non-finite angles, ends the run (see :func:`_evolve`);
     the latter's ``failure`` names the step and the optimizer's message.
 
-    An unknown ``template``, or a given ``ground`` of another template or
-    holding a stack of angles, is rejected with :class:`InvalidArgumentError`
-    before any solve.
+    It starts from ``ground`` (solved when not given) and predicts by
+    "extrapolate". An unknown ``template``, or a ``ground`` of another one, is
+    rejected with :class:`InvalidArgumentError` before any solve.
     """
-    _check_start(template, ground)
+    _check_start(template)
     if cost_mode == "eigen":
         if spec.trotter_order != 1:
             raise InvalidArgumentError("eigen needs first-order Trotter gates")
@@ -481,10 +481,8 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
         gate, _ = circuits.evolution_gate_layer(spec)
     else:
         raise InvalidArgumentError(f"unknown cost mode {cost_mode!r}")
-    if ground is None:
-        ground = ground_state_optimize(spec.J, spec.g0, template)
 
-    def solve_step(step, prev, a_prev, x0):
+    def solve_step(step, a_prev, x0):
         objective, jac = _step_objective(a_prev, gate, cost_mode)
         # 2 * 15 correction pairs hold a whole step's iterations; a 10-pair
         # memory costs 34.4 evaluations per step to t = 1 instead of 25.6
@@ -502,7 +500,7 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
         return res.x, res.fun, 0
 
     return _evolve(
-        spec, ground, solve_step, init_scheme="extrapolate", seed=None, shots_per_eval=0
+        spec, template, ground, "extrapolate", solve_step, seed=None, shots_per_eval=0
     )
 
 
@@ -540,7 +538,7 @@ def ensemble_run(
     seeds = list(seeds)
     if len(seeds) < 2:
         raise InvalidArgumentError(f"an ensemble needs at least 2 seeds, got {seeds!r}")
-    _check_run(init_scheme, shots_per_eval, seeds, template, ground)
+    _check_run(init_scheme, shots_per_eval, seeds, template)
     if len(set(seeds)) != len(seeds):
         raise InvalidArgumentError(f"run seeds must be distinct, got {seeds!r}")
     if ground is None:

@@ -93,14 +93,16 @@ def rot_gate(axis, angle):
 
 def two_site_exp(h, tau):
     """Unitary exp(-i * h * tau) of a 4x4 Hermitian generator, from its
-    eigendecomposition (exactly unitary up to rounding at any ``tau``)."""
+    eigendecomposition (exactly unitary up to rounding at any ``tau``). A
+    ``tau`` that is not a finite real (a complex one gives a non-unitary gate,
+    a bool is none) is rejected with :class:`InvalidArgumentError`."""
     h = np.asarray(h, dtype=complex)
     if h.shape != (4, 4):
         raise InvalidArgumentError(f"expected a 4x4 generator, got shape {h.shape}")
     if not np.max(np.abs(h - h.conj().T)) < 1e-10:
         raise InvalidArgumentError("generator is not Hermitian within 1e-10")
-    if not np.isfinite(tau):
-        raise InvalidArgumentError("time step must be finite")
+    if not is_finite_real(tau):
+        raise InvalidArgumentError(f"time step must be finite and real, got {tau!r}")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * tau * w)) @ v.conj().T
 

@@ -167,8 +167,10 @@ def _check_k_points(k_points):
 
 
 def critical_momentum(g0, g1, J=1.0):
-    """Momentum k* where the quench Bogoliubov angles differ by pi/4; a zero
-    ``J`` or ``g0 + g1`` is rejected with :class:`InvalidArgumentError`."""
+    """Momentum k* where the quench Bogoliubov angles differ by pi/4. A
+    ``J``, ``g0`` or ``g1`` that is not a finite real, and a zero ``J`` or
+    ``g0 + g1``, are rejected with :class:`InvalidArgumentError`."""
+    _check_reals(J=J, g0=g0, g1=g1)
     if J * (g0 + g1) == 0.0:
         raise InvalidArgumentError(
             f"no critical momentum for J={J!r}, g0 + g1 = {g0 + g1!r}"
@@ -183,9 +185,9 @@ def critical_momentum(g0, g1, J=1.0):
 
 def cusp_times(g0, g1, t_max, J=1.0):
     """Nonanalytic times t*_n = (2n+1) pi / (2 e_{k*}(g1)) up to t_max; a
-    non-finite ``t_max`` is rejected with :class:`InvalidArgumentError`."""
-    if not np.isfinite(t_max):
-        raise InvalidArgumentError(f"t_max must be finite, got {t_max!r}")
+    ``t_max`` that is not a finite real, and couplings that
+    :func:`critical_momentum` rejects, raise :class:`InvalidArgumentError`."""
+    _check_reals(t_max=t_max)
     eps_star = quasiparticle_energy(critical_momentum(g0, g1, J), g1, J)
     out = []
     n = 0

@@ -1,5 +1,5 @@
-"""Mixed transfer matrices, the fidelity density, and the window overlap
-maps of the cost circuits.
+"""Mixed transfer matrices, the cell matrix and its eigenvalue gradient,
+and the window overlap maps of the cost circuits.
 
 Conventions
 -----------
@@ -121,28 +121,25 @@ def transfer_matrix(a_ket, b_bra):
     return cell_matrix(a_ket, b_bra)
 
 
-def fidelity_density(e):
-    """Leading eigenvalue of the mixed transfer matrix."""
-    return qcore.leading_eig(e)[0]
-
-
 def site_overlap_map(m, a_ket, b_bra):
     """One site of the sequential overlap applied to a bond operator (or a
     stack of them): M -> sum_s (B^s)^dag M A^s."""
     return np.einsum("sca,...cd,sdb->...ab", b_bra.conj(), m, a_ket)
 
 
-def window_ket(a_ket, gate_layer, n_sites):
-    """Ket side K[t] = sum_s <t|L|s> A-prod_s of a block of ``n_sites``
-    overlap sites with the dense gate layer L between the strands, shape
-    (2**n_sites, 2, 2). It depends on the current state only, so an optimizer
-    over the bra computes it once; an incoming bond operator M is folded in
-    as ``M @ K``."""
+def window_ket(a_ket, gate_layer):
+    """Ket side K[t] = sum_s <t|L|s> A-prod_s of a block of n overlap sites
+    with the dense gate layer L between the strands, shape (2**n, 2, 2). The
+    site count n >= 1 is read from the layer, a 2**n x 2**n square (else
+    :class:`InvalidArgumentError`). K depends on the current state only, so
+    an optimizer over the bra computes it once; an incoming bond operator M
+    is folded in as ``M @ K``."""
     gate_layer = np.asarray(gate_layer, dtype=complex)
-    dim = 2**n_sites
-    if gate_layer.shape != (dim, dim):
+    n_sites = len(gate_layer).bit_length() - 1 if gate_layer.ndim == 2 else 0
+    if n_sites < 1 or gate_layer.shape != (2**n_sites, 2**n_sites):
         raise InvalidArgumentError(
-            f"gate layer shape {gate_layer.shape} does not cover {n_sites} sites"
+            f"a gate layer must be a 2**n x 2**n square with n >= 1, "
+            f"got shape {gate_layer.shape}"
         )
     return np.einsum("ts,sab->tab", gate_layer, strand_products(a_ket, n_sites))
 

@@ -72,14 +72,12 @@ class TestBuildUnitary:
                 entry(np.zeros(shape))
 
     def test_stack_rows_equal_single_sets(self):
-        # raw angles give the floats of the same parameters, bit for bit
+        # each row of a raw stack gives the floats of the same parameters on
+        # their own, bit for bit
         rng = np.random.default_rng(4)
         angles = rng.uniform(-np.pi, np.pi, (5, 15))
-        stack = AnsatzParams(FULL15, angles)
-        u, a = build_unitary(stack), tensor_of(stack)
+        u, a = build_unitary(angles), tensor_of(angles)
         assert u.shape == (5, 4, 4) and a.shape == (5, 2, 2, 2)
-        assert np.array_equal(build_unitary(angles), u)
-        assert np.array_equal(tensor_of(angles), a)
         for row, u_row, a_row in zip(angles, u, a):
             single = AnsatzParams(FULL15, row)
             assert np.array_equal(u_row, build_unitary(single))
@@ -87,19 +85,22 @@ class TestBuildUnitary:
             assert np.array_equal(a_row, tensor_of(row))
             pairs = zip(tensor_of(row, grad=True), tensor_of(single, grad=True))
             assert all(np.array_equal(got, want) for got, want in pairs)
-        for stacked in (stack, angles):
-            with pytest.raises(InvalidArgumentError, match="one parameter set"):
-                build_unitary(stacked, grad=True)
-            with pytest.raises(InvalidArgumentError, match="one parameter set"):
-                tensor_of(stacked, grad=True)
+        with pytest.raises(InvalidArgumentError, match="one parameter set"):
+            build_unitary(angles, grad=True)
+        with pytest.raises(InvalidArgumentError, match="one parameter set"):
+            tensor_of(angles, grad=True)
+
+    def test_params_hold_one_parameter_set(self):
+        # the builders take raw stacks; the validated type holds one set
+        with pytest.raises(InvalidArgumentError, match="one parameter set"):
+            AnsatzParams(FULL15, np.zeros((2, 15)))
 
     @pytest.mark.parametrize("magnitude", [0.0, 1.0, np.pi, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
     def test_unitary_and_stack_rows_at_large_angles(self, magnitude):
         # the proof that U is unitary, which no call checks again
         rng = np.random.default_rng(8)
         angles = magnitude * rng.choice([-1.0, 1.0], (4, 15)) * rng.uniform(1.0, 10.0, (4, 15))
-        stack = AnsatzParams(FULL15, angles)
-        u = build_unitary(stack)
+        u = build_unitary(angles)
         assert unitarity_defect(u) < 1e-12
         for row, u_row in zip(angles, u):
             single = build_unitary(AnsatzParams(FULL15, row))
@@ -115,7 +116,7 @@ class TestBuildUnitary:
         for trial in range(20):
             signs = rng.choice([-1.0, 1.0], (k, 15))
             angles = magnitude * (signs if trial == 0 else rng.uniform(-1.0, 1.0, (k, 15)))
-            stack = build_unitary(AnsatzParams(FULL15, angles))
+            stack = build_unitary(angles)
             for row, u_row in zip(angles, stack):
                 single = AnsatzParams(FULL15, row)
                 u, _ = build_unitary(single, grad=True)

@@ -175,7 +175,7 @@ class TestCircuitDenseEquivalence:
             return AnsatzParams(FULL15, rng.uniform(-np.pi, np.pi, 15))
 
         current, candidates = full15(), [full15() for _ in range(4)]
-        stack = AnsatzParams(FULL15, np.array([pb.angles for pb in candidates]))
+        stack = np.array([pb.angles for pb in candidates])
         layer = layer_at(spec, dt)
         # one per-step function serves every candidate, and a (k, 15) stack
         # of candidates gives each row's own probability exactly
@@ -192,10 +192,10 @@ class TestCircuitDenseEquivalence:
         # a stack escaped from the dense path as an einsum ValueError or a
         # TypeError, and from the circuit only once a gate was applied
         p = random_params(np.random.default_rng(5))
-        stack = AnsatzParams(FULL15, np.tile(p.angles, (2, 1)))
+        stack = np.tile(p.angles, (2, 1))
         spec = tfim.QuenchSpec()
         for call in (dense_success_probability, build_cost_circuit):
-            for params_t, candidate in [(stack, p), (p, stack), (p, stack.angles)]:
+            for params_t, candidate in [(stack, p), (p, stack)]:
                 with pytest.raises(InvalidArgumentError, match="one parameter set"):
                     call(params_t, candidate, spec)
 

@@ -153,7 +153,7 @@ class TestGradients:
             current = AnsatzParams(FULL15, rng.uniform(-np.pi, np.pi, 15))
             x = current.angles + 0.3 * rng.standard_normal(15)
             a_t = tensor_of(current)
-            ket = transfer.window_ket(a_t, gate, 2)
+            ket = transfer.window_ket(a_t, gate)
             b, db = tensor_of(AnsatzParams(FULL15, x), grad=True)
             w, vl, vr = scipy.linalg.eig(transfer.cell_matrix(ket, b), left=True)
             k = np.argmax(np.abs(w))
@@ -355,22 +355,22 @@ class TestDrivers:
         # cell eigenpairs or from the echo's leading eigenpair; step 1 is kept
         steps = spy(monkeypatch, transfer, "window_ket")  # one call per step
         in_echo = []
-        real_geev, real_fidelity = qcore._GEEV, transfer.fidelity_density
+        real_geev, real_echo = qcore._GEEV, evolve._echo_of_tensors
 
         def geev(*args, **kwargs):
             w, vl, vr, info = real_geev(*args, **kwargs)
             fails = len(steps) == 2 and bool(in_echo) == (site == "echo")
             return w, vl, vr, 1 if fails else info
 
-        def fidelity_density(e):
-            in_echo.append(e)
+        def echo_of_tensors(*tensors):
+            in_echo.append(tensors)
             try:
-                return real_fidelity(e)
+                return real_echo(*tensors)
             finally:
                 in_echo.pop()
 
         monkeypatch.setattr(qcore, "_GEEV", geev)
-        monkeypatch.setattr(transfer, "fidelity_density", fidelity_density)
+        monkeypatch.setattr(evolve, "_echo_of_tensors", echo_of_tensors)
         traj = evolve.evolve_exact_in_ansatz(SHORT, FULL15, "eigen", ground=ground)
         assert not traj.complete and traj.n_steps == 1
         assert traj.failure == "NumericFailure: eigensolver failed (geev info 1)"
@@ -510,25 +510,50 @@ class TestDrivers:
     def test_bad_template_or_ground_rejected(
         self, golden_ground, monkeypatch, entry, template, stacked, match
     ):
-        # rejected before the ground state is solved or any step runs
+        # rejected before the ground state is solved or any step runs; a
+        # stacked ground state is rejected as it is built, by AnsatzParams
         for name in ("ground_state_optimize", "_evolve"):
             monkeypatch.setattr(evolve, name, self.must_not_run)
-        ground = golden_ground
-        if stacked:
-            ground = AnsatzParams(FULL15, np.tile(ground.angles, (2, 1)))
+
+        def ground():
+            if stacked:
+                return AnsatzParams(template, np.tile(golden_ground.angles, (2, 1)))
+            return golden_ground
+
         run = {
             "stochastic": lambda: evolve.evolve_stochastic(
-                SHORT, "extrapolate", template=template, ground=ground
+                SHORT, "extrapolate", template=template, ground=ground()
             ),
             "reference": lambda: evolve.evolve_exact_in_ansatz(
-                SHORT, template, ground=ground
+                SHORT, template, ground=ground()
             ),
             "ensemble": lambda: evolve.ensemble_run(
-                SHORT, "extrapolate", [0, 1], template=template, ground=ground
+                SHORT, "extrapolate", [0, 1], template=template, ground=ground()
             ),
         }[entry]
         with pytest.raises(InvalidArgumentError, match=match):
             run()
+
+    @pytest.mark.parametrize("entry", ["stochastic", "reference", "ensemble"])
+    def test_a_missing_ground_state_is_solved_once(self, monkeypatch, entry):
+        # the run from the solved ground state is the run given that state
+        solves = spy(monkeypatch, evolve, "ground_state_optimize")
+        run = {
+            "stochastic": lambda **kw: evolve.evolve_stochastic(
+                SHORT, "extrapolate", seed=3, **kw
+            ),
+            "reference": lambda **kw: evolve.evolve_exact_in_ansatz(SHORT, FULL15, **kw),
+            "ensemble": lambda **kw: evolve.ensemble_run(SHORT, "copy", [0, 1], **kw),
+        }[entry]
+        solved = run()
+        assert [args for args, _ in solves] == [(SHORT.J, SHORT.g0, FULL15)]
+        given = run(ground=solves[0][1])
+        assert len(solves) == 1
+        names = ("echoes", "total_shots") if entry == "ensemble" else (
+            "angles", "echoes", "costs", "cum_shots", "failure"
+        )
+        for name in names:
+            assert np.array_equal(getattr(solved, name), getattr(given, name)), name
 
     def test_ensemble_takes_any_iterable_of_seeds(self, ground):
         stats = evolve.ensemble_run(
@@ -649,6 +674,23 @@ class TestStochastic:
         pairs = [np.shape(args[0]) for args, _ in candidates]
         assert pairs == [(2, 15)] * (4 * 6 * 2 + 6)
 
+    @pytest.mark.parametrize("init_scheme", evolve.INIT_SCHEMES)
+    def test_each_step_starts_spsa_from_its_predictor(
+        self, golden_ground, monkeypatch, init_scheme
+    ):
+        # "copy" starts every step from the previous accepted angles, and
+        # "extrapolate" does so on steps 1 and 2 only; from step 3 it starts
+        # from 2 prev - prevprev
+        starts = spy(monkeypatch, evolve, "spsa_optimize")
+        spec = replace(SHORT, t_max=0.5)
+        traj = evolve.evolve_stochastic(spec, init_scheme, seed=3, ground=golden_ground)
+        assert traj.complete and len(starts) == spec.n_steps
+        for step, ((_, x0, _, _), _) in enumerate(starts, start=1):
+            want = traj.angles[step - 1]
+            if init_scheme == "extrapolate" and step >= 3:
+                want = 2.0 * want - traj.angles[step - 2]
+            assert np.array_equal(x0, want), step
+
     def test_shots_count_two_evaluations_per_spsa_iteration(self, ground, monkeypatch):
         evaluations = patch_step_costs(monkeypatch, fail_after=SHORT.n_steps)
         traj = evolve.evolve_stochastic(SHORT, "extrapolate", seed=3, ground=ground)
@@ -674,16 +716,16 @@ class TestStochastic:
         assert traj.failure == "InvalidArgumentError: angles must be finite"
 
     def test_echo_failure_is_recorded(self, golden_ground, monkeypatch):
-        real = transfer.fidelity_density
+        real = evolve._echo_of_tensors
         calls = []
 
-        def fails_on_step_3(e):
-            calls.append(e)
+        def fails_on_step_3(*tensors):
+            calls.append(tensors)
             if len(calls) == 3:
                 raise NumericFailure("no simple leading eigenvalue")
-            return real(e)
+            return real(*tensors)
 
-        monkeypatch.setattr(transfer, "fidelity_density", fails_on_step_3)
+        monkeypatch.setattr(evolve, "_echo_of_tensors", fails_on_step_3)
         traj = evolve.evolve_stochastic(SHORT, "extrapolate", seed=3, ground=golden_ground)
         assert not traj.complete and traj.n_steps == 2
         assert traj.failure == "NumericFailure: no simple leading eigenvalue"
@@ -764,9 +806,7 @@ class TestSampledCost:
         # one binomial draw per row, in row order, from the step's own stream
         current, candidate, layer, _ = pair_with_mid_probability()
         xs = np.array([candidate.angles, current.angles, 0.5 * candidate.angles])
-        p_rows = circuits.success_probability_fn(tensor_of(current), layer)(
-            AnsatzParams(FULL15, xs)
-        )
+        p_rows = circuits.success_probability_fn(tensor_of(current), layer)(xs)
         seedseq = np.random.SeedSequence(11)
         rng = np.random.default_rng(seedseq)
         expected = [1.0 - rng.binomial(100, min(p, 1.0)) / 100 for p in p_rows]

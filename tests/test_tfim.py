@@ -317,6 +317,11 @@ class TestLoschmidtFreeFermion:
             (lambda: trotter_gate_first_order(1.0, 0.2, True), "dt must be finite"),
             (lambda: trotter_gates_second_order(1.0, 0.2, "0.1"), "dt must be finite"),
             (lambda: trotter_gates_second_order(1.0, 0.2, 0.1j), "dt must be finite"),
+            (lambda: cusp_times(1.5 + 0j, 0.2, 2.5), "g0 must be finite"),
+            (lambda: critical_momentum(np.nan, 0.2), "g0 must be finite"),
+            (lambda: cusp_times(True, 0.2, 2.5), "g0 must be finite"),
+            (lambda: critical_momentum(1.5, None), "g1 must be finite"),
+            (lambda: critical_momentum(1.5, 0.2, J=np.inf), "J must be finite"),
         ],
         ids=[
             "ff-J-zero", "ff-g0-complex", "ff-g0-nan", "ff-g1-inf", "ff-J-bool",
@@ -324,13 +329,17 @@ class TestLoschmidtFreeFermion:
             "e0-g-complex", "e0-g-nan", "e0-J-inf", "e0-J-none",
             "h2-g-complex", "h2-g-nan", "h2-J-bool", "gate1-J-nan", "gate1-dt-complex",
             "gate1-dt-bool", "gate2-dt-str", "gate2-dt-imaginary",
+            "cusp-g0-complex", "kstar-g0-nan", "cusp-g0-bool", "kstar-g1-none",
+            "kstar-J-inf",
         ],
     )
     def test_oracles_reject_bad_couplings_and_times(self, call, match):
         # unchecked, J = 0 divides by zero, a complex field escapes as a numpy
         # TypeError or gives a wrong real energy, and a NaN gives a NaN rate;
         # the bond term took the real part of a complex field, and the Trotter
-        # gates ran a bool step as 1 and called a NaN coupling non-Hermitian
+        # gates ran a bool step as 1 and called a NaN coupling non-Hermitian;
+        # the cusp times ran a bool field as 1 and called a NaN one a quench
+        # without a transition
         with pytest.raises(InvalidArgumentError, match=match):
             call()
 
@@ -345,8 +354,9 @@ class TestLoschmidtFreeFermion:
         e0 = ground_energy_density_ff(1.0, 1.5, k_points=tfim.MIN_K_POINTS)
         assert abs(e0 - ground_energy_density_ff(1.0, 1.5, k_points=1 << 16)) < 1e-12
 
-    @pytest.mark.parametrize("t_max", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("t_max", [np.inf, -np.inf, np.nan, True, 1 + 0j, "x"])
     def test_cusp_times_reject_a_non_finite_horizon(self, t_max):
+        # a bool or complex horizon ran, and a string escaped as a TypeError
         with pytest.raises(InvalidArgumentError, match="t_max must be finite"):
             cusp_times(1.5, 0.2, t_max)
 

@@ -5,12 +5,11 @@ import pytest
 
 from quenchmps import tfim
 from quenchmps.ansatz import FULL15, AnsatzParams, tensor_of
-from quenchmps.qcore import InvalidArgumentError, rot_gate
+from quenchmps.qcore import InvalidArgumentError, leading_eig, rot_gate
 from quenchmps.transfer import (
     VEC_IDENTITY,
     cell_eigenvalue_gradient,
     cell_matrix,
-    fidelity_density,
     join_strands,
     site_overlap_map,
     strand_products,
@@ -28,17 +27,22 @@ def identity_params():
     return AnsatzParams(FULL15, np.zeros(15))
 
 
+def leading_eigenvalue(e):
+    """Leading eigenvalue of a mixed transfer matrix (the fidelity density)."""
+    return leading_eig(e)[0]
+
+
 class TestTransferMatrix:
     def test_identity_state_has_unit_eigenvalue(self):
         a = tensor_of(identity_params())
-        lam = fidelity_density(transfer_matrix(a, a))
+        lam = leading_eigenvalue(transfer_matrix(a, a))
         assert abs(lam - 1.0) < 1e-12
 
     def test_self_overlap_eigenvalue_is_one(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             a = tensor_of(random_params(rng))
-            lam = fidelity_density(transfer_matrix(a, a))
+            lam = leading_eigenvalue(transfer_matrix(a, a))
             assert abs(abs(lam) - 1.0) < 1e-10
 
     def test_bond_operators_vectorize_row_major(self):
@@ -73,7 +77,7 @@ class TestTransferMatrix:
         a = tensor_of(random_params(rng))
         b = tensor_of(random_params(rng))
         e1 = transfer_matrix(a, b)
-        cell = cell_matrix(window_ket(a, np.eye(4), 2), b)
+        cell = cell_matrix(window_ket(a, np.eye(4)), b)
         assert np.max(np.abs(cell - e1 @ e1)) < 1e-12
 
     def test_distinct_states_decay_and_match_chain_contraction(self):
@@ -81,7 +85,7 @@ class TestTransferMatrix:
         a = tensor_of(random_params(rng))
         b = tensor_of(random_params(rng))
         e = transfer_matrix(a, b)
-        lam = abs(fidelity_density(e))
+        lam = abs(leading_eigenvalue(e))
         assert lam < 1.0
         # brute-force statevector-style oracle at small n: explicit string sum
         for n_sites in (3, 5):
@@ -105,7 +109,7 @@ class TestTransferMatrix:
         for _ in range(50):
             a = tensor_of(random_params(rng))
             b = tensor_of(random_params(rng))
-            for e in (transfer_matrix(a, b), cell_matrix(window_ket(a, g, 2), b)):
+            for e in (transfer_matrix(a, b), cell_matrix(window_ket(a, g), b)):
                 radius = np.max(np.abs(np.linalg.eigvals(e)))
                 assert radius <= 1.0 + 1e-9
 
@@ -113,8 +117,12 @@ class TestTransferMatrix:
         a = tensor_of(identity_params())
         with pytest.raises(InvalidArgumentError):
             transfer_matrix(a[0], a)
-        with pytest.raises(InvalidArgumentError):
-            window_ket(a, np.eye(2), 2)
+        # a layer is a 2**n x 2**n square with n >= 1 sites; one site is A itself
+        assert np.array_equal(window_ket(a, np.eye(2)), a)
+        bad_layers = [np.eye(1), np.eye(3), np.eye(8)[:4], np.ones(4), np.ones((2, 4, 4))]
+        for layer in bad_layers:
+            with pytest.raises(InvalidArgumentError, match=r"2\*\*n x 2\*\*n square"):
+                window_ket(a, layer)
 
 
     def test_identity_is_exact_left_eigenvector_for_isometric_tensors(self):
@@ -157,8 +165,8 @@ class TestStrandProducts:
 
     def test_stack_rows_equal_single_tensors(self):
         rng = np.random.default_rng(16)
-        stack = tensor_of(AnsatzParams(FULL15, rng.uniform(-np.pi, np.pi, (3, 15))))
-        ket = window_ket(stack[0], np.eye(16), 4)
+        stack = tensor_of(rng.uniform(-np.pi, np.pi, (3, 15)))
+        ket = window_ket(stack[0], np.eye(16))
         window = window_overlap_map(ket, stack)
         for n_sites in (1, 2, 3, 4):
             prods = strand_products(stack, n_sites)
@@ -175,7 +183,7 @@ class TestCellEigenvalueGradient:
         rng = np.random.default_rng(17)
         g = tfim.trotter_gate_first_order(1.0, 0.2, 0.1)
         for _ in range(10):
-            ket = window_ket(tensor_of(random_params(rng)), g, 2)
+            ket = window_ket(tensor_of(random_params(rng)), g)
             b = tensor_of(random_params(rng))
             lam, dlam = cell_eigenvalue_gradient(ket, b, np.zeros((3, 2, 2, 2)))
             evals = np.linalg.eigvals(cell_matrix(ket, b))
@@ -195,9 +203,9 @@ class TestFidelityDensity:
             a = tensor_of(random_params(rng))
             b = tensor_of(random_params(rng))
             theta = rng.uniform(-np.pi, np.pi)
-            base = abs(fidelity_density(transfer_matrix(a, b)))
-            rot_ket = abs(fidelity_density(transfer_matrix(gauged(a, theta), b)))
-            rot_bra = abs(fidelity_density(transfer_matrix(a, gauged(b, theta))))
+            base = abs(leading_eigenvalue(transfer_matrix(a, b)))
+            rot_ket = abs(leading_eigenvalue(transfer_matrix(gauged(a, theta), b)))
+            rot_bra = abs(leading_eigenvalue(transfer_matrix(a, gauged(b, theta))))
             assert abs(base - rot_ket) < 1e-10
             assert abs(base - rot_bra) < 1e-10
 
@@ -207,7 +215,7 @@ class TestFidelityDensity:
             e = transfer_matrix(
                 tensor_of(random_params(rng)), tensor_of(random_params(rng))
             )
-            lam = fidelity_density(e)
+            lam = leading_eigenvalue(e)
             expected = np.max(np.abs(np.linalg.eigvals(e)))
             assert abs(abs(lam) - expected) < 1e-10
 
@@ -223,9 +231,9 @@ class TestOverlapMaps:
 
         def cell(m):
             # the incoming bond operator folds into the ket side as M @ K[t]
-            return window_overlap_map(m @ window_ket(a, g, 2), b)
+            return window_overlap_map(m @ window_ket(a, g), b)
 
-        window = window_overlap_map(window_ket(a, layer, 4), b)
+        window = window_overlap_map(window_ket(a, layer), b)
         assert np.max(np.abs(window - cell(cell(eye)))) < 1e-12
 
     def test_site_map_against_vec_contraction(self):
