@@ -24,10 +24,10 @@ objective, which stops on its gradient test alone. The sampled experiment
 1 - p_hat, so the circuit acts as a stochastic correction on top of the
 classical prediction ("extrapolate", the paper's protocol, or "copy", the
 baseline without extrapolation); every SPSA iteration spends exactly two
-cost evaluations. Its gain schedule is fixed by the module's ``SPSA_*``
-constants, not by an option. Its step n draws stream i (1 SPSA, 2 shots;
-stream 0 is reserved) from ``SeedSequence(seed, spawn_key=(3,) * (n - 1) +
-(i,))``, built when the step runs (:func:`_step_stream`). A step that raises
+cost evaluations. Its gains follow one schedule from the first iteration on,
+fixed by the module's ``SPSA_*`` constants, not by an option. Its step n
+draws stream i (0 SPSA, 1 shots) from ``SeedSequence(seed, spawn_key=(n,
+i))``, built when the step runs (:func:`_step_stream`). A step that raises
 :class:`NumericFailure` or :class:`InvalidArgumentError` ends either run the
 same way: the trajectory is truncated before it and ``failure`` names it.
 """
@@ -57,9 +57,11 @@ SPSA_C = 0.1
 SPSA_ALPHA = 0.602
 SPSA_GAMMA = 0.101
 SPSA_A_FRACTION = 0.1  # A as a fraction of the iterations
-SPSA_FIRST_MOVE = 0.1  # largest first update of an angle (rad); calibrates a
+# a, chosen from 0.05, 0.07, 0.1 and 0.15 for the lowest median order-1 echo
+# error up to t* over run seeds 48-95 at 2048 shots
+SPSA_A = 0.07
 _PLUS_MINUS = np.array([[1.0], [-1.0]])  # rows of an SPSA pair x +/- c_k delta
-SPSA_STREAM, SHOT_STREAM = 1, 2  # a stochastic step's streams; stream 0 is reserved
+SPSA_STREAM, SHOT_STREAM = 0, 1  # a stochastic step's streams
 
 
 @dataclass
@@ -78,7 +80,9 @@ class Trajectory:
     "eigen" and -p for "circuit_lt"; the sampled run stores the mean measured
     1 - p_hat of its last SPSA +/- pair, not the cost at the accepted angles.
     ``cum_shots``: the shots spent up to each step. ``failure``: ``None``, or
-    "<exception type>: <message>" of the step that ended the run early.
+    "<exception type>: <message>" of the step that ended the run early: its
+    cost, tensor or echo raised, or L-BFGS-B returned non-finite angles. SPSA
+    has no stop of its own; a tied +/- pair is a zero update.
     """
 
     spec: tfim.QuenchSpec
@@ -135,7 +139,8 @@ def energy_density(params, J, g, grad=False):
     H_env = sum_{t,s} h[t,s] P_t^dag P_s. That is the solve on the same pinned
     matrix, P^dag vec Y = vec H_env: <vec rho| applied to it gives Tr Y = e,
     which supplies the -e 1. The value is the same float with and without
-    ``grad``.
+    ``grad``. A singular pinned matrix, as for a product state, whose fixed
+    point is not unique, raises :class:`NumericFailure`.
     """
     if grad:
         a, da = tensor_of(params, grad=True)
@@ -143,7 +148,7 @@ def energy_density(params, J, g, grad=False):
         a = tensor_of(params)
     pinned = np.eye(4) - transfer.transfer_matrix(a, a)
     pinned += np.outer(transfer.VEC_IDENTITY, transfer.VEC_IDENTITY)
-    rho = np.linalg.solve(pinned, transfer.VEC_IDENTITY).reshape(2, 2)
+    rho = _fixed_point_solve(pinned, transfer.VEC_IDENTITY).reshape(2, 2)
     prods = transfer.strand_products(a, 2)
     h2 = tfim.bond_hamiltonian(J, g)
     value = float(np.einsum("ts,sab,bc,tac->", h2, prods, rho, prods.conj()).real)
@@ -152,10 +157,19 @@ def energy_density(params, J, g, grad=False):
     dprods = transfer.join_strands(a, da) + transfer.join_strands(da, a)
     direct = np.einsum("ts,ksab,bc,tac->k", h2, dprods, rho, prods.conj())
     h_env = np.einsum("ts,tca,scb->ab", h2, prods.conj(), prods)
-    y = np.linalg.solve(pinned.conj().T, h_env.reshape(4)).reshape(2, 2)
+    y = _fixed_point_solve(pinned.conj().T, h_env.reshape(4)).reshape(2, 2)
     # Tr[Y dT(rho)] = 2 Re sum_s Tr[Y dA^s rho A^s^dag] for Hermitian Y and rho
     moved = np.einsum("ab,ksbc,cd,sad->k", y, da, rho, a.conj())
     return value, 2.0 * (direct + moved).real
+
+
+def _fixed_point_solve(pinned, rhs):
+    """``np.linalg.solve`` that raises :class:`NumericFailure` on a singular
+    matrix."""
+    try:
+        return np.linalg.solve(pinned, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure(f"energy fixed-point solve failed: {exc}") from exc
 
 
 def ground_state_optimize(J, g, template, optimizer_seed=0):
@@ -222,9 +236,12 @@ def unwrap_toward(reference, angles):
 
 def spsa_optimize(cost, x0, steps, rng_seed):
     """Simultaneous-perturbation minimization of a noisy scalar cost from the
-    angle array ``x0`` in ``steps`` iterations with the ``SPSA_*`` gains; a is
-    calibrated on the first gradient estimate so that no angle moves more than
-    ``SPSA_FIRST_MOVE``.
+    angle array ``x0`` in ``steps`` iterations, on Spall's schedule from the
+    first iteration on: iteration k = 0, 1, ... perturbs by
+    c_k = ``SPSA_C`` / (k + 1)^``SPSA_GAMMA`` and steps by
+    a_k = ``SPSA_A`` / (k + 1 + A)^``SPSA_ALPHA``, A = ``SPSA_A_FRACTION`` *
+    ``steps``. A pair that measures equal costs (a shot-noise tie) gives a
+    zero update, and the iterations go on.
 
     Rademacher perturbation directions, all drawn up front in one call (the
     same stream as one draw per iteration). ``cost`` takes a (2, n) stack of
@@ -243,12 +260,7 @@ def spsa_optimize(cost, x0, steps, rng_seed):
         ck = SPSA_C / (k + 1) ** SPSA_GAMMA
         y_plus, y_minus = cost(x + _PLUS_MINUS * (ck * delta))
         ghat = (y_plus - y_minus) / (2.0 * ck) * delta
-        if k == 0:
-            gmax = np.max(np.abs(ghat))
-            if gmax == 0.0:
-                raise NumericFailure("SPSA gain calibration on a zero gradient estimate")
-            a = SPSA_FIRST_MOVE * (1 + offset) ** SPSA_ALPHA / gmax
-        ak = a / (k + 1 + offset) ** SPSA_ALPHA
+        ak = SPSA_A / (k + 1 + offset) ** SPSA_ALPHA
         x = x - ak * ghat
         history.append(0.5 * (y_plus + y_minus))
     return x, history
@@ -330,11 +342,11 @@ def _evolve(spec, template, ground, init_scheme, solve_step, **labels):
     )
 
 
-def _check_run(init_scheme, shots_per_eval, seeds, template):
+def _check_run(init_scheme, shots_per_eval, seeds, template, ground):
     """The checks both stochastic drivers make before anything is solved or
     stepped: reject an unknown ``init_scheme``, a ``shots_per_eval`` that is
     not a positive integer, a run seed that is not a nonnegative one (a bool
-    is neither), and an unknown ``template``."""
+    is neither), and what :func:`_check_start` rejects."""
     if init_scheme not in INIT_SCHEMES:
         raise InvalidArgumentError(f"unknown init scheme {init_scheme!r}")
     if not is_count(shots_per_eval) or shots_per_eval < 1:
@@ -346,28 +358,27 @@ def _check_run(init_scheme, shots_per_eval, seeds, template):
             raise InvalidArgumentError(
                 f"a run seed must be a nonnegative integer, got {seed!r}"
             )
-    _check_start(template)
+    _check_start(template, ground)
 
 
-def _check_start(template):
-    """Reject an unknown ``template``; with ``FULL15`` the only one, that is
-    also every ``template`` that a given ``ground`` is not of."""
+def _check_start(template, ground=None):
+    """Reject an unknown ``template``, and a ``ground`` that is neither
+    ``None`` nor an :class:`AnsatzParams`; with ``FULL15`` the only template,
+    an :class:`AnsatzParams` is always of ``template``."""
     if template not in N_ANGLES:
         raise InvalidArgumentError(f"unknown template {template!r}")
+    if ground is not None and not isinstance(ground, AnsatzParams):
+        raise InvalidArgumentError(
+            f"ground must be None or an AnsatzParams, got {type(ground).__name__}"
+        )
 
 
 def _step_stream(seed, step, stream):
     """Seed sequence of stream ``stream`` (``SPSA_STREAM`` or
-    ``SHOT_STREAM``) of step ``step`` >= 1 of the stochastic run ``seed``.
-
-    The key is the one a spawn chain gives it: link 1 is
-    ``SeedSequence(seed)``, step n takes children 0, 1 and 2 of link n as its
-    streams (``link.spawn(3)``; child 0 is reserved and unused), and link
-    n + 1 is the next child, 3 (``link.spawn(1)[0]``), so link n has key
-    (3,) * (n - 1). Built from the key alone, a stream costs one
-    ``SeedSequence``, only when its step runs.
-    """
-    return np.random.SeedSequence(seed, spawn_key=(3,) * (step - 1) + (stream,))
+    ``SHOT_STREAM``) of step ``step`` >= 1 of the stochastic run ``seed``, on
+    the flat key ``(step, stream)``: one ``SeedSequence`` at any step, built
+    only when its step runs."""
+    return np.random.SeedSequence(seed, spawn_key=(step, stream))
 
 
 def evolve_stochastic(
@@ -382,8 +393,8 @@ def evolve_stochastic(
     (:func:`spsa_optimize`) on the sampled cost and accept the final iterate.
     The first two steps run ``BOOTSTRAP_FACTOR`` times as many (extrapolation
     needs two previous points). Bit-identical for identical ``(spec, seed)``:
-    step n draws its SPSA and shot streams from the spawn chain of
-    ``SeedSequence(seed)`` (:func:`_step_stream`). A cost or echo failure ends
+    step n draws its SPSA and shot streams from ``SeedSequence(seed)`` on the
+    keys ``(n, stream)`` (:func:`_step_stream`). A cost or echo failure ends
     the run (see :func:`_evolve`).
 
     The gate layer is built once per run; each step builds the side of the
@@ -394,7 +405,7 @@ def evolve_stochastic(
     Bad options are rejected with :class:`InvalidArgumentError` before the
     ground state is solved (:func:`_check_run`).
     """
-    _check_run(init_scheme, shots_per_eval, [seed], template)
+    _check_run(init_scheme, shots_per_eval, [seed], template, ground)
     layer, _ = circuits.evolution_gate_layer(spec)
 
     def solve_step(step, a_prev, x0):
@@ -469,10 +480,11 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
     the latter's ``failure`` names the step and the optimizer's message.
 
     It starts from ``ground`` (solved when not given) and predicts by
-    "extrapolate". An unknown ``template``, or a ``ground`` of another one, is
-    rejected with :class:`InvalidArgumentError` before any solve.
+    "extrapolate". An unknown ``template``, or a ``ground`` that is not an
+    :class:`AnsatzParams` of it, is rejected with :class:`InvalidArgumentError`
+    before any solve.
     """
-    _check_start(template)
+    _check_start(template, ground)
     if cost_mode == "eigen":
         if spec.trotter_order != 1:
             raise InvalidArgumentError("eigen needs first-order Trotter gates")
@@ -538,7 +550,7 @@ def ensemble_run(
     seeds = list(seeds)
     if len(seeds) < 2:
         raise InvalidArgumentError(f"an ensemble needs at least 2 seeds, got {seeds!r}")
-    _check_run(init_scheme, shots_per_eval, seeds, template)
+    _check_run(init_scheme, shots_per_eval, seeds, template, ground)
     if len(set(seeds)) != len(seeds):
         raise InvalidArgumentError(f"run seeds must be distinct, got {seeds!r}")
     if ground is None:

@@ -37,7 +37,7 @@ class InvalidArgumentError(ValueError):
 
 class NumericFailure(RuntimeError):
     """Raised when a numerical routine fails to converge or its result is
-    ill-defined (a non-simple eigenvalue, a zero gradient estimate).
+    ill-defined (a non-simple eigenvalue, a singular fixed-point solve).
 
     Carries the best residual (or defect) achieved in ``residual``.
     """
