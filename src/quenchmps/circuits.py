@@ -25,7 +25,11 @@ bond, W_e(dt) on the two cell bonds, then W_o(dt/2) again.
 
 The same diagram is contracted exactly in the 2x2 bond-operator algebra
 (one `(B^s)^dag . A^s` overlap factor per site); agreement of the two routes
-to 1e-9 is the core correctness gate of the whole artifact. The contraction
+to 1e-9 is the core correctness gate of the whole artifact. The statevector
+route (:func:`build_cost_circuit`, :func:`exact_success_probability` and
+qcore's simulator) is kept for that reason, though only the tests and the
+benchmark's output check run it: it is the independent proof that the dense
+contraction is the circuit that hardware would run. The contraction
 is split by what an optimizer varies. The gate layer depends on the quench
 only (:func:`evolution_gate_layer`). :func:`success_probability_fn` builds
 the side fixed by the current state once per step, from the current state's

@@ -40,7 +40,7 @@ from scipy.optimize import minimize
 
 from . import circuits, qcore, tfim, transfer
 from .ansatz import FULL15, N_ANGLES, AnsatzParams, tensor_of
-from .qcore import InvalidArgumentError, NumericFailure, is_count, is_finite_real
+from .qcore import InvalidArgumentError, NumericFailure, check_count, check_reals
 
 INIT_SCHEMES = ("copy", "extrapolate")
 # largest gradient component at which a reference step (L-BFGS-B) and the ground
@@ -172,47 +172,40 @@ def _fixed_point_solve(pinned, rhs):
         raise NumericFailure(f"energy fixed-point solve failed: {exc}") from exc
 
 
-def ground_state_optimize(J, g, template, optimizer_seed=0):
+def ground_state_optimize(J, g, template):
     """Variational ground state of H(g) at bond dimension 2.
 
     One BFGS minimization of :func:`energy_density` on its exact angle
-    gradient, from the seeded random angles 0.4 N(0, 1) of the template
-    itself. The end point is checked, not trusted: :class:`NumericFailure`
-    is raised when the solved state's transfer matrix has a second
-    eigenvalue within ``GROUND_GAP_TOL`` of the unit circle (a reducible
-    state, where BFGS can stop on a saddle) or when a component of its energy
-    gradient exceeds ``GROUND_GRAD_TOL``. The message names the optimizer
-    seed and the offending value. A ``J`` or ``g`` that is not a finite real
-    number, or an ``optimizer_seed`` that is not a nonnegative integer (a
-    bool is neither), is rejected with :class:`InvalidArgumentError` before
-    solving.
+    gradient, from the fixed start 0.4 N(0, 1) drawn by ``default_rng(0)``.
+    The end point is checked, not trusted: :class:`NumericFailure`, naming
+    the offending value, is raised when the solved state's transfer matrix
+    has a second eigenvalue within ``GROUND_GAP_TOL`` of the unit circle (a
+    reducible state, where BFGS can stop on a saddle) or when a component of
+    its energy gradient exceeds ``GROUND_GRAD_TOL``. An unknown ``template``,
+    and a ``J`` or ``g`` that :func:`qcore.check_reals` rejects, raise
+    :class:`InvalidArgumentError` before solving.
     """
-    _check_start(template)
-    if not (is_finite_real(J) and is_finite_real(g)):
-        raise InvalidArgumentError(f"J and g must be finite reals, got J={J!r}, g={g!r}")
-    if not is_count(optimizer_seed) or optimizer_seed < 0:
-        raise InvalidArgumentError(
-            f"optimizer_seed must be a nonnegative integer, got {optimizer_seed!r}"
-        )
+    _check_template(template)
+    check_reals(J=J, g=g)
 
     def objective(x):
         return energy_density(x, J, g, grad=True)
 
-    x0 = 0.4 * np.random.default_rng(optimizer_seed).standard_normal(N_ANGLES[template])
+    x0 = 0.4 * np.random.default_rng(0).standard_normal(N_ANGLES[template])
     res = minimize(objective, x0, method="BFGS", jac=True, options={"gtol": GTOL})
     ground = AnsatzParams(template, res.x)
     a = tensor_of(ground)
     lam2 = np.sort(np.abs(np.linalg.eigvals(transfer.transfer_matrix(a, a))))[-2]
     if not 1.0 - lam2 >= GROUND_GAP_TOL:
         raise NumericFailure(
-            f"ground state from optimizer seed {optimizer_seed} is reducible: "
+            "ground state is reducible: "
             f"1 - |lambda_2| = {1.0 - lam2:.3e} for its second transfer eigenvalue",
             residual=1.0 - lam2,
         )
     worst = np.max(np.abs(energy_density(ground, J, g, grad=True)[1]))
     if not worst <= GROUND_GRAD_TOL:
         raise NumericFailure(
-            f"ground state from optimizer seed {optimizer_seed} is not stationary: "
+            "ground state is not stationary: "
             f"largest energy gradient component {worst:.3e}",
             residual=worst,
         )
@@ -342,35 +335,42 @@ def _evolve(spec, template, ground, init_scheme, solve_step, **labels):
     )
 
 
-def _check_run(init_scheme, shots_per_eval, seeds, template, ground):
+def _check_run(spec, init_scheme, shots_per_eval, seeds, template, ground):
     """The checks both stochastic drivers make before anything is solved or
-    stepped: reject an unknown ``init_scheme``, a ``shots_per_eval`` that is
-    not a positive integer, a run seed that is not a nonnegative one (a bool
-    is neither), and what :func:`_check_start` rejects."""
+    stepped: reject an unknown ``init_scheme``, ``seeds`` that are not an
+    iterable, a ``shots_per_eval`` below 1 or a run seed below 0
+    (:func:`qcore.check_count`), and what :func:`_check_start` rejects.
+    Returns the seeds as a list."""
     if init_scheme not in INIT_SCHEMES:
         raise InvalidArgumentError(f"unknown init scheme {init_scheme!r}")
-    if not is_count(shots_per_eval) or shots_per_eval < 1:
-        raise InvalidArgumentError(
-            f"shots_per_eval must be a positive integer, got {shots_per_eval!r}"
-        )
+    if not np.iterable(seeds):
+        raise InvalidArgumentError(f"seeds must be an iterable, got {seeds!r}")
+    seeds = list(seeds)
+    check_count(1, shots_per_eval=shots_per_eval)
     for seed in seeds:
-        if not is_count(seed) or seed < 0:
-            raise InvalidArgumentError(
-                f"a run seed must be a nonnegative integer, got {seed!r}"
-            )
-    _check_start(template, ground)
+        check_count(0, seed=seed)
+    _check_start(spec, template, ground)
+    return seeds
 
 
-def _check_start(template, ground=None):
-    """Reject an unknown ``template``, and a ``ground`` that is neither
-    ``None`` nor an :class:`AnsatzParams`; with ``FULL15`` the only template,
-    an :class:`AnsatzParams` is always of ``template``."""
-    if template not in N_ANGLES:
-        raise InvalidArgumentError(f"unknown template {template!r}")
+def _check_start(spec, template, ground):
+    """Reject a ``spec`` that is not a :class:`tfim.QuenchSpec`, an unknown
+    ``template`` and a ``ground`` that is neither ``None`` nor an
+    :class:`AnsatzParams`; with ``FULL15`` the only template, an
+    :class:`AnsatzParams` is always of ``template``."""
+    if not isinstance(spec, tfim.QuenchSpec):
+        raise InvalidArgumentError(f"spec must be a QuenchSpec, got {type(spec).__name__}")
+    _check_template(template)
     if ground is not None and not isinstance(ground, AnsatzParams):
         raise InvalidArgumentError(
             f"ground must be None or an AnsatzParams, got {type(ground).__name__}"
         )
+
+
+def _check_template(template):
+    """Reject a template name that ``N_ANGLES`` does not hold."""
+    if template not in N_ANGLES:
+        raise InvalidArgumentError(f"unknown template {template!r}")
 
 
 def _step_stream(seed, step, stream):
@@ -402,10 +402,11 @@ def evolve_stochastic(
     hands over (:func:`_sampled_cost`), and each SPSA iteration evaluates
     its +/- pair as one stacked call.
 
-    Bad options are rejected with :class:`InvalidArgumentError` before the
-    ground state is solved (:func:`_check_run`).
+    Bad options, a ``spec`` that is not a :class:`tfim.QuenchSpec` among
+    them, raise :class:`InvalidArgumentError` before the ground state is
+    solved (:func:`_check_run`).
     """
-    _check_run(init_scheme, shots_per_eval, [seed], template, ground)
+    _check_run(spec, init_scheme, shots_per_eval, [seed], template, ground)
     layer, _ = circuits.evolution_gate_layer(spec)
 
     def solve_step(step, a_prev, x0):
@@ -480,11 +481,11 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
     the latter's ``failure`` names the step and the optimizer's message.
 
     It starts from ``ground`` (solved when not given) and predicts by
-    "extrapolate". An unknown ``template``, or a ``ground`` that is not an
-    :class:`AnsatzParams` of it, is rejected with :class:`InvalidArgumentError`
-    before any solve.
+    "extrapolate". A ``spec``, ``template`` or ``ground`` that
+    :func:`_check_start` rejects raises :class:`InvalidArgumentError` before
+    any solve.
     """
-    _check_start(template, ground)
+    _check_start(spec, template, ground)
     if cost_mode == "eigen":
         if spec.trotter_order != 1:
             raise InvalidArgumentError("eigen needs first-order Trotter gates")
@@ -542,15 +543,14 @@ def ensemble_run(
     started from ``ground`` (solved here when not given).
 
     ``seeds`` is any iterable of at least 2 distinct run seeds, one per run,
-    each a nonnegative integer; bad seeds, and any ``init_scheme``,
-    ``shots_per_eval``, ``template`` or ``ground`` that
+    each a nonnegative integer; ``seeds`` that are not, and any ``spec``,
+    ``init_scheme``, ``shots_per_eval``, ``template`` or ``ground`` that
     :func:`evolve_stochastic` would reject, are rejected with
     :class:`InvalidArgumentError` before the ground state is solved or any
-    run starts."""
-    seeds = list(seeds)
+    run starts (:func:`_check_run`)."""
+    seeds = _check_run(spec, init_scheme, shots_per_eval, seeds, template, ground)
     if len(seeds) < 2:
         raise InvalidArgumentError(f"an ensemble needs at least 2 seeds, got {seeds!r}")
-    _check_run(init_scheme, shots_per_eval, seeds, template, ground)
     if len(set(seeds)) != len(seeds):
         raise InvalidArgumentError(f"run seeds must be distinct, got {seeds!r}")
     if ground is None:

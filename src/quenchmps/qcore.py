@@ -1,7 +1,11 @@
-"""Dense complex linear algebra and a small statevector simulator.
+"""Dense complex linear algebra, a small statevector simulator, and the
+package's one rule for scalar inputs: :func:`check_reals` and
+:func:`check_count`.
 
 Matrices and states are plain ``numpy.ndarray`` of ``complex128``; a "CMatrix"
-is any 2-D array, a statevector is a 1-D array of length ``2**n``.
+is any 2-D array, a statevector is a 1-D array of length ``2**n``. Every
+module checks its real and integer options with those two: NumPy scalars
+count; bools, complex numbers, strings and ``None`` do not.
 
 Conventions fixed project-wide here:
 
@@ -57,11 +61,22 @@ def is_count(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def is_finite_real(value):
-    """Whether ``value`` is a finite real number: Python and NumPy integers and
-    floats count; complex numbers, strings and bools do not."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and math.isfinite(value)
+def check_reals(**values):
+    """Reject a value that is not a finite real number (a bool is not) with
+    :class:`InvalidArgumentError`, naming its keyword."""
+    for name, value in values.items():
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and math.isfinite(value)):
+            raise InvalidArgumentError(f"{name} must be finite and real, got {value!r}")
+
+
+def check_count(least, **values):
+    """Reject a value that is not an integer (:func:`is_count`) of at least
+    ``least`` with :class:`InvalidArgumentError`, naming its keyword."""
+    for name, value in values.items():
+        if not is_count(value) or value < least:
+            msg = f"{name} must be an integer of at least {least}, got {value!r}"
+            raise InvalidArgumentError(msg)
 
 
 @functools.cache
@@ -71,17 +86,11 @@ def _geev_lwork(n):
 
 
 def rot_gate(axis, angle):
-    """Single-qubit rotation exp(-i * angle * P / 2) for Pauli P on `axis`.
-
-    Parameters
-    ----------
-    axis : {'X', 'Y', 'Z'}
-    angle : float, radians; must be finite.
-    """
+    """Single-qubit rotation exp(-i * angle * P / 2) for the Pauli P named by
+    ``axis`` ('X', 'Y' or 'Z'), at a finite real ``angle`` in radians."""
     if axis not in _PAULIS:
         raise InvalidArgumentError(f"unknown rotation axis {axis!r}")
-    if not np.isfinite(angle):
-        raise InvalidArgumentError(f"rotation angle must be finite, got {angle!r}")
+    check_reals(angle=angle)
     half = 0.5 * angle
     c, s = np.cos(half), np.sin(half)
     if axis == "Z":
@@ -94,15 +103,14 @@ def rot_gate(axis, angle):
 def two_site_exp(h, tau):
     """Unitary exp(-i * h * tau) of a 4x4 Hermitian generator, from its
     eigendecomposition (exactly unitary up to rounding at any ``tau``). A
-    ``tau`` that is not a finite real (a complex one gives a non-unitary gate,
-    a bool is none) is rejected with :class:`InvalidArgumentError`."""
+    ``tau`` that is not a finite real (a complex one gives a non-unitary gate)
+    is rejected by :func:`check_reals`."""
     h = np.asarray(h, dtype=complex)
     if h.shape != (4, 4):
         raise InvalidArgumentError(f"expected a 4x4 generator, got shape {h.shape}")
     if not np.max(np.abs(h - h.conj().T)) < 1e-10:
         raise InvalidArgumentError("generator is not Hermitian within 1e-10")
-    if not is_finite_real(tau):
-        raise InvalidArgumentError(f"time step must be finite and real, got {tau!r}")
+    check_reals(tau=tau)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * tau * w)) @ v.conj().T
 
@@ -114,16 +122,17 @@ def leading_eig(m):
     both eigenvectors, its workspace queried once per matrix size. Returns
     ``(lam, right, left)``: m right = lam right, and the row vector ``left``
     (the conjugated left eigenvector l, so ``left`` is l^dag) gives
-    left m = lam left; both are LAPACK's unit vectors. Raises
-    :class:`NumericFailure` if ``geev`` does not converge, or (residual
-    attached) if the right pair misses a residual of ``1e-9 * ||m||``.
+    left m = lam left; both are LAPACK's unit vectors. A zero or non-finite
+    ``m`` raises :class:`InvalidArgumentError` before LAPACK sees it; a
+    ``geev`` that does not converge raises :class:`NumericFailure`, as does
+    (residual attached) a right pair that misses ``1e-9 * ||m||``.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidArgumentError(f"expected a square matrix, got shape {m.shape}")
     scale = np.linalg.norm(m, ord=np.inf)
-    if scale == 0.0:
-        raise InvalidArgumentError("matrix is zero")
+    if not 0.0 < scale < np.inf:
+        raise InvalidArgumentError(f"matrix must be nonzero and finite, got norm {scale}")
     w, vl, vr, info = _GEEV(m, lwork=_geev_lwork(len(m)))
     if info != 0:
         raise NumericFailure(f"eigensolver failed (geev info {info})")
@@ -137,9 +146,8 @@ def leading_eig(m):
 
 
 def zero_state(n_qubits):
-    """|0...0> on `n_qubits` qubits, a positive integer (not a bool)."""
-    if not is_count(n_qubits) or n_qubits < 1:
-        raise InvalidArgumentError(f"need a positive qubit count, got {n_qubits!r}")
+    """|0...0> on `n_qubits` qubits, an integer of at least 1 (:func:`check_count`)."""
+    check_count(1, n_qubits=n_qubits)
     psi = np.zeros(2**n_qubits, dtype=complex)
     psi[0] = 1.0
     return psi

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .qcore import InvalidArgumentError
+from .qcore import InvalidArgumentError, check_count, check_reals
 
 STEP_RTOL = 1e-9  # how far t_max / dt may lie from a whole number, relatively
 MIN_K_POINTS = 64  # coarsest momentum grid the free-fermion integrals accept
@@ -40,12 +40,11 @@ _X_SUM = np.kron(qcore.PAULI_X, qcore.IDENTITY_2) + np.kron(
 )
 
 
-def _check_reals(**values):
-    """Reject a value that is not a finite real number (a bool is not) with
-    :class:`InvalidArgumentError`, naming its keyword."""
-    for name, value in values.items():
-        if not qcore.is_finite_real(value):
-            raise InvalidArgumentError(f"{name} must be finite and real, got {value!r}")
+def _check_time_step(dt):
+    """Reject a time step ``dt`` that is not a positive finite real."""
+    check_reals(dt=dt)
+    if not dt > 0:
+        raise InvalidArgumentError("dt must be positive")
 
 
 @dataclass(frozen=True)
@@ -60,11 +59,10 @@ class QuenchSpec:
     trotter_order: int = 1
 
     def __post_init__(self):
-        _check_reals(J=self.J, g0=self.g0, g1=self.g1, dt=self.dt, t_max=self.t_max)
+        check_reals(J=self.J, g0=self.g0, g1=self.g1, t_max=self.t_max)
+        _check_time_step(self.dt)
         if self.J == 0.0:
             raise InvalidArgumentError("coupling J must be nonzero")
-        if not self.dt > 0.0:
-            raise InvalidArgumentError("time step dt must be positive")
         steps = self.t_max / self.dt
         if not (round(steps) >= 1 and abs(steps - round(steps)) <= STEP_RTOL * steps):
             raise InvalidArgumentError(
@@ -93,7 +91,7 @@ def bond_hamiltonian(J, g):
     The transverse field is split half-and-half onto the two adjacent bonds.
     ``J`` and ``g`` must be finite reals (:class:`InvalidArgumentError`).
     """
-    _check_reals(J=J, g=g)
+    check_reals(J=J, g=g)
     return J * _ZZ + 0.5 * g * _X_SUM
 
 
@@ -103,11 +101,9 @@ def trotter_gate_first_order(J, g, dt):
     For translationally invariant states the first-order update only needs
     the even part of the Trotterisation with the time step doubled, so this
     one gate per two-site cell implements the full step. ``dt`` must be a
-    positive real, and ``J`` and ``g`` as in :func:`bond_hamiltonian`.
+    positive finite real, and ``J`` and ``g`` as in :func:`bond_hamiltonian`.
     """
-    _check_reals(dt=dt)
-    if not dt > 0:
-        raise InvalidArgumentError("dt must be positive")
+    _check_time_step(dt)
     return qcore.two_site_exp(bond_hamiltonian(J, g), 2.0 * dt)
 
 
@@ -117,9 +113,7 @@ def trotter_gates_second_order(J, g, dt):
     Both act with the bond generator of :func:`bond_hamiltonian`; composing
     odd(dt/2) . even(dt) . odd(dt/2) layers gives local error O(dt^3).
     """
-    _check_reals(dt=dt)
-    if not dt > 0:
-        raise InvalidArgumentError("dt must be positive")
+    _check_time_step(dt)
     h2 = bond_hamiltonian(J, g)
     return qcore.two_site_exp(h2, 0.5 * dt), qcore.two_site_exp(h2, dt)
 
@@ -143,13 +137,13 @@ def loschmidt_exact_ff(g0, g1, t, k_points=2048, J=1.0):
     real, and a ``k_points`` that is not an integer of at least
     ``MIN_K_POINTS`` are rejected with :class:`InvalidArgumentError`.
     """
-    _check_reals(J=J, g0=g0, g1=g1)
+    check_reals(J=J, g0=g0, g1=g1)
     if J == 0.0:
         raise InvalidArgumentError("coupling J must be nonzero")
     times = np.atleast_1d(t)
     if times.dtype.kind not in "iuf" or not np.all(np.isfinite(times)):
         raise InvalidArgumentError(f"times must be finite and real, got {t!r}")
-    _check_k_points(k_points)
+    check_count(MIN_K_POINTS, k_points=k_points)
     k = np.linspace(0.0, np.pi, k_points + 1)
     delta = bogoliubov_angle(k, g1, J) - bogoliubov_angle(k, g0, J)
     eps1 = quasiparticle_energy(k, g1, J)
@@ -159,18 +153,11 @@ def loschmidt_exact_ff(g0, g1, t, k_points=2048, J=1.0):
     return rates if np.ndim(t) else float(rates[0])
 
 
-def _check_k_points(k_points):
-    if not qcore.is_count(k_points) or k_points < MIN_K_POINTS:
-        raise InvalidArgumentError(
-            f"k_points must be an integer of at least {MIN_K_POINTS}, got {k_points!r}"
-        )
-
-
 def critical_momentum(g0, g1, J=1.0):
     """Momentum k* where the quench Bogoliubov angles differ by pi/4. A
     ``J``, ``g0`` or ``g1`` that is not a finite real, and a zero ``J`` or
     ``g0 + g1``, are rejected with :class:`InvalidArgumentError`."""
-    _check_reals(J=J, g0=g0, g1=g1)
+    check_reals(J=J, g0=g0, g1=g1)
     if J * (g0 + g1) == 0.0:
         raise InvalidArgumentError(
             f"no critical momentum for J={J!r}, g0 + g1 = {g0 + g1!r}"
@@ -187,7 +174,7 @@ def cusp_times(g0, g1, t_max, J=1.0):
     """Nonanalytic times t*_n = (2n+1) pi / (2 e_{k*}(g1)) up to t_max; a
     ``t_max`` that is not a finite real, and couplings that
     :func:`critical_momentum` rejects, raise :class:`InvalidArgumentError`."""
-    _check_reals(t_max=t_max)
+    check_reals(t_max=t_max)
     eps_star = quasiparticle_energy(critical_momentum(g0, g1, J), g1, J)
     out = []
     n = 0
@@ -204,7 +191,7 @@ def ground_energy_density_ff(J, g, k_points=4096):
     dispersion: e0 = -(1/pi) int_0^pi sqrt(J^2 + g^2 - 2 J g cos k) dk.
     ``J`` and ``g`` must be finite reals (``J = 0`` gives -|g|), and
     ``k_points`` is checked as in :func:`loschmidt_exact_ff`."""
-    _check_reals(J=J, g=g)
-    _check_k_points(k_points)
+    check_reals(J=J, g=g)
+    check_count(MIN_K_POINTS, k_points=k_points)
     k = np.linspace(0.0, np.pi, k_points + 1)
     return float(-np.trapezoid(np.sqrt(J**2 + g**2 - 2 * J * g * np.cos(k)), k) / np.pi)

@@ -229,8 +229,8 @@ class TestDrivers:
             return OptimizeResult(x=np.zeros(len(x0)))
 
         monkeypatch.setattr(evolve, "minimize", stops_at_zero)
-        with pytest.raises(NumericFailure, match="optimizer seed 7 is reducible"):
-            evolve.ground_state_optimize(1.0, 1.5, FULL15, optimizer_seed=7)
+        with pytest.raises(NumericFailure, match="ground state is reducible"):
+            evolve.ground_state_optimize(1.0, 1.5, FULL15)
 
     def test_non_stationary_ground_state_rejected(self, ground, monkeypatch):
         moved = ground.angles + 1e-3
@@ -239,8 +239,8 @@ class TestDrivers:
             return OptimizeResult(x=moved)
 
         monkeypatch.setattr(evolve, "minimize", stops_early)
-        with pytest.raises(NumericFailure, match="optimizer seed 7 is not stationary"):
-            evolve.ground_state_optimize(1.0, 1.5, FULL15, optimizer_seed=7)
+        with pytest.raises(NumericFailure, match="ground state is not stationary"):
+            evolve.ground_state_optimize(1.0, 1.5, FULL15)
 
     def test_right_fixed_point_is_a_positive_fixed_point(self, ground, monkeypatch):
         # rho is the first solve of energy_density; BFGS also evaluates the
@@ -273,7 +273,7 @@ class TestDrivers:
         # relative-reduction stop, so the step objective's gradient is
         # recomputed at each step's end point instead
         solves = spy(monkeypatch, evolve, "minimize")
-        evolve.ground_state_optimize(1.0, 1.5, FULL15, optimizer_seed=0)
+        evolve.ground_state_optimize(1.0, 1.5, FULL15)
         assert [res.status for _, res in solves] == [0]
         for t_max, dt in [(1.0, 0.1), (2.5, 0.05)]:
             solves.clear()
@@ -445,12 +445,6 @@ class TestDrivers:
         with pytest.raises(InvalidArgumentError, match="must be finite"):
             evolve.ground_state_optimize(J, g, FULL15)
 
-    @pytest.mark.parametrize("optimizer_seed", [True, np.True_, -1, 2.5, None, "0"])
-    def test_invalid_optimizer_seed_rejected(self, monkeypatch, optimizer_seed):
-        monkeypatch.setattr(evolve, "minimize", self.must_not_run)
-        with pytest.raises(InvalidArgumentError, match="optimizer_seed"):
-            evolve.ground_state_optimize(1.0, 1.5, FULL15, optimizer_seed=optimizer_seed)
-
     def test_spsa_tie_returns_the_seed(self):
         # a +/- pair of equal costs is a zero update, never a stop
         seed = np.linspace(-1.0, 1.0, 15)
@@ -485,10 +479,14 @@ class TestDrivers:
             ([], "at least 2"),
             ([3, 3], "distinct"),
             ((s for s in [0, 4, 0]), "distinct"),
-            ([0, -1], "nonnegative integer"),
-            ([0, 1.5], "nonnegative integer"),
-            ([True, 0], "nonnegative integer"),
-            ([0, None], "nonnegative integer"),
+            *(
+                pytest.param(
+                    seeds, "seed must be an integer of at least 0",
+                    id=f"seeds{i}-nonnegative integer",
+                )
+                for i, seeds in enumerate([[0, -1], [0, 1.5], [True, 0], [0, None]], 4)
+            ),
+            (5, "seeds must be an iterable, got 5"),  # escaped as a TypeError
         ],
     )
     def test_invalid_ensemble_rejected(self, monkeypatch, seeds, match):
@@ -501,7 +499,8 @@ class TestDrivers:
     @pytest.mark.parametrize("seed", [-1, 1.5, True, np.bool_(True), None, "3"])
     def test_invalid_run_seed_rejected(self, monkeypatch, seed):
         monkeypatch.setattr(evolve, "ground_state_optimize", self.must_not_run)
-        with pytest.raises(InvalidArgumentError, match="nonnegative integer"):
+        match = "seed must be an integer of at least 0"
+        with pytest.raises(InvalidArgumentError, match=match):
             evolve.evolve_stochastic(SHORT, "extrapolate", seed=seed)
 
     @staticmethod
@@ -560,6 +559,21 @@ class TestDrivers:
             ),
         }[entry]
         with pytest.raises(InvalidArgumentError, match="None or an AnsatzParams, got"):
+            run()
+
+    @pytest.mark.parametrize("entry", ["stochastic", "reference", "ensemble"])
+    @pytest.mark.parametrize("spec", [None, {"J": 1.0}], ids=["none", "dict"])
+    def test_spec_that_is_not_a_quench_spec_rejected(self, monkeypatch, entry, spec):
+        # rejected before the ground state is solved or any step runs; it
+        # escaped as an AttributeError on its first attribute
+        for name in ("ground_state_optimize", "_evolve"):
+            monkeypatch.setattr(evolve, name, self.must_not_run)
+        run = {
+            "stochastic": lambda: evolve.evolve_stochastic(spec, "copy"),
+            "reference": lambda: evolve.evolve_exact_in_ansatz(spec),
+            "ensemble": lambda: evolve.ensemble_run(spec, "copy", [0, 1]),
+        }[entry]
+        with pytest.raises(InvalidArgumentError, match="spec must be a QuenchSpec, got"):
             run()
 
     @pytest.mark.parametrize("entry", ["stochastic", "reference", "ensemble"])

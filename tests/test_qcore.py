@@ -85,6 +85,13 @@ class TestRotGate:
         with pytest.raises(InvalidArgumentError):
             rot_gate("Q", 0.1)
 
+    @pytest.mark.parametrize("angle", [1j, 0.1 + 0j, True, np.True_, "x", None])
+    def test_rejects_an_angle_that_is_not_a_finite_real(self, angle):
+        # a complex angle gave a non-unitary gate (defect 1.18 at 1j), a bool
+        # ran as 1 rad, and a string or None escaped as a numpy TypeError
+        with pytest.raises(InvalidArgumentError, match="angle must be finite and real"):
+            rot_gate("X", angle)
+
 
 class TestTwoSiteExp:
     def test_zero_time_is_identity(self):
@@ -122,7 +129,7 @@ class TestTwoSiteExp:
         # a complex step gave a non-unitary gate (defect 6.5 at tau = 1j), a
         # bool ran as 1, and a string or None escaped as a numpy TypeError
         h = np.kron(PAULI_Z, PAULI_Z) + 0.1 * np.kron(PAULI_X, np.eye(2))
-        with pytest.raises(InvalidArgumentError, match="time step must be finite"):
+        with pytest.raises(InvalidArgumentError, match="tau must be finite"):
             two_site_exp(h, tau)
 
     def test_takes_integer_and_numpy_time_steps(self):
@@ -203,6 +210,18 @@ class TestLeadingEig:
         with pytest.raises(InvalidArgumentError):
             leading_eig(np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["everywhere", "one-entry"])
+    def test_rejects_a_non_finite_matrix_silently(self, capfd, bad, where):
+        # a matrix of NaN or inf made LAPACK print four illegal-value lines on
+        # stdout before geev failed (info -4); one such entry gave a NaN
+        # residual or a RuntimeWarning
+        m = np.full((4, 4), bad, dtype=complex) if where == "everywhere" else np.eye(4)
+        m[1, 2] = bad
+        with pytest.raises(InvalidArgumentError, match="nonzero and finite"):
+            leading_eig(m)
+        assert capfd.readouterr() == ("", "")
+
 
 class TestApplyGate:
     def test_identity_gate(self):
@@ -281,7 +300,8 @@ class TestStateHelpers:
 
     @pytest.mark.parametrize("n_qubits", [True, np.True_, 2.0, -1, None])
     def test_zero_state_rejects_a_non_count(self, n_qubits):
-        with pytest.raises(InvalidArgumentError, match="positive qubit count"):
+        match = "n_qubits must be an integer of at least 1"
+        with pytest.raises(InvalidArgumentError, match=match):
             zero_state(n_qubits)
 
     @pytest.mark.parametrize(
