@@ -36,9 +36,11 @@ the side fixed by the current state once per step, from the current state's
 MPS tensor A, which the step loop of :mod:`quenchmps.evolve` builds once per
 accepted state and hands over: the ket side of the evolution window
 K[t] = sum_s <t|L|s> A-prod_s (16 x 2 x 2) with the two boundary copies
-folded into it, one (64 x 2) matrix. It returns a function of the
-candidates' raw angles that builds only their tensors and four-site strand
-products and does one (1 x 64) . (64 x 2) product per candidate. The
+folded into it, and from it a bilinear form in the candidate's two-site
+strand products, one (16 x 32) matrix. It returns a function of the
+candidates' raw angles that builds only their tensors and two-site
+products v (one broadcast 2x2 product) and evaluates the form on them in
+a (1 x 16) . (16 x 32) and a (1 x 16) . (16 x 2) product per candidate. The
 candidates come as one angle set or a (k, 15) stack (an SPSA +/- pair is
 k = 2), and the function returns one probability per row, each the same
 float that row gives on its own. :func:`dense_success_probability` is that
@@ -177,34 +179,54 @@ def success_probability_fn(a_t, layer):
     ``a_t`` (shape (2, 2, 2), built by the caller) with the dense gate layer
     ``layer`` (:func:`evolution_gate_layer`).
 
-    Everything fixed by the current state is built here, once: the window's
-    ket side K[t] (:func:`transfer.window_ket` of the gate layer on the
-    current state's four-site strand products), and the two boundary copies,
-    a linear map from the window's bond operator M[c, d] onto column 0 of the
-    final one, folded into it: S[t, a, c, i] = sum_d K[t]_{a d} C[i, (c d)],
-    one (64, 2) matrix. The returned function takes the optimizer's raw
-    angles, one set of shape (15,) or a (k, 15) stack (or anything
-    :func:`ansatz.tensor_of` takes), builds only the candidates' tensors
-    and four-site strands, and contracts each against S in one
-    (1 x 64) . (64 x 2) product (:func:`transfer.window_overlap_map`); the
-    unmeasured bond qubit is traced by the norm of that row. It returns a
-    probability of shape () or (k,), each row the same float that row gives
-    on its own, and raises :class:`~quenchmps.qcore.InvalidArgumentError` on
-    angles that :func:`ansatz.tensor_of` rejects, such as a non-finite one.
-    Independent of the statevector route.
+    Everything fixed by the current state is built here, once: the side S
+    of :func:`_cost_side`, folded into a bilinear form in the candidate's
+    two-site strand products P2_p = B^{t2} B^{t1}, p = (t1 t2). The window's
+    bra string splits into p and q = (t3 t4), its four-site product into
+    P2_q P2_p, so column i of the row that S gives is
+
+        conj(v^T conj(F_i) v),  F_i[(q a x), (p y c)] = delta_xy S[(p q), a, c, i],
+
+    with v = vec P2 in the (t, a, c) layout of two-site
+    :func:`transfer.strand_products`. The returned function takes the
+    optimizer's raw angles, one set of shape (15,) or a (k, 15) stack (or
+    anything :func:`ansatz.tensor_of` takes), builds only the candidates'
+    tensors and their v (one broadcast 2x2 product), and evaluates the form
+    in a (1 x 16) . (16 x 32) product with conj F and a (1 x 16) . (16 x 2)
+    one; the unmeasured bond qubit is traced by the norm of that row,
+    p = sum_i |v^T conj(F_i) v|^2. It returns a probability of shape () or
+    (k,), each row the same float that row gives on its own, and raises
+    :class:`~quenchmps.qcore.InvalidArgumentError` on angles that
+    :func:`ansatz.tensor_of` rejects, such as a non-finite one. Independent
+    of the statevector route.
     """
+    side = _cost_side(a_t, layer).reshape(4, 4, 2, 2, 2)  # [p, q, a, c, i]
+    form = np.einsum("pqaci,xy->qaxpyci", side, np.eye(2)).reshape(16, 32).conj()
+
+    def success_probability(candidates):
+        b = tensor_of(candidates)
+        stack = b.shape[:-3]
+        # v[t1, (t2 a), c] = (B^{t2} B^{t1})[a, c], one (1, 16) row per candidate
+        v = (b.reshape(stack + (4, 2))[..., None, :, :] @ b).reshape(stack + (1, 16))
+        row = v @ (v @ form).reshape(stack + (16, 2))
+        return (np.abs(row[..., 0, :]) ** 2).sum(axis=-1)
+
+    return success_probability
+
+
+def _cost_side(a_t, layer):
+    """The side of the cost diagram fixed by the current state's tensor
+    ``a_t``: the window's ket side K[t] (:func:`transfer.window_ket` of the
+    gate layer ``layer`` on the current state's four-site strand products)
+    and the two boundary copies, a linear map from the window's bond
+    operator M[c, d] onto column 0 of the final one, folded into it:
+    S[t, a, c, i] = sum_d K[t]_{a d} C[i, (c d)], shape (16, 2, 2, 2)."""
     ket = transfer.window_ket(a_t, layer)
     copies = np.eye(4, dtype=complex).reshape(4, 2, 2)  # the unit bond operators
     for _ in range(2):
         copies = transfer.site_overlap_map(copies, a_t, a_t)
     # copies[(c d), i, 0]: entry i of column 0 of the copies' image of unit operator (c d)
-    side = np.einsum("tad,cdi->taci", ket, copies[:, :, 0].reshape(2, 2, 2))
-
-    def success_probability(candidates):
-        row = transfer.window_overlap_map(side, tensor_of(candidates))
-        return (np.abs(row[..., 0, :]) ** 2).sum(axis=-1)
-
-    return success_probability
+    return np.einsum("tad,cdi->taci", ket, copies[:, :, 0].reshape(2, 2, 2))
 
 
 def dense_success_probability(params_t, params_candidate, spec):

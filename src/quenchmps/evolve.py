@@ -11,10 +11,12 @@ then runs
              else linearly from the two previous steps (``extrapolate``)
       -> correct: the driver's corrector moves the seed from the current
                   state's MPS tensor
-      -> accept:  unwrap the angles, build their tensor once, record the
-                  echo against the ground state from it, add up the shots.
+      -> accept:  unwrap the angles, build their tensor once, add up the
+                  shots.
 
-The accepted state's tensor also serves as the next step's current state.
+The accepted state's tensor serves as the next step's current state, and is
+kept: after the step loop, each step's echo against the ground state is
+taken from it, in step order, as the echoes never feed back into the run.
 A driver only checks its options and supplies the corrector. The
 deterministic reference (:func:`evolve_exact_in_ansatz`, always
 "extrapolate") corrects with one L-BFGS-B solve of the dense step
@@ -29,7 +31,8 @@ fixed by the module's ``SPSA_*`` constants, not by an option. Its step n
 draws stream i (0 SPSA, 1 shots) from ``SeedSequence(seed, spawn_key=(n,
 i))``, built when the step runs (:func:`_step_stream`). A step that raises
 :class:`NumericFailure` or :class:`InvalidArgumentError` ends either run the
-same way: the trajectory is truncated before it and ``failure`` names it.
+same way: the trajectory is truncated before it and ``failure`` names it;
+so does an echo that raises, the first in step order.
 """
 
 import warnings
@@ -266,14 +269,15 @@ def _sampled_cost(a_t, layer, shots_per_eval, seed_sequence):
     ``a_t`` is the tensor that :func:`_evolve` built when it accepted the
     current state; the side of the cost diagram it fixes (ket window with the
     boundary copies folded in) is built from it once per step, by
-    :func:`circuits.success_probability_fn`. The oracle takes SPSA's raw
-    (k, n) stack of candidate angles, goes from them to the k exact
-    probabilities in one pass (finiteness check, tensors, strands, one
-    product per row), and returns k costs; a non-finite angle raises
-    :class:`InvalidArgumentError`. The exact probabilities equal the
-    statevector circuit to machine precision (the equivalence is enforced by
-    the acceptance suite) and are sampled with one binomial draw per row, in
-    row order, from ``seed_sequence`` (the step's shot stream).
+    :func:`circuits.success_probability_fn`, folded into a bilinear form.
+    The oracle takes SPSA's raw (k, n) stack of candidate angles, goes from
+    them to the k exact probabilities in one pass (finiteness check,
+    tensors, two-site products, two products per row with the form), and
+    returns k costs; a non-finite angle raises :class:`InvalidArgumentError`.
+    The exact probabilities equal the statevector circuit to machine
+    precision (the equivalence is enforced by the acceptance suite) and are
+    sampled with one binomial draw per row, in row order, from
+    ``seed_sequence`` (the step's shot stream).
     """
     rng = np.random.default_rng(seed_sequence)
     success_probability = circuits.success_probability_fn(a_t, layer)
@@ -297,12 +301,15 @@ def _evolve(spec, template, ground, init_scheme, solve_step, **labels):
     moves x0 (maybe a view of a stored row, not to be written) from the
     previous state's MPS tensor ``a_prev`` and returns
     ``(accepted, cost, shots)``. The accepted angles are unwrapped toward
-    step n - 1 and stored, and their tensor is built once: the echo is taken
-    from it against the ground tensor, and it is step n + 1's ``a_prev``. A
-    2*pi shift of an angle flips the unitary's sign, which no echo observes.
-    A solve, tensor or echo that raises :class:`NumericFailure` or
-    :class:`InvalidArgumentError` truncates the run before step n, with
-    ``failure = "<type>: <message>"``. ``labels`` fill the other fields.
+    step n - 1 and stored, and their tensor is built once and kept: it is
+    step n + 1's ``a_prev``, and after the loop step n's echo is taken from
+    it against the ground tensor, in step order. A 2*pi shift of an angle
+    flips the unitary's sign, which no echo observes. A solve, tensor or
+    echo of step n that raises :class:`NumericFailure` or
+    :class:`InvalidArgumentError` truncates the run before step n (the first
+    such step), with ``failure = "<type>: <message>"``; as no echo feeds back
+    into the run, the rows kept are those of the run without the failure.
+    ``labels`` fill the other fields.
     """
     if ground is None:
         ground = ground_state_optimize(spec.J, spec.g0, template)
@@ -312,22 +319,27 @@ def _evolve(spec, template, ground, init_scheme, solve_step, **labels):
     echoes = np.zeros(len(times))
     costs = np.zeros(len(times))
     cum_shots = np.zeros(len(times), dtype=np.int64)
-    a_0 = a_prev = tensor_of(ground)
+    tensors = [tensor_of(ground)]  # row n's tensor
     end, failure = len(times), None
     for step in range(1, len(times)):
         prev = angles[step - 1]
         copy_prev = step < 3 or init_scheme == "copy"
         x0 = prev if copy_prev else extrapolate(angles[step - 2], prev)
         try:
-            accepted, cost, shots = solve_step(step, a_prev, x0)
+            accepted, cost, shots = solve_step(step, tensors[-1], x0)
             angles[step] = unwrap_toward(prev, accepted)
-            a_prev = tensor_of(angles[step])
-            echoes[step] = _echo_of_tensors(a_0, a_prev)
+            tensors.append(tensor_of(angles[step]))
         except (NumericFailure, InvalidArgumentError) as exc:
             end, failure = step, f"{type(exc).__name__}: {exc}"
             break
         costs[step] = cost
         cum_shots[step] = cum_shots[step - 1] + shots
+    for step in range(1, end):
+        try:
+            echoes[step] = _echo_of_tensors(tensors[0], tensors[step])
+        except (NumericFailure, InvalidArgumentError) as exc:
+            end, failure = step, f"{type(exc).__name__}: {exc}"
+            break
     return Trajectory(
         spec=spec, template=template, init_scheme=init_scheme, times=times[:end],
         angles=angles[:end], echoes=echoes[:end], costs=costs[:end],

@@ -130,7 +130,7 @@ def leading_eig(m):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidArgumentError(f"expected a square matrix, got shape {m.shape}")
-    scale = np.linalg.norm(m, ord=np.inf)
+    scale = np.abs(m).sum(axis=1).max()  # ||m||_inf, numpy's own definition of it
     if not 0.0 < scale < np.inf:
         raise InvalidArgumentError(f"matrix must be nonzero and finite, got norm {scale}")
     w, vl, vr, info = _GEEV(m, lwork=_geev_lwork(len(m)))

@@ -33,6 +33,10 @@ from .qcore import InvalidArgumentError, check_count, check_reals
 
 STEP_RTOL = 1e-9  # how far t_max / dt may lie from a whole number, relatively
 MIN_K_POINTS = 64  # coarsest momentum grid the free-fermion integrals accept
+# most steps a quench may take: a run stores a (steps + 1) x 15 angle array
+# (12 MB at the bound) and its tensors, and at the ensembles' ~1,000 steps/s takes
+# about two minutes; far beyond that a spec is a typo for a larger dt
+MAX_STEPS = 100_000
 
 _ZZ = np.kron(qcore.PAULI_Z, qcore.PAULI_Z)
 _X_SUM = np.kron(qcore.PAULI_X, qcore.IDENTITY_2) + np.kron(
@@ -49,7 +53,8 @@ def _check_time_step(dt):
 
 @dataclass(frozen=True)
 class QuenchSpec:
-    """Parameters of a transverse-field quench experiment."""
+    """Parameters of a transverse-field quench experiment: t_max must be a
+    whole number of at least 1 and at most ``MAX_STEPS`` time steps dt."""
 
     J: float = 1.0
     g0: float = 1.5
@@ -64,6 +69,10 @@ class QuenchSpec:
         if self.J == 0.0:
             raise InvalidArgumentError("coupling J must be nonzero")
         steps = self.t_max / self.dt
+        if not steps <= MAX_STEPS:
+            raise InvalidArgumentError(
+                f"t_max must be at most {MAX_STEPS} steps, got t_max/dt = {steps!r}"
+            )
         if not (round(steps) >= 1 and abs(steps - round(steps)) <= STEP_RTOL * steps):
             raise InvalidArgumentError(
                 f"t_max must be a positive whole number of steps, got t_max/dt = {steps!r}"

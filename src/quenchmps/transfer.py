@@ -159,7 +159,10 @@ def window_overlap_map(side, b_bra):
     (2**n, 2, 2, m) that also carries the outgoing bond index c, as the cost
     circuit's side with its boundary copies folded in does, it is one
     (1 x 2**(n+2)) . (2**(n+2) x m) product, a (1, m) row per bra tensor.
-    Each row rounds as that bra tensor alone does.
+    Each row rounds as that bra tensor alone does. Nothing in the package
+    calls it: it is the reference that the tests hold the cost circuit's
+    bilinear form (:func:`quenchmps.circuits.success_probability_fn`) to, as
+    :func:`cell_matrix` is for :func:`cell_eigenvalue_gradient`.
     """
     pb = strand_products(b_bra, len(side).bit_length() - 1).conj()
     flat = side.reshape(-1, side.shape[-1])

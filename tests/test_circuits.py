@@ -188,6 +188,21 @@ class TestCircuitDenseEquivalence:
             assert abs(p_sv - p_dense(pb)) < 1e-10
             assert abs(p_sv - p_row) < 1e-10
 
+    @pytest.mark.parametrize("trotter_order", [1, 2])
+    def test_bilinear_form_matches_the_strand_contraction(self, trotter_order):
+        # the per-step form in the two-site products against the four-site
+        # strand contracted with the side it was folded from
+        rng = np.random.default_rng(21)
+        layer = layer_at(tfim.QuenchSpec(trotter_order=trotter_order), 0.1)
+        for _ in range(10):
+            a_t = ansatz.tensor_of(rng.uniform(-np.pi, np.pi, 15))
+            candidates = rng.uniform(-np.pi, np.pi, (4, 15))
+            side = circuits._cost_side(a_t, layer)
+            row = transfer.window_overlap_map(side, ansatz.tensor_of(candidates))
+            want = (np.abs(row[:, 0, :]) ** 2).sum(axis=-1)
+            got = success_probability_fn(a_t, layer)(candidates)
+            assert np.max(np.abs(got - want)) <= 1e-14
+
     def test_one_parameter_set_each(self):
         # a stack escaped from the dense path as an einsum ValueError or a
         # TypeError, and from the circuit only once a gate was applied

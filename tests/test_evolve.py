@@ -113,6 +113,34 @@ def spy(monkeypatch, owner, name):
     return calls
 
 
+def fail_step_2_geev(monkeypatch, site):
+    """Make the one ``geev`` call report no convergence (info 1) in step 2:
+    in its "objective", keyed on the step's one ``window_ket`` call, or in its
+    "echo", the second echo call, which the run takes after its step loop."""
+    steps = spy(monkeypatch, transfer, "window_ket")  # one call per step
+    echo_calls, in_echo = [], []
+    real_geev, real_echo = qcore._GEEV, evolve._echo_of_tensors
+
+    def geev(*args, **kwargs):
+        w, vl, vr, info = real_geev(*args, **kwargs)
+        if site == "echo":
+            fails = bool(in_echo) and len(echo_calls) == 2
+        else:
+            fails = not in_echo and len(steps) == 2
+        return w, vl, vr, 1 if fails else info
+
+    def echo_of_tensors(*tensors):
+        echo_calls.append(tensors)
+        in_echo.append(tensors)
+        try:
+            return real_echo(*tensors)
+        finally:
+            in_echo.pop()
+
+    monkeypatch.setattr(qcore, "_GEEV", geev)
+    monkeypatch.setattr(evolve, "_echo_of_tensors", echo_of_tensors)
+
+
 def no_grad_build_shapes(calls):
     """Angle shapes of the ``tensor_of`` calls recorded by :func:`spy` that
     built no gradient (a gradient build returns a pair)."""
@@ -361,24 +389,7 @@ class TestDrivers:
     def test_reference_records_an_eigensolver_failure(self, ground, monkeypatch, site):
         # the one geev does not converge in step 2, called from the objective's
         # cell eigenpairs or from the echo's leading eigenpair; step 1 is kept
-        steps = spy(monkeypatch, transfer, "window_ket")  # one call per step
-        in_echo = []
-        real_geev, real_echo = qcore._GEEV, evolve._echo_of_tensors
-
-        def geev(*args, **kwargs):
-            w, vl, vr, info = real_geev(*args, **kwargs)
-            fails = len(steps) == 2 and bool(in_echo) == (site == "echo")
-            return w, vl, vr, 1 if fails else info
-
-        def echo_of_tensors(*tensors):
-            in_echo.append(tensors)
-            try:
-                return real_echo(*tensors)
-            finally:
-                in_echo.pop()
-
-        monkeypatch.setattr(qcore, "_GEEV", geev)
-        monkeypatch.setattr(evolve, "_echo_of_tensors", echo_of_tensors)
+        fail_step_2_geev(monkeypatch, site)
         traj = evolve.evolve_exact_in_ansatz(SHORT, FULL15, "eigen", ground=ground)
         assert not traj.complete and traj.n_steps == 1
         assert traj.failure == "NumericFailure: eigensolver failed (geev info 1)"
@@ -813,6 +824,18 @@ class TestStochastic:
         assert traj.failure == "NumericFailure: no simple leading eigenvalue"
         assert np.max(np.abs(traj.angles[1:] - GOLDEN_SEED3_ANGLES[:2])) <= 1e-12
         assert traj.cum_shots.tolist() == [0, 98304, 196608]
+
+    def test_records_an_eigensolver_failure_in_an_echo(self, golden_ground, monkeypatch):
+        # step 2's echo, taken after the step loop, truncates the run before
+        # step 2; the rows kept are those of the run without the failure
+        full = evolve.evolve_stochastic(SHORT, "extrapolate", seed=3, ground=golden_ground)
+        fail_step_2_geev(monkeypatch, "echo")
+        traj = evolve.evolve_stochastic(SHORT, "extrapolate", seed=3, ground=golden_ground)
+        assert full.complete
+        assert not traj.complete and traj.n_steps == 1
+        assert traj.failure == "NumericFailure: eigensolver failed (geev info 1)"
+        for name in ("times", "angles", "echoes", "costs", "cum_shots"):
+            assert np.array_equal(getattr(traj, name), getattr(full, name)[:2]), name
 
     def test_ensemble_keeps_a_truncated_run(self, ground, monkeypatch):
         full = evolve.evolve_stochastic(SHORT, "extrapolate", seed=0, ground=ground)

@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from quenchmps import qcore, tfim
 from quenchmps.qcore import InvalidArgumentError, ResourceLimitError
 from quenchmps.tfim import (
+    MAX_STEPS,
     QuenchSpec,
     REFERENCE_QUENCH,
     bond_hamiltonian,
@@ -115,6 +116,18 @@ class TestQuenchSpec:
     def test_t_max_must_be_a_whole_number_of_steps(self, t_max):
         with pytest.raises(InvalidArgumentError, match="whole number of steps"):
             QuenchSpec(t_max=t_max)
+
+    @pytest.mark.parametrize("dt, t_max", [(1e-300, 1.0), (1e-9, 2.5), (5e-324, 1.0)])
+    def test_step_counts_beyond_max_steps_rejected(self, dt, t_max):
+        # 1e300 steps made ``times`` raise numpy's ValueError, 2.5e9 would
+        # have allocated the run's angle array, and 1 / 5e-324 is inf
+        with pytest.raises(InvalidArgumentError, match="at most"):
+            QuenchSpec(dt=dt, t_max=t_max)
+
+    def test_max_steps_is_the_bound(self):
+        assert QuenchSpec(dt=1.0, t_max=float(MAX_STEPS)).n_steps == MAX_STEPS
+        with pytest.raises(InvalidArgumentError, match="at most"):
+            QuenchSpec(dt=1.0, t_max=float(MAX_STEPS + 1))
 
     def test_whole_step_horizons_accepted(self):
         # the benchmark's horizons, the tests' and a dt sweep's; t_max / dt
