@@ -9,8 +9,9 @@ never measured, which realizes the identity approximation of the right
 boundary, while two copies of the current state unitary in front of the
 window realize the left boundary.
 
-Layout for power-method order 2 (first-order Trotter; sites are numbered in
-ket emission order, qubit 0 is the bond qubit)::
+Layout of the four evolution sites of :func:`evolution_gate_layer`, two
+cells (first-order Trotter; sites are numbered in ket emission order, qubit 0
+is the bond qubit)::
 
     site:     1    2  |  3    4   |   5    6
     ket:    U(q1) U(q2)|U(q3) U(q4)|U(q5) U(q6)     copies | cell 1 | cell 2
@@ -39,12 +40,13 @@ K[t] = sum_s <t|L|s> A-prod_s (16 x 2 x 2) with the two boundary copies
 folded into it, and from it a bilinear form in the candidate's two-site
 strand products, one (16 x 32) matrix. It returns a function of the
 candidates' raw angles that builds only their tensors and two-site
-products v (one broadcast 2x2 product) and evaluates the form on them in
-a (1 x 16) . (16 x 32) and a (1 x 16) . (16 x 2) product per candidate. The
-candidates come as one angle set or a (k, 15) stack (an SPSA +/- pair is
-k = 2), and the function returns one probability per row, each the same
-float that row gives on its own. :func:`dense_success_probability` is that
-function evaluated on one candidate, from parameters on both sides.
+products v (:func:`transfer.join_strands`, the kernel of every strand
+product) and evaluates the form on them in a (1 x 16) . (16 x 32) and a
+(1 x 16) . (16 x 2) product per candidate. The candidates come as one angle
+set or a (k, 15) stack (an SPSA +/- pair is k = 2), and the function returns
+one probability per row, each the same float that row gives on its own.
+:func:`dense_success_probability` is that function evaluated on one
+candidate, from parameters on both sides.
 
 With the candidate equal to the current state and no evolution, every
 prepare/unprepare pair composes to the identity on the bond register via the
@@ -65,7 +67,6 @@ from .ansatz import build_unitary, tensor_of
 from .qcore import InvalidArgumentError, ResourceLimitError
 
 MAX_CIRCUIT_QUBITS = 12
-POWER_METHOD_ORDER = 2
 
 
 @dataclass(frozen=True)
@@ -121,26 +122,17 @@ def build_cost_circuit(params_t, params_candidate, spec):
     _check_one_set(params_t, params_candidate)
     u = build_unitary(params_t)
     w = build_unitary(params_candidate)
+    layer, placed = evolution_gate_layer(spec)
     n_copies = 2
-    n_evo = 2 * POWER_METHOD_ORDER
-    n_sites = n_copies + n_evo
+    n_sites = n_copies + len(layer).bit_length() - 1  # the layer's sites follow the copies
     ops = []
-    for site in range(1, n_copies + 1):
-        ops.append(CircuitOp("gate", (site, 0), "V", u))
-    for site in range(n_copies + 1, n_sites + 1):
-        ops.append(CircuitOp("gate", (site, 0), "U", u))
-    _, placed = evolution_gate_layer(spec)
-    first_evo = n_copies + 1
+    for site in range(1, n_sites + 1):
+        ops.append(CircuitOp("gate", (site, 0), "V" if site <= n_copies else "U", u))
     for name, gate, (lo, hi) in placed:
-        ops.append(CircuitOp("gate", (first_evo + lo, first_evo + hi), name, gate))
-    w_dag = w.conj().T
-    u_dag = u.conj().T
-    bra_order = []
-    for cell in reversed(range(POWER_METHOD_ORDER)):
-        s1 = n_copies + 2 * cell + 1
-        bra_order.extend([(s1 + 1, "W_dag", w_dag), (s1, "W_dag", w_dag)])
-    bra_order.extend([(2, "V_dag", u_dag), (1, "V_dag", u_dag)])
-    for site, name, mat in bra_order:
+        ops.append(CircuitOp("gate", (n_copies + 1 + lo, n_copies + 1 + hi), name, gate))
+    w_dag, u_dag = w.conj().T, u.conj().T
+    for site in range(n_sites, 0, -1):  # the bra unwinds in mirror order
+        name, mat = ("V_dag", u_dag) if site <= n_copies else ("W_dag", w_dag)
         ops.append(CircuitOp("gate", (site, 0), name, mat))
         ops.append(CircuitOp("measure", (site,)))
         ops.append(CircuitOp("reset", (site,)))
@@ -187,18 +179,17 @@ def success_probability_fn(a_t, layer):
 
         conj(v^T conj(F_i) v),  F_i[(q a x), (p y c)] = delta_xy S[(p q), a, c, i],
 
-    with v = vec P2 in the (t, a, c) layout of two-site
-    :func:`transfer.strand_products`. The returned function takes the
-    optimizer's raw angles, one set of shape (15,) or a (k, 15) stack (or
-    anything :func:`ansatz.tensor_of` takes), builds only the candidates'
-    tensors and their v (one broadcast 2x2 product), and evaluates the form
-    in a (1 x 16) . (16 x 32) product with conj F and a (1 x 16) . (16 x 2)
-    one; the unmeasured bond qubit is traced by the norm of that row,
-    p = sum_i |v^T conj(F_i) v|^2. It returns a probability of shape () or
-    (k,), each row the same float that row gives on its own, and raises
-    :class:`~quenchmps.qcore.InvalidArgumentError` on angles that
-    :func:`ansatz.tensor_of` rejects, such as a non-finite one. Independent
-    of the statevector route.
+    with v = vec P2 in the (t, a, c) layout of :func:`transfer.join_strands`.
+    The returned function takes the optimizer's raw angles, one set of shape
+    (15,) or a (k, 15) stack (or anything :func:`ansatz.tensor_of` takes),
+    builds only the candidates' tensors and their v (one join of B with
+    itself), and evaluates the form in a (1 x 16) . (16 x 32) product with
+    conj F and a (1 x 16) . (16 x 2) one; the unmeasured bond qubit is traced
+    by the norm of that row, p = sum_i |v^T conj(F_i) v|^2. It returns a
+    probability of shape () or (k,), each row the same float that row gives
+    on its own, and raises :class:`~quenchmps.qcore.InvalidArgumentError` on
+    angles that :func:`ansatz.tensor_of` rejects, such as a non-finite one.
+    Independent of the statevector route.
     """
     side = _cost_side(a_t, layer).reshape(4, 4, 2, 2, 2)  # [p, q, a, c, i]
     form = np.einsum("pqaci,xy->qaxpyci", side, np.eye(2)).reshape(16, 32).conj()
@@ -206,8 +197,7 @@ def success_probability_fn(a_t, layer):
     def success_probability(candidates):
         b = tensor_of(candidates)
         stack = b.shape[:-3]
-        # v[t1, (t2 a), c] = (B^{t2} B^{t1})[a, c], one (1, 16) row per candidate
-        v = (b.reshape(stack + (4, 2))[..., None, :, :] @ b).reshape(stack + (1, 16))
+        v = transfer.join_strands(b, b).reshape(stack + (1, 16))  # a row per candidate
         row = v @ (v @ form).reshape(stack + (16, 2))
         return (np.abs(row[..., 0, :]) ** 2).sum(axis=-1)
 

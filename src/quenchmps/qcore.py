@@ -122,14 +122,14 @@ def leading_eig(m):
     both eigenvectors, its workspace queried once per matrix size. Returns
     ``(lam, right, left)``: m right = lam right, and the row vector ``left``
     (the conjugated left eigenvector l, so ``left`` is l^dag) gives
-    left m = lam left; both are LAPACK's unit vectors. A zero or non-finite
-    ``m`` raises :class:`InvalidArgumentError` before LAPACK sees it; a
-    ``geev`` that does not converge raises :class:`NumericFailure`, as does
-    (residual attached) a right pair that misses ``1e-9 * ||m||``.
+    left m = lam left; both are LAPACK's unit vectors. An empty, zero or
+    non-finite ``m`` raises :class:`InvalidArgumentError` before LAPACK sees
+    it; a ``geev`` that does not converge raises :class:`NumericFailure`, as
+    does (residual attached) a right pair that misses ``1e-9 * ||m||``.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidArgumentError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise InvalidArgumentError(f"expected a non-empty square matrix, got {m.shape}")
     scale = np.abs(m).sum(axis=1).max()  # ||m||_inf, numpy's own definition of it
     if not 0.0 < scale < np.inf:
         raise InvalidArgumentError(f"matrix must be nonzero and finite, got norm {scale}")

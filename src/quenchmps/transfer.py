@@ -22,8 +22,10 @@ matrix of :func:`cell_matrix` covers one two-site unit cell::
                         (A^{s2} A^{s1})[a, a']  conj(B^{t2} B^{t1})[b, b']
 
 so that with G = identity the cell matrix is exactly the square of the
-one-site E. The odd/even window of second-order Trotterisation used by the
-cost circuits lives in :mod:`quenchmps.circuits`.
+one-site E. One kernel forms every strand product, here and in the cost
+circuits (:func:`join_strands`), and one formula every cell matrix. The
+odd/even window of second-order Trotterisation used by the cost circuits
+lives in :mod:`quenchmps.circuits`.
 """
 
 import numpy as np
@@ -40,29 +42,26 @@ def strand_products(a, n_sites):
 
     Returns an array of shape (2**n_sites, 2, 2) indexed by the physical
     string with site 1 as the most significant bit; a (k, 2, 2, 2) stack of
-    tensors gives a (k, 2**n_sites, 2, 2) stack. The strand is built by
-    squaring: the products of 2, 4, 8, ... sites each join a block with
-    itself, and the blocks of the set bits of ``n_sites`` are joined in turn
-    (two sites are one product, four are two, five are three).
+    tensors gives a (k, 2**n_sites, 2, 2) stack. Each site after the first
+    joins the strand in turn (:func:`join_strands`): n - 1 joins.
     """
     if n_sites < 1:
         raise InvalidArgumentError(f"a strand needs at least one site, got {n_sites}")
-    prods, block = None, a  # block: the products of 2**j sites
-    while n_sites:
-        if n_sites & 1:
-            prods = block if prods is None else join_strands(prods, block)
-        n_sites >>= 1
-        if n_sites:
-            block = join_strands(block, block)
+    prods = a
+    for _ in range(n_sites - 1):
+        prods = join_strands(prods, a)
     return prods
 
 
 def join_strands(first, then):
     """Strand products of ``first`` (more significant, acting first) then
     ``then``: then^q first^p at index p * 2**m + q, with m the sites of
-    ``then``. Leading stack axes broadcast."""
-    out = np.einsum("...qab,...pbc->...pqac", then, first)
-    return out.reshape(out.shape[:-4] + (-1, 2, 2))
+    ``then``. Leading stack axes broadcast. The one kernel of every strand
+    product in the package: ``then`` flattened to rows (q a), times each
+    first^p in one batched matmul, out[p, (q a), c]."""
+    flat = then.reshape(then.shape[:-3] + (-1, 2))
+    out = flat[..., None, :, :] @ first
+    return out.reshape(out.shape[:-3] + (-1, 2, 2))
 
 
 def cell_matrix(ket, b_bra):
@@ -70,10 +69,17 @@ def cell_matrix(ket, b_bra):
     of the ket side ``ket`` (:func:`window_ket` of two sites, or the tensor A
     itself for one site) and the bra tensor; the site count is read from
     ``len(ket)``. It is :func:`transfer_matrix` for one site; for two, the
-    reference that the tests hold :func:`cell_eigenvalue_gradient`'s own
-    two-product build of the same matrix to."""
+    matrix of :func:`cell_eigenvalue_gradient`, which shares its formula."""
     pb = strand_products(b_bra, len(ket).bit_length() - 1)
-    return np.einsum("tab,tcd->acbd", ket, pb.conj()).reshape(4, 4)
+    return _cell_of_products(ket, pb.conj())
+
+
+def _cell_of_products(ket, pb_conj):
+    """:func:`cell_matrix` from the bra's conjugated strand products
+    ``pb_conj``: the ket side's (a a', t) transpose times conj(P) in
+    (t, c c') layout, reordered to E[(a c), (a' c')]."""
+    cell = ket.reshape(len(ket), 4).T @ pb_conj.reshape(len(ket), 4)
+    return cell.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
 
 
 def cell_eigenvalue_gradient(ket, b_bra, db):
@@ -81,21 +87,17 @@ def cell_eigenvalue_gradient(ket, b_bra, db):
     (:func:`window_ket` of two sites) and the bra tensor ``b_bra``, and its
     derivatives along the bra tangents ``db`` (shape (n, 2, 2, 2)).
 
-    The matrix is :func:`cell_matrix`'s, built in two products: the bra's
-    conjugated strand products conj(P[2 t1 + t2]) = conj(B^{t2} B^{t1}) as
-    one broadcast 2x2 product of conj(B), and E as one (4 x 4) . (4 x 4)
-    product of the ket side's (a a', t) transpose with conj(P) in (t, c c')
-    layout, reordered to E[(a c), (a' c')]. The derivative is first-order perturbation theory of
-    a simple eigenvalue, d lambda = <l| dE |r> / <l|r>, with both
+    The matrix is :func:`cell_matrix`'s, from the bra's conjugated strand
+    products conj(P[2 t1 + t2]) = conj(B^{t2} B^{t1}), joined from conj(B)
+    (:func:`join_strands`). The derivative is first-order perturbation
+    theory of a simple eigenvalue, d lambda = <l| dE |r> / <l|r>, with both
     eigenvectors from :func:`qcore.leading_eig`. Raises
     :class:`NumericFailure` when that does, or when |<l|r>| of the unit
     eigenvectors falls below ``MIN_EIGVEC_OVERLAP``: the top eigenvalue is
     then (nearly) non-simple and its derivative unbounded.
     """
     b_conj = b_bra.conj()
-    pb_conj = b_conj @ b_conj[:, None]  # pb_conj[t1, t2] = conj(B^{t2} B^{t1})
-    cell = ket.reshape(4, 4).T @ pb_conj.reshape(4, 4)
-    cell = cell.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    cell = _cell_of_products(ket, join_strands(b_conj, b_conj))
     lam, right, left = qcore.leading_eig(cell)
     overlap = left @ right
     if abs(overlap) < MIN_EIGVEC_OVERLAP:
@@ -161,8 +163,7 @@ def window_overlap_map(side, b_bra):
     (1 x 2**(n+2)) . (2**(n+2) x m) product, a (1, m) row per bra tensor.
     Each row rounds as that bra tensor alone does. Nothing in the package
     calls it: it is the reference that the tests hold the cost circuit's
-    bilinear form (:func:`quenchmps.circuits.success_probability_fn`) to, as
-    :func:`cell_matrix` is for :func:`cell_eigenvalue_gradient`.
+    bilinear form (:func:`quenchmps.circuits.success_probability_fn`) to.
     """
     pb = strand_products(b_bra, len(side).bit_length() - 1).conj()
     flat = side.reshape(-1, side.shape[-1])

@@ -639,7 +639,8 @@ class TestDrivers:
         with pytest.raises(InvalidArgumentError, match=match):
             run()
 
-    @pytest.mark.parametrize("shots", [0, -5, 2.5, True])
+    # 2**62 shots an evaluation overflowed the int64 shot counter of the run
+    @pytest.mark.parametrize("shots", [0, -5, 2.5, True, 2**62])
     def test_invalid_shot_counts_rejected(self, ground, shots):
         with pytest.raises(InvalidArgumentError, match="shots_per_eval"):
             evolve.evolve_stochastic(

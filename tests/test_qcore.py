@@ -209,6 +209,9 @@ class TestLeadingEig:
     def test_rejects_zero_matrix(self):
         with pytest.raises(InvalidArgumentError):
             leading_eig(np.zeros((4, 4)))
+        # an empty one escaped as numpy's zero-size reduction error
+        with pytest.raises(InvalidArgumentError, match="non-empty square matrix"):
+            leading_eig(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["everywhere", "one-entry"])

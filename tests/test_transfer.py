@@ -72,6 +72,23 @@ class TestTransferMatrix:
                 t = then[k] if then.ndim == 4 else then
                 assert np.allclose(joined[k, 2 * p + u], t[u] @ f[p], rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("n_sites", [1, 2])
+    def test_cell_matrix_matches_explicit_string_sum(self, n_sites):
+        # E = sum_t K[t] (x) conj(Pb_t), the bra products multiplied out string
+        # by string; two sites carry a non-identity gate on the ket side
+        rng = np.random.default_rng(19)
+        a = tensor_of(random_params(rng))
+        b = tensor_of(random_params(rng))
+        gate = tfim.trotter_gate_first_order(1.0, 0.2, 0.1)
+        ket = a if n_sites == 1 else window_ket(a, gate)
+        expected = np.zeros((4, 4), dtype=complex)
+        for index, string in enumerate(itertools.product(range(2), repeat=n_sites)):
+            pb = np.eye(2)
+            for t in string:  # site 1 is the most significant bit and acts first
+                pb = b[t] @ pb
+            expected += np.kron(ket[index], pb.conj())
+        assert np.max(np.abs(cell_matrix(ket, b) - expected)) < 1e-14
+
     def test_identity_gate_cell_is_square_of_one_site(self):
         rng = np.random.default_rng(2)
         a = tensor_of(random_params(rng))
@@ -146,8 +163,8 @@ class TestStrandProducts:
                     assert np.max(np.abs(three[4 * s1 + 2 * s2 + s3] - expected)) < 1e-15
 
     @pytest.mark.parametrize("n_sites", [4, 5])
-    def test_squared_strands_match_explicit_products(self, n_sites):
-        # four sites join two squared blocks; five add a single site to them
+    def test_long_strands_match_explicit_products(self, n_sites):
+        # every site after the first joins the strand in turn
         rng = np.random.default_rng(18)
         a = tensor_of(random_params(rng))
         prods = strand_products(a, n_sites)
