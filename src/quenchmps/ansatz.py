@@ -18,13 +18,29 @@ of 15 Pauli rotations in angle order, U = G_14 ... G_1 G_0 with
     G_k = exp(-i s_k a_k P_k) = cos(s_k a_k) 1 - i sin(s_k a_k) P_k,
 
 P_k the Pauli string of angle k, s_k = 1/2 for the twelve Euler angles and 1
-for the entangler; each G_k is exactly unitary at any angle. The 15 gates are
-built in one broadcast step. With gradients, their prefix products
+for the entangler; each G_k is exactly unitary at any angle.
+
+Every product runs on the real form of the gates,
+
+    R(M) = [[Re M, -Im M], [Im M, Re M]]   (4x4 complex -> 8x8 real),
+
+which is multiplicative, R(MN) = R(M) R(N), and takes the adjoint to the
+transpose, R(M^dag) = R(M)^T. The reason is speed, not arithmetic: NumPy's
+stacked complex128 matmul makes one ``zgemm`` call per 4x4 matrix, so a
+(30, 4, 4) stack takes about 16 us, while OpenBLAS's small-matrix kernel
+multiplies a float64 (30, 8, 8) stack in 3-5 us (OpenBLAS 0.3.31, one
+thread, an Intel Xeon VM), for twice the flops. The 15 gates
+
+    R(G_k) = cos(s_k a_k) 1 + sin(s_k a_k) R(-i P_k)
+
+are built in one broadcast step, with the cosines written onto the zero
+diagonal of R(-i P_k). With gradients, their prefix products
 Pre_k = G_k ... G_0 come from a log-depth (Hillis-Steele) scan of four
 batched products, U = Pre_14, and as dG_k/da_k = -i s_k P_k G_k the
 derivative is three batched products,
 
-    dU/da_k = G_14 ... G_{k+1} (-i s_k P_k) Pre_k = U Pre_k^dag (-i s_k P_k) Pre_k.
+    dU/da_k = G_14 ... G_{k+1} (-i s_k P_k) Pre_k = U Pre_k^dag (-i s_k P_k) Pre_k,
+    R(dU/da_k) = R(U) R(Pre_k)^T R(-i s_k P_k) R(Pre_k).
 
 Without gradients, U is a four-level halving tree over (1, G_0, ..., G_14),
 each level multiplying neighbours in pairs. That is exactly the bracketing in
@@ -35,20 +51,22 @@ which the scan forms Pre_14,
 with every product taken in the same operand order, so both paths give U bit
 for bit. The tree needs 8 + 4 + 2 + 1 = 15 products per parameter set, and
 its first one, G_0 1, is exact and skipped: 14 against the scan's
-14 + 13 + 11 + 7 = 45.
+14 + 13 + 11 + 7 = 45, which dU's three batched products raise to 90.
 
 The MPS tensor of a unitary is A^s_{ab} = <s, a| U |0, b> (physical index
-first); unitarity of U makes A left-isometric: sum_s (A^s)^dag A^s = 1. U is
-unitary by construction, as a product of exactly unitary G_k; the tests prove
-it within 1e-12 at angles from 0 to 1e8, and no call checks it again. The
-same slice of dU/da_k gives dA/da_k.
+first): U's first two columns. Unitarity of U makes A left-isometric:
+sum_s (A^s)^dag A^s = 1. U is unitary by construction, as a product of
+exactly unitary G_k; the tests prove it within 1e-12 at angles from 0 to 1e8,
+and no call checks it again. The same slice of dU/da_k gives dA/da_k. Both
+are read straight from the first columns of the real form, Re over Im, into
+complex128 arrays; U itself is formed only by :func:`build_unitary`.
 
 The float operations live once, in private helpers on raw angle arrays: the
-rotation stack, the halving tree, the prefix scan with dU, and the U -> A
-slice, which is a view. :func:`build_unitary` and :func:`tensor_of` are the
-one way in from angles. They take the optimizers' own iterate, a raw (15,)
-array or (k, 15) stack, as readily as an :class:`AnsatzParams` (one set),
-and check the angles once, as :class:`AnsatzParams` does.
+rotation stack, the halving tree, the prefix scan with dU, and the read-back
+from the real form. :func:`build_unitary` and :func:`tensor_of` are the one
+way in from angles. They take the optimizers' own iterate, a raw (15,) array
+or (k, 15) stack, as readily as an :class:`AnsatzParams` (one set), and
+check the angles once, as :class:`AnsatzParams` does.
 """
 
 from dataclasses import dataclass, field
@@ -65,9 +83,19 @@ N_ANGLES = {FULL15: 15}
 _PAULIS = {"I": qcore.IDENTITY_2, "X": qcore.PAULI_X, "Y": qcore.PAULI_Y, "Z": qcore.PAULI_Z}
 _STRINGS = "ZI XI ZI IZ IX IZ XX YY ZZ ZI XI ZI IZ IX IZ".split()
 _SCALES = np.array([0.5] * 6 + [1.0] * 3 + [0.5] * 6)
-_NEG_I_P = np.stack([-1j * np.kron(_PAULIS[p], _PAULIS[q]) for p, q in _STRINGS])
-_GENERATORS = _SCALES[:, None, None] * _NEG_I_P  # dG_k/da_k = _GENERATORS[k] G_k
-_EYE_4 = np.eye(4)
+
+
+def _real_form(m):
+    """R(M) = [[Re M, -Im M], [Im M, Re M]] of a complex matrix or a stack
+    of them (trailing axes n x n give 2n x 2n)."""
+    return np.block([[m.real, -m.imag], [m.imag, m.real]])
+
+
+# R(-i P_k) and R(-i s_k P_k): dR(G_k)/da_k = _R_GENERATORS[k] R(G_k)
+_R_NEG_I_P = _real_form(
+    np.stack([-1j * np.kron(_PAULIS[p], _PAULIS[q]) for p, q in _STRINGS])
+)
+_R_GENERATORS = _SCALES[:, None, None] * _R_NEG_I_P
 
 
 @dataclass(frozen=True)
@@ -104,20 +132,23 @@ def build_unitary(angles, grad=False):
 
     A stack gives a (k, 4, 4) stack of unitaries. With ``grad``, returns
     ``(U, dU)`` where dU[k] = dU/d(angle k), one 4x4 slice per angle;
-    gradients take one parameter set. Angles that are not real and finite,
-    or of another shape, raise :class:`InvalidArgumentError`, as does a
-    stack with ``grad``. U is unitary by construction and not checked per call.
+    gradients take one parameter set. Angles that are not real numbers
+    (complex, bool, string or ragged) or not finite, or of another shape,
+    raise :class:`InvalidArgumentError`, as does a stack with ``grad``. U is
+    unitary by construction and not checked per call.
 
-    Without ``grad``, U is the halving tree over (1, G_0, ..., G_14): the
+    The products run on the real 8x8 forms R(G_k), where NumPy's stacked
+    matmul reaches OpenBLAS's small-matrix kernel, and U and dU are read
+    back from R(U) and R(dU) as complex128 (see the module docstring).
+    Without ``grad``, R(U) is the halving tree over (1, G_0, ..., G_14): the
     scan's own bracketing of Pre_14, so the two paths agree bit for bit, in
-    14 products per set instead of 45 (see the module docstring).
+    14 products per set instead of 45. With it, dU/da_k is
+    R(U) R(Pre_k)^T R(-i s_k P_k) R(Pre_k), as R(M^dag) = R(M)^T.
     """
-    a = _checked_angles(angles)
     if not grad:
-        return _tree_unitary(a)
-    if a.ndim != 1:
-        raise InvalidArgumentError("gradients take one parameter set, not a stack")
-    return _scan_unitary(a)
+        return _columns(_real_unitary(angles), 4)
+    r, dr = _real_unitary(angles, grad=True)
+    return _columns(r, 4), _columns(dr, 4)
 
 
 def mps_tensor(u):
@@ -133,25 +164,31 @@ def mps_tensor(u):
         raise InvalidArgumentError(
             f"expected a 4x4 unitary or a stack of them, got shape {u.shape}"
         )
-    return _slice(u)
+    return u.reshape(u.shape[:-2] + (2, 2, 2, 2))[..., 0, :]
 
 
 def tensor_of(angles, grad=False):
     """MPS tensor of the angles, taken as by :func:`build_unitary` (a stack
     of them for stacked angles); with ``grad``, also its derivatives
-    dA/dtheta, shape (15, 2, 2, 2). A and dA are views of U and dU."""
+    dA/dtheta, shape (15, 2, 2, 2). A and dA are complex128, read straight
+    from the first two columns of R(U) and R(dU) without forming U."""
     if not grad:
-        return _slice(build_unitary(angles))
-    u, du = build_unitary(angles, grad=True)
-    return _slice(u), _slice(du)
+        return _tensor(_real_unitary(angles))
+    r, dr = _real_unitary(angles, grad=True)
+    return _tensor(r), _tensor(dr)
 
 
 def _checked_angles(angles):
-    """The angles as a float array (no copy of one), checked: real, of shape
-    (15,) or a nonempty (k, 15), and finite (else InvalidArgumentError)."""
-    if np.iscomplexobj(angles):
-        raise InvalidArgumentError("angles must be real")
-    angles = np.asarray(angles, dtype=float)
+    """The angles as a float array (no copy of one), checked: real numbers
+    (no complex, bool, string or ragged input), of shape (15,) or a nonempty
+    (k, 15), and finite (else InvalidArgumentError)."""
+    try:
+        angles = np.asarray(angles)
+    except ValueError:  # a ragged nesting
+        raise InvalidArgumentError("angles must be a real array, got a ragged one") from None
+    if angles.dtype.kind not in "iuf":
+        raise InvalidArgumentError(f"angles must be real numbers, got dtype {angles.dtype}")
+    angles = angles.astype(float, copy=False)
     n = N_ANGLES[FULL15]
     if angles.ndim not in (1, 2) or angles.shape[-1] != n or not angles.size:
         raise InvalidArgumentError(
@@ -163,14 +200,31 @@ def _checked_angles(angles):
     return angles
 
 
+def _real_unitary(angles, grad=False):
+    """R(U) of the angles (or a stack), once they pass
+    :func:`_checked_angles`, by the halving tree; with ``grad``,
+    (R(U), R(dU)) of one parameter set by the prefix scan."""
+    a = _checked_angles(angles)
+    if not grad:
+        return _tree_unitary(a)
+    if a.ndim != 1:
+        raise InvalidArgumentError("gradients take one parameter set, not a stack")
+    return _scan_unitary(a)
+
+
 def _gates(angles):
-    """The rotations G_k of raw angles, shape (..., 15, 4, 4)."""
-    half = (_SCALES * angles)[..., None, None]
-    return np.cos(half) * _EYE_4 + np.sin(half) * _NEG_I_P
+    """The real forms R(G_k) = cos(s_k a_k) 1 + sin(s_k a_k) R(-i P_k) of
+    the rotations of raw angles, shape (..., 15, 8, 8). R(-i P_k) has a zero
+    diagonal, so the cosines are written onto it (every ninth entry of the
+    flattened 8x8), not added as cos 1."""
+    half = _SCALES * angles
+    g = np.sin(half)[..., None, None] * _R_NEG_I_P
+    g.reshape(g.shape[:-2] + (64,))[..., ::9] = np.cos(half)[..., None]
+    return g
 
 
 def _tree_unitary(angles):
-    """U of raw angles (or a stack) by the halving tree."""
+    """R(U) of raw angles (or a stack) by the halving tree."""
     g = _gates(angles)
     # pairs (G_2 G_1), ..., (G_14 G_13) beside G_0, which stands for G_0 1
     g[..., 2::2, :, :] = g[..., 2::2, :, :] @ g[..., 1::2, :, :]
@@ -181,15 +235,24 @@ def _tree_unitary(angles):
 
 
 def _scan_unitary(angles):
-    """(U, dU) of one raw parameter set by the prefix scan."""
+    """(R(U), R(dU)) of one raw parameter set by the prefix scan."""
     pre = _gates(angles)
     for shift in (1, 2, 4, 8):  # prefix products Pre_k = G_k ... G_0
-        pre[..., shift:, :, :] = pre[..., shift:, :, :] @ pre[..., :-shift, :, :]
-    u = pre[..., -1, :, :]
-    return u, u @ (pre.conj().swapaxes(-1, -2) @ _GENERATORS @ pre)
+        pre[shift:] = pre[shift:] @ pre[:-shift]
+    u = pre[-1]
+    return u, u @ (pre.swapaxes(-1, -2) @ _R_GENERATORS @ pre)
 
 
-def _slice(u):
-    """The view A[s, a, b] = <s, a| U |0, b> of a unitary, a stack of them or
-    their derivatives (trailing 4x4 axes)."""
-    return u.reshape(u.shape[:-2] + (2, 2, 2, 2))[..., 0, :]
+def _columns(r, n):
+    """The first ``n`` columns of M, as complex128, from its real form R(M)
+    (trailing 8x8 axes): Re M over Im M."""
+    m = np.empty(r.shape[:-2] + (4, n), dtype=complex)
+    m.real = r[..., :4, :n]
+    m.imag = r[..., 4:, :n]
+    return m
+
+
+def _tensor(r):
+    """A[s, a, b] = <s, a| U |0, b> from R(U), a stack of them or their
+    derivatives: the first two columns of U, rows (s, a)."""
+    return _columns(r, 2).reshape(r.shape[:-2] + (2, 2, 2))

@@ -1,13 +1,21 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from quenchmps import evolve, qcore
+from quenchmps import ansatz, evolve, qcore
 from quenchmps.ansatz import FULL15, AnsatzParams, build_unitary, mps_tensor, tensor_of
 from quenchmps.qcore import InvalidArgumentError, rot_gate
 from conftest import unitarity_defect
+
+
+# angle k's Pauli string P_k (physical leg first) and scale s_k, as the
+# module docstring defines them, for the oracles
+PAULIS = {"I": qcore.IDENTITY_2, "X": qcore.PAULI_X, "Y": qcore.PAULI_Y, "Z": qcore.PAULI_Z}
+STRINGS = "ZI XI ZI IZ IX IZ XX YY ZZ ZI XI ZI IZ IX IZ".split()
+SCALES = [0.5] * 6 + [1.0] * 3 + [0.5] * 6
 
 
 def random_params(rng, scale=np.pi):
@@ -57,6 +65,24 @@ class TestBuildUnitary:
                 entry(np.zeros(15) + 0.5j)
             with pytest.raises(InvalidArgumentError, match="real"):
                 entry(np.zeros((2, 15), dtype=complex))
+
+    def test_non_numeric_angles_rejected(self):
+        # strings, bytes and ragged nestings escaped as numpy's ValueError,
+        # and bools ran as 0/1 radians
+        bad = [
+            ["x"] * 15,
+            [b"x"] * 15,
+            [[0.0] * 15, [0.0] * 14],
+            np.zeros(15, dtype=bool),
+            np.ones((2, 15), dtype=bool),
+        ]
+        for entry, angles in itertools.product(ENTRIES, bad):
+            with pytest.raises(InvalidArgumentError, match="real"):
+                entry(angles)
+        # integers are real numbers; float input is taken as it is, uncopied
+        assert np.array_equal(build_unitary(np.zeros(15, dtype=int)), np.eye(4))
+        x = np.linspace(-1.0, 1.0, 15)
+        assert ansatz._checked_angles(x) is x
 
     def test_bad_stacks_rejected(self):
         for entry, bad in itertools.product(ENTRIES, (np.nan, np.inf)):
@@ -144,6 +170,30 @@ class TestBuildUnitary:
             got = build_unitary(AnsatzParams(FULL15, a))
             assert np.max(np.abs(got - expected)) < 1e-12
 
+    @pytest.mark.parametrize("magnitude", [1.0, np.pi, 1e3])
+    def test_unitary_derivative_matches_complex_oracle(self, magnitude):
+        # the module docstring's dU/da_k = U Pre_k^dag (-i s_k P_k) Pre_k in
+        # complex arithmetic, each rotation exp(-i t P) from expm. expm's
+        # scaling and squaring loses 1e-13 at |t| = 500, so the oracle takes t
+        # mod 2 pi (the period) in [-pi, pi], exact to rounding as
+        # 2 pi = math.tau + 2.449e-16
+        def reduced(t):
+            r = math.remainder(t, math.tau)
+            return r - round((t - r) / math.tau) * 2.4492935982947064e-16
+
+        neg_i_p = [-1j * np.kron(PAULIS[p], PAULIS[q]) for p, q in STRINGS]
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            x = magnitude * rng.uniform(-1.0, 1.0, 15)
+            pre, prefixes = np.eye(4), []
+            for s, m, angle in zip(SCALES, neg_i_p, x):
+                pre = scipy.linalg.expm(reduced(s * angle) * m) @ pre
+                prefixes.append(pre)
+            u, du = build_unitary(x, grad=True)
+            assert np.max(np.abs(u - pre)) < 1e-13
+            for k, (s, m, pre_k) in enumerate(zip(SCALES, neg_i_p, prefixes)):
+                expected = pre @ pre_k.conj().T @ (s * m) @ pre_k
+                assert np.max(np.abs(du[k] - expected)) < 1e-13
 
     def test_angles_are_read_only(self):
         params = AnsatzParams(FULL15, np.linspace(-1.0, 1.0, 15))
@@ -166,6 +216,46 @@ class TestBuildUnitary:
             turned[k] += 2.0 * np.pi
             u_turned = build_unitary(AnsatzParams(FULL15, turned))
             assert min(np.max(np.abs(u_turned - u)), np.max(np.abs(u_turned + u))) < 1e-12
+
+
+class TestRealForm:
+    @staticmethod
+    def real_form(m):
+        r = np.empty((8, 8))
+        r[:4, :4], r[:4, 4:] = m.real, -m.imag
+        r[4:, :4], r[4:, 4:] = m.imag, m.real
+        return r
+
+    def test_gate_tables_are_real_forms_of_the_pauli_strings(self):
+        assert ansatz._R_NEG_I_P.shape == ansatz._R_GENERATORS.shape == (15, 8, 8)
+        for k, (s, (p, q)) in enumerate(zip(SCALES, STRINGS)):
+            want = self.real_form(-1j * np.kron(PAULIS[p], PAULIS[q]))
+            assert np.array_equal(ansatz._R_NEG_I_P[k], want)
+            assert np.array_equal(ansatz._R_GENERATORS[k], s * want)
+
+    def test_representation_is_multiplicative_and_takes_adjoint_to_transpose(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            m, n = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+            r_m = ansatz._real_form(m)
+            assert np.array_equal(r_m, self.real_form(m))
+            assert np.max(np.abs(ansatz._real_form(m @ n) - r_m @ ansatz._real_form(n))) < 1e-13
+            assert np.array_equal(ansatz._real_form(m.conj().T), r_m.T)
+            assert np.array_equal(ansatz._columns(r_m, 4), m)
+
+    def test_outputs_are_complex_of_the_documented_shapes(self):
+        rng = np.random.default_rng(14)
+        x, stack = rng.uniform(-np.pi, np.pi, 15), rng.uniform(-np.pi, np.pi, (3, 15))
+        outputs = [
+            (tensor_of(x), (2, 2, 2)),
+            *zip(tensor_of(x, grad=True), [(2, 2, 2), (15, 2, 2, 2)]),
+            (tensor_of(stack), (3, 2, 2, 2)),
+            (build_unitary(x), (4, 4)),
+            *zip(build_unitary(x, grad=True), [(4, 4), (15, 4, 4)]),
+            (build_unitary(stack), (3, 4, 4)),
+        ]
+        for got, shape in outputs:
+            assert got.dtype == np.complex128 and got.shape == shape
 
 
 class TestMpsTensor:
