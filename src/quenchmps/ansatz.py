@@ -34,9 +34,9 @@ thread, an Intel Xeon VM), for twice the flops. The 15 gates
     R(G_k) = cos(s_k a_k) 1 + sin(s_k a_k) R(-i P_k)
 
 are built in one broadcast step, with the cosines written onto the zero
-diagonal of R(-i P_k). With gradients, their prefix products
-Pre_k = G_k ... G_0 come from a log-depth (Hillis-Steele) scan of four
-batched products, U = Pre_14, and as dG_k/da_k = -i s_k P_k G_k the
+diagonal of R(-i P_k). With gradients (:func:`tensor_of` only), their prefix
+products Pre_k = G_k ... G_0 come from a log-depth (Hillis-Steele) scan of
+four batched products, U = Pre_14, and as dG_k/da_k = -i s_k P_k G_k the
 derivative is three batched products,
 
     dU/da_k = G_14 ... G_{k+1} (-i s_k P_k) Pre_k = U Pre_k^dag (-i s_k P_k) Pre_k,
@@ -59,7 +59,8 @@ sum_s (A^s)^dag A^s = 1. U is unitary by construction, as a product of
 exactly unitary G_k; the tests prove it within 1e-12 at angles from 0 to 1e8,
 and no call checks it again. The same slice of dU/da_k gives dA/da_k. Both
 are read straight from the first columns of the real form, Re over Im, into
-complex128 arrays; U itself is formed only by :func:`build_unitary`.
+complex128 arrays; U itself is formed only by :func:`build_unitary`, which
+returns no dU: :func:`tensor_of` is the one derivative path.
 
 The float operations live once, in private helpers on raw angle arrays: the
 rotation stack, the halving tree, the prefix scan with dU, and the read-back
@@ -74,7 +75,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qcore
-from .qcore import InvalidArgumentError
+from .qcore import InvalidArgumentError, check_choice
 
 FULL15 = "Full15"
 N_ANGLES = {FULL15: 15}
@@ -111,8 +112,7 @@ class AnsatzParams:
     angles: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.template not in N_ANGLES:
-            raise InvalidArgumentError(f"unknown template {self.template!r}")
+        check_choice("template", self.template, N_ANGLES)
         angles = _checked_angles(self.angles).copy()  # the caller's stays writable
         if angles.ndim != 1:
             raise InvalidArgumentError(
@@ -126,29 +126,16 @@ class AnsatzParams:
         return np.array(self.angles, dtype=dtype, copy=copy)
 
 
-def build_unitary(angles, grad=False):
+def build_unitary(angles):
     """Two-qubit unitary (physical leg = first factor) for raw ``FULL15``
-    angles, (15,) or a (k, 15) stack, or an :class:`AnsatzParams`.
-
-    A stack gives a (k, 4, 4) stack of unitaries. With ``grad``, returns
-    ``(U, dU)`` where dU[k] = dU/d(angle k), one 4x4 slice per angle;
-    gradients take one parameter set. Angles that are not real numbers
-    (complex, bool, string or ragged) or not finite, or of another shape,
-    raise :class:`InvalidArgumentError`, as does a stack with ``grad``. U is
-    unitary by construction and not checked per call.
-
-    The products run on the real 8x8 forms R(G_k), where NumPy's stacked
-    matmul reaches OpenBLAS's small-matrix kernel, and U and dU are read
-    back from R(U) and R(dU) as complex128 (see the module docstring).
-    Without ``grad``, R(U) is the halving tree over (1, G_0, ..., G_14): the
-    scan's own bracketing of Pre_14, so the two paths agree bit for bit, in
-    14 products per set instead of 45. With it, dU/da_k is
-    R(U) R(Pre_k)^T R(-i s_k P_k) R(Pre_k), as R(M^dag) = R(M)^T.
-    """
-    if not grad:
-        return _columns(_real_unitary(angles), 4)
-    r, dr = _real_unitary(angles, grad=True)
-    return _columns(r, 4), _columns(dr, 4)
+    angles, (15,) or a (k, 15) stack, or an :class:`AnsatzParams`; a stack
+    gives a (k, 4, 4) stack. No derivative: dA comes from :func:`tensor_of`.
+    Angles that are not real numbers (complex, bool, string or ragged) or
+    not finite, or of another shape, raise :class:`InvalidArgumentError`.
+    U is unitary by construction and not checked per call. R(U) is the
+    halving tree over the real 8x8 forms R(G_k), read back as complex128
+    (see the module docstring)."""
+    return _columns(_tree_unitary(_checked_angles(angles)), 4)
 
 
 def mps_tensor(u):
@@ -156,8 +143,7 @@ def mps_tensor(u):
 
     A (k, 4, 4) stack gives a (k, 2, 2, 2) stack of tensors. U must be
     unitary, as :func:`build_unitary`'s is by construction, for A to be
-    left-isometric; only the shape is checked. The same slice of dU/dtheta
-    gives dA/dtheta.
+    left-isometric; only the shape is checked.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim not in (2, 3) or u.shape[-2:] != (4, 4):
@@ -169,12 +155,16 @@ def mps_tensor(u):
 
 def tensor_of(angles, grad=False):
     """MPS tensor of the angles, taken as by :func:`build_unitary` (a stack
-    of them for stacked angles); with ``grad``, also its derivatives
-    dA/dtheta, shape (15, 2, 2, 2). A and dA are complex128, read straight
-    from the first two columns of R(U) and R(dU) without forming U."""
+    of them for stacked angles), from the halving tree; with ``grad``, also
+    dA/dtheta, shape (15, 2, 2, 2), of one parameter set, from the prefix
+    scan (the tree's bracketing, so A is the same bit for bit). A and dA are
+    complex128, read from the first two columns of R(U) and R(dU)."""
+    a = _checked_angles(angles)
     if not grad:
-        return _tensor(_real_unitary(angles))
-    r, dr = _real_unitary(angles, grad=True)
+        return _tensor(_tree_unitary(a))
+    if a.ndim != 1:
+        raise InvalidArgumentError("gradients take one parameter set, not a stack")
+    r, dr = _scan_unitary(a)
     return _tensor(r), _tensor(dr)
 
 
@@ -198,18 +188,6 @@ def _checked_angles(angles):
     if not np.isfinite(angles).all():
         raise InvalidArgumentError("angles must be finite")
     return angles
-
-
-def _real_unitary(angles, grad=False):
-    """R(U) of the angles (or a stack), once they pass
-    :func:`_checked_angles`, by the halving tree; with ``grad``,
-    (R(U), R(dU)) of one parameter set by the prefix scan."""
-    a = _checked_angles(angles)
-    if not grad:
-        return _tree_unitary(a)
-    if a.ndim != 1:
-        raise InvalidArgumentError("gradients take one parameter set, not a stack")
-    return _scan_unitary(a)
 
 
 def _gates(angles):

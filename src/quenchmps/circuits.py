@@ -87,7 +87,10 @@ class CostCircuit:
 def evolution_gate_layer(spec):
     """Dense gate layer on the four evolution sites of the cost window, one
     Trotter step ``spec.dt`` of ``spec``'s order, and the placed gates as
-    ``(name, gate, (lo, hi))``."""
+    ``(name, gate, (lo, hi))``. A ``spec`` that is not a
+    :class:`tfim.QuenchSpec` raises :class:`InvalidArgumentError`."""
+    if not isinstance(spec, tfim.QuenchSpec):
+        raise InvalidArgumentError(f"spec must be a QuenchSpec, got {type(spec).__name__}")
     if spec.trotter_order == 1:
         g = tfim.trotter_gate_first_order(spec.J, spec.g1, spec.dt)
         return np.kron(g, g), [("G", g, (0, 1)), ("G", g, (2, 3))]

@@ -11,13 +11,11 @@ then runs
              else linearly from the two previous steps (``extrapolate``)
       -> correct: the driver's corrector moves the seed from the current
                   state's MPS tensor
-      -> accept:  unwrap the angles, build their tensor once, add up the
-                  shots.
+      -> accept:  unwrap the angles, build their tensor once, take its echo
+                  against the ground state's tensor, add up the shots.
 
-The accepted state's tensor serves as the next step's current state, and is
-kept: after the step loop, each step's echo against the ground state is
-taken from it, in step order, as the echoes never feed back into the run.
-A driver only checks its options and supplies the corrector. The
+The accepted state's tensor serves as the next step's current state. A
+driver only checks its options and supplies the corrector. The
 deterministic reference (:func:`evolve_exact_in_ansatz`, always
 "extrapolate") corrects with one L-BFGS-B solve of the dense step
 objective, which stops on its gradient test alone. The sampled experiment
@@ -29,10 +27,10 @@ baseline without extrapolation); every SPSA iteration spends exactly two
 cost evaluations. Its gains follow one schedule from the first iteration on,
 fixed by the module's ``SPSA_*`` constants, not by an option. Its step n
 draws stream i (0 SPSA, 1 shots) from ``SeedSequence(seed, spawn_key=(n,
-i))``, built when the step runs (:func:`_step_stream`). A step that raises
-:class:`NumericFailure` or :class:`InvalidArgumentError` ends either run the
-same way: the trajectory is truncated before it and ``failure`` names it;
-so does an echo that raises, the first in step order.
+i))``, built when the step runs (:func:`_step_stream`). A step whose solve,
+tensor or echo raises :class:`NumericFailure` or
+:class:`InvalidArgumentError` ends either run the same way: the trajectory
+is truncated before it and ``failure`` names it.
 """
 
 import warnings
@@ -43,7 +41,7 @@ from scipy.optimize import minimize
 
 from . import circuits, qcore, tfim, transfer
 from .ansatz import FULL15, N_ANGLES, AnsatzParams, tensor_of
-from .qcore import InvalidArgumentError, NumericFailure, check_count, check_reals
+from .qcore import InvalidArgumentError, NumericFailure, check_choice, check_count, check_reals
 
 INIT_SCHEMES = ("copy", "extrapolate")
 # largest gradient component at which a reference step (L-BFGS-B) and the ground
@@ -142,9 +140,12 @@ def energy_density(params, J, g, grad=False):
     H_env = sum_{t,s} h[t,s] P_t^dag P_s. That is the solve on the same pinned
     matrix, P^dag vec Y = vec H_env: <vec rho| applied to it gives Tr Y = e,
     which supplies the -e 1. The value is the same float with and without
-    ``grad``. A singular pinned matrix, as for a product state, whose fixed
-    point is not unique, raises :class:`NumericFailure`.
+    ``grad``. A ``J`` or ``g`` that :func:`tfim.bond_hamiltonian` rejects
+    raises :class:`InvalidArgumentError` before the solve; a singular pinned
+    matrix, as for a product state, whose fixed point is not unique, raises
+    :class:`NumericFailure`.
     """
+    h2 = tfim.bond_hamiltonian(J, g)
     if grad:
         a, da = tensor_of(params, grad=True)
     else:
@@ -153,7 +154,6 @@ def energy_density(params, J, g, grad=False):
     pinned += np.outer(transfer.VEC_IDENTITY, transfer.VEC_IDENTITY)
     rho = _fixed_point_solve(pinned, transfer.VEC_IDENTITY).reshape(2, 2)
     prods = transfer.strand_products(a, 2)
-    h2 = tfim.bond_hamiltonian(J, g)
     value = float(np.einsum("ts,sab,bc,tac->", h2, prods, rho, prods.conj()).real)
     if not grad:
         return value
@@ -188,7 +188,7 @@ def ground_state_optimize(J, g, template):
     and a ``J`` or ``g`` that :func:`qcore.check_reals` rejects, raise
     :class:`InvalidArgumentError` before solving.
     """
-    _check_template(template)
+    check_choice("template", template, N_ANGLES)
     check_reals(J=J, g=g)
 
     def objective(x):
@@ -302,15 +302,13 @@ def _evolve(spec, template, ground, init_scheme, solve_step, **labels):
     moves x0 (maybe a view of a stored row, not to be written) from the
     previous state's MPS tensor ``a_prev`` and returns
     ``(accepted, cost, shots)``. The accepted angles are unwrapped toward
-    step n - 1 and stored, and their tensor is built once and kept: it is
-    step n + 1's ``a_prev``, and after the loop step n's echo is taken from
-    it against the ground tensor, in step order. A 2*pi shift of an angle
-    flips the unitary's sign, which no echo observes. A solve, tensor or
-    echo of step n that raises :class:`NumericFailure` or
-    :class:`InvalidArgumentError` truncates the run before step n (the first
-    such step), with ``failure = "<type>: <message>"``; as no echo feeds back
-    into the run, the rows kept are those of the run without the failure.
-    ``labels`` fill the other fields.
+    step n - 1 and stored, and their tensor is built once: step n's echo is
+    taken from it against the ground tensor at accept, and it is step
+    n + 1's ``a_prev``. A 2*pi shift of an angle flips the unitary's sign,
+    which no echo observes. A solve, tensor or echo of step n that raises
+    :class:`NumericFailure` or :class:`InvalidArgumentError` truncates the
+    run before step n, with ``failure = "<type>: <message>"``, and no later
+    step runs. ``labels`` fill the other fields.
     """
     if ground is None:
         ground = ground_state_optimize(spec.J, spec.g0, template)
@@ -320,27 +318,22 @@ def _evolve(spec, template, ground, init_scheme, solve_step, **labels):
     echoes = np.zeros(len(times))
     costs = np.zeros(len(times))
     cum_shots = np.zeros(len(times), dtype=np.int64)
-    tensors = [tensor_of(ground)]  # row n's tensor
+    a_0 = a_prev = tensor_of(ground)
     end, failure = len(times), None
     for step in range(1, len(times)):
         prev = angles[step - 1]
         copy_prev = step < 3 or init_scheme == "copy"
         x0 = prev if copy_prev else extrapolate(angles[step - 2], prev)
         try:
-            accepted, cost, shots = solve_step(step, tensors[-1], x0)
+            accepted, cost, shots = solve_step(step, a_prev, x0)
             angles[step] = unwrap_toward(prev, accepted)
-            tensors.append(tensor_of(angles[step]))
+            a_prev = tensor_of(angles[step])
+            echoes[step] = _echo_of_tensors(a_0, a_prev)
         except (NumericFailure, InvalidArgumentError) as exc:
             end, failure = step, f"{type(exc).__name__}: {exc}"
             break
         costs[step] = cost
         cum_shots[step] = cum_shots[step - 1] + shots
-    for step in range(1, end):
-        try:
-            echoes[step] = _echo_of_tensors(tensors[0], tensors[step])
-        except (NumericFailure, InvalidArgumentError) as exc:
-            end, failure = step, f"{type(exc).__name__}: {exc}"
-            break
     return Trajectory(
         spec=spec, template=template, init_scheme=init_scheme, times=times[:end],
         angles=angles[:end], echoes=echoes[:end], costs=costs[:end],
@@ -355,8 +348,7 @@ def _check_run(spec, init_scheme, shots_per_eval, seeds, template, ground):
     (:func:`qcore.check_count`), a ``shots_per_eval`` that could overflow the
     int64 shot counter (``tfim.MAX_STEPS`` steps at the bootstrap's budget),
     and what :func:`_check_start` rejects. Returns the seeds as a list."""
-    if init_scheme not in INIT_SCHEMES:
-        raise InvalidArgumentError(f"unknown init scheme {init_scheme!r}")
+    check_choice("init scheme", init_scheme, INIT_SCHEMES)
     if not np.iterable(seeds):
         raise InvalidArgumentError(f"seeds must be an iterable, got {seeds!r}")
     seeds = list(seeds)
@@ -372,23 +364,18 @@ def _check_run(spec, init_scheme, shots_per_eval, seeds, template, ground):
 
 
 def _check_start(spec, template, ground):
-    """Reject a ``spec`` that is not a :class:`tfim.QuenchSpec`, an unknown
-    ``template`` and a ``ground`` that is neither ``None`` nor an
-    :class:`AnsatzParams`; with ``FULL15`` the only template, an
-    :class:`AnsatzParams` is always of ``template``."""
+    """Reject a ``spec`` that is not a :class:`tfim.QuenchSpec`, a
+    ``template`` that :func:`qcore.check_choice` finds unknown and a
+    ``ground`` that is neither ``None`` nor an :class:`AnsatzParams`; with
+    ``FULL15`` the only template, an :class:`AnsatzParams` is always of
+    ``template``."""
     if not isinstance(spec, tfim.QuenchSpec):
         raise InvalidArgumentError(f"spec must be a QuenchSpec, got {type(spec).__name__}")
-    _check_template(template)
+    check_choice("template", template, N_ANGLES)
     if ground is not None and not isinstance(ground, AnsatzParams):
         raise InvalidArgumentError(
             f"ground must be None or an AnsatzParams, got {type(ground).__name__}"
         )
-
-
-def _check_template(template):
-    """Reject a template name that ``N_ANGLES`` does not hold."""
-    if template not in N_ANGLES:
-        raise InvalidArgumentError(f"unknown template {template!r}")
 
 
 def _step_stream(seed, step, stream):
@@ -412,8 +399,8 @@ def evolve_stochastic(
     The first two steps run ``BOOTSTRAP_FACTOR`` times as many (extrapolation
     needs two previous points). Bit-identical for identical ``(spec, seed)``:
     step n draws its SPSA and shot streams from ``SeedSequence(seed)`` on the
-    keys ``(n, stream)`` (:func:`_step_stream`). A cost or echo failure ends
-    the run (see :func:`_evolve`).
+    keys ``(n, stream)`` (:func:`_step_stream`). A cost, tensor or echo
+    failure ends the run (see :func:`_evolve`).
 
     The gate layer is built once per run; each step builds the side of the
     cost fixed by its current state from the tensor that :func:`_evolve`
@@ -492,7 +479,7 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
     unbounded, with a memory of 30 correction pairs and no relative-reduction
     stop (``ftol = 0``), so it ends when no gradient component exceeds
     ``GTOL``. The "eigen" objective supplies its exact gradient, d lambda =
-    <l| dE |r> / <l|r> with dE from the closed-form dU/dtheta; "circuit_lt"
+    <l| dE |r> / <l|r> with dE from the closed-form dA/dtheta; "circuit_lt"
     uses scipy's finite-difference gradient. A step whose objective raises
     :class:`NumericFailure` or :class:`InvalidArgumentError`, or on which
     L-BFGS-B returns non-finite angles, ends the run (see :func:`_evolve`);
@@ -500,18 +487,18 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
 
     It starts from ``ground`` (solved when not given) and predicts by
     "extrapolate". A ``spec``, ``template`` or ``ground`` that
-    :func:`_check_start` rejects raises :class:`InvalidArgumentError` before
-    any solve.
+    :func:`_check_start` rejects, and a ``cost_mode`` other than the strings
+    "eigen" and "circuit_lt", raise :class:`InvalidArgumentError` before any
+    solve.
     """
     _check_start(spec, template, ground)
+    check_choice("cost mode", cost_mode, ("eigen", "circuit_lt"))
     if cost_mode == "eigen":
         if spec.trotter_order != 1:
             raise InvalidArgumentError("eigen needs first-order Trotter gates")
         gate = tfim.trotter_gate_first_order(spec.J, spec.g1, spec.dt)
-    elif cost_mode == "circuit_lt":
-        gate, _ = circuits.evolution_gate_layer(spec)
     else:
-        raise InvalidArgumentError(f"unknown cost mode {cost_mode!r}")
+        gate, _ = circuits.evolution_gate_layer(spec)
 
     def solve_step(step, a_prev, x0):
         objective, jac = _step_objective(a_prev, gate, cost_mode)

@@ -1,11 +1,12 @@
 """Dense complex linear algebra, a small statevector simulator, and the
-package's one rule for scalar inputs: :func:`check_reals` and
-:func:`check_count`.
+package's one rule for scalar inputs: :func:`check_reals`,
+:func:`check_count` and :func:`check_choice`.
 
 Matrices and states are plain ``numpy.ndarray`` of ``complex128``; a "CMatrix"
 is any 2-D array, a statevector is a 1-D array of length ``2**n``. Every
-module checks its real and integer options with those two: NumPy scalars
-count; bools, complex numbers, strings and ``None`` do not.
+module checks its real, integer and named options with those three: NumPy
+scalars count; bools, complex numbers, strings and ``None`` are not numbers,
+and only a ``str`` is a name.
 
 Conventions fixed project-wide here:
 
@@ -77,6 +78,13 @@ def check_count(least, **values):
         if not is_count(value) or value < least:
             msg = f"{name} must be an integer of at least {least}, got {value!r}"
             raise InvalidArgumentError(msg)
+
+
+def check_choice(name, value, choices):
+    """Reject a ``value`` that is not a ``str`` among ``choices`` with
+    :class:`InvalidArgumentError`, naming it ``name``."""
+    if not (isinstance(value, str) and value in choices):
+        raise InvalidArgumentError(f"unknown {name} {value!r}, expected one of {tuple(choices)}")
 
 
 @functools.cache

@@ -32,7 +32,6 @@ ENTRIES = [
     lambda x: AnsatzParams(FULL15, x),
     build_unitary,
     tensor_of,
-    lambda x: build_unitary(x, grad=True),
     lambda x: tensor_of(x, grad=True),
 ]
 
@@ -58,6 +57,12 @@ class TestBuildUnitary:
             AnsatzParams("Reduced8", np.zeros(8))
         with pytest.raises(InvalidArgumentError, match="unknown template"):
             evolve.ground_state_optimize(1.0, 1.5, "Reduced8")
+
+    @pytest.mark.parametrize("template", [[], {}, np.array([FULL15, "x"]), None])
+    def test_template_that_is_not_a_string_rejected(self, template):
+        # a list or dict escaped as "TypeError: unhashable type"
+        with pytest.raises(InvalidArgumentError, match="unknown template"):
+            AnsatzParams(template, np.zeros(15))
 
     def test_complex_angles_rejected(self):
         for entry in ENTRIES:
@@ -112,8 +117,6 @@ class TestBuildUnitary:
             pairs = zip(tensor_of(row, grad=True), tensor_of(single, grad=True))
             assert all(np.array_equal(got, want) for got, want in pairs)
         with pytest.raises(InvalidArgumentError, match="one parameter set"):
-            build_unitary(angles, grad=True)
-        with pytest.raises(InvalidArgumentError, match="one parameter set"):
             tensor_of(angles, grad=True)
 
     def test_params_hold_one_parameter_set(self):
@@ -137,17 +140,17 @@ class TestBuildUnitary:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_no_gradient_path_equals_gradient_path(self, k, magnitude):
         # the halving tree without gradients and the prefix scan with them
-        # form U in one bracketing, so they agree bit for bit
+        # form U in one bracketing, so the tensors agree bit for bit
         rng = np.random.default_rng(9)
         for trial in range(20):
             signs = rng.choice([-1.0, 1.0], (k, 15))
             angles = magnitude * (signs if trial == 0 else rng.uniform(-1.0, 1.0, (k, 15)))
-            stack = build_unitary(angles)
-            for row, u_row in zip(angles, stack):
+            stack = tensor_of(angles)
+            for row, a_row in zip(angles, stack):
                 single = AnsatzParams(FULL15, row)
-                u, _ = build_unitary(single, grad=True)
-                assert np.array_equal(build_unitary(single), u)
-                assert np.array_equal(u_row, u)
+                a, _ = tensor_of(single, grad=True)
+                assert np.array_equal(tensor_of(single), a)
+                assert np.array_equal(a_row, a)
 
     def test_matches_product_formula_oracle(self):
         # the module docstring's definitions, from rot_gate, kron and expm
@@ -173,7 +176,8 @@ class TestBuildUnitary:
     @pytest.mark.parametrize("magnitude", [1.0, np.pi, 1e3])
     def test_unitary_derivative_matches_complex_oracle(self, magnitude):
         # the module docstring's dU/da_k = U Pre_k^dag (-i s_k P_k) Pre_k in
-        # complex arithmetic, each rotation exp(-i t P) from expm. expm's
+        # complex arithmetic, each rotation exp(-i t P) from expm, sliced to
+        # the tensor and its derivative dA/da_k as mps_tensor slices U. expm's
         # scaling and squaring loses 1e-13 at |t| = 500, so the oracle takes t
         # mod 2 pi (the period) in [-pi, pi], exact to rounding as
         # 2 pi = math.tau + 2.449e-16
@@ -189,11 +193,11 @@ class TestBuildUnitary:
             for s, m, angle in zip(SCALES, neg_i_p, x):
                 pre = scipy.linalg.expm(reduced(s * angle) * m) @ pre
                 prefixes.append(pre)
-            u, du = build_unitary(x, grad=True)
-            assert np.max(np.abs(u - pre)) < 1e-13
+            a, da = tensor_of(x, grad=True)
+            assert np.max(np.abs(a - mps_tensor(pre))) < 1e-13
             for k, (s, m, pre_k) in enumerate(zip(SCALES, neg_i_p, prefixes)):
-                expected = pre @ pre_k.conj().T @ (s * m) @ pre_k
-                assert np.max(np.abs(du[k] - expected)) < 1e-13
+                expected = mps_tensor(pre @ pre_k.conj().T @ (s * m) @ pre_k)
+                assert np.max(np.abs(da[k] - expected)) < 1e-13
 
     def test_angles_are_read_only(self):
         params = AnsatzParams(FULL15, np.linspace(-1.0, 1.0, 15))
@@ -251,7 +255,6 @@ class TestRealForm:
             *zip(tensor_of(x, grad=True), [(2, 2, 2), (15, 2, 2, 2)]),
             (tensor_of(stack), (3, 2, 2, 2)),
             (build_unitary(x), (4, 4)),
-            *zip(build_unitary(x, grad=True), [(4, 4), (15, 4, 4)]),
             (build_unitary(stack), (3, 4, 4)),
         ]
         for got, shape in outputs:
@@ -278,14 +281,6 @@ class TestMpsTensor:
         for shape in [(3, 3), (4,), (2, 2, 4, 4)]:
             with pytest.raises(InvalidArgumentError, match="4x4 unitary"):
                 mps_tensor(np.zeros(shape, dtype=complex))
-
-    def test_tensor_derivative_is_the_slice_of_the_unitary_derivative(self):
-        rng = np.random.default_rng(5)
-        params = random_params(rng)
-        a, da = tensor_of(params, grad=True)
-        u, du = build_unitary(params, grad=True)
-        assert np.array_equal(a, mps_tensor(u))
-        assert np.array_equal(da, mps_tensor(du))
 
     def test_tensor_derivative_matches_central_differences(self):
         h = 1e-5

@@ -100,6 +100,19 @@ class TestEvolutionGateLayer:
         names = [name for name, _, _ in placed]
         assert names == (["G", "G"] if trotter_order == 1 else ["Wo", "We", "We", "Wo"])
 
+    @pytest.mark.parametrize("spec", [None, {"J": 1.0}], ids=["none", "dict"])
+    def test_spec_that_is_not_a_quench_spec_rejected(self, spec):
+        # it escaped as an AttributeError, here and from the two callers
+        x = AnsatzParams(FULL15, np.zeros(15))
+        calls = [
+            lambda: circuits.evolution_gate_layer(spec),
+            lambda: circuits.build_cost_circuit(x, x, spec),
+            lambda: circuits.dense_success_probability(x, x, spec),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidArgumentError, match="spec must be a QuenchSpec, got"):
+                call()
+
 
 class TestCostCircuitLayout:
     @pytest.mark.parametrize("trotter_order", [1, 2])

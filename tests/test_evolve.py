@@ -148,15 +148,6 @@ def no_grad_build_shapes(calls):
 
 
 class TestGradients:
-    def test_unitary_derivative_matches_central_differences(self):
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            x = rng.uniform(-np.pi, np.pi, 15)
-            _, du = build_unitary(AnsatzParams(FULL15, x), grad=True)
-            fd = central_difference(lambda y: build_unitary(AnsatzParams(FULL15, y)), x)
-            assert du.shape == (15, 4, 4)
-            assert np.max(np.abs(du - fd)) <= 1e-8
-
     def test_eigen_objective_gradient_matches_central_differences(self):
         rng = np.random.default_rng(1)
         spec = tfim.REFERENCE_QUENCH
@@ -226,6 +217,17 @@ class TestGradients:
         product = AnsatzParams(FULL15, np.zeros(15))
         with pytest.raises(NumericFailure, match="fixed-point solve"):
             evolve.energy_density(product, 1.0, 1.5, grad=grad)
+
+    @pytest.mark.parametrize("bad", [None, np.inf, True], ids=["none", "inf", "bool"])
+    @pytest.mark.parametrize("coupling", ["J", "g"])
+    @pytest.mark.parametrize("state", ["product", "random"])
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_energy_checks_its_couplings_before_the_solve(self, grad, state, coupling, bad):
+        # the product state's singular solve raised NumericFailure first
+        x = np.zeros(15) if state == "product" else np.random.default_rng(5).uniform(-3, 3, 15)
+        couplings = {"J": 1.0, "g": 1.5} | {coupling: bad}
+        with pytest.raises(InvalidArgumentError, match=f"{coupling} must be finite"):
+            evolve.energy_density(x, couplings["J"], couplings["g"], grad=grad)
 
     def test_non_simple_top_eigenvalue_raises(self):
         # identity-state bra: the cell matrix is K[0] (x) 1, here a Jordan block
@@ -607,6 +609,40 @@ class TestDrivers:
         )
         for name in names:
             assert np.array_equal(getattr(solved, name), getattr(given, name)), name
+
+    @pytest.mark.parametrize(
+        "entry, option",
+        [
+            ("stochastic", "template"), ("stochastic", "init_scheme"),
+            ("ensemble", "template"), ("ensemble", "init_scheme"),
+            ("reference", "template"), ("reference", "cost_mode"),
+            ("ground", "template"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "bad", [[], {}, np.array([FULL15, "x"])], ids=["list", "dict", "array"]
+    )
+    def test_a_named_option_that_is_not_a_string_rejected(
+        self, monkeypatch, entry, option, bad
+    ):
+        # a list or dict escaped as "TypeError: unhashable type", and a
+        # 2-element array as numpy's ambiguous truth value ValueError
+        ground_state_optimize = evolve.ground_state_optimize
+        for name in ("ground_state_optimize", "_evolve", "minimize"):
+            monkeypatch.setattr(evolve, name, self.must_not_run)
+        run = {
+            "stochastic": lambda **kw: evolve.evolve_stochastic(
+                SHORT, **({"init_scheme": "copy"} | kw)
+            ),
+            "ensemble": lambda **kw: evolve.ensemble_run(
+                SHORT, seeds=[0, 1], **({"init_scheme": "copy"} | kw)
+            ),
+            "reference": lambda **kw: evolve.evolve_exact_in_ansatz(SHORT, **kw),
+            "ground": lambda **kw: ground_state_optimize(1.0, 1.5, **kw),
+        }[entry]
+        match = "unknown " + option.replace("_", " ")
+        with pytest.raises(InvalidArgumentError, match=match):
+            run(**{option: bad})
 
     def test_ensemble_takes_any_iterable_of_seeds(self, ground):
         stats = evolve.ensemble_run(

@@ -295,6 +295,20 @@ class TestApplyGate:
             apply_gate(zero_state(3), PAULI_X, targets)
 
 
+class TestCheckChoice:
+    def test_takes_a_string_among_the_choices(self):
+        qcore.check_choice("mode", "b", ("a", "b"))
+        qcore.check_choice("mode", np.str_("a"), {"a": 1})
+
+    @pytest.mark.parametrize(
+        "value", ["c", "", b"a", None, 1, [], {}, ["a"], np.array(["a", "b"]), np.array("a")]
+    )
+    def test_rejects_anything_else(self, value):
+        # unhashable values and arrays reached the membership test
+        with pytest.raises(InvalidArgumentError, match="unknown mode"):
+            qcore.check_choice("mode", value, ("a", "b"))
+
+
 class TestStateHelpers:
     def test_zero_state_needs_a_qubit(self):
         assert np.array_equal(zero_state(2), [1.0, 0.0, 0.0, 0.0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.integrate import quad
 from scipy.linalg import expm
 
 from quenchmps import qcore, tfim
@@ -279,7 +280,7 @@ class TestLoschmidtFreeFermion:
     def test_cusp_time_matches_curve_maximum(self):
         t_star = cusp_times(1.5, 0.2, 2.0)[0]
         ts = np.linspace(t_star - 0.05, t_star + 0.05, 101)
-        rates = loschmidt_exact_ff(1.5, 0.2, ts, k_points=8192)
+        rates = loschmidt_exact_ff(1.5, 0.2, ts)
         t_peak = ts[np.argmax(rates)]
         assert abs(t_peak - t_star) < 2e-3
 
@@ -293,17 +294,28 @@ class TestLoschmidtFreeFermion:
         with pytest.raises(InvalidArgumentError, match="no critical momentum"):
             cusp_times(1.0, -1.0, 2.5)
 
-    def test_k_points_floor(self):
-        with pytest.raises(InvalidArgumentError):
-            loschmidt_exact_ff(1.5, 0.2, 1.0, k_points=16)
+    def test_echo_grid_matches_quadrature(self):
+        # the fixed grid is exact for the smooth periodic integrand away from
+        # a cusp: scipy's adaptive quadrature of the same integral agrees
+        def integrand(k, t):
+            delta = tfim.bogoliubov_angle(k, 0.2) - tfim.bogoliubov_angle(k, 1.5)
+            phase = np.exp(-2j * tfim.quasiparticle_energy(k, 0.2) * t)
+            return np.log(abs(np.cos(delta) ** 2 + np.sin(delta) ** 2 * phase))
+
+        for t in (0.3, 0.6, 1.5, 2.2):
+            value, _ = quad(integrand, 0.0, np.pi, (t,), epsabs=1e-13, epsrel=0.0, limit=200)
+            assert abs(loschmidt_exact_ff(1.5, 0.2, t) + value / np.pi) <= 1e-12
 
     @pytest.mark.parametrize("k_points", [0, 1, 63, 100.5, 4096.0, True, None])
     def test_oracles_reject_a_bad_k_points(self, k_points):
-        # a coarser grid gives a wrong value, not an error (1 point: -1.5 against -1.672)
-        with pytest.raises(InvalidArgumentError, match="k_points must be an integer"):
+        # the grids are fixed, so any grid argument of old calls is bad; J is
+        # keyword-only, so a positional one cannot run silently as J
+        with pytest.raises(TypeError):
+            loschmidt_exact_ff(1.5, 0.2, 1.0, k_points)
+        with pytest.raises(TypeError):
             loschmidt_exact_ff(1.5, 0.2, 1.0, k_points=k_points)
-        with pytest.raises(InvalidArgumentError, match="k_points must be an integer"):
-            ground_energy_density_ff(1.0, 1.5, k_points=k_points)
+        with pytest.raises(TypeError):
+            ground_energy_density_ff(1.0, 1.5, k_points)
 
     @pytest.mark.parametrize(
         "call, match",
@@ -318,6 +330,7 @@ class TestLoschmidtFreeFermion:
             (lambda: loschmidt_exact_ff(1.5, 0.2, [0.5, np.inf]), "times must be finite"),
             (lambda: loschmidt_exact_ff(1.5, 0.2, 1.0 + 0j), "times must be finite"),
             (lambda: loschmidt_exact_ff(1.5, 0.2, "1"), "times must be finite"),
+            (lambda: loschmidt_exact_ff(1.5, 0.2, np.zeros((2, 3))), "scalar or 1-D"),
             (lambda: ground_energy_density_ff(1.0, 1.5 + 1j), "g must be finite"),
             (lambda: ground_energy_density_ff(1.0, np.nan), "g must be finite"),
             (lambda: ground_energy_density_ff(np.inf, 1.5), "J must be finite"),
@@ -339,6 +352,7 @@ class TestLoschmidtFreeFermion:
         ids=[
             "ff-J-zero", "ff-g0-complex", "ff-g0-nan", "ff-g1-inf", "ff-J-bool",
             "ff-J-str", "ff-t-nan", "ff-t-inf-in-array", "ff-t-complex", "ff-t-str",
+            "ff-t-2d",
             "e0-g-complex", "e0-g-nan", "e0-J-inf", "e0-J-none",
             "h2-g-complex", "h2-g-nan", "h2-J-bool", "gate1-J-nan", "gate1-dt-complex",
             "gate1-dt-bool", "gate2-dt-str", "gate2-dt-imaginary",
@@ -349,6 +363,7 @@ class TestLoschmidtFreeFermion:
     def test_oracles_reject_bad_couplings_and_times(self, call, match):
         # unchecked, J = 0 divides by zero, a complex field escapes as a numpy
         # TypeError or gives a wrong real energy, and a NaN gives a NaN rate;
+        # a 2-D time array escaped as a numpy broadcast ValueError;
         # the bond term took the real part of a complex field, and the Trotter
         # gates ran a bool step as 1 and called a NaN coupling non-Hermitian;
         # the cusp times ran a bool field as 1 and called a NaN one a quench
@@ -362,10 +377,15 @@ class TestLoschmidtFreeFermion:
         )
         assert ground_energy_density_ff(0, 2) == pytest.approx(-2.0, abs=1e-12)
 
-    def test_ground_energy_takes_the_smallest_grid(self):
-        # a smooth periodic integrand: the trapezoid rule is already exact at 64 points
-        e0 = ground_energy_density_ff(1.0, 1.5, k_points=tfim.MIN_K_POINTS)
-        assert abs(e0 - ground_energy_density_ff(1.0, 1.5, k_points=1 << 16)) < 1e-12
+    def test_energy_grid_matches_quadrature(self):
+        # away from the critical field g = J the integrand is smooth and
+        # periodic, and the trapezoid rule exact
+        for g in (0.5, 1.5, 2.0):
+            def integrand(k):
+                return np.sqrt(1.0 + g**2 - 2.0 * g * np.cos(k))
+
+            value, _ = quad(integrand, 0.0, np.pi, epsabs=1e-13, epsrel=0.0, limit=200)
+            assert abs(ground_energy_density_ff(1.0, g) + value / np.pi) <= 1e-12
 
     @pytest.mark.parametrize("t_max", [np.inf, -np.inf, np.nan, True, 1 + 0j, "x"])
     def test_cusp_times_reject_a_non_finite_horizon(self, t_max):
