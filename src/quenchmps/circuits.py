@@ -32,21 +32,21 @@ qcore's simulator) is kept for that reason, though only the tests and the
 benchmark's output check run it: it is the independent proof that the dense
 contraction is the circuit that hardware would run. The contraction
 is split by what an optimizer varies. The gate layer depends on the quench
-only (:func:`evolution_gate_layer`). :func:`success_probability_fn` builds
-the side fixed by the current state once per step, from the current state's
-MPS tensor A, which the step loop of :mod:`quenchmps.evolve` builds once per
-accepted state and hands over: the ket side of the evolution window
-K[t] = sum_s <t|L|s> A-prod_s (16 x 2 x 2) with the two boundary copies
-folded into it, and from it a bilinear form in the candidate's two-site
-strand products, one (16 x 32) matrix. It returns a function of the
-candidates' raw angles that builds only their tensors and two-site
-products v (:func:`transfer.join_strands`, the kernel of every strand
-product) and evaluates the form on them in a (1 x 16) . (16 x 32) and a
-(1 x 16) . (16 x 2) product per candidate. The candidates come as one angle
-set or a (k, 15) stack (an SPSA +/- pair is k = 2), and the function returns
-one probability per row, each the same float that row gives on its own.
-:func:`dense_success_probability` is that function evaluated on one
-candidate, from parameters on both sides.
+only (:func:`evolution_gate_layer`). The side fixed by the current state is
+built once per step from its MPS tensor A, which the step loop of
+:mod:`quenchmps.evolve` builds once per accepted state and hands over: the
+ket side of the evolution window K[t] = sum_s <t|L|s> A-prod_s with the two
+boundary copies folded in, as one (16 x 32) bilinear form in the candidate's
+two-site strand products v (:func:`transfer.join_strands`). Two builders
+return functions of the candidates' raw angles on that form.
+:func:`success_probability_fn` evaluates one angle set or a (k, 15) stack
+(an SPSA +/- pair is k = 2), one probability per row, each the same float
+that row gives on its own. :func:`success_probability_gradient_fn` returns,
+for one set, p = sum_i |r_i|^2 with r_i = v^T W_i v and its exact angle
+gradient: dr_i = dv . (W_i + W_i^T) v, pulled back to the tensor by
+:func:`transfer.pair_cotangent`, and dp = 2 Re sum_i dr_i conj(r_i).
+:func:`dense_success_probability` is the value on one candidate, from
+parameters on both sides.
 
 With the candidate equal to the current state and no evolution, every
 prepare/unprepare pair composes to the identity on the bond register via the
@@ -174,28 +174,16 @@ def success_probability_fn(a_t, layer):
     ``a_t`` (shape (2, 2, 2), built by the caller) with the dense gate layer
     ``layer`` (:func:`evolution_gate_layer`).
 
-    Everything fixed by the current state is built here, once: the side S
-    of :func:`_cost_side`, folded into a bilinear form in the candidate's
-    two-site strand products P2_p = B^{t2} B^{t1}, p = (t1 t2). The window's
-    bra string splits into p and q = (t3 t4), its four-site product into
-    P2_q P2_p, so column i of the row that S gives is
-
-        conj(v^T conj(F_i) v),  F_i[(q a x), (p y c)] = delta_xy S[(p q), a, c, i],
-
-    with v = vec P2 in the (t, a, c) layout of :func:`transfer.join_strands`.
-    The returned function takes the optimizer's raw angles, one set of shape
-    (15,) or a (k, 15) stack (or anything :func:`ansatz.tensor_of` takes),
-    builds only the candidates' tensors and their v (one join of B with
-    itself), and evaluates the form in a (1 x 16) . (16 x 32) product with
-    conj F and a (1 x 16) . (16 x 2) one; the unmeasured bond qubit is traced
-    by the norm of that row, p = sum_i |v^T conj(F_i) v|^2. It returns a
-    probability of shape () or (k,), each row the same float that row gives
-    on its own, and raises :class:`~quenchmps.qcore.InvalidArgumentError` on
-    angles that :func:`ansatz.tensor_of` rejects, such as a non-finite one.
-    Independent of the statevector route.
+    The form of :func:`_cost_form` is built here, once. The returned
+    function takes raw angles, one set (15,) or a (k, 15) stack (anything
+    :func:`ansatz.tensor_of` takes), builds only the candidates' tensors and
+    v, and evaluates the form in a (1 x 16) . (16 x 32) and a
+    (1 x 16) . (16 x 2) product; the unmeasured bond qubit is traced by the
+    norm of that row, p = sum_i |r_i|^2, of shape () or (k,), each row the
+    same float as on its own. Angles that :func:`ansatz.tensor_of` rejects
+    (a non-finite one) raise :class:`~quenchmps.qcore.InvalidArgumentError`.
     """
-    side = _cost_side(a_t, layer).reshape(4, 4, 2, 2, 2)  # [p, q, a, c, i]
-    form = np.einsum("pqaci,xy->qaxpyci", side, np.eye(2)).reshape(16, 32).conj()
+    form = _cost_form(a_t, layer)
 
     def success_probability(candidates):
         b = tensor_of(candidates)
@@ -205,6 +193,39 @@ def success_probability_fn(a_t, layer):
         return (np.abs(row[..., 0, :]) ** 2).sum(axis=-1)
 
     return success_probability
+
+
+def success_probability_gradient_fn(a_t, layer):
+    """The value of :func:`success_probability_fn` on one set of raw angles,
+    the same float, and its exact angle gradient, shape (15,), from the same
+    form: dr_i = dv . (W_i + W_i^T) v, where W_i^T v is the row ``half`` that
+    the value forms, is pulled back to the candidate tensor by
+    :func:`transfer.pair_cotangent`, contracted with its tangents from
+    :func:`ansatz.tensor_of`, and dp = 2 Re sum_i dr_i conj(r_i)."""
+    form = _cost_form(a_t, layer)
+    w = np.ascontiguousarray(form.reshape(16, 16, 2).transpose(2, 0, 1))  # W_i
+
+    def success_probability_and_gradient(x):
+        b, db = tensor_of(x, grad=True)
+        v = transfer.join_strands(b, b).reshape(1, 16)
+        half = (v @ form).reshape(16, 2)
+        row = v @ half
+        cotangent = transfer.pair_cotangent(b, (half + (w @ v[0]).T).reshape(4, 2, 2, 2))
+        dr = db.reshape(len(db), 8) @ cotangent.reshape(8, 2)
+        return (np.abs(row[0]) ** 2).sum(), 2.0 * (dr @ row[0].conj()).real
+
+    return success_probability_and_gradient
+
+
+def _cost_form(a_t, layer):
+    """The (16 x 32) bilinear form of both cost builders, W_i[k, j] at
+    [k, 2 j + i]: the side S of :func:`_cost_side` in the candidate's two-site
+    products v = vec P2, P2_p = B^{t2} B^{t1}, p = (t1 t2), in the layout of
+    :func:`transfer.join_strands`. The window's bra string splits into p and
+    q = (t3 t4), so column i of the row that S gives is conj(r_i), with
+    r_i = v^T W_i v and W_i[(q a x), (p y c)] = delta_xy conj(S[(p q), a, c, i])."""
+    side = _cost_side(a_t, layer).reshape(4, 4, 2, 2, 2)  # [p, q, a, c, i]
+    return np.einsum("pqaci,xy->qaxpyci", side, np.eye(2)).reshape(16, 32).conj()
 
 
 def _cost_side(a_t, layer):

@@ -15,13 +15,13 @@ then runs
                   against the ground state's tensor, add up the shots.
 
 The accepted state's tensor serves as the next step's current state. A
-driver only checks its options and supplies the corrector. The
-deterministic reference (:func:`evolve_exact_in_ansatz`, always
-"extrapolate") corrects with one L-BFGS-B solve of the dense step
-objective, which stops on its gradient test alone. The sampled experiment
+driver only checks its options and supplies the corrector. The deterministic
+reference (:func:`evolve_exact_in_ansatz`, always "extrapolate") corrects
+with one L-BFGS-B solve of the dense step objective on its exact gradient,
+which stops on the gradient test alone. The sampled experiment
 (:func:`evolve_stochastic`) corrects with ``SPSA_STEPS`` SPSA iterations
-(``BOOTSTRAP_FACTOR`` times as many on steps 1 and 2) on the measured cost
-1 - p_hat, so the circuit acts as a stochastic correction on top of the
+(``BOOTSTRAP_FACTOR`` times as many on steps 1 and 2) on the measured
+cost 1 - p_hat, so the circuit acts as a stochastic correction on top of the
 classical prediction ("extrapolate", the paper's protocol, or "copy", the
 baseline without extrapolation); every SPSA iteration spends exactly two
 cost evaluations. Its gains follow one schedule from the first iteration on,
@@ -157,8 +157,8 @@ def energy_density(params, J, g, grad=False):
     value = float(np.einsum("ts,sab,bc,tac->", h2, prods, rho, prods.conj()).real)
     if not grad:
         return value
-    dprods = transfer.join_strands(a, da) + transfer.join_strands(da, a)
-    direct = np.einsum("ts,ksab,bc,tac->k", h2, dprods, rho, prods.conj())
+    cotangent = np.einsum("ts,bc,tac->sab", h2, rho, prods.conj())  # on P_s
+    direct = da.reshape(len(da), 8) @ transfer.pair_cotangent(a, cotangent).reshape(8)
     h_env = np.einsum("ts,tca,scb->ab", h2, prods.conj(), prods)
     y = _fixed_point_solve(pinned.conj().T, h_env.reshape(4)).reshape(2, 2)
     # Tr[Y dT(rho)] = 2 Re sum_s Tr[Y dA^s rho A^s^dag] for Hermitian Y and rho
@@ -432,19 +432,14 @@ def evolve_stochastic(
 
 
 def _step_objective(a_t, gate, cost_mode):
-    """Objective of one reference step and its ``jac`` argument for
-    ``minimize``: ``True`` when the objective returns its exact gradient,
-    ``None`` for a finite-difference gradient. ``gate`` is the run's
-    evolution gate (see :func:`evolve_exact_in_ansatz`); the side fixed by
-    the current state is built here from its MPS tensor ``a_t`` (built once
-    per accepted state by :func:`_evolve`), so each evaluation builds only
-    the candidate. The objective takes the optimizer's raw angle array and
-    goes straight to its value: for "eigen", :func:`ansatz.tensor_of` with
-    gradients (the angle check, then the tensor and its tangents) and
-    :func:`transfer.cell_eigenvalue_gradient` on the step's two-site ket
-    side; for "circuit_lt", the function of
-    :func:`circuits.success_probability_fn`. A non-finite angle raises
-    :class:`InvalidArgumentError`."""
+    """Objective x -> (value, exact gradient) of one reference step, for
+    ``minimize`` with ``jac=True``, with the run's evolution ``gate`` (see
+    :func:`evolve_exact_in_ansatz`) and the side fixed by the current state's
+    MPS tensor ``a_t`` built here, so each evaluation builds only the
+    candidate and its tangents (:func:`ansatz.tensor_of` with gradients):
+    -|lambda| of :func:`transfer.cell_eigenvalue_gradient` for "eigen", -p of
+    :func:`circuits.success_probability_gradient_fn` for "circuit_lt". A
+    non-finite angle raises :class:`InvalidArgumentError`."""
     if cost_mode == "eigen":
         ket = transfer.window_ket(a_t, gate)
 
@@ -454,13 +449,14 @@ def _step_objective(a_t, gate, cost_mode):
             # d|lambda| = Re(conj(lambda) d lambda) / |lambda|
             return -abs(lam), (dlam * (-lam.conjugate() / abs(lam))).real
 
-        return objective, True
-    success_probability = circuits.success_probability_fn(a_t, gate)
+        return objective
+    success_probability_and_gradient = circuits.success_probability_gradient_fn(a_t, gate)
 
     def objective(x):
-        return -float(success_probability(x))
+        p, dp = success_probability_and_gradient(x)
+        return -float(p), -dp
 
-    return objective, None
+    return objective
 
 
 def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None):
@@ -478,9 +474,10 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
     Each step is one L-BFGS-B minimization from the seed of :func:`_evolve`,
     unbounded, with a memory of 30 correction pairs and no relative-reduction
     stop (``ftol = 0``), so it ends when no gradient component exceeds
-    ``GTOL``. The "eigen" objective supplies its exact gradient, d lambda =
-    <l| dE |r> / <l|r> with dE from the closed-form dA/dtheta; "circuit_lt"
-    uses scipy's finite-difference gradient. A step whose objective raises
+    ``GTOL``. Both objectives supply their exact gradients through the
+    closed-form dA/dtheta (:func:`_step_objective`): "eigen" d lambda =
+    <l| dE |r> / <l|r>, "circuit_lt" the chain rule through the cost's
+    bilinear form. A step whose objective raises
     :class:`NumericFailure` or :class:`InvalidArgumentError`, or on which
     L-BFGS-B returns non-finite angles, ends the run (see :func:`_evolve`);
     the latter's ``failure`` names the step and the optimizer's message.
@@ -501,14 +498,13 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
         gate, _ = circuits.evolution_gate_layer(spec)
 
     def solve_step(step, a_prev, x0):
-        objective, jac = _step_objective(a_prev, gate, cost_mode)
         # 2 * 15 correction pairs hold a whole step's iterations; a 10-pair
         # memory costs 34.4 evaluations per step to t = 1 instead of 25.6
         res = minimize(
-            objective,
+            _step_objective(a_prev, gate, cost_mode),
             x0,
             method="L-BFGS-B",
-            jac=jac,
+            jac=True,
             options={"gtol": GTOL, "ftol": 0.0, "maxcor": 2 * N_ANGLES[FULL15]},
         )
         if not np.all(np.isfinite(res.x)):

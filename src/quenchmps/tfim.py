@@ -149,13 +149,16 @@ def loschmidt_exact_ff(g0, g1, t, *, J=1.0):
     singularity at cusp times, where the grid keeps the error well below
     plotting resolution. Accepts a scalar time or a 1-D array. A ``J``,
     ``g0`` or ``g1`` that is not a finite real, a zero ``J``, and a time
-    that is not a finite real or an array of more than one dimension are
-    rejected with :class:`InvalidArgumentError`.
+    that is not a finite real, a ragged list or an array of more than one
+    dimension are rejected with :class:`InvalidArgumentError`.
     """
     check_reals(J=J, g0=g0, g1=g1)
     if J == 0.0:
         raise InvalidArgumentError("coupling J must be nonzero")
-    times = np.atleast_1d(t)
+    try:
+        times = np.atleast_1d(t)
+    except ValueError:  # a ragged nesting
+        raise InvalidArgumentError("times must be a real array, got a ragged one") from None
     if times.ndim > 1:
         raise InvalidArgumentError(f"times must be a scalar or 1-D, got shape {times.shape}")
     if times.dtype.kind not in "iuf" or not np.all(np.isfinite(times)):

@@ -23,8 +23,9 @@ matrix of :func:`cell_matrix` covers one two-site unit cell::
 
 so that with G = identity the cell matrix is exactly the square of the
 one-site E. One kernel forms every strand product, here and in the cost
-circuits (:func:`join_strands`), and one formula every cell matrix. The
-odd/even window of second-order Trotterisation used by the cost circuits
+circuits (:func:`join_strands`), one formula every cell matrix, and one
+product rule every gradient through two-site products (:func:`pair_cotangent`).
+The odd/even window of second-order Trotterisation used by the cost circuits
 lives in :mod:`quenchmps.circuits`.
 """
 
@@ -106,12 +107,20 @@ def cell_eigenvalue_gradient(ket, b_bra, db):
             residual=abs(overlap),
         )
     # <l| dE |r> = sum_{t,c,d} M[t]_cd conj(dP[t])_cd, with M[t] = L^T K[t] R for
-    # the 2x2 reshapes L, R of the eigenvectors; the product rule leaves one
-    # environment per bra site, summed in ``env``
-    m = (left.reshape(2, 2).T @ ket @ right.reshape(2, 2)).reshape(2, 2, 2, 2)
-    env = np.einsum("uvcd,ued->vce", m, b_conj) + np.einsum("vce,uvcd->ued", b_conj, m)
-    dlam = db.reshape(len(db), 8).conj() @ env.reshape(8)
+    # the 2x2 reshapes L, R of the eigenvectors: M is the cotangent on conj(P)
+    m = (left.reshape(2, 2).T @ ket @ right.reshape(2, 2)).reshape(4, 2, 2)
+    dlam = db.reshape(len(db), 8).conj() @ pair_cotangent(b_conj, m).reshape(8)
     return lam, dlam / overlap
+
+
+def pair_cotangent(b, g):
+    """The one product rule on two-site strand products: the cotangent e on
+    the tensor ``b`` of a cotangent ``g`` (shape (4, 2, 2, ...)) on its
+    products v = ``join_strands(b, b)``, with sum dB e = sum dv g for
+    dv = join(dB, B) + join(B, dB), summed over all but the trailing axes of
+    ``g``, which e keeps. One environment per site, summed; dv never formed."""
+    g = g.reshape((2, 2) + g.shape[1:])  # v[2 t1 + t2] = B^{t2} B^{t1}: g[t1, t2, a, c, ...]
+    return np.einsum("uvcd...,ued->vce...", g, b) + np.einsum("vce,uvcd...->ued...", b, g)
 
 
 def transfer_matrix(a_ket, b_bra):

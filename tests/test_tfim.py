@@ -331,6 +331,7 @@ class TestLoschmidtFreeFermion:
             (lambda: loschmidt_exact_ff(1.5, 0.2, 1.0 + 0j), "times must be finite"),
             (lambda: loschmidt_exact_ff(1.5, 0.2, "1"), "times must be finite"),
             (lambda: loschmidt_exact_ff(1.5, 0.2, np.zeros((2, 3))), "scalar or 1-D"),
+            (lambda: loschmidt_exact_ff(1.5, 0.2, [[1.0], [1.0, 2.0]]), "ragged"),
             (lambda: ground_energy_density_ff(1.0, 1.5 + 1j), "g must be finite"),
             (lambda: ground_energy_density_ff(1.0, np.nan), "g must be finite"),
             (lambda: ground_energy_density_ff(np.inf, 1.5), "J must be finite"),
@@ -352,7 +353,7 @@ class TestLoschmidtFreeFermion:
         ids=[
             "ff-J-zero", "ff-g0-complex", "ff-g0-nan", "ff-g1-inf", "ff-J-bool",
             "ff-J-str", "ff-t-nan", "ff-t-inf-in-array", "ff-t-complex", "ff-t-str",
-            "ff-t-2d",
+            "ff-t-2d", "ff-t-ragged",
             "e0-g-complex", "e0-g-nan", "e0-J-inf", "e0-J-none",
             "h2-g-complex", "h2-g-nan", "h2-J-bool", "gate1-J-nan", "gate1-dt-complex",
             "gate1-dt-bool", "gate2-dt-str", "gate2-dt-imaginary",
@@ -363,7 +364,8 @@ class TestLoschmidtFreeFermion:
     def test_oracles_reject_bad_couplings_and_times(self, call, match):
         # unchecked, J = 0 divides by zero, a complex field escapes as a numpy
         # TypeError or gives a wrong real energy, and a NaN gives a NaN rate;
-        # a 2-D time array escaped as a numpy broadcast ValueError;
+        # a 2-D time array escaped as a numpy broadcast ValueError, and a
+        # ragged one as numpy's inhomogeneous-shape ValueError;
         # the bond term took the real part of a complex field, and the Trotter
         # gates ran a bool step as 1 and called a NaN coupling non-Hermitian;
         # the cusp times ran a bool field as 1 and called a NaN one a quench

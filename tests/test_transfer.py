@@ -11,6 +11,7 @@ from quenchmps.transfer import (
     cell_eigenvalue_gradient,
     cell_matrix,
     join_strands,
+    pair_cotangent,
     site_overlap_map,
     strand_products,
     transfer_matrix,
@@ -206,6 +207,27 @@ class TestCellEigenvalueGradient:
             evals = np.linalg.eigvals(cell_matrix(ket, b))
             assert abs(lam - evals[np.argmax(np.abs(evals))]) < 1e-12
             assert dlam.shape == (3,) and np.all(dlam == 0.0)
+
+
+class TestPairCotangent:
+    @pytest.mark.parametrize("trailing", [(), (2,)])
+    def test_polarization_identity(self, trailing):
+        # sum <dv, g> = sum <dB, e> for the tangent dv = join(dB, B) + join(B, dB)
+        # of the products v = join(B, B), summed over all but the trailing axes,
+        # to 1e-14 relative to the sum
+        rng = np.random.default_rng(23)
+
+        def draw(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        for _ in range(20):
+            b, db, g = draw(2, 2, 2), draw(2, 2, 2), draw(4, 2, 2, *trailing)
+            dv = join_strands(db, b) + join_strands(b, db)
+            e = pair_cotangent(b, g)
+            assert e.shape == (2, 2, 2) + trailing
+            lhs = np.tensordot(dv, g, axes=3)
+            rhs = np.tensordot(db, e, axes=3)
+            assert np.max(np.abs(lhs - rhs)) <= 1e-14 * np.max(np.abs(lhs))
 
 
 class TestFidelityDensity:
