@@ -1,5 +1,5 @@
-"""The ``Full15`` parameter template of the two-qubit iMPS unitary and its
-MPS tensor.
+"""The ``Full15`` parametrization of the two-qubit iMPS unitary and its MPS
+tensor.
 
 ``Full15`` (15 angles) is a generic two-qubit unitary as ZXZ Euler blocks on
 both legs around a three-parameter XX+YY+ZZ entangler,
@@ -66,8 +66,9 @@ The float operations live once, in private helpers on raw angle arrays: the
 rotation stack, the halving tree, the prefix scan with dU, and the read-back
 from the real form. :func:`build_unitary` and :func:`tensor_of` are the one
 way in from angles. They take the optimizers' own iterate, a raw (15,) array
-or (k, 15) stack, as readily as an :class:`AnsatzParams` (one set), and
-check the angles once, as :class:`AnsatzParams` does.
+or (k, 15) stack, as readily as an :class:`AnsatzParams`, and check the
+angles once, as :class:`AnsatzParams` does; its one field holds one checked,
+read-only set of angles.
 """
 
 from dataclasses import dataclass, field
@@ -75,10 +76,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qcore
-from .qcore import InvalidArgumentError, check_choice
+from .qcore import InvalidArgumentError
 
 FULL15 = "Full15"
-N_ANGLES = {FULL15: 15}
+N_ANGLES = 15
 
 # Pauli string P_k (physical leg first) and scale s_k of each angle's rotation
 _PAULIS = {"I": qcore.IDENTITY_2, "X": qcore.PAULI_X, "Y": qcore.PAULI_Y, "Z": qcore.PAULI_Z}
@@ -101,18 +102,14 @@ _R_GENERATORS = _SCALES[:, None, None] * _R_NEG_I_P
 
 @dataclass(frozen=True)
 class AnsatzParams:
-    """Rotation angles of the iMPS unitary template (``FULL15``, the only
-    one; any other template name is rejected).
-
-    ``angles`` holds one parameter set, shape (n,), real and finite. A (k, n)
-    stack, such as an SPSA +/- pair, stays a raw array; it is rejected here.
+    """One set of ``FULL15`` rotation angles, its one field ``angles``:
+    shape (15,), real and finite, copied and read-only. A (k, 15) stack,
+    such as an SPSA +/- pair, stays a raw array; it is rejected here.
     """
 
-    template: str
     angles: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        check_choice("template", self.template, N_ANGLES)
         angles = _checked_angles(self.angles).copy()  # the caller's stays writable
         if angles.ndim != 1:
             raise InvalidArgumentError(
@@ -179,10 +176,9 @@ def _checked_angles(angles):
     if angles.dtype.kind not in "iuf":
         raise InvalidArgumentError(f"angles must be real numbers, got dtype {angles.dtype}")
     angles = angles.astype(float, copy=False)
-    n = N_ANGLES[FULL15]
-    if angles.ndim not in (1, 2) or angles.shape[-1] != n or not angles.size:
+    if angles.ndim not in (1, 2) or angles.shape[-1] != N_ANGLES or not angles.size:
         raise InvalidArgumentError(
-            f"{FULL15} expects {n} angles or a nonempty (k, {n}) stack, "
+            f"{FULL15} expects {N_ANGLES} angles or a nonempty (k, {N_ANGLES}) stack, "
             f"got shape {angles.shape}"
         )
     if not np.isfinite(angles).all():

@@ -87,28 +87,27 @@ class CostCircuit:
 def evolution_gate_layer(spec):
     """Dense gate layer on the four evolution sites of the cost window, one
     Trotter step ``spec.dt`` of ``spec``'s order, and the placed gates as
-    ``(name, gate, (lo, hi))``. A ``spec`` that is not a
+    ``(name, gate, (lo, hi))``. The layer is the placed gates applied by
+    :func:`qcore.apply_gate` to the row qubits (the first four of eight) of
+    the flattened 16x16 identity. A ``spec`` that is not a
     :class:`tfim.QuenchSpec` raises :class:`InvalidArgumentError`."""
     if not isinstance(spec, tfim.QuenchSpec):
         raise InvalidArgumentError(f"spec must be a QuenchSpec, got {type(spec).__name__}")
     if spec.trotter_order == 1:
         g = tfim.trotter_gate_first_order(spec.J, spec.g1, spec.dt)
-        return np.kron(g, g), [("G", g, (0, 1)), ("G", g, (2, 3))]
-    w_o, w_e = tfim.trotter_gates_second_order(spec.J, spec.g1, spec.dt)
-    placed = [
-        ("Wo", w_o, (1, 2)),
-        ("We", w_e, (0, 1)),
-        ("We", w_e, (2, 3)),
-        ("Wo", w_o, (1, 2)),
-    ]
-    layer = np.eye(16, dtype=complex)
-    for _, gate, (lo, _hi) in placed:
-        embedded = np.kron(
-            np.eye(2**lo, dtype=complex),
-            np.kron(gate, np.eye(2 ** (2 - lo), dtype=complex)),
-        )
-        layer = embedded @ layer
-    return layer, placed
+        placed = [("G", g, (0, 1)), ("G", g, (2, 3))]
+    else:
+        w_o, w_e = tfim.trotter_gates_second_order(spec.J, spec.g1, spec.dt)
+        placed = [
+            ("Wo", w_o, (1, 2)),
+            ("We", w_e, (0, 1)),
+            ("We", w_e, (2, 3)),
+            ("Wo", w_o, (1, 2)),
+        ]
+    layer = np.eye(16, dtype=complex).reshape(-1)
+    for _, gate, targets in placed:
+        layer = qcore.apply_gate(layer, gate, targets)
+    return layer.reshape(16, 16), placed
 
 
 def build_cost_circuit(params_t, params_candidate, spec):

@@ -69,7 +69,7 @@ SPSA_STREAM, SHOT_STREAM = 0, 1  # a stochastic step's streams
 class Trajectory:
     """Time series of one evolution run, one row per time that it reached.
 
-    ``spec``: the quench; ``template``: the ansatz of the angles;
+    ``spec``: the quench; ``template``: a label, always ``FULL15``;
     ``init_scheme``: the predictor ("extrapolate" for the reference);
     ``seed``: the run seed (``None`` for the reference); ``shots_per_eval``:
     shots per cost evaluation (0 for the reference). ``times``: ``spec.times``
@@ -103,7 +103,7 @@ class Trajectory:
         return self.failure is None
 
     def params_at(self, step):
-        return AnsatzParams(self.template, self.angles[step])
+        return AnsatzParams(self.angles[step])
 
     @property
     def n_steps(self):
@@ -184,19 +184,19 @@ def ground_state_optimize(J, g, template):
     the offending value, is raised when the solved state's transfer matrix
     has a second eigenvalue within ``GROUND_GAP_TOL`` of the unit circle (a
     reducible state, where BFGS can stop on a saddle) or when a component of
-    its energy gradient exceeds ``GROUND_GRAD_TOL``. An unknown ``template``,
-    and a ``J`` or ``g`` that :func:`qcore.check_reals` rejects, raise
-    :class:`InvalidArgumentError` before solving.
+    its energy gradient exceeds ``GROUND_GRAD_TOL``. A ``template`` other than
+    ``FULL15``, and a ``J`` or ``g`` that :func:`qcore.check_reals` rejects,
+    raise :class:`InvalidArgumentError` before solving.
     """
-    check_choice("template", template, N_ANGLES)
+    check_choice("template", template, (FULL15,))
     check_reals(J=J, g=g)
 
     def objective(x):
         return energy_density(x, J, g, grad=True)
 
-    x0 = 0.4 * np.random.default_rng(0).standard_normal(N_ANGLES[template])
+    x0 = 0.4 * np.random.default_rng(0).standard_normal(N_ANGLES)
     res = minimize(objective, x0, method="BFGS", jac=True, options={"gtol": GTOL})
-    ground = AnsatzParams(template, res.x)
+    ground = AnsatzParams(res.x)
     a = tensor_of(ground)
     lam2 = np.sort(np.abs(np.linalg.eigvals(transfer.transfer_matrix(a, a))))[-2]
     if not 1.0 - lam2 >= GROUND_GAP_TOL:
@@ -292,7 +292,7 @@ def _sampled_cost(a_t, layer, shots_per_eval, seed_sequence):
     return cost
 
 
-def _evolve(spec, template, ground, init_scheme, solve_step, **labels):
+def _evolve(spec, ground, init_scheme, solve_step, **labels):
     """The one run of both drivers, from ``ground`` (solved here at
     ``spec.J``, ``spec.g0`` when ``None``) over ``spec.times``.
 
@@ -311,7 +311,7 @@ def _evolve(spec, template, ground, init_scheme, solve_step, **labels):
     step runs. ``labels`` fill the other fields.
     """
     if ground is None:
-        ground = ground_state_optimize(spec.J, spec.g0, template)
+        ground = ground_state_optimize(spec.J, spec.g0, FULL15)
     times = spec.times
     angles = np.zeros((len(times), len(ground.angles)))
     angles[0] = ground.angles
@@ -335,13 +335,13 @@ def _evolve(spec, template, ground, init_scheme, solve_step, **labels):
         costs[step] = cost
         cum_shots[step] = cum_shots[step - 1] + shots
     return Trajectory(
-        spec=spec, template=template, init_scheme=init_scheme, times=times[:end],
+        spec=spec, template=FULL15, init_scheme=init_scheme, times=times[:end],
         angles=angles[:end], echoes=echoes[:end], costs=costs[:end],
         cum_shots=cum_shots[:end], failure=failure, **labels,
     )
 
 
-def _check_run(spec, init_scheme, shots_per_eval, seeds, template, ground):
+def _check_run(spec, init_scheme, shots_per_eval, seeds, ground):
     """The checks both stochastic drivers make before anything is solved or
     stepped: reject an unknown ``init_scheme``, ``seeds`` that are not an
     iterable, a ``shots_per_eval`` below 1 or a run seed below 0
@@ -359,19 +359,15 @@ def _check_run(spec, init_scheme, shots_per_eval, seeds, template, ground):
         raise InvalidArgumentError(msg)
     for seed in seeds:
         check_count(0, seed=seed)
-    _check_start(spec, template, ground)
+    _check_start(spec, ground)
     return seeds
 
 
-def _check_start(spec, template, ground):
-    """Reject a ``spec`` that is not a :class:`tfim.QuenchSpec`, a
-    ``template`` that :func:`qcore.check_choice` finds unknown and a
-    ``ground`` that is neither ``None`` nor an :class:`AnsatzParams`; with
-    ``FULL15`` the only template, an :class:`AnsatzParams` is always of
-    ``template``."""
+def _check_start(spec, ground):
+    """Reject a ``spec`` that is not a :class:`tfim.QuenchSpec` and a
+    ``ground`` that is neither ``None`` nor an :class:`AnsatzParams`."""
     if not isinstance(spec, tfim.QuenchSpec):
         raise InvalidArgumentError(f"spec must be a QuenchSpec, got {type(spec).__name__}")
-    check_choice("template", template, N_ANGLES)
     if ground is not None and not isinstance(ground, AnsatzParams):
         raise InvalidArgumentError(
             f"ground must be None or an AnsatzParams, got {type(ground).__name__}"
@@ -407,11 +403,13 @@ def evolve_stochastic(
     hands over (:func:`_sampled_cost`), and each SPSA iteration evaluates
     its +/- pair as one stacked call.
 
-    Bad options, a ``spec`` that is not a :class:`tfim.QuenchSpec` among
-    them, raise :class:`InvalidArgumentError` before the ground state is
-    solved (:func:`_check_run`).
+    Bad options, a ``spec`` that is not a :class:`tfim.QuenchSpec` or a
+    ``template`` other than ``FULL15`` among them, raise
+    :class:`InvalidArgumentError` before the ground state is solved
+    (:func:`_check_run`).
     """
-    _check_run(spec, init_scheme, shots_per_eval, [seed], template, ground)
+    check_choice("template", template, (FULL15,))
+    _check_run(spec, init_scheme, shots_per_eval, [seed], ground)
     layer, _ = circuits.evolution_gate_layer(spec)
 
     def solve_step(step, a_prev, x0):
@@ -426,8 +424,7 @@ def evolve_stochastic(
         return accepted, history[-1], 2 * steps * shots_per_eval
 
     return _evolve(
-        spec, template, ground, init_scheme, solve_step,
-        seed=seed, shots_per_eval=shots_per_eval,
+        spec, ground, init_scheme, solve_step, seed=seed, shots_per_eval=shots_per_eval
     )
 
 
@@ -483,12 +480,13 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
     the latter's ``failure`` names the step and the optimizer's message.
 
     It starts from ``ground`` (solved when not given) and predicts by
-    "extrapolate". A ``spec``, ``template`` or ``ground`` that
-    :func:`_check_start` rejects, and a ``cost_mode`` other than the strings
-    "eigen" and "circuit_lt", raise :class:`InvalidArgumentError` before any
-    solve.
+    "extrapolate". A ``spec`` or ``ground`` that :func:`_check_start`
+    rejects, a ``template`` other than ``FULL15`` and a ``cost_mode`` other
+    than the strings "eigen" and "circuit_lt" raise
+    :class:`InvalidArgumentError` before any solve.
     """
-    _check_start(spec, template, ground)
+    check_choice("template", template, (FULL15,))
+    _check_start(spec, ground)
     check_choice("cost mode", cost_mode, ("eigen", "circuit_lt"))
     if cost_mode == "eigen":
         if spec.trotter_order != 1:
@@ -505,7 +503,7 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
             x0,
             method="L-BFGS-B",
             jac=True,
-            options={"gtol": GTOL, "ftol": 0.0, "maxcor": 2 * N_ANGLES[FULL15]},
+            options={"gtol": GTOL, "ftol": 0.0, "maxcor": 2 * N_ANGLES},
         )
         if not np.all(np.isfinite(res.x)):
             raise NumericFailure(
@@ -513,9 +511,7 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
             )
         return res.x, res.fun, 0
 
-    return _evolve(
-        spec, template, ground, "extrapolate", solve_step, seed=None, shots_per_eval=0
-    )
+    return _evolve(spec, ground, "extrapolate", solve_step, seed=None, shots_per_eval=0)
 
 
 @dataclass
@@ -537,26 +533,25 @@ class EnsembleStats:
     total_shots: int
 
 
-def ensemble_run(
-    spec, init_scheme, seeds, shots_per_eval=2048, template=FULL15, ground=None
-):
-    """Ensemble of perfect-gate stochastic runs (shot noise only), all
-    started from ``ground`` (solved here when not given).
+def ensemble_run(spec, init_scheme, seeds, shots_per_eval=2048, ground=None):
+    """Ensemble of perfect-gate stochastic runs (shot noise only) of the
+    ``FULL15`` ansatz, all started from ``ground`` (solved here when not
+    given).
 
     ``seeds`` is any iterable of at least 2 distinct run seeds, one per run,
     each a nonnegative integer; ``seeds`` that are not, and any ``spec``,
-    ``init_scheme``, ``shots_per_eval``, ``template`` or ``ground`` that
+    ``init_scheme``, ``shots_per_eval`` or ``ground`` that
     :func:`evolve_stochastic` would reject, are rejected with
     :class:`InvalidArgumentError` before the ground state is solved or any
     run starts (:func:`_check_run`)."""
-    seeds = _check_run(spec, init_scheme, shots_per_eval, seeds, template, ground)
+    seeds = _check_run(spec, init_scheme, shots_per_eval, seeds, ground)
     if len(seeds) < 2:
         raise InvalidArgumentError(f"an ensemble needs at least 2 seeds, got {seeds!r}")
     if len(set(seeds)) != len(seeds):
         raise InvalidArgumentError(f"run seeds must be distinct, got {seeds!r}")
     if ground is None:
-        ground = ground_state_optimize(spec.J, spec.g0, template)
-    options = dict(shots_per_eval=shots_per_eval, template=template, ground=ground)
+        ground = ground_state_optimize(spec.J, spec.g0, FULL15)
+    options = dict(shots_per_eval=shots_per_eval, ground=ground)
     runs = [evolve_stochastic(spec, init_scheme, seed=s, **options) for s in seeds]
     echoes = np.full((len(runs), len(spec.times)), np.nan)
     for row, run in zip(echoes, runs):

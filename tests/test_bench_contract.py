@@ -4,8 +4,10 @@ import inspect
 import sys
 from pathlib import Path
 
-from quenchmps import circuits, evolve
-from quenchmps.ansatz import FULL15
+import numpy as np
+
+from quenchmps import circuits, evolve, tfim
+from quenchmps.ansatz import FULL15, AnsatzParams
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -46,3 +48,20 @@ def test_benchmark_call_shapes_bind():
     _binds(circuits.build_cost_circuit, prev, prev, spec)
     _binds(evolve.echo_density, ground, ground)
     _binds(evolve.energy_density, ground, 1.0, 1.5)
+
+
+def test_what_the_benchmark_reads_holds():
+    # bench/harness.py reads ground.angles and each trajectory's .angles, and
+    # passes traj.params_at(step) to both circuit entry points
+    angles = AnsatzParams(np.zeros(15)).angles
+    assert angles.shape == (15,) and not angles.flags.writeable
+    spec = tfim.REFERENCE_QUENCH
+    traj = evolve.Trajectory(
+        spec=spec, template=FULL15, init_scheme="extrapolate", seed=0,
+        shots_per_eval=0, times=spec.times[:2], angles=np.arange(30.0).reshape(2, 15),
+        echoes=np.zeros(2), costs=np.zeros(2), cum_shots=np.zeros(2, dtype=np.int64),
+    )
+    params = traj.params_at(1)
+    assert np.array_equal(params.angles, traj.angles[1])
+    circuits.dense_success_probability(params, params, spec)
+    circuits.build_cost_circuit(params, params, spec)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quenchmps import ansatz, circuits, qcore, tfim, transfer
-from quenchmps.ansatz import FULL15, AnsatzParams
+from quenchmps.ansatz import AnsatzParams
 from quenchmps.circuits import (
     CircuitOp,
     CostCircuit,
@@ -18,7 +18,7 @@ from conftest import random_unitary, unitarity_defect
 
 
 def random_params(rng):
-    return AnsatzParams(FULL15, rng.uniform(-np.pi, np.pi, 15))
+    return AnsatzParams(rng.uniform(-np.pi, np.pi, 15))
 
 
 def run_single_shot(circuit, rng):
@@ -103,7 +103,7 @@ class TestEvolutionGateLayer:
     @pytest.mark.parametrize("spec", [None, {"J": 1.0}], ids=["none", "dict"])
     def test_spec_that_is_not_a_quench_spec_rejected(self, spec):
         # it escaped as an AttributeError, here and from the two callers
-        x = AnsatzParams(FULL15, np.zeros(15))
+        x = AnsatzParams(np.zeros(15))
         calls = [
             lambda: circuits.evolution_gate_layer(spec),
             lambda: circuits.build_cost_circuit(x, x, spec),
@@ -185,7 +185,7 @@ class TestCircuitDenseEquivalence:
         spec = tfim.QuenchSpec(trotter_order=trotter_order)
 
         def full15():
-            return AnsatzParams(FULL15, rng.uniform(-np.pi, np.pi, 15))
+            return AnsatzParams(rng.uniform(-np.pi, np.pi, 15))
 
         current, candidates = full15(), [full15() for _ in range(4)]
         stack = np.array([pb.angles for pb in candidates])
@@ -231,7 +231,7 @@ class TestCircuitDenseEquivalence:
         # un-updated candidate already reaches p = 1 - O(dt^2)
         rng = np.random.default_rng(3)
         spec = tfim.QuenchSpec()
-        p = AnsatzParams(FULL15, 0.7 * rng.standard_normal(15))
+        p = AnsatzParams(0.7 * rng.standard_normal(15))
         dts = np.array([0.05, 0.1, 0.2])
         deficits = np.array(
             [1.0 - dense_success_probability(p, p, one_step(spec, dt)) for dt in dts]
@@ -276,8 +276,8 @@ class TestPerShotSimulation:
         # mid-circuit measurement with reset gives the postselected probability
         rng = np.random.default_rng(6)
         spec = tfim.QuenchSpec()
-        pa = AnsatzParams(FULL15, 0.8 * rng.standard_normal(15))
-        pb = AnsatzParams(FULL15, pa.angles + 0.25 * rng.standard_normal(15))
+        pa = AnsatzParams(0.8 * rng.standard_normal(15))
+        pb = AnsatzParams(pa.angles + 0.25 * rng.standard_normal(15))
         c = build_cost_circuit(pa, pb, spec)
         p = exact_success_probability(c)
         assert 0.05 < p < 0.95  # meaningful statistics for the check below

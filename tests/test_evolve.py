@@ -95,7 +95,7 @@ def ground():
 
 @pytest.fixture(scope="module")
 def golden_ground():
-    return AnsatzParams(FULL15, np.array(GOLDEN_GROUND_ANGLES))
+    return AnsatzParams(np.array(GOLDEN_GROUND_ANGLES))
 
 
 def spy(monkeypatch, owner, name):
@@ -116,7 +116,7 @@ def spy(monkeypatch, owner, name):
 def fail_step_2_geev(monkeypatch, site):
     """Make the one ``geev`` call report no convergence (info 1) in step 2:
     in its "objective", keyed on the step's one ``window_ket`` call, or in its
-    "echo", the second echo call, which the run takes after its step loop."""
+    "echo", the second echo call, which the run takes as it accepts step 2."""
     steps = spy(monkeypatch, transfer, "window_ket")  # one call per step
     echo_calls, in_echo = [], []
     real_geev, real_echo = qcore._GEEV, evolve._echo_of_tensors
@@ -153,7 +153,7 @@ class TestGradients:
         spec = tfim.REFERENCE_QUENCH
         gate = tfim.trotter_gate_first_order(spec.J, spec.g1, spec.dt)
         for _ in range(5):
-            current = AnsatzParams(FULL15, rng.uniform(-np.pi, np.pi, 15))
+            current = AnsatzParams(rng.uniform(-np.pi, np.pi, 15))
             objective = evolve._step_objective(tensor_of(current), gate, "eigen")
             x = current.angles + 0.1 * rng.standard_normal(15)
             _, grad = objective(x)
@@ -168,11 +168,11 @@ class TestGradients:
         rng = np.random.default_rng(19)
         gate = tfim.trotter_gate_first_order(1.0, 0.2, 0.1)
         for _ in range(20):
-            current = AnsatzParams(FULL15, rng.uniform(-np.pi, np.pi, 15))
+            current = AnsatzParams(rng.uniform(-np.pi, np.pi, 15))
             x = current.angles + 0.3 * rng.standard_normal(15)
             a_t = tensor_of(current)
             ket = transfer.window_ket(a_t, gate)
-            b, db = tensor_of(AnsatzParams(FULL15, x), grad=True)
+            b, db = tensor_of(AnsatzParams(x), grad=True)
             w, vl, vr = scipy.linalg.eig(transfer.cell_matrix(ket, b), left=True)
             k = np.argmax(np.abs(w))
             left, right = vl[:, k].conj(), vr[:, k]
@@ -188,7 +188,7 @@ class TestGradients:
 
     def test_energy_gradient_matches_central_differences(self):
         def energy(y, grad=False):
-            return evolve.energy_density(AnsatzParams(FULL15, y), 1.0, 1.5, grad=grad)
+            return evolve.energy_density(AnsatzParams(y), 1.0, 1.5, grad=grad)
 
         rng = np.random.default_rng(3)
         for _ in range(5):
@@ -201,9 +201,9 @@ class TestGradients:
     def test_circuit_objectives_take_their_boundary_copies(self, order):
         rng = np.random.default_rng(2)
         spec = replace(tfim.REFERENCE_QUENCH, trotter_order=order)
-        current = AnsatzParams(FULL15, rng.uniform(-np.pi, np.pi, 15))
+        current = AnsatzParams(rng.uniform(-np.pi, np.pi, 15))
         x = current.angles + 0.3 * rng.standard_normal(15)
-        cand = AnsatzParams(FULL15, x)
+        cand = AnsatzParams(x)
         layer, _ = circuits.evolution_gate_layer(spec)
         lt = evolve._step_objective(tensor_of(current), layer, "circuit_lt")
         value, grad = lt(x)
@@ -215,7 +215,7 @@ class TestGradients:
     def test_energy_of_a_product_state_raises(self, grad):
         # zero angles give A^0 = 1, A^1 = 0: E = 1, so the pinned matrix
         # 1 - E + |vec 1><vec 1| has rank 1
-        product = AnsatzParams(FULL15, np.zeros(15))
+        product = AnsatzParams(np.zeros(15))
         with pytest.raises(NumericFailure, match="fixed-point solve"):
             evolve.energy_density(product, 1.0, 1.5, grad=grad)
 
@@ -279,7 +279,7 @@ class TestDrivers:
         solves = spy(monkeypatch, np.linalg, "solve")
         rng = np.random.default_rng(4)
         points = [ground] + [
-            AnsatzParams(FULL15, rng.uniform(-np.pi, np.pi, 15)) for _ in range(5)
+            AnsatzParams(rng.uniform(-np.pi, np.pi, 15)) for _ in range(5)
         ]
         for params in points:
             solves.clear()
@@ -367,7 +367,7 @@ class TestDrivers:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_step_costs_reject_a_non_finite_angle(self, bad):
-        current = AnsatzParams(FULL15, np.linspace(-1.0, 1.0, 15))
+        current = AnsatzParams(np.linspace(-1.0, 1.0, 15))
         x = current.angles.copy()
         x[4] = bad
         gate = tfim.trotter_gate_first_order(1.0, 0.2, 0.1)
@@ -543,26 +543,30 @@ class TestDrivers:
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran before its options were checked")
 
-    @pytest.mark.parametrize("entry", ["stochastic", "reference", "ensemble"])
     @pytest.mark.parametrize(
-        "template, stacked, match",
+        "template, stacked, match, entry",
         [
-            ("Bogus", False, "unknown template"),
-            ("Reduced8", True, "unknown template"),
-            (FULL15, True, "one parameter set"),
+            ("Bogus", False, "unknown template", "stochastic"),
+            ("Bogus", False, "unknown template", "reference"),
+            ("Reduced8", True, "one parameter set", "stochastic"),
+            ("Reduced8", True, "one parameter set", "reference"),
+            (FULL15, True, "one parameter set", "stochastic"),
+            (FULL15, True, "one parameter set", "reference"),
+            (FULL15, True, "one parameter set", "ensemble"),
         ],
     )
     def test_bad_template_or_ground_rejected(
         self, golden_ground, monkeypatch, entry, template, stacked, match
     ):
         # rejected before the ground state is solved or any step runs; a
-        # stacked ground state is rejected as it is built, by AnsatzParams
+        # stacked ground state is rejected as it is built, by AnsatzParams,
+        # whatever the template; the ensemble takes no template
         for name in ("ground_state_optimize", "_evolve"):
             monkeypatch.setattr(evolve, name, self.must_not_run)
 
         def ground():
             if stacked:
-                return AnsatzParams(template, np.tile(golden_ground.angles, (2, 1)))
+                return AnsatzParams(np.tile(golden_ground.angles, (2, 1)))
             return golden_ground
 
         run = {
@@ -573,11 +577,17 @@ class TestDrivers:
                 SHORT, template, ground=ground()
             ),
             "ensemble": lambda: evolve.ensemble_run(
-                SHORT, "extrapolate", [0, 1], template=template, ground=ground()
+                SHORT, "extrapolate", [0, 1], ground=ground()
             ),
         }[entry]
         with pytest.raises(InvalidArgumentError, match=match):
             run()
+
+    def test_ensemble_takes_no_template(self, monkeypatch):
+        for name in ("ground_state_optimize", "_evolve"):
+            monkeypatch.setattr(evolve, name, self.must_not_run)
+        with pytest.raises(TypeError, match="template"):
+            evolve.ensemble_run(SHORT, "extrapolate", [0, 1], template=FULL15)
 
     @pytest.mark.parametrize("entry", ["stochastic", "reference", "ensemble"])
     @pytest.mark.parametrize("bad", [np.zeros(15), "x"], ids=["array", "string"])
@@ -637,7 +647,7 @@ class TestDrivers:
         "entry, option",
         [
             ("stochastic", "template"), ("stochastic", "init_scheme"),
-            ("ensemble", "template"), ("ensemble", "init_scheme"),
+            ("ensemble", "init_scheme"),
             ("reference", "template"), ("reference", "cost_mode"),
             ("ground", "template"),
         ],
@@ -886,7 +896,7 @@ class TestStochastic:
         assert traj.cum_shots.tolist() == [0, 98304, 196608]
 
     def test_records_an_eigensolver_failure_in_an_echo(self, golden_ground, monkeypatch):
-        # step 2's echo, taken after the step loop, truncates the run before
+        # step 2's echo, taken as step 2 is accepted, truncates the run before
         # step 2; the rows kept are those of the run without the failure
         full = evolve.evolve_stochastic(SHORT, "extrapolate", seed=3, ground=golden_ground)
         fail_step_2_geev(monkeypatch, "echo")
@@ -935,8 +945,8 @@ def pair_with_mid_probability():
     """A current state, a candidate and the default gate layer at which the
     cost circuit succeeds with a probability well inside (0, 1)."""
     rng = np.random.default_rng(6)
-    current = AnsatzParams(FULL15, 0.8 * rng.standard_normal(15))
-    candidate = AnsatzParams(FULL15, current.angles + 0.25 * rng.standard_normal(15))
+    current = AnsatzParams(0.8 * rng.standard_normal(15))
+    candidate = AnsatzParams(current.angles + 0.25 * rng.standard_normal(15))
     layer, _ = circuits.evolution_gate_layer(tfim.REFERENCE_QUENCH)
     p = float(circuits.success_probability_fn(tensor_of(current), layer)(candidate))
     assert 0.05 < p < 0.95
@@ -946,7 +956,7 @@ def pair_with_mid_probability():
 class TestSampledCost:
     def test_certain_outcomes(self):
         # the current state against itself through the identity layer always succeeds
-        current = AnsatzParams(FULL15, np.linspace(-1.0, 1.0, 15))
+        current = AnsatzParams(np.linspace(-1.0, 1.0, 15))
         stack = np.tile(current.angles, (4, 1))
         for shots in (1, 2048):
             cost = evolve._sampled_cost(
@@ -1013,8 +1023,8 @@ class TestStepHelpers:
         turns = (out - angles) / (2.0 * np.pi)
         assert np.allclose(turns, np.round(turns), rtol=0, atol=1e-12)
         assert np.all(np.abs(out - reference) <= np.pi + 1e-12)
-        u = build_unitary(AnsatzParams(FULL15, angles))
-        u_out = build_unitary(AnsatzParams(FULL15, out))
+        u = build_unitary(AnsatzParams(angles))
+        u_out = build_unitary(AnsatzParams(out))
         sign = np.sign(np.real(np.vdot(u, u_out)))
         assert np.max(np.abs(u_out - sign * u)) < 1e-12
 
@@ -1049,7 +1059,6 @@ class TestStepHelpers:
         )
         assert traj.n_steps == 2
         params = traj.params_at(1)
-        assert params.template == FULL15
         assert np.array_equal(params.angles, angles[1])
         assert not np.shares_memory(params.angles, angles)
 
@@ -1072,6 +1081,6 @@ class TestStepHelpers:
         angles = np.zeros(15)
         angles[1] = theta
         r = evolve.echo_density(
-            AnsatzParams(FULL15, np.zeros(15)), AnsatzParams(FULL15, angles)
+            AnsatzParams(np.zeros(15)), AnsatzParams(angles)
         )
         assert abs(r + np.log(np.cos(0.5 * theta) ** 2)) < 1e-12

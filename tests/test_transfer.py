@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quenchmps import tfim
-from quenchmps.ansatz import FULL15, AnsatzParams, tensor_of
+from quenchmps.ansatz import AnsatzParams, tensor_of
 from quenchmps.qcore import InvalidArgumentError, leading_eig, rot_gate
 from quenchmps.transfer import (
     VEC_IDENTITY,
@@ -21,11 +21,11 @@ from quenchmps.transfer import (
 
 
 def random_params(rng, scale=np.pi):
-    return AnsatzParams(FULL15, rng.uniform(-scale, scale, 15))
+    return AnsatzParams(rng.uniform(-scale, scale, 15))
 
 
 def identity_params():
-    return AnsatzParams(FULL15, np.zeros(15))
+    return AnsatzParams(np.zeros(15))
 
 
 def leading_eigenvalue(e):
