@@ -548,8 +548,14 @@ class TestDrivers:
         [
             ("Bogus", False, "unknown template", "stochastic"),
             ("Bogus", False, "unknown template", "reference"),
-            ("Reduced8", True, "one parameter set", "stochastic"),
-            ("Reduced8", True, "one parameter set", "reference"),
+            pytest.param(
+                "Reduced8", True, "one parameter set", "stochastic",
+                id="Reduced8-stacked-stochastic",
+            ),
+            pytest.param(
+                "Reduced8", True, "one parameter set", "reference",
+                id="Reduced8-stacked-reference",
+            ),
             (FULL15, True, "one parameter set", "stochastic"),
             (FULL15, True, "one parameter set", "reference"),
             (FULL15, True, "one parameter set", "ensemble"),
