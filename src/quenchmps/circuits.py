@@ -37,8 +37,10 @@ built once per step from its MPS tensor A, which the step loop of
 :mod:`quenchmps.evolve` builds once per accepted state and hands over: the
 ket side of the evolution window K[t] = sum_s <t|L|s> A-prod_s with the two
 boundary copies folded in, as one (16 x 32) bilinear form in the candidate's
-two-site strand products v (:func:`transfer.join_strands`). Two builders
-return functions of the candidates' raw angles on that form.
+two-site strand products v (:func:`transfer.join_strands`). The copies map M
+to sum_P P^dag M P over the products P = A^s A^s', so their part is two columns
+of E^2 = sum_P P (x) conj(P), E the one-site transfer matrix (:func:`_cost_side`).
+Two builders return functions of the candidates' raw angles on that form.
 :func:`success_probability_fn` evaluates one angle set or a (k, 15) stack
 (an SPSA +/- pair is k = 2), one probability per row, each the same float
 that row gives on its own. :func:`success_probability_gradient_fn` returns,
@@ -223,8 +225,10 @@ def _cost_form(a_t, layer):
     :func:`transfer.join_strands`. The window's bra string splits into p and
     q = (t3 t4), so column i of the row that S gives is conj(r_i), with
     r_i = v^T W_i v and W_i[(q a x), (p y c)] = delta_xy conj(S[(p q), a, c, i])."""
-    side = _cost_side(a_t, layer).reshape(4, 4, 2, 2, 2)  # [p, q, a, c, i]
-    return np.einsum("pqaci,xy->qaxpyci", side, np.eye(2)).reshape(16, 32).conj()
+    side = _cost_side(a_t, layer).reshape(4, 4, 2, 4).conj()  # [p, q, a, (c i)]
+    form = np.zeros((4, 2, 2, 4, 2, 4), dtype=complex)  # [q, a, x, p, y, (c i)]
+    form[:, :, 0, :, 0] = form[:, :, 1, :, 1] = side.transpose(1, 2, 0, 3)
+    return form.reshape(16, 32)
 
 
 def _cost_side(a_t, layer):
@@ -233,13 +237,15 @@ def _cost_side(a_t, layer):
     gate layer ``layer`` on the current state's four-site strand products)
     and the two boundary copies, a linear map from the window's bond
     operator M[c, d] onto column 0 of the final one, folded into it:
-    S[t, a, c, i] = sum_d K[t]_{a d} C[i, (c d)], shape (16, 2, 2, 2)."""
-    ket = transfer.window_ket(a_t, layer)
-    copies = np.eye(4, dtype=complex).reshape(4, 2, 2)  # the unit bond operators
-    for _ in range(2):
-        copies = transfer.site_overlap_map(copies, a_t, a_t)
-    # copies[(c d), i, 0]: entry i of column 0 of the copies' image of unit operator (c d)
-    return np.einsum("tad,cdi->taci", ket, copies[:, :, 0].reshape(2, 2, 2))
+    S[t, a, c, i] = sum_d K[t]_{a d} C[i, (c d)], shape (16, 2, 2, 2). Two
+    sites of M -> sum_s (A^s)^dag M A^s map e_c e_d^T to sum_P P^dag e_c e_d^T P
+    over the products P = A^s A^s', so C[i, (c d)] = sum_P conj(P[c, i]) P[d, 0]
+    = E^2[(d c), (0 i)] = conj(E^2)[(c d), (i 0)], as E = transfer_matrix(A, A)
+    gives E^2 = sum_P P (x) conj(P): S is K's rows (t a) times E^2's first two
+    columns read as [d, (c i)], one (32 x 2) . (2 x 4) product."""
+    e = transfer.transfer_matrix(a_t, a_t)
+    copies = (e @ e)[:, :2].reshape(2, 4)  # C[i, (c d)] at [d, (c i)]
+    return (transfer.window_ket(a_t, layer).reshape(32, 2) @ copies).reshape(16, 2, 2, 2)
 
 
 def dense_success_probability(params_t, params_candidate, spec):

@@ -111,15 +111,16 @@ class Trajectory:
 
 
 def echo_density(params_0, params_t):
-    """Loschmidt echo rate -log |lambda(E_{A(0),A(t)})|^2 from the dense
-    leading eigenvalue of the one-site mixed transfer matrix."""
+    """Loschmidt echo rate -log |lambda(E_{A(0),A(t)})|^2 from the largest
+    |eigenvalue| of the one-site mixed transfer matrix (:func:`qcore.eigenvalues`)."""
     return _echo_of_tensors(tensor_of(params_0), tensor_of(params_t))
 
 
 def _echo_of_tensors(a_0, a_t):
-    """:func:`echo_density` of the MPS tensors ``a_0`` and ``a_t``."""
-    lam = qcore.leading_eig(transfer.transfer_matrix(a_0, a_t))[0]
-    return float(-np.log(max(abs(lam) ** 2, 1e-300)))
+    """:func:`echo_density` of the MPS tensors ``a_0`` and ``a_t``: max |w| over
+    the eigenvalues w of one ``geev`` without eigenvectors (:func:`qcore.eigenvalues`)."""
+    lam = np.abs(qcore.eigenvalues(transfer.transfer_matrix(a_0, a_t))).max()
+    return float(-np.log(max(lam**2, 1e-300)))
 
 
 def energy_density(params, J, g, grad=False):
@@ -198,7 +199,7 @@ def ground_state_optimize(J, g, template):
     res = minimize(objective, x0, method="BFGS", jac=True, options={"gtol": GTOL})
     ground = AnsatzParams(res.x)
     a = tensor_of(ground)
-    lam2 = np.sort(np.abs(np.linalg.eigvals(transfer.transfer_matrix(a, a))))[-2]
+    lam2 = np.sort(np.abs(qcore.eigenvalues(transfer.transfer_matrix(a, a))))[-2]
     if not 1.0 - lam2 >= GROUND_GAP_TOL:
         raise NumericFailure(
             "ground state is reducible: "
@@ -239,25 +240,26 @@ def spsa_optimize(cost, x0, steps, rng_seed):
     ``steps``. A pair that measures equal costs (a shot-noise tie) gives a
     zero update, and the iterations go on.
 
-    Rademacher perturbation directions, all drawn up front in one call (the
-    same stream as one draw per iteration). ``cost`` takes a (2, n) stack of
-    angles, the pair x + c_k delta, x - c_k delta in that order, and returns
-    the two costs; it is called once per iteration, so a sampled cost draws
-    the + evaluation before the - one. Deterministic given ``rng_seed``.
-    Returns the final angle array (``x0`` itself after zero iterations) and
-    the per-iteration mean measured cost.
+    Rademacher perturbation directions and their +/- pairs, all built up front
+    from one draw (the same stream as one draw per iteration); a product with
+    +/-1 is exact, so x - (a_k g) delta is the float x - a_k (g delta). ``cost``
+    takes a (2, n) stack of angles, the pair x + c_k delta, x - c_k delta in
+    that order, and returns the two costs; it is called once per iteration, so
+    a sampled cost draws the + evaluation before the - one. Deterministic
+    given ``rng_seed``. Returns the final angle array (``x0`` itself after
+    zero iterations) and the per-iteration mean measured cost.
     """
     rng = np.random.default_rng(rng_seed)
     x = x0
     offset = SPSA_A_FRACTION * steps
     history = []
     deltas = rng.integers(0, 2, size=(steps, len(x))) * 2.0 - 1.0
+    signs = deltas[:, None, :] * _PLUS_MINUS  # iteration k's pair: x + c_k signs[k]
     for k, delta in enumerate(deltas):
         ck = SPSA_C / (k + 1) ** SPSA_GAMMA
-        y_plus, y_minus = cost(x + _PLUS_MINUS * (ck * delta))
-        ghat = (y_plus - y_minus) / (2.0 * ck) * delta
+        y_plus, y_minus = cost(x + ck * signs[k])
         ak = SPSA_A / (k + 1 + offset) ** SPSA_ALPHA
-        x = x - ak * ghat
+        x = x - (ak * ((y_plus - y_minus) / (2.0 * ck))) * delta
         history.append(0.5 * (y_plus + y_minus))
     return x, history
 
@@ -303,12 +305,13 @@ def _evolve(spec, ground, init_scheme, solve_step, **labels):
     previous state's MPS tensor ``a_prev`` and returns
     ``(accepted, cost, shots)``. The accepted angles are unwrapped toward
     step n - 1 and stored, and their tensor is built once: step n's echo is
-    taken from it against the ground tensor at accept, and it is step
-    n + 1's ``a_prev``. A 2*pi shift of an angle flips the unitary's sign,
-    which no echo observes. A solve, tensor or echo of step n that raises
-    :class:`NumericFailure` or :class:`InvalidArgumentError` truncates the
-    run before step n, with ``failure = "<type>: <message>"``, and no later
-    step runs. ``labels`` fill the other fields.
+    taken from it against the ground tensor at accept, by the eigenvalue-only
+    :func:`qcore.eigenvalues`, and it is step n + 1's ``a_prev``. A 2*pi
+    shift of an angle flips the unitary's sign, which no echo observes. A
+    solve, tensor or echo of step n that raises :class:`NumericFailure` or
+    :class:`InvalidArgumentError` truncates the run before step n, with
+    ``failure = "<type>: <message>"``, and no later step runs. ``labels``
+    fill the other fields.
     """
     if ground is None:
         ground = ground_state_optimize(spec.J, spec.g0, FULL15)

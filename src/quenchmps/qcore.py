@@ -89,7 +89,7 @@ def check_choice(name, value, choices):
 
 @functools.cache
 def _geev_lwork(n):
-    """``geev`` workspace for an n x n matrix with both eigenvectors."""
+    """``geev`` workspace for an n x n matrix with both eigenvectors (ample without)."""
     return int(_GEEV_LWORK(n, compute_vl=1, compute_vr=1)[0].real)
 
 
@@ -123,6 +123,29 @@ def two_site_exp(h, tau):
     return (v * np.exp(-1j * tau * w)) @ v.conj().T
 
 
+def _geev(m, vectors):
+    """``(m, ||m||_inf, w, vl, vr)`` of one checked ``geev``: eigenvectors if ``vectors``."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise InvalidArgumentError(f"expected a non-empty square matrix, got {m.shape}")
+    scale = np.abs(m).sum(axis=1).max()  # ||m||_inf, numpy's own definition of it
+    if not 0.0 < scale < np.inf:
+        raise InvalidArgumentError(f"matrix must be nonzero and finite, got norm {scale}")
+    w, vl, vr, info = _GEEV(m, compute_vl=vectors, compute_vr=vectors, lwork=_geev_lwork(len(m)))
+    if info != 0:
+        raise NumericFailure(f"eigensolver failed (geev info {info})")
+    return m, scale, w, vl, vr
+
+
+def eigenvalues(m):
+    """All eigenvalues of a matrix that :func:`leading_eig` takes, from one ``geev``
+    without eigenvectors; it raises as that does, and on a non-finite eigenvalue."""
+    w = _geev(m, 0)[2]
+    if not np.isfinite(w).all():
+        raise NumericFailure(f"eigensolver returned a non-finite eigenvalue: {w}")
+    return w
+
+
 def leading_eig(m):
     """Leading eigenpair (largest |eigenvalue|) of a small square matrix.
 
@@ -135,15 +158,7 @@ def leading_eig(m):
     it; a ``geev`` that does not converge raises :class:`NumericFailure`, as
     does (residual attached) a right pair that misses ``1e-9 * ||m||``.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
-        raise InvalidArgumentError(f"expected a non-empty square matrix, got {m.shape}")
-    scale = np.abs(m).sum(axis=1).max()  # ||m||_inf, numpy's own definition of it
-    if not 0.0 < scale < np.inf:
-        raise InvalidArgumentError(f"matrix must be nonzero and finite, got norm {scale}")
-    w, vl, vr, info = _GEEV(m, lwork=_geev_lwork(len(m)))
-    if info != 0:
-        raise NumericFailure(f"eigensolver failed (geev info {info})")
+    m, scale, w, vl, vr = _geev(m, 1)
     k = int(np.argmax(np.abs(w)))
     lam, right = w[k], vr[:, k]
     residual = np.linalg.norm(m @ right - lam * right)

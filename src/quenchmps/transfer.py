@@ -152,7 +152,7 @@ def window_ket(a_ket, gate_layer):
             f"a gate layer must be a 2**n x 2**n square with n >= 1, "
             f"got shape {gate_layer.shape}"
         )
-    return np.einsum("ts,sab->tab", gate_layer, strand_products(a_ket, n_sites))
+    return (gate_layer @ strand_products(a_ket, n_sites).reshape(-1, 4)).reshape(-1, 2, 2)
 
 
 def window_overlap_map(side, b_bra):

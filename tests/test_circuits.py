@@ -216,6 +216,26 @@ class TestCircuitDenseEquivalence:
             got = success_probability_fn(a_t, layer)(candidates)
             assert np.max(np.abs(got - want)) <= 1e-14
 
+    @pytest.mark.parametrize("trotter_order", [1, 2])
+    def test_cost_side_matches_the_overlap_map_copies(self, trotter_order):
+        # the reference construction: the window ket as an einsum, and the two
+        # boundary copies as two site_overlap_map applications to the unit
+        # bond operators, of whose image column 0 is kept
+        def reference_side(a_t, layer):
+            ket = np.einsum("ts,sab->tab", layer, transfer.strand_products(a_t, 4))
+            copies = np.eye(4, dtype=complex).reshape(4, 2, 2)
+            for _ in range(2):
+                copies = transfer.site_overlap_map(copies, a_t, a_t)
+            return np.einsum("tad,cdi->taci", ket, copies[:, :, 0].reshape(2, 2, 2))
+
+        rng = np.random.default_rng(22)
+        layer = layer_at(tfim.QuenchSpec(trotter_order=trotter_order), 0.1)
+        for _ in range(50):
+            a_t = ansatz.tensor_of(rng.uniform(-np.pi, np.pi, 15))
+            side = circuits._cost_side(a_t, layer)
+            assert side.shape == (16, 2, 2, 2)
+            assert np.max(np.abs(side - reference_side(a_t, layer))) <= 1e-14
+
     def test_one_parameter_set_each(self):
         # a stack escaped from the dense path as an einsum ValueError or a
         # TypeError, and from the circuit only once a gate was applied

@@ -260,8 +260,11 @@ class TestDrivers:
             return OptimizeResult(x=np.zeros(len(x0)))
 
         monkeypatch.setattr(evolve, "minimize", stops_at_zero)
+        spectra = spy(monkeypatch, qcore, "eigenvalues")
         with pytest.raises(NumericFailure, match="ground state is reducible"):
             evolve.ground_state_optimize(1.0, 1.5, FULL15)
+        # the gap is read from one eigenvalue-only geev of the transfer matrix
+        assert len(spectra) == 1 and np.allclose(spectra[0][1], 1.0, rtol=0, atol=1e-12)
 
     def test_non_stationary_ground_state_rejected(self, ground, monkeypatch):
         moved = ground.angles + 1e-3
@@ -906,8 +909,9 @@ class TestStochastic:
         # step 2; the rows kept are those of the run without the failure
         full = evolve.evolve_stochastic(SHORT, "extrapolate", seed=3, ground=golden_ground)
         fail_step_2_geev(monkeypatch, "echo")
+        pairs = spy(monkeypatch, qcore, "leading_eig")
         traj = evolve.evolve_stochastic(SHORT, "extrapolate", seed=3, ground=golden_ground)
-        assert full.complete
+        assert full.complete and pairs == []  # the echo's geev computes no eigenvectors
         assert not traj.complete and traj.n_steps == 1
         assert traj.failure == "NumericFailure: eigensolver failed (geev info 1)"
         for name in ("times", "angles", "echoes", "costs", "cum_shots"):
@@ -1055,6 +1059,52 @@ class TestStepHelpers:
         assert np.array_equal(out, again)
         assert len(history) == 60
         assert cost(out[None])[0] < 0.5 * cost(seed[None])[0]
+
+    @pytest.mark.parametrize("steps", [0, 1, 6, 24])
+    def test_spsa_iterates_equal_the_unfactored_loop(self, steps):
+        # the reference loop forms each pair as x +/- (c_k delta) and steps
+        # by x - a_k (g delta); spsa_optimize builds the +/- signs up front
+        # and steps by x - (a_k g) delta: every pair, iterate and mean cost
+        # is the same float. The cost is sampled at 4 shots, so some pairs tie.
+        def reference_spsa(cost, x0, steps, rng_seed):
+            rng = np.random.default_rng(rng_seed)
+            x, history = x0, []
+            offset = evolve.SPSA_A_FRACTION * steps
+            deltas = rng.integers(0, 2, size=(steps, len(x))) * 2.0 - 1.0
+            for k, delta in enumerate(deltas):
+                ck = evolve.SPSA_C / (k + 1) ** evolve.SPSA_GAMMA
+                y_plus, y_minus = cost(x + np.array([[1.0], [-1.0]]) * (ck * delta))
+                ghat = (y_plus - y_minus) / (2.0 * ck) * delta
+                ak = evolve.SPSA_A / (k + 1 + offset) ** evolve.SPSA_ALPHA
+                x = x - ak * ghat
+                history.append(0.5 * (y_plus + y_minus))
+            return x, history
+
+        target = np.linspace(-0.5, 0.5, 15)
+
+        def sampled_cost(pairs, costs):
+            rng = np.random.default_rng(11)
+
+            def cost(xs):
+                pairs.append(xs.copy())
+                p = np.exp(-np.sum((xs - target) ** 2, axis=1))
+                costs.append([1.0 - rng.binomial(4, q) / 4 for q in p.tolist()])
+                return costs[-1]
+
+            return cost
+
+        seed = target + 0.2 * np.cos(np.arange(15.0))
+        got_pairs, want_pairs, costs = [], [], []
+        got = evolve.spsa_optimize(sampled_cost(got_pairs, costs), seed, steps, 5)
+        want = reference_spsa(sampled_cost(want_pairs, []), seed, steps, 5)
+        assert len(got_pairs) == len(want_pairs) == steps
+        for got_pair, want_pair in zip(got_pairs, want_pairs):
+            assert np.array_equal(got_pair, want_pair)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        if steps == 0:
+            assert got[0] is seed
+        ties = sum(plus == minus for plus, minus in costs)
+        assert steps < 6 or 0 < ties < steps, costs  # tied and untied pairs
 
     def test_trajectory_params_at(self):
         angles = np.arange(45.0).reshape(3, 15)

@@ -24,11 +24,12 @@ PUBLIC_API = {
     "quenchmps.__version__",
 }
 # kept only because bench/ calls or traces them; deleted with benchmark v2
-# (ROADMAP item 3)
+# (ROADMAP item 2)
 KEPT_FOR_BENCH = {
     "qcore.rot_gate",
     "ansatz.mps_tensor",
     "transfer.window_overlap_map",
+    "transfer.site_overlap_map",
     "circuits.dense_success_probability",
     "evolve.echo_density",
 }

@@ -8,6 +8,7 @@ from quenchmps.qcore import (
     PAULI_X,
     PAULI_Z,
     apply_gate,
+    eigenvalues,
     leading_eig,
     n_qubits_of,
     project_qubit,
@@ -138,6 +139,10 @@ class TestTwoSiteExp:
             assert np.array_equal(two_site_exp(h, tau), two_site_exp(h, 2.0))
 
 
+# the two geev front ends, which share their input checks and info check
+EIGENSOLVERS = (leading_eig, eigenvalues)
+
+
 class TestLeadingEig:
     def test_identity(self):
         lam, v, _ = leading_eig(np.eye(4, dtype=complex))
@@ -203,15 +208,17 @@ class TestLeadingEig:
             return w, vl, vr, 2
 
         monkeypatch.setattr(qcore, "_GEEV", not_converged)
-        with pytest.raises(NumericFailure, match="geev info 2"):
-            leading_eig(np.eye(4, dtype=complex))
+        for solve in EIGENSOLVERS:
+            with pytest.raises(NumericFailure, match="geev info 2"):
+                solve(np.eye(4, dtype=complex))
 
     def test_rejects_zero_matrix(self):
-        with pytest.raises(InvalidArgumentError):
-            leading_eig(np.zeros((4, 4)))
-        # an empty one escaped as numpy's zero-size reduction error
-        with pytest.raises(InvalidArgumentError, match="non-empty square matrix"):
-            leading_eig(np.zeros((0, 0)))
+        for solve in EIGENSOLVERS:
+            with pytest.raises(InvalidArgumentError):
+                solve(np.zeros((4, 4)))
+            # an empty one escaped as numpy's zero-size reduction error
+            with pytest.raises(InvalidArgumentError, match="non-empty square matrix"):
+                solve(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["everywhere", "one-entry"])
@@ -221,9 +228,40 @@ class TestLeadingEig:
         # residual or a RuntimeWarning
         m = np.full((4, 4), bad, dtype=complex) if where == "everywhere" else np.eye(4)
         m[1, 2] = bad
-        with pytest.raises(InvalidArgumentError, match="nonzero and finite"):
-            leading_eig(m)
+        for solve in EIGENSOLVERS:
+            with pytest.raises(InvalidArgumentError, match="nonzero and finite"):
+                solve(m)
         assert capfd.readouterr() == ("", "")
+
+
+class TestEigenvalues:
+    def test_matches_sorted_numpy_eigvals(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            got, want = np.sort(eigenvalues(m)), np.sort(np.linalg.eigvals(m))
+            assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_same_eigenvalues_as_the_leading_pair(self):
+        # geev without eigenvectors: its largest is leading_eig's lambda
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            w = eigenvalues(m)
+            assert w.shape == (4,)
+            assert abs(w[np.argmax(np.abs(w))] - leading_eig(m)[0]) <= 1e-14
+
+    def test_non_finite_eigenvalue_raises(self, monkeypatch):
+        real_geev = qcore._GEEV
+
+        def overflowed(*args, **kwargs):
+            w, vl, vr, info = real_geev(*args, **kwargs)
+            w[1] = np.inf
+            return w, vl, vr, info
+
+        monkeypatch.setattr(qcore, "_GEEV", overflowed)
+        with pytest.raises(NumericFailure, match="non-finite eigenvalue"):
+            eigenvalues(np.diag([2.0, 1.0, 0.5, 0.1]))
 
 
 class TestApplyGate:
