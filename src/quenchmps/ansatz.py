@@ -140,7 +140,8 @@ def mps_tensor(u):
 
     A (k, 4, 4) stack gives a (k, 2, 2, 2) stack of tensors. U must be
     unitary, as :func:`build_unitary`'s is by construction, for A to be
-    left-isometric; only the shape is checked.
+    left-isometric; only the shape is checked. Kept for ``TRACED`` in
+    ``bench/tracing.py``; :func:`tensor_of` reads A from the real form.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim not in (2, 3) or u.shape[-2:] != (4, 4):

@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qcore, tfim, transfer
-from .ansatz import build_unitary, tensor_of
+from .ansatz import AnsatzParams, build_unitary, tensor_of
 from .qcore import InvalidArgumentError, ResourceLimitError
 
 MAX_CIRCUIT_QUBITS = 12
@@ -118,14 +118,13 @@ def build_cost_circuit(params_t, params_candidate, spec):
     ``params_t`` describes the current state: it is emitted on the ket
     strand and on the two boundary copies (gates named "V"), which the bra
     strand unprepares last. ``params_candidate`` is the trial update
-    absorbed on the bra strand of the window. Each is one parameter set; a
-    stack is rejected with :class:`InvalidArgumentError`. The evolution
-    insertion is one step of ``spec``; its gates are the only ones that do
-    not touch the bond register, qubit 0. Qubit q carries site q.
+    absorbed on the bra strand of the window. Each passes through
+    :class:`~quenchmps.ansatz.AnsatzParams`, whose one-set rule rejects a stack.
+    The evolution insertion is one step of ``spec``; its gates are the only ones
+    that do not touch the bond register, qubit 0. Qubit q carries site q.
     """
-    _check_one_set(params_t, params_candidate)
-    u = build_unitary(params_t)
-    w = build_unitary(params_candidate)
+    u = build_unitary(AnsatzParams(params_t))
+    w = build_unitary(AnsatzParams(params_candidate))
     layer, placed = evolution_gate_layer(spec)
     n_copies = 2
     n_sites = n_copies + len(layer).bit_length() - 1  # the layer's sites follow the copies
@@ -252,15 +251,9 @@ def dense_success_probability(params_t, params_candidate, spec):
     """Exact contraction of the cost diagram in the bond-operator algebra:
     the evolution window nested inside the two boundary copies, applied to
     the initial bond state |0> (:func:`success_probability_fn` on one
-    candidate). A stack on either side is an :class:`InvalidArgumentError`."""
-    _check_one_set(params_t, params_candidate)
+    candidate); both sides pass :class:`~quenchmps.ansatz.AnsatzParams`'s
+    one-set rule. Kept for ``dense_statevector_mismatches`` in ``bench/harness.py``."""
+    params_t, params_candidate = AnsatzParams(params_t), AnsatzParams(params_candidate)
     layer, _ = evolution_gate_layer(spec)
     success_probability = success_probability_fn(tensor_of(params_t), layer)
     return float(success_probability(params_candidate))
-
-
-def _check_one_set(*params):
-    """Reject a stack where the cost circuit takes one parameter set."""
-    for shape in map(np.shape, params):
-        if len(shape) != 1:
-            raise InvalidArgumentError(f"one parameter set expected, got shape {shape}")

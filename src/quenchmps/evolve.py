@@ -112,7 +112,8 @@ class Trajectory:
 
 def echo_density(params_0, params_t):
     """Loschmidt echo rate -log |lambda(E_{A(0),A(t)})|^2 from the largest
-    |eigenvalue| of the one-site mixed transfer matrix (:func:`qcore.eigenvalues`)."""
+    |eigenvalue| of the one-site mixed transfer matrix (:func:`qcore.eigenvalues`).
+    Kept for ``check_outputs`` in ``bench/harness.py``."""
     return _echo_of_tensors(tensor_of(params_0), tensor_of(params_t))
 
 

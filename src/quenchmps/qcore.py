@@ -94,18 +94,14 @@ def _geev_lwork(n):
 
 
 def rot_gate(axis, angle):
-    """Single-qubit rotation exp(-i * angle * P / 2) for the Pauli P named by
-    ``axis`` ('X', 'Y' or 'Z'), at a finite real ``angle`` in radians."""
+    """Single-qubit rotation exp(-i * angle * P / 2) = cos(angle/2) 1 -
+    i sin(angle/2) P for the Pauli P named by ``axis`` ('X', 'Y' or 'Z'), at a
+    finite real ``angle`` in radians. Kept for ``TRACED`` in ``bench/tracing.py``."""
     if axis not in _PAULIS:
         raise InvalidArgumentError(f"unknown rotation axis {axis!r}")
     check_reals(angle=angle)
     half = 0.5 * angle
-    c, s = np.cos(half), np.sin(half)
-    if axis == "Z":
-        return np.array([[np.exp(-1j * half), 0.0], [0.0, np.exp(1j * half)]])
-    if axis == "X":
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return np.cos(half) * IDENTITY_2 - 1j * np.sin(half) * _PAULIS[axis]
 
 
 def two_site_exp(h, tau):

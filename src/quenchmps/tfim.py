@@ -207,9 +207,9 @@ def cusp_times(g0, g1, t_max, J=1.0):
 
 def ground_energy_density_ff(J, g):
     """Thermodynamic-limit ground energy per site from the free-fermion
-    dispersion: e0 = -(1/pi) int_0^pi sqrt(J^2 + g^2 - 2 J g cos k) dk, by
-    the trapezoid rule on ``ENERGY_K_POINTS`` intervals. ``J`` and ``g``
-    must be finite reals (``J = 0`` gives -|g|)."""
+    dispersion, e0 = -(1/2pi) int_0^pi e_k(g) dk with e_k the
+    :func:`quasiparticle_energy`, by the trapezoid rule on ``ENERGY_K_POINTS``
+    intervals. ``J`` and ``g`` must be finite reals (``J = 0`` gives -|g|)."""
     check_reals(J=J, g=g)
     k = np.linspace(0.0, np.pi, ENERGY_K_POINTS + 1)
-    return float(-np.trapezoid(np.sqrt(J**2 + g**2 - 2 * J * g * np.cos(k)), k) / np.pi)
+    return float(-np.trapezoid(quasiparticle_energy(k, g, J), k) / (2.0 * np.pi))

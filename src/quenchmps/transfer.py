@@ -10,7 +10,7 @@ first), so E vec(X) = vec(sum_s A^s X (B^s)^dag). The identity vectorizes to
 eigenvector of E with eigenvalue 1.
 
 With a two-site evolution gate G inserted between bra and ket, the cell
-matrix of :func:`cell_matrix` covers one two-site unit cell::
+matrix of :func:`cell_eigenvalue_gradient` covers one two-site unit cell::
 
          b ---[B*]---[B*]--- b'     (bra strand, conjugated)
                 |      |
@@ -65,20 +65,10 @@ def join_strands(first, then):
     return out.reshape(out.shape[:-3] + (-1, 2, 2))
 
 
-def cell_matrix(ket, b_bra):
-    """Cell matrix E[(a c), (a' c')] = sum_t K[t]_{a a'} conj(B-prod_t)_{c c'}
-    of the ket side ``ket`` (:func:`window_ket` of two sites, or the tensor A
-    itself for one site) and the bra tensor; the site count is read from
-    ``len(ket)``. It is :func:`transfer_matrix` for one site; for two, the
-    matrix of :func:`cell_eigenvalue_gradient`, which shares its formula."""
-    pb = strand_products(b_bra, len(ket).bit_length() - 1)
-    return _cell_of_products(ket, pb.conj())
-
-
 def _cell_of_products(ket, pb_conj):
-    """:func:`cell_matrix` from the bra's conjugated strand products
-    ``pb_conj``: the ket side's (a a', t) transpose times conj(P) in
-    (t, c c') layout, reordered to E[(a c), (a' c')]."""
+    """Cell matrix E[(a c), (a' c')] = sum_t K[t]_{a a'} conj(P_t)_{c c'} of the
+    ket side ``ket`` (A itself for one site) and the bra's conjugated strand
+    products ``pb_conj``: K's (a a', t) transpose times conj(P) in (t, c c') layout."""
     cell = ket.reshape(len(ket), 4).T @ pb_conj.reshape(len(ket), 4)
     return cell.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
 
@@ -88,7 +78,7 @@ def cell_eigenvalue_gradient(ket, b_bra, db):
     (:func:`window_ket` of two sites) and the bra tensor ``b_bra``, and its
     derivatives along the bra tangents ``db`` (shape (n, 2, 2, 2)).
 
-    The matrix is :func:`cell_matrix`'s, from the bra's conjugated strand
+    The matrix is :func:`_cell_of_products`'s, from the bra's conjugated strand
     products conj(P[2 t1 + t2]) = conj(B^{t2} B^{t1}), joined from conj(B)
     (:func:`join_strands`). The derivative is first-order perturbation
     theory of a simple eigenvalue, d lambda = <l| dE |r> / <l|r>, with both
@@ -129,12 +119,13 @@ def transfer_matrix(a_ket, b_bra):
     b_bra = np.asarray(b_bra, dtype=complex)
     if a_ket.shape != (2, 2, 2) or b_bra.shape != (2, 2, 2):
         raise InvalidArgumentError("tensors must have shape (2, 2, 2)")
-    return cell_matrix(a_ket, b_bra)
+    return _cell_of_products(a_ket, b_bra.conj())
 
 
 def site_overlap_map(m, a_ket, b_bra):
     """One site of the sequential overlap applied to a bond operator (or a
-    stack of them): M -> sum_s (B^s)^dag M A^s."""
+    stack of them): M -> sum_s (B^s)^dag M A^s. Kept for ``TRACED`` in
+    ``bench/tracing.py``; the cost side reads its copies off E^2."""
     return np.einsum("sca,...cd,sdb->...ab", b_bra.conj(), m, a_ket)
 
 
@@ -161,18 +152,16 @@ def window_overlap_map(side, b_bra):
 
     ``side`` has shape (2**n, 2, ...): the bra's physical string t and the
     incoming bond index a of its strand products Pb_t[a, c], then the side's
-    own axes, of which the last is kept. The conjugated products,
-    flattened in (t, a, c) order, are contracted with every axis of the side
-    but its last, and what is left of (t, a, c) becomes the rows of the
-    result. For the ket side K of :func:`window_ket` that is the window block
-    on the identity bond operator, sum_t (Pb_t)^dag K[t]: one
-    (2 x 2**(n+1)) . (2**(n+1) x 2) product. For a side of shape
-    (2**n, 2, 2, m) that also carries the outgoing bond index c, as the cost
-    circuit's side with its boundary copies folded in does, it is one
-    (1 x 2**(n+2)) . (2**(n+2) x m) product, a (1, m) row per bra tensor.
-    Each row rounds as that bra tensor alone does. Nothing in the package
-    calls it: it is the reference that the tests hold the cost circuit's
-    bilinear form (:func:`quenchmps.circuits.success_probability_fn`) to.
+    own axes, of which the last is kept. The conjugated products, flattened
+    in (t, a, c) order, are contracted with every axis of the side but its
+    last; what is left of (t, a, c) becomes the rows. For the ket side K of
+    :func:`window_ket` that is sum_t (Pb_t)^dag K[t], the window block on the
+    identity bond operator; for a (2**n, 2, 2, m) side that also carries c, as
+    the cost circuit's side with its boundary copies folded in does, a (1, m)
+    row per bra tensor. Each row rounds as that bra tensor alone does.
+    Nothing in the package calls it: it is the tests' reference for the cost
+    circuit's bilinear form (:func:`quenchmps.circuits.success_probability_fn`),
+    kept for ``TRACED`` in ``bench/tracing.py``.
     """
     pb = strand_products(b_bra, len(side).bit_length() - 1).conj()
     flat = side.reshape(-1, side.shape[-1])

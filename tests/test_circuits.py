@@ -237,14 +237,16 @@ class TestCircuitDenseEquivalence:
             assert np.max(np.abs(side - reference_side(a_t, layer))) <= 1e-14
 
     def test_one_parameter_set_each(self):
-        # a stack escaped from the dense path as an einsum ValueError or a
-        # TypeError, and from the circuit only once a gate was applied
+        # both entry points pass each side through AnsatzParams, whose one-set
+        # rule rejects a stack before a gate is built
         p = random_params(np.random.default_rng(5))
         stack = np.tile(p.angles, (2, 1))
         spec = tfim.QuenchSpec()
         for call in (dense_success_probability, build_cost_circuit):
             for params_t, candidate in [(stack, p), (p, stack)]:
-                with pytest.raises(InvalidArgumentError, match="one parameter set"):
+                with pytest.raises(
+                    InvalidArgumentError, match="AnsatzParams holds one parameter set"
+                ):
                     call(params_t, candidate, spec)
 
     def test_quench_step_cost_near_one_at_small_dt(self):

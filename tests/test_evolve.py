@@ -8,6 +8,7 @@ from scipy.optimize import OptimizeResult
 from quenchmps import circuits, evolve, qcore, tfim, transfer
 from quenchmps.ansatz import FULL15, AnsatzParams, build_unitary, tensor_of
 from quenchmps.qcore import InvalidArgumentError, NumericFailure
+from test_transfer import cell_matrix
 
 H = 1e-5  # central-difference step; truncation and rounding both stay near 1e-10
 SHORT = replace(tfim.REFERENCE_QUENCH, t_max=0.3)  # three steps
@@ -173,13 +174,10 @@ class TestGradients:
             a_t = tensor_of(current)
             ket = transfer.window_ket(a_t, gate)
             b, db = tensor_of(AnsatzParams(x), grad=True)
-            w, vl, vr = scipy.linalg.eig(transfer.cell_matrix(ket, b), left=True)
+            w, vl, vr = scipy.linalg.eig(cell_matrix(ket, b), left=True)
             k = np.argmax(np.abs(w))
             left, right = vl[:, k].conj(), vr[:, k]
-            de = [
-                transfer.cell_matrix(ket, b + d) - transfer.cell_matrix(ket, b - d)
-                for d in db
-            ]
+            de = [cell_matrix(ket, b + d) - cell_matrix(ket, b - d) for d in db]
             dlam = np.array([left @ e @ right for e in de]) / (2.0 * (left @ right))
             value, grad = evolve._step_objective(a_t, gate, "eigen")(x)
             assert abs(value + abs(w[k])) <= 1e-13

@@ -1,6 +1,7 @@
 """The dead-name guard: every top-level name of the package is reached from
 inside the package, or is on one of two explicit lists. A name that only the
-tests reach fails here, and so does a listed name once it is reached or gone.
+tests reach fails here, and so does a listed name once it is reached or gone,
+or, for a name kept for the benchmark, once the benchmark no longer names it.
 """
 
 import ast
@@ -9,6 +10,7 @@ import pathlib
 import quenchmps
 
 PACKAGE = pathlib.Path(quenchmps.__file__).parent
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 # what callers outside the package use: the drivers, the oracles, the
 # reference quench, the statevector entry points and the version
@@ -76,3 +78,11 @@ def test_only_listed_names_are_unreferenced_inside_the_package():
         f"unlisted: {sorted(unreferenced - listed)}, "
         f"listed but referenced or gone: {sorted(listed - unreferenced)}"
     )
+
+
+def test_every_name_kept_for_bench_is_named_by_the_bench():
+    # the files that call or trace these names; only their text is read
+    text = "".join(
+        (BENCH / name).read_text() for name in ("harness.py", "tracing.py", "selftest.py")
+    )
+    assert sorted(name for name in KEPT_FOR_BENCH if name not in text) == []

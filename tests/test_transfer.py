@@ -3,13 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from quenchmps import tfim
+from quenchmps import tfim, transfer
 from quenchmps.ansatz import AnsatzParams, tensor_of
 from quenchmps.qcore import InvalidArgumentError, leading_eig, rot_gate
 from quenchmps.transfer import (
     VEC_IDENTITY,
     cell_eigenvalue_gradient,
-    cell_matrix,
     join_strands,
     pair_cotangent,
     site_overlap_map,
@@ -26,6 +25,16 @@ def random_params(rng, scale=np.pi):
 
 def identity_params():
     return AnsatzParams(np.zeros(15))
+
+
+def cell_matrix(ket, b_bra):
+    """Reference cell matrix of n sites, E[(a c), (a' c')] =
+    sum_t K[t]_{a a'} conj(B-prod_t)_{c c'}, of the ket side ``ket`` (the tensor
+    A itself for one site, :func:`window_ket` of n sites) and the bra tensor;
+    the site count is read from ``len(ket)``. It is ``transfer_matrix`` for one
+    site and the matrix of ``cell_eigenvalue_gradient`` for two."""
+    pb = strand_products(b_bra, len(ket).bit_length() - 1)
+    return transfer._cell_of_products(ket, pb.conj())
 
 
 def leading_eigenvalue(e):
@@ -89,6 +98,16 @@ class TestTransferMatrix:
                 pb = b[t] @ pb
             expected += np.kron(ket[index], pb.conj())
         assert np.max(np.abs(cell_matrix(ket, b) - expected)) < 1e-14
+
+    def test_transfer_matrix_is_the_one_site_cell_matrix(self):
+        # the same array as the n-site reference through one-site strand products
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            a, b = (
+                rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+                for _ in range(2)
+            )
+            assert np.array_equal(transfer_matrix(a, b), cell_matrix(a, b))
 
     def test_identity_gate_cell_is_square_of_one_site(self):
         rng = np.random.default_rng(2)
