@@ -66,7 +66,7 @@ import numpy as np
 
 from . import qcore, tfim, transfer
 from .ansatz import AnsatzParams, build_unitary, tensor_of
-from .qcore import InvalidArgumentError, ResourceLimitError
+from .qcore import ResourceLimitError
 
 MAX_CIRCUIT_QUBITS = 12
 
@@ -93,8 +93,7 @@ def evolution_gate_layer(spec):
     :func:`qcore.apply_gate` to the row qubits (the first four of eight) of
     the flattened 16x16 identity. A ``spec`` that is not a
     :class:`tfim.QuenchSpec` raises :class:`InvalidArgumentError`."""
-    if not isinstance(spec, tfim.QuenchSpec):
-        raise InvalidArgumentError(f"spec must be a QuenchSpec, got {type(spec).__name__}")
+    tfim.check_spec(spec)
     if spec.trotter_order == 1:
         g = tfim.trotter_gate_first_order(spec.J, spec.g1, spec.dt)
         placed = [("G", g, (0, 1)), ("G", g, (2, 3))]

@@ -114,7 +114,7 @@ def echo_density(params_0, params_t):
     """Loschmidt echo rate -log |lambda(E_{A(0),A(t)})|^2 from the largest
     |eigenvalue| of the one-site mixed transfer matrix (:func:`qcore.eigenvalues`).
     Kept for ``check_outputs`` in ``bench/harness.py``."""
-    return _echo_of_tensors(tensor_of(params_0), tensor_of(params_t))
+    return _echo_of_tensors(tensor_of(AnsatzParams(params_0)), tensor_of(AnsatzParams(params_t)))
 
 
 def _echo_of_tensors(a_0, a_t):
@@ -142,12 +142,13 @@ def energy_density(params, J, g, grad=False):
     H_env = sum_{t,s} h[t,s] P_t^dag P_s. That is the solve on the same pinned
     matrix, P^dag vec Y = vec H_env: <vec rho| applied to it gives Tr Y = e,
     which supplies the -e 1. The value is the same float with and without
-    ``grad``. A ``J`` or ``g`` that :func:`tfim.bond_hamiltonian` rejects
-    raises :class:`InvalidArgumentError` before the solve; a singular pinned
-    matrix, as for a product state, whose fixed point is not unique, raises
-    :class:`NumericFailure`.
+    ``grad``. A ``J`` or ``g`` that :func:`tfim.bond_hamiltonian` rejects, or
+    a stack of parameter sets, raises :class:`InvalidArgumentError` before the
+    solve; a singular pinned matrix, as for a product state, whose fixed point
+    is not unique, raises :class:`NumericFailure`.
     """
     h2 = tfim.bond_hamiltonian(J, g)
+    params = AnsatzParams(params)
     if grad:
         a, da = tensor_of(params, grad=True)
     else:
@@ -370,8 +371,7 @@ def _check_run(spec, init_scheme, shots_per_eval, seeds, ground):
 def _check_start(spec, ground):
     """Reject a ``spec`` that is not a :class:`tfim.QuenchSpec` and a
     ``ground`` that is neither ``None`` nor an :class:`AnsatzParams`."""
-    if not isinstance(spec, tfim.QuenchSpec):
-        raise InvalidArgumentError(f"spec must be a QuenchSpec, got {type(spec).__name__}")
+    tfim.check_spec(spec)
     if ground is not None and not isinstance(ground, AnsatzParams):
         raise InvalidArgumentError(
             f"ground must be None or an AnsatzParams, got {type(ground).__name__}"

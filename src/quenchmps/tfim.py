@@ -50,13 +50,6 @@ _X_SUM = np.kron(qcore.PAULI_X, qcore.IDENTITY_2) + np.kron(
 )
 
 
-def _check_time_step(dt):
-    """Reject a time step ``dt`` that is not a positive finite real."""
-    check_reals(dt=dt)
-    if not dt > 0:
-        raise InvalidArgumentError("dt must be positive")
-
-
 @dataclass(frozen=True)
 class QuenchSpec:
     """Parameters of a transverse-field quench experiment: t_max must be a
@@ -70,8 +63,9 @@ class QuenchSpec:
     trotter_order: int = 1
 
     def __post_init__(self):
-        check_reals(J=self.J, g0=self.g0, g1=self.g1, t_max=self.t_max)
-        _check_time_step(self.dt)
+        check_reals(J=self.J, g0=self.g0, g1=self.g1, t_max=self.t_max, dt=self.dt)
+        if not self.dt > 0:
+            raise InvalidArgumentError("dt must be positive")
         if self.J == 0.0:
             raise InvalidArgumentError("coupling J must be nonzero")
         steps = self.t_max / self.dt
@@ -100,6 +94,12 @@ class QuenchSpec:
 REFERENCE_QUENCH = QuenchSpec()
 
 
+def check_spec(spec):
+    """Reject a ``spec`` that is not a :class:`QuenchSpec`."""
+    if not isinstance(spec, QuenchSpec):
+        raise InvalidArgumentError(f"spec must be a QuenchSpec, got {type(spec).__name__}")
+
+
 def bond_hamiltonian(J, g):
     """Two-site bond term h2 = J Z(x)Z + (g/2)(X(x)1 + 1(x)X).
 
@@ -115,10 +115,8 @@ def trotter_gate_first_order(J, g, dt):
 
     For translationally invariant states the first-order update only needs
     the even part of the Trotterisation with the time step doubled, so this
-    one gate per two-site cell implements the full step. ``dt`` must be a
-    positive finite real, and ``J`` and ``g`` as in :func:`bond_hamiltonian`.
+    one gate per two-site cell implements the full step.
     """
-    _check_time_step(dt)
     return qcore.two_site_exp(bond_hamiltonian(J, g), 2.0 * dt)
 
 
@@ -128,7 +126,6 @@ def trotter_gates_second_order(J, g, dt):
     Both act with the bond generator of :func:`bond_hamiltonian`; composing
     odd(dt/2) . even(dt) . odd(dt/2) layers gives local error O(dt^3).
     """
-    _check_time_step(dt)
     h2 = bond_hamiltonian(J, g)
     return qcore.two_site_exp(h2, 0.5 * dt), qcore.two_site_exp(h2, dt)
 

@@ -32,7 +32,7 @@ lives in :mod:`quenchmps.circuits`.
 import numpy as np
 
 from . import qcore
-from .qcore import InvalidArgumentError, NumericFailure
+from .qcore import NumericFailure
 
 VEC_IDENTITY = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
 MIN_EIGVEC_OVERLAP = 1e-6  # eigenvalue condition number 1/|<l|r>| at most 1e6
@@ -46,8 +46,6 @@ def strand_products(a, n_sites):
     tensors gives a (k, 2**n_sites, 2, 2) stack. Each site after the first
     joins the strand in turn (:func:`join_strands`): n - 1 joins.
     """
-    if n_sites < 1:
-        raise InvalidArgumentError(f"a strand needs at least one site, got {n_sites}")
     prods = a
     for _ in range(n_sites - 1):
         prods = join_strands(prods, a)
@@ -115,10 +113,6 @@ def pair_cotangent(b, g):
 
 def transfer_matrix(a_ket, b_bra):
     """One-site mixed transfer matrix E_{A,B} = sum_s A^s (x) conj(B^s)."""
-    a_ket = np.asarray(a_ket, dtype=complex)
-    b_bra = np.asarray(b_bra, dtype=complex)
-    if a_ket.shape != (2, 2, 2) or b_bra.shape != (2, 2, 2):
-        raise InvalidArgumentError("tensors must have shape (2, 2, 2)")
     return _cell_of_products(a_ket, b_bra.conj())
 
 
@@ -132,17 +126,10 @@ def site_overlap_map(m, a_ket, b_bra):
 def window_ket(a_ket, gate_layer):
     """Ket side K[t] = sum_s <t|L|s> A-prod_s of a block of n overlap sites
     with the dense gate layer L between the strands, shape (2**n, 2, 2). The
-    site count n >= 1 is read from the layer, a 2**n x 2**n square (else
-    :class:`InvalidArgumentError`). K depends on the current state only, so
-    an optimizer over the bra computes it once; an incoming bond operator M
-    is folded in as ``M @ K``."""
-    gate_layer = np.asarray(gate_layer, dtype=complex)
-    n_sites = len(gate_layer).bit_length() - 1 if gate_layer.ndim == 2 else 0
-    if n_sites < 1 or gate_layer.shape != (2**n_sites, 2**n_sites):
-        raise InvalidArgumentError(
-            f"a gate layer must be a 2**n x 2**n square with n >= 1, "
-            f"got shape {gate_layer.shape}"
-        )
+    site count n is read from the layer, a 2**n x 2**n square. K depends on
+    the current state only, so an optimizer over the bra computes it once; an
+    incoming bond operator M is folded in as ``M @ K``."""
+    n_sites = len(gate_layer).bit_length() - 1
     return (gate_layer @ strand_products(a_ket, n_sites).reshape(-1, 4)).reshape(-1, 2, 2)
 
 

@@ -228,6 +228,23 @@ class TestGradients:
         with pytest.raises(InvalidArgumentError, match=f"{coupling} must be finite"):
             evolve.energy_density(x, couplings["J"], couplings["g"], grad=grad)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda xs: evolve.echo_density(xs, xs[0]),
+            lambda xs: evolve.echo_density(xs[0], xs),
+            lambda xs: evolve.energy_density(xs, 1.0, 1.5),
+            lambda xs: evolve.energy_density(xs, 1.0, 1.5, grad=True),
+        ],
+        ids=["echo-first", "echo-second", "energy", "energy-grad"],
+    )
+    def test_echo_and_energy_take_one_parameter_set(self, call):
+        # the transfer matrix behind them checks no shapes, so AnsatzParams is
+        # what stops a stack
+        stack = np.random.default_rng(6).uniform(-np.pi, np.pi, (2, 15))
+        with pytest.raises(InvalidArgumentError, match="AnsatzParams holds one parameter set"):
+            call(stack)
+
     def test_non_simple_top_eigenvalue_raises(self):
         # identity-state bra: the cell matrix is K[0] (x) 1, here a Jordan block
         ket = np.zeros((4, 2, 2), dtype=complex)
@@ -549,14 +566,6 @@ class TestDrivers:
         [
             ("Bogus", False, "unknown template", "stochastic"),
             ("Bogus", False, "unknown template", "reference"),
-            pytest.param(
-                "Reduced8", True, "one parameter set", "stochastic",
-                id="Reduced8-stacked-stochastic",
-            ),
-            pytest.param(
-                "Reduced8", True, "one parameter set", "reference",
-                id="Reduced8-stacked-reference",
-            ),
             (FULL15, True, "one parameter set", "stochastic"),
             (FULL15, True, "one parameter set", "reference"),
             (FULL15, True, "one parameter set", "ensemble"),
@@ -722,6 +731,49 @@ class TestDrivers:
             evolve.evolve_stochastic(
                 SHORT, "extrapolate", shots_per_eval=shots, ground=ground
             )
+
+    def test_kernels_get_only_what_the_entries_checked(self, monkeypatch):
+        # the kernels check none of their inputs: every call that the ground solve,
+        # both references, a sampled step and the circuit entry points make hands
+        # each of them what it needs, at both Trotter orders
+        kernels = [
+            (transfer, "transfer_matrix"), (transfer, "window_ket"),
+            (transfer, "strand_products"), (qcore, "two_site_exp"),
+            (tfim, "trotter_gate_first_order"), (tfim, "trotter_gates_second_order"),
+        ]
+        calls = {name: spy(monkeypatch, owner, name) for owner, name in kernels}
+        spec = tfim.QuenchSpec(dt=0.05, t_max=0.05)  # one step
+        ground = evolve.ground_state_optimize(spec.J, spec.g0, FULL15)
+        evolve.evolve_exact_in_ansatz(spec, ground=ground)
+        for order in (1, 2):
+            ordered = replace(spec, trotter_order=order)
+            evolve.evolve_exact_in_ansatz(ordered, cost_mode="circuit_lt", ground=ground)
+            evolve.evolve_stochastic(ordered, "extrapolate", ground=ground)
+            circuits.dense_success_probability(ground, ground, ordered)
+            circuits.build_cost_circuit(ground, ground, ordered)
+        evolve.echo_density(ground, ground)
+        assert all(calls.values()), {name: len(c) for name, c in calls.items()}
+
+        def is_tensor(a):
+            return a.dtype == complex and a.shape == (2, 2, 2)
+
+        for (a, b), _ in calls["transfer_matrix"]:
+            assert is_tensor(a) and is_tensor(b)
+        layer_sites = set()
+        for (a, layer), _ in calls["window_ket"]:
+            n = len(layer).bit_length() - 1
+            assert is_tensor(a) and layer.dtype == complex and layer.shape == (2**n, 2**n)
+            layer_sites.add(n)
+        assert layer_sites == {2, 4}
+        for (a, n_sites), _ in calls["strand_products"]:
+            assert is_tensor(a) and qcore.is_count(n_sites) and n_sites >= 1
+        for (h, tau), _ in calls["two_site_exp"]:
+            assert h.dtype == complex and h.shape == (4, 4)
+            assert np.max(np.abs(h - h.conj().T)) < 1e-10
+            assert isinstance(tau, float) and 0.0 < tau < np.inf
+        for name in ("trotter_gate_first_order", "trotter_gates_second_order"):
+            for (J, g, dt), _ in calls[name]:
+                assert (J, g, dt) == (spec.J, spec.g1, spec.dt)
 
 
 def patch_step_costs(monkeypatch, fail_after):
@@ -1138,3 +1190,4 @@ class TestStepHelpers:
             AnsatzParams(np.zeros(15)), AnsatzParams(angles)
         )
         assert abs(r + np.log(np.cos(0.5 * theta) ** 2)) < 1e-12
+

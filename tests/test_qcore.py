@@ -121,18 +121,6 @@ class TestTwoSiteExp:
             u = two_site_exp(h, rng.uniform(0.01, 3.0))
             assert unitarity_defect(u) < 1e-10
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(InvalidArgumentError):
-            two_site_exp(np.triu(np.ones((4, 4))) * 1j, 0.1)
-
-    @pytest.mark.parametrize("tau", [1j, 0.1 + 0.0j, True, np.True_, "x", None, np.nan])
-    def test_rejects_a_time_step_that_is_not_a_finite_real(self, tau):
-        # a complex step gave a non-unitary gate (defect 6.5 at tau = 1j), a
-        # bool ran as 1, and a string or None escaped as a numpy TypeError
-        h = np.kron(PAULI_Z, PAULI_Z) + 0.1 * np.kron(PAULI_X, np.eye(2))
-        with pytest.raises(InvalidArgumentError, match="tau must be finite"):
-            two_site_exp(h, tau)
-
     def test_takes_integer_and_numpy_time_steps(self):
         h = np.kron(PAULI_Z, PAULI_Z) + 0.1 * np.kron(PAULI_X, np.eye(2))
         for tau in (2, np.int64(2), np.float64(2.0)):
