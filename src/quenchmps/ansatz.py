@@ -66,9 +66,9 @@ The float operations live once, in private helpers on raw angle arrays: the
 rotation stack, the halving tree, the prefix scan with dU, and the read-back
 from the real form. :func:`build_unitary` and :func:`tensor_of` are the one
 way in from angles. They take the optimizers' own iterate, a raw (15,) array
-or (k, 15) stack, as readily as an :class:`AnsatzParams`, and check the
-angles once, as :class:`AnsatzParams` does; its one field holds one checked,
-read-only set of angles.
+or (k, 15) stack, as readily as an :class:`AnsatzParams`. They check raw
+angles once, as :class:`AnsatzParams` does, and do not check its one field,
+which holds one checked, read-only set of angles, a second time.
 """
 
 from dataclasses import dataclass, field
@@ -169,7 +169,10 @@ def tensor_of(angles, grad=False):
 def _checked_angles(angles):
     """The angles as a float array (no copy of one), checked: real numbers
     (no complex, bool, string or ragged input), of shape (15,) or a nonempty
-    (k, 15), and finite (else InvalidArgumentError)."""
+    (k, 15), and finite (else InvalidArgumentError). An :class:`AnsatzParams`
+    was checked when it was made, so its read-only angles pass as they are."""
+    if isinstance(angles, AnsatzParams):
+        return angles.angles
     try:
         angles = np.asarray(angles)
     except ValueError:  # a ragged nesting

@@ -18,7 +18,12 @@ The accepted state's tensor serves as the next step's current state. A
 driver only checks its options and supplies the corrector. The deterministic
 reference (:func:`evolve_exact_in_ansatz`, always "extrapolate") corrects
 with one L-BFGS-B solve of the dense step objective on its exact gradient,
-which stops on the gradient test alone. The sampled experiment
+preconditioned by the tangent metric F of the seed's state
+(:func:`transfer.tangent_metric`): the solve runs on y -> f(x0 + S y), with
+S = V diag(max(w / w_max, ``METRIC_FLOOR``))^(-1/2) from F = V diag(w) V^T,
+and stops on L-BFGS-B's projected-gradient test alone, no component of
+S^T g above ``GTOL``; as ||S^-1||_2 = 1, the angle gradient g has
+|g|_2 <= |S^T g|_2. The sampled experiment
 (:func:`evolve_stochastic`) corrects with ``SPSA_STEPS`` SPSA iterations
 (``BOOTSTRAP_FACTOR`` times as many on steps 1 and 2) on the measured
 cost 1 - p_hat, so the circuit acts as a stochastic correction on top of the
@@ -48,6 +53,14 @@ INIT_SCHEMES = ("copy", "extrapolate")
 # state (BFGS) stop; above the objective's rounding floor (~1e-10), so every solve
 # ends on it (scipy status 0)
 GTOL = 1e-7
+# least eigenvalue ratio w / w_max of F that a reference step's scaling S takes
+# (see evolve_exact_in_ansatz). On the development runs to t = 2.5 at dt = 0.1
+# and 0.05, "eigen" takes 12.9 and 14.1 evaluations per step (22.7 and 24.8
+# without S) and circuit_lt 19.6 / 19.7 at order 1 and 22.3 / 19.2 at order 2
+# (29-32 without); one circuit_lt step of the 150 ends on status 2, and no
+# accepted step has an angle-gradient component above 7.3e-8. Each floor
+# tried from 1e-2 to 7e-2 leaves a larger one, 7.4e-8 to 1.35e-7
+METRIC_FLOOR = 2e-2
 GROUND_GAP_TOL = 1e-6  # least 1 - |lambda_2| of an accepted ground state
 GROUND_GRAD_TOL = 1e-6  # largest energy gradient component of an accepted ground state
 BOOTSTRAP_FACTOR = 4  # SPSA budget multiplier while extrapolation lacks history
@@ -130,7 +143,8 @@ def energy_density(params, J, g, grad=False):
     (exact for left-isometric tensors) and rho the trace-one right fixed point
     of T(X) = sum_s A^s X A^s^dag, whose matrix is E = ``transfer_matrix(a, a)``.
     As <vec 1| is a left null vector of 1 - E, rho is one solve with the pinned
-    matrix P = 1 - E + |vec 1><vec 1|: P vec rho = vec 1.
+    matrix P = 1 - E + |vec 1><vec 1|: P vec rho = vec 1
+    (:func:`transfer.right_fixed_point`).
 
     With ``grad``, returns ``(e, de/dtheta)``. Only rho moves besides the
     tensors, so for a tangent dA (from ``tensor_of(params, grad=True)``)
@@ -153,9 +167,7 @@ def energy_density(params, J, g, grad=False):
         a, da = tensor_of(params, grad=True)
     else:
         a = tensor_of(params)
-    pinned = np.eye(4) - transfer.transfer_matrix(a, a)
-    pinned += np.outer(transfer.VEC_IDENTITY, transfer.VEC_IDENTITY)
-    rho = _fixed_point_solve(pinned, transfer.VEC_IDENTITY).reshape(2, 2)
+    pinned, rho = transfer.right_fixed_point(a)
     prods = transfer.strand_products(a, 2)
     value = float(np.einsum("ts,sab,bc,tac->", h2, prods, rho, prods.conj()).real)
     if not grad:
@@ -163,19 +175,10 @@ def energy_density(params, J, g, grad=False):
     cotangent = np.einsum("ts,bc,tac->sab", h2, rho, prods.conj())  # on P_s
     direct = da.reshape(len(da), 8) @ transfer.pair_cotangent(a, cotangent).reshape(8)
     h_env = np.einsum("ts,tca,scb->ab", h2, prods.conj(), prods)
-    y = _fixed_point_solve(pinned.conj().T, h_env.reshape(4)).reshape(2, 2)
+    y = transfer.pinned_solve(pinned.conj().T, h_env.reshape(4)).reshape(2, 2)
     # Tr[Y dT(rho)] = 2 Re sum_s Tr[Y dA^s rho A^s^dag] for Hermitian Y and rho
     moved = np.einsum("ab,ksbc,cd,sad->k", y, da, rho, a.conj())
     return value, 2.0 * (direct + moved).real
-
-
-def _fixed_point_solve(pinned, rhs):
-    """``np.linalg.solve`` that raises :class:`NumericFailure` on a singular
-    matrix."""
-    try:
-        return np.linalg.solve(pinned, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"energy fixed-point solve failed: {exc}") from exc
 
 
 def ground_state_optimize(J, g, template):
@@ -472,16 +475,25 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
     gate (the cell gate for "eigen", the dense gate layer for "circuit_lt")
     is built once per run, and the current state's side once per step.
 
-    Each step is one L-BFGS-B minimization from the seed of :func:`_evolve`,
-    unbounded, with a memory of 30 correction pairs and no relative-reduction
-    stop (``ftol = 0``), so it ends when no gradient component exceeds
-    ``GTOL``. Both objectives supply their exact gradients through the
-    closed-form dA/dtheta (:func:`_step_objective`): "eigen" d lambda =
+    Each step is one L-BFGS-B minimization from the seed x0 of
+    :func:`_evolve`, in coordinates y scaled by the iMPS tangent metric F of
+    x0's state (:func:`transfer.tangent_metric`), which is, up to a factor,
+    the objective's curvature near its optimum. With F = V diag(w) V^T, the
+    step minimizes y -> f(x0 + S y) on the gradient S^T g from y = 0, for
+    S = V diag(max(w / w_max, ``METRIC_FLOOR``))^(-1/2), and accepts
+    x0 + S y*. The minimization is unbounded, with a memory of 30 correction
+    pairs and no relative-reduction stop (``ftol = 0``), so it ends on
+    L-BFGS-B's projected-gradient test: no component of S^T g exceeds
+    ``GTOL``. S stretches F's flat directions and shrinks none,
+    ||S^-1||_2 = 1, so the angle gradient g has |g|_2 <= |S^T g|_2. Both
+    objectives supply their exact gradients through the closed-form
+    dA/dtheta (:func:`_step_objective`): "eigen" d lambda =
     <l| dE |r> / <l|r>, "circuit_lt" the chain rule through the cost's
-    bilinear form. A step whose objective raises
+    bilinear form. A step whose metric or objective raises
     :class:`NumericFailure` or :class:`InvalidArgumentError`, or on which
-    L-BFGS-B returns non-finite angles, ends the run (see :func:`_evolve`);
-    the latter's ``failure`` names the step and the optimizer's message.
+    L-BFGS-B's end point gives non-finite angles, ends the run (see
+    :func:`_evolve`); the latter's ``failure`` names the step and the
+    optimizer's message.
 
     It starts from ``ground`` (solved when not given) and predicts by
     "extrapolate". A ``spec`` or ``ground`` that :func:`_check_start`
@@ -500,20 +512,30 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
         gate, _ = circuits.evolution_gate_layer(spec)
 
     def solve_step(step, a_prev, x0):
-        # 2 * 15 correction pairs hold a whole step's iterations; a 10-pair
-        # memory costs 34.4 evaluations per step to t = 1 instead of 25.6
+        objective = _step_objective(a_prev, gate, cost_mode)
+        w, v = np.linalg.eigh(transfer.tangent_metric(*tensor_of(x0, grad=True)))
+        scale = v / np.sqrt(np.maximum(w / w[-1], METRIC_FLOOR))
+
+        def preconditioned(y):
+            value, grad = objective(x0 + scale @ y)
+            return value, grad @ scale
+
+        # 2 * 15 correction pairs hold a whole step's iterations (at most 16
+        # to t = 1); a 10-pair memory costs 15.4 evaluations per step there
+        # instead of 15.3 (34.4 instead of 25.6 without S)
         res = minimize(
-            _step_objective(a_prev, gate, cost_mode),
-            x0,
+            preconditioned,
+            np.zeros(N_ANGLES),
             method="L-BFGS-B",
             jac=True,
             options={"gtol": GTOL, "ftol": 0.0, "maxcor": 2 * N_ANGLES},
         )
-        if not np.all(np.isfinite(res.x)):
+        accepted = x0 + scale @ res.x
+        if not np.all(np.isfinite(accepted)):
             raise NumericFailure(
                 f"step {step}: L-BFGS-B returned non-finite angles ({res.message})"
             )
-        return res.x, res.fun, 0
+        return accepted, res.fun, 0
 
     return _evolve(spec, ground, "extrapolate", solve_step, seed=None, shots_per_eval=0)
 

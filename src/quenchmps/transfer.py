@@ -1,5 +1,6 @@
-"""Mixed transfer matrices, the cell matrix and its eigenvalue gradient,
-and the window overlap maps of the cost circuits.
+"""Mixed transfer matrices, the cell matrix and its eigenvalue gradient, a
+state's right fixed point and tangent metric, and the window overlap maps of
+the cost circuits.
 
 Conventions
 -----------
@@ -114,6 +115,64 @@ def pair_cotangent(b, g):
 def transfer_matrix(a_ket, b_bra):
     """One-site mixed transfer matrix E_{A,B} = sum_s A^s (x) conj(B^s)."""
     return _cell_of_products(a_ket, b_bra.conj())
+
+
+def right_fixed_point(a):
+    """The pinned matrix P = 1 - E + |vec 1><vec 1| of E = ``transfer_matrix(a,
+    a)`` for a left-isometric ``a``, and the trace-one right fixed point rho of
+    E, shape (2, 2), from one solve P vec rho = vec 1. As <vec 1| is a left
+    null vector of 1 - E, P is 1 - E on the vectors of trace zero, where
+    P^-1 is the reduced resolvent of E at 1; :func:`pinned_solve` solves with it."""
+    pinned = np.eye(4) - transfer_matrix(a, a)
+    pinned += np.outer(VEC_IDENTITY, VEC_IDENTITY)
+    return pinned, pinned_solve(pinned, VEC_IDENTITY).reshape(2, 2)
+
+
+def pinned_solve(pinned, rhs):
+    """``np.linalg.solve`` that raises :class:`NumericFailure` on a singular
+    matrix, as the pinned matrix of a product state is: its fixed point is
+    not unique."""
+    try:
+        return np.linalg.solve(pinned, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure(f"fixed-point solve failed: {exc}") from exc
+
+
+def tangent_metric(a, da):
+    """The iMPS tangent-space metric F, real symmetric (n, n): the Hessian of
+    1 - |lambda(E_{A,B(theta)})| at B = A for the left-isometric tensor ``a``
+    and its tangents ``da`` = dA/dtheta, shape (n, 2, 2, 2), from
+    ``tensor_of(x, grad=True)``. Under the identity gate the "eigen" step
+    objective is -|lambda|^2 of the square of that matrix, whose Hessian is 2F.
+
+    At B = A, lambda = 1 with the fixed points l = vec 1, r = vec rho, and
+    second-order perturbation theory gives, with E_j = sum_s A^s (x) conj(dA_j^s),
+    lambda_j = <l|E_j|r> = Tr C_j rho for C_j = sum_s dA_j^s^dag A^s, and the
+    reduced resolvent R at 1,
+
+        F_jk = Re sum_s Tr[dA_j^s rho dA_k^s^dag] - 2 Re sym <l|E_j R E_k|r>
+               - Im lambda_j Im lambda_k.
+
+    The normalization sum_s B^s^dag B^s = 1 turns the d^2B term into the first
+    (the Gram form of the tangents), so F needs no second derivative. R E_k|r>
+    is the solve on the pinned matrix P (:func:`right_fixed_point`) of
+    E_k r - lambda_k r, which has trace zero, so F takes two solves on P: rho
+    and all n of these at once. On ``FULL15`` F has rank 8, the dimension of
+    the bond-dimension-2 iMPS manifold; it is zero on the gauge directions.
+    A singular P raises :class:`NumericFailure`.
+    """
+    n = len(da)
+    pinned, rho = right_fixed_point(a)
+    # E_k r = vec sum_s A^s rho dA_k^s^dag: one product over (s, c)
+    da_dag = da.conj().swapaxes(-1, -2).reshape(n, 4, 2)
+    moved = (a @ rho).transpose(1, 0, 2).reshape(2, 4) @ da_dag
+    # Tr C_j X = traces[j] @ vec X, as C_j^dag = sum_s A^s^dag dA_j^s
+    traces = (a.reshape(4, 2).conj().T @ da.reshape(n, 4, 2)).reshape(n, 4).conj()
+    lam = traces @ rho.reshape(4)
+    resolved = pinned_solve(pinned, (moved - lam[:, None, None] * rho).reshape(n, 4).T)
+    cross = (traces @ resolved).real  # <l|E_j R E_k|r>
+    gram = ((da.reshape(-1, 2) @ rho).reshape(n, 8) @ da.reshape(n, 8).conj().T).real
+    return gram - cross - cross.T - np.outer(lam.imag, lam.imag)
 
 
 def site_overlap_map(m, a_ket, b_bra):

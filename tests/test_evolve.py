@@ -142,6 +142,15 @@ def fail_step_2_geev(monkeypatch, site):
     monkeypatch.setattr(evolve, "_echo_of_tensors", echo_of_tensors)
 
 
+def accepted_gradient_max(traj, gate, cost_mode):
+    """Largest component of the unscaled step objective's angle gradient at
+    the accepted rows of a reference run, each from the previous row's tensor."""
+    return max(
+        np.max(np.abs(evolve._step_objective(tensor_of(prev), gate, cost_mode)(x)[1]))
+        for prev, x in zip(traj.angles[:-1], traj.angles[1:])
+    )
+
+
 def no_grad_build_shapes(calls):
     """Angle shapes of the ``tensor_of`` calls recorded by :func:`spy` that
     built no gradient (a gradient build returns a pair)."""
@@ -194,6 +203,24 @@ class TestGradients:
             value, grad = energy(x, grad=True)
             assert value == energy(x)
             assert np.max(np.abs(grad - central_difference(energy, x))) <= 1e-8
+
+    def test_tangent_metric_is_half_the_eigen_hessian_under_the_identity_gate(self, ground):
+        # at B = A the "eigen" objective -|lambda|^2 of the cell matrix E^2 has
+        # Hessian 2F; central differences of its exact gradient, at the ground
+        # state and at random angles
+        rng = np.random.default_rng(7)
+        for x in [ground.angles] + [rng.uniform(-np.pi, np.pi, 15) for _ in range(4)]:
+            a, da = tensor_of(x, grad=True)
+            objective = evolve._step_objective(a, np.eye(4), "eigen")
+            hessian = central_difference(lambda y: objective(y)[1], x)
+            assert np.max(np.abs(2.0 * transfer.tangent_metric(a, da) - hessian)) <= 1e-6
+
+    def test_tangent_metric_is_symmetric(self, ground):
+        rng = np.random.default_rng(8)
+        for x in [ground.angles] + [rng.uniform(-np.pi, np.pi, 15) for _ in range(10)]:
+            metric = transfer.tangent_metric(*tensor_of(x, grad=True))
+            assert metric.shape == (15, 15) and metric.dtype == float
+            assert np.max(np.abs(metric - metric.T)) <= 1e-14
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_circuit_objectives_take_their_boundary_copies(self, order):
@@ -319,8 +346,9 @@ class TestDrivers:
     def test_bfgs_ends_on_its_gradient_test(self, ground, monkeypatch):
         # the ground solve's BFGS status 0 is its gradient test (2 is a stop on
         # precision loss); a step's L-BFGS-B status 0 also covers its
-        # relative-reduction stop, so the step objective's gradient is
-        # recomputed at each step's end point instead
+        # relative-reduction stop, and it runs on the metric-scaled objective,
+        # so the gradient of the unscaled step objective is recomputed in the
+        # angles of each accepted row instead
         solves = spy(monkeypatch, evolve, "minimize")
         evolve.ground_state_optimize(1.0, 1.5, FULL15)
         assert [res.status for _, res in solves] == [0]
@@ -329,18 +357,29 @@ class TestDrivers:
             spec = replace(tfim.REFERENCE_QUENCH, t_max=t_max, dt=dt)
             traj = evolve.evolve_exact_in_ansatz(spec, FULL15, "eigen", ground=ground)
             assert traj.complete and len(solves) == spec.n_steps
-            for (objective, _), res in solves:
-                _, grad = objective(res.x)
-                assert np.max(np.abs(grad)) <= evolve.GTOL
+            gate = tfim.trotter_gate_first_order(spec.J, spec.g1, spec.dt)
+            assert accepted_gradient_max(traj, gate, "eigen") <= evolve.GTOL
+
+    def test_tangent_metric_has_rank_8_along_the_reference(self, ground):
+        # the bond-dimension-2 iMPS manifold has 8 real dimensions. Along this
+        # run, |eigenvalue| 8 of F is at least 3.8e-4 of the largest (3.9e-4 at
+        # the ground state) and |eigenvalue| 9 at most 3.8e-16 of it
+        spec = replace(tfim.REFERENCE_QUENCH, t_max=3.5, dt=0.05)
+        traj = evolve.evolve_exact_in_ansatz(spec, FULL15, "eigen", ground=ground)
+        assert traj.complete and traj.n_steps == 70
+        for x in traj.angles:
+            w = np.abs(np.linalg.eigvalsh(transfer.tangent_metric(*tensor_of(x, grad=True))))
+            assert np.sum(w > 1e-8 * w.max()) == 8
 
     def test_reference_evaluation_budget(self, ground, monkeypatch):
         # 28.0 evaluations per step with BFGS, 25.6 with a 30-pair L-BFGS-B
-        # memory and 34.4 with a 10-pair one
+        # memory and 34.4 with a 10-pair one; 15.3 in the coordinates scaled by
+        # the tangent metric (15.4 with a 10-pair memory)
         solves = spy(monkeypatch, evolve, "minimize")
         spec = replace(tfim.REFERENCE_QUENCH, t_max=1.0)
         traj = evolve.evolve_exact_in_ansatz(spec, FULL15, "eigen", ground=ground)
         assert traj.complete and len(solves) == spec.n_steps
-        assert np.mean([res.nfev for _, res in solves]) <= 27.0
+        assert np.mean([res.nfev for _, res in solves]) <= 16.8
 
     def test_full15_reference_tracks_free_fermion_echo(self, ground):
         spec = replace(tfim.REFERENCE_QUENCH, t_max=1.0)
@@ -469,16 +508,21 @@ class TestDrivers:
         self, golden_ground, monkeypatch, order
     ):
         # on the exact gradient every step to t = 1 ends on L-BFGS-B's
-        # projected-gradient test (status 0), at 33.1 and 34.5 evaluations
-        # per step; under finite differences up to half of them ended ABNORMAL
-        # or on "no reduction", at about 1,200 evaluations per step
+        # projected-gradient test (status 0), at 22.1 and 23.2 evaluations per
+        # step in the coordinates scaled by the tangent metric (33.1 and 34.5
+        # without); under finite differences up to half of them ended ABNORMAL
+        # or on "no reduction", at about 1,200 evaluations per step. The test
+        # runs on the scaled gradient, so the unscaled one is recomputed in
+        # the angles of each accepted row too
         results = spy(monkeypatch, evolve, "minimize")
         spec = replace(tfim.REFERENCE_QUENCH, t_max=1.0, trotter_order=order)
         traj = evolve.evolve_exact_in_ansatz(spec, FULL15, "circuit_lt", ground=golden_ground)
         assert traj.complete and len(results) == spec.n_steps
         assert [res.status for _, res in results] == [0] * spec.n_steps
         assert max(np.max(np.abs(res.jac)) for _, res in results) <= evolve.GTOL
-        assert np.mean([res.nfev for _, res in results]) <= 40
+        layer, _ = circuits.evolution_gate_layer(spec)
+        assert accepted_gradient_max(traj, layer, "circuit_lt") <= evolve.GTOL
+        assert np.mean([res.nfev for _, res in results]) <= 25.5
 
     @pytest.mark.parametrize(
         "J, g",
