@@ -18,12 +18,10 @@ The accepted state's tensor serves as the next step's current state. A
 driver only checks its options and supplies the corrector. The deterministic
 reference (:func:`evolve_exact_in_ansatz`, always "extrapolate") corrects
 with one L-BFGS-B solve of the dense step objective on its exact gradient,
-preconditioned by the tangent metric F of the seed's state
-(:func:`transfer.tangent_metric`): the solve runs on y -> f(x0 + S y), with
-S = V diag(max(w / w_max, ``METRIC_FLOOR``))^(-1/2) from F = V diag(w) V^T,
-and stops on L-BFGS-B's projected-gradient test alone, no component of
-S^T g above ``GTOL``; as ||S^-1||_2 = 1, the angle gradient g has
-|g|_2 <= |S^T g|_2. The sampled experiment
+in coordinates x0 + S y scaled by the tangent metric of the seed's state
+(:func:`transfer.tangent_metric`), which stops on L-BFGS-B's
+projected-gradient test alone: no component of S^T g above ``GTOL``, where
+||S^-1||_2 = 1. The sampled experiment
 (:func:`evolve_stochastic`) corrects with ``SPSA_STEPS`` SPSA iterations
 (``BOOTSTRAP_FACTOR`` times as many on steps 1 and 2) on the measured
 cost 1 - p_hat, so the circuit acts as a stochastic correction on top of the
