@@ -18,10 +18,14 @@ The accepted state's tensor serves as the next step's current state. A
 driver only checks its options and supplies the corrector. The deterministic
 reference (:func:`evolve_exact_in_ansatz`, always "extrapolate") corrects
 with one L-BFGS-B solve of the dense step objective on its exact gradient,
-in coordinates x0 + S y scaled by the tangent metric of the seed's state
-(:func:`transfer.tangent_metric`), which stops on L-BFGS-B's
-projected-gradient test alone: no component of S^T g above ``GTOL``, where
-||S^-1||_2 = 1. The sampled experiment
+in coordinates x0 + S y scaled by the tangent metric F of the seed's state
+(:func:`transfer.tangent_metric`): by F's exact inverse square root on its
+range for "eigen", whose gradient has no part on F's null space, and with
+F's eigenvalues floored at ``METRIC_FLOOR`` for "circuit_lt", whose gradient
+does. The solve stops on L-BFGS-B's projected-gradient test alone: no
+component of S^T g above ``GTOL``. As ||S^-1||_2 = 1, that bounds the angle
+gradient by |g|_2 <= sqrt(15) ``GTOL``, which does not give
+|g|_inf <= ``GTOL``. The sampled experiment
 (:func:`evolve_stochastic`) corrects with ``SPSA_STEPS`` SPSA iterations
 (``BOOTSTRAP_FACTOR`` times as many on steps 1 and 2) on the measured
 cost 1 - p_hat, so the circuit acts as a stochastic correction on top of the
@@ -51,13 +55,17 @@ INIT_SCHEMES = ("copy", "extrapolate")
 # state (BFGS) stop; above the objective's rounding floor (~1e-10), so every solve
 # ends on it (scipy status 0)
 GTOL = 1e-7
-# least eigenvalue ratio w / w_max of F that a reference step's scaling S takes
-# (see evolve_exact_in_ansatz). On the development runs to t = 2.5 at dt = 0.1
-# and 0.05, "eigen" takes 12.9 and 14.1 evaluations per step (22.7 and 24.8
-# without S) and circuit_lt 19.6 / 19.7 at order 1 and 22.3 / 19.2 at order 2
-# (29-32 without); one circuit_lt step of the 150 ends on status 2, and no
-# accepted step has an angle-gradient component above 7.3e-8. Each floor
-# tried from 1e-2 to 7e-2 leaves a larger one, 7.4e-8 to 1.35e-7
+# least eigenvalue ratio w / w_max of F that the "circuit_lt" step's scaling S
+# takes (see evolve_exact_in_ansatz). Its two-cell window cost bends along F's
+# null space: its gradient there is 0.7-7.7% of its norm, where the "eigen"
+# objective's is 2.8e-15. So F's exact inverse on its range, with S = 1 on the
+# null space as "eigen" takes it, costs 37.8 and 38.8 evaluations per step at
+# orders 1 and 2 (dt = 0.1, to t = 2.5), with 3 steps of 50 on status 2,
+# against 19.6 and 22.3 with this floor. On the development runs to t = 2.5 at
+# dt = 0.1 and 0.05, circuit_lt takes 19.6 / 19.7 at order 1 and 22.3 / 19.2
+# at order 2 (29-32 without S); one step of the 150 ends on status 2, and no
+# accepted step has an angle-gradient component above 7.3e-8. Each floor tried
+# from 1e-2 to 7e-2 leaves a larger one, 7.4e-8 to 1.35e-7
 METRIC_FLOOR = 2e-2
 GROUND_GAP_TOL = 1e-6  # least 1 - |lambda_2| of an accepted ground state
 GROUND_GRAD_TOL = 1e-6  # largest energy gradient component of an accepted ground state
@@ -478,20 +486,32 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
     x0's state (:func:`transfer.tangent_metric`), which is, up to a factor,
     the objective's curvature near its optimum. With F = V diag(w) V^T, the
     step minimizes y -> f(x0 + S y) on the gradient S^T g from y = 0, for
-    S = V diag(max(w / w_max, ``METRIC_FLOOR``))^(-1/2), and accepts
-    x0 + S y*. The minimization is unbounded, with a memory of 30 correction
-    pairs and no relative-reduction stop (``ftol = 0``), so it ends on
-    L-BFGS-B's projected-gradient test: no component of S^T g exceeds
-    ``GTOL``. S stretches F's flat directions and shrinks none,
-    ||S^-1||_2 = 1, so the angle gradient g has |g|_2 <= |S^T g|_2. Both
-    objectives supply their exact gradients through the closed-form
-    dA/dtheta (:func:`_step_objective`): "eigen" d lambda =
-    <l| dE |r> / <l|r>, "circuit_lt" the chain rule through the cost's
-    bilinear form. A step whose metric or objective raises
-    :class:`NumericFailure` or :class:`InvalidArgumentError`, or on which
-    L-BFGS-B's end point gives non-finite angles, ends the run (see
-    :func:`_evolve`); the latter's ``failure`` names the step and the
-    optimizer's message.
+    S = V diag(s), and accepts x0 + S y*. The rule for s follows the
+    objective:
+
+    - "eigen" is a fidelity of the state alone, whose Hessian under the
+      identity gate is exactly 2F, and whose gradient has no part on F's
+      null space. So s_j = (w_j / w_max)^(-1/2) on F's range, where
+      w_j / w_max exceeds ``transfer.TANGENT_RANK_RTOL``, and s_j = 1 on
+      its null space.
+    - "circuit_lt"'s two-cell window cost also bends along F's null space,
+      so s_j = max(w_j / w_max, ``METRIC_FLOOR``)^(-1/2).
+
+    The minimization is unbounded, with a memory of 30 correction pairs and
+    no relative-reduction stop (``ftol = 0``), so it ends on L-BFGS-B's
+    projected-gradient test: no component of S^T g exceeds ``GTOL``. Either
+    S shrinks no direction, every s_j >= 1, so ||S^-1||_2 = 1 and the angle
+    gradient g has |g|_inf <= |g|_2 <= |S^T g|_2 <= sqrt(15) ``GTOL``. That
+    does not give |g|_inf <= ``GTOL``; a stop at ``GTOL`` / sqrt(15), which
+    would, takes "eigen" 26.3 evaluations per step instead of 13.9
+    (dt = 0.1, to t = 1), and ends 2 of the 10 on status 2. Both objectives
+    supply their exact gradients through the closed-form dA/dtheta
+    (:func:`_step_objective`): "eigen" d lambda = <l| dE |r> / <l|r>,
+    "circuit_lt" the chain rule through the cost's bilinear form. A step
+    whose metric or objective raises :class:`NumericFailure` or
+    :class:`InvalidArgumentError`, or on which L-BFGS-B's end point gives
+    non-finite angles, ends the run (see :func:`_evolve`); the latter's
+    ``failure`` names the step and the optimizer's message.
 
     It starts from ``ground`` (solved when not given) and predicts by
     "extrapolate". A ``spec`` or ``ground`` that :func:`_check_start`
@@ -512,15 +532,20 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
     def solve_step(step, a_prev, x0):
         objective = _step_objective(a_prev, gate, cost_mode)
         w, v = np.linalg.eigh(transfer.tangent_metric(*tensor_of(x0, grad=True)))
-        scale = v / np.sqrt(np.maximum(w / w[-1], METRIC_FLOOR))
+        ratio = w / w[-1]
+        if cost_mode == "eigen":
+            ratio = np.where(ratio > transfer.TANGENT_RANK_RTOL, ratio, 1.0)
+        else:
+            ratio = np.maximum(ratio, METRIC_FLOOR)
+        scale = v / np.sqrt(ratio)
 
         def preconditioned(y):
             value, grad = objective(x0 + scale @ y)
             return value, grad @ scale
 
-        # 2 * 15 correction pairs hold a whole step's iterations (at most 16
-        # to t = 1); a 10-pair memory costs 15.4 evaluations per step there
-        # instead of 15.3 (34.4 instead of 25.6 without S)
+        # 2 * 15 correction pairs hold a whole step's iterations ("eigen": at
+        # most 15 to t = 1); a 10-pair memory costs 14.3 evaluations per step
+        # there instead of 13.9 (34.4 instead of 25.6 without S)
         res = minimize(
             preconditioned,
             np.zeros(N_ANGLES),
