@@ -118,10 +118,6 @@ class AnsatzParams:
         angles.flags.writeable = False
         object.__setattr__(self, "angles", angles)
 
-    def __array__(self, dtype=None, copy=None):
-        """The angles, so that the builders take the parameters like a raw array."""
-        return np.array(self.angles, dtype=dtype, copy=copy)
-
 
 def build_unitary(angles):
     """Two-qubit unitary (physical leg = first factor) for raw ``FULL15``

@@ -83,7 +83,6 @@ class CircuitOp:
 class CostCircuit:
     qubit_count: int
     ops: tuple
-    measured_qubits: tuple
 
 
 def evolution_gate_layer(spec):
@@ -138,11 +137,7 @@ def build_cost_circuit(params_t, params_candidate, spec):
         ops.append(CircuitOp("gate", (site, 0), name, mat))
         ops.append(CircuitOp("measure", (site,)))
         ops.append(CircuitOp("reset", (site,)))
-    return CostCircuit(
-        qubit_count=n_sites + 1,
-        ops=tuple(ops),
-        measured_qubits=tuple(range(1, n_sites + 1)),
-    )
+    return CostCircuit(qubit_count=n_sites + 1, ops=tuple(ops))
 
 
 def exact_success_probability(circuit):

@@ -2,10 +2,7 @@
 with two correctors, and ensemble experiments.
 
 One loop owns every run (:func:`_evolve`). It starts from the variational
-ground state, which it solves unless one is given: one BFGS minimization of
-the energy density on its exact gradient through the fixed-point equation
-(see :func:`energy_density` and :func:`ground_state_optimize`). Each step
-then runs
+ground state (:func:`ground_state_optimize`), and each step then runs
 
     predict: seed from the previous step under "copy" and on steps 1 and 2,
              else linearly from the two previous steps (``extrapolate``)
@@ -14,30 +11,13 @@ then runs
       -> accept:  unwrap the angles, build their tensor once, take its echo
                   against the ground state's tensor, add up the shots.
 
-The accepted state's tensor serves as the next step's current state. A
-driver only checks its options and supplies the corrector. The deterministic
-reference (:func:`evolve_exact_in_ansatz`, always "extrapolate") corrects
-with one L-BFGS-B solve of the dense step objective on its exact gradient,
-in coordinates x0 + S y scaled by the tangent metric F of the seed's state
-(:func:`transfer.tangent_metric`): by F's exact inverse square root on its
-range for "eigen", whose gradient has no part on F's null space, and with
-F's eigenvalues floored at ``METRIC_FLOOR`` for "circuit_lt", whose gradient
-does. The solve stops on L-BFGS-B's projected-gradient test alone: no
-component of S^T g above ``GTOL``. As ||S^-1||_2 = 1, that bounds the angle
-gradient by |g|_2 <= sqrt(15) ``GTOL``, which does not give
-|g|_inf <= ``GTOL``. The sampled experiment
-(:func:`evolve_stochastic`) corrects with ``SPSA_STEPS`` SPSA iterations
-(``BOOTSTRAP_FACTOR`` times as many on steps 1 and 2) on the measured
-cost 1 - p_hat, so the circuit acts as a stochastic correction on top of the
-classical prediction ("extrapolate", the paper's protocol, or "copy", the
-baseline without extrapolation); every SPSA iteration spends exactly two
-cost evaluations. Its gains follow one schedule from the first iteration on,
-fixed by the module's ``SPSA_*`` constants, not by an option. Its step n
-draws stream i (0 SPSA, 1 shots) from ``SeedSequence(seed, spawn_key=(n,
-i))``, built when the step runs (:func:`_step_stream`). A step whose solve,
-tensor or echo raises :class:`NumericFailure` or
-:class:`InvalidArgumentError` ends either run the same way: the trajectory
-is truncated before it and ``failure`` names it.
+The deterministic reference (:func:`evolve_exact_in_ansatz`) corrects with
+one L-BFGS-B solve of the dense step objective, in coordinates scaled by the
+tangent metric of the seed's state. The sampled experiment
+(:func:`evolve_stochastic`) corrects with SPSA (:func:`spsa_optimize`) on the
+measured cost 1 - p_hat, drawn from per-step streams (:func:`_step_stream`),
+so the circuit acts as a stochastic correction on top of the classical
+prediction. :func:`ensemble_run` runs it over many seeds from one ground state.
 """
 
 import warnings
@@ -202,27 +182,22 @@ def ground_state_optimize(J, g, template):
     """
     check_choice("template", template, (FULL15,))
     check_reals(J=J, g=g)
-
-    def objective(x):
-        return energy_density(x, J, g, grad=True)
-
     x0 = 0.4 * np.random.default_rng(0).standard_normal(N_ANGLES)
-    res = minimize(objective, x0, method="BFGS", jac=True, options={"gtol": GTOL})
+    res = minimize(
+        energy_density, x0, args=(J, g, True), method="BFGS", jac=True, options={"gtol": GTOL}
+    )
     ground = AnsatzParams(res.x)
     a = tensor_of(ground)
     lam2 = np.sort(np.abs(qcore.eigenvalues(transfer.transfer_matrix(a, a))))[-2]
     if not 1.0 - lam2 >= GROUND_GAP_TOL:
         raise NumericFailure(
             "ground state is reducible: "
-            f"1 - |lambda_2| = {1.0 - lam2:.3e} for its second transfer eigenvalue",
-            residual=1.0 - lam2,
+            f"1 - |lambda_2| = {1.0 - lam2:.3e} for its second transfer eigenvalue"
         )
     worst = np.max(np.abs(energy_density(ground, J, g, grad=True)[1]))
     if not worst <= GROUND_GRAD_TOL:
         raise NumericFailure(
-            "ground state is not stationary: "
-            f"largest energy gradient component {worst:.3e}",
-            residual=worst,
+            f"ground state is not stationary: largest energy gradient component {worst:.3e}"
         )
     return ground
 

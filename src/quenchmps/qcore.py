@@ -46,13 +46,7 @@ class InvalidArgumentError(ValueError):
 class NumericFailure(RuntimeError):
     """Raised when a numerical routine fails to converge or its result is
     ill-defined (a non-simple eigenvalue, a singular fixed-point solve).
-
-    Carries the best residual (or defect) achieved in ``residual``.
     """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class ResourceLimitError(RuntimeError):
@@ -148,7 +142,7 @@ def leading_eig(m):
     left m = lam left; both are LAPACK's unit vectors. An empty, zero or
     non-finite ``m`` raises :class:`InvalidArgumentError` before LAPACK sees
     it; a ``geev`` that does not converge raises :class:`NumericFailure`, as
-    does (residual attached) a right pair that misses ``1e-9 * ||m||``.
+    does (naming its residual) a right pair that misses ``1e-9 * ||m||``.
     """
     m, scale, w, vl, vr = _geev(m, 1)
     k = int(np.argmax(np.abs(w)))
@@ -156,7 +150,7 @@ def leading_eig(m):
     residual = np.linalg.norm(m @ right - lam * right)
     if not residual <= 1e-9 * scale:
         msg = f"leading eigenpair did not converge (residual {residual:.3e})"
-        raise NumericFailure(msg, residual=residual)
+        raise NumericFailure(msg)
     return lam, right, vl[:, k].conj()
 
 

@@ -187,19 +187,14 @@ def critical_momentum(g0, g1, J=1.0):
 
 
 def cusp_times(g0, g1, t_max, J=1.0):
-    """Nonanalytic times t*_n = (2n+1) pi / (2 e_{k*}(g1)) up to t_max; a
+    """Nonanalytic times t*_n = (2n+1) pi / (2 e_{k*}(g1)) <= t_max; a
     ``t_max`` that is not a finite real, and couplings that
     :func:`critical_momentum` rejects, raise :class:`InvalidArgumentError`."""
     check_reals(t_max=t_max)
     eps_star = quasiparticle_energy(critical_momentum(g0, g1, J), g1, J)
-    out = []
-    n = 0
-    while True:
-        t_n = (2 * n + 1) * np.pi / (2.0 * eps_star)
-        if t_n > t_max:
-            return out
-        out.append(t_n)
-        n += 1
+    # n <= t_max e*/pi covers every t*_n <= t_max with half a period to spare
+    t = (2 * np.arange(int(t_max * eps_star / np.pi) + 1) + 1) * np.pi / (2.0 * eps_star)
+    return list(t[t <= t_max])
 
 
 def ground_energy_density_ff(J, g):

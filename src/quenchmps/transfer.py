@@ -97,8 +97,7 @@ def cell_eigenvalue_gradient(ket, b_bra, db):
     overlap = left @ right
     if abs(overlap) < MIN_EIGVEC_OVERLAP:
         raise NumericFailure(
-            "leading eigenvalue of the cell matrix is not simple",
-            residual=abs(overlap),
+            f"leading eigenvalue of the cell matrix is not simple (|<l|r>| {abs(overlap):.3e})"
         )
     # <l| dE |r> = sum_{t,c,d} M[t]_cd conj(dP[t])_cd, with M[t] = L^T K[t] R for
     # the 2x2 reshapes L, R of the eigenvectors: M is the cotangent on conj(P)

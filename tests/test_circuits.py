@@ -120,7 +120,9 @@ class TestCostCircuitLayout:
         rng = np.random.default_rng(10)
         spec = tfim.QuenchSpec(trotter_order=trotter_order)
         c = build_cost_circuit(random_params(rng), random_params(rng), spec)
-        assert c.qubit_count == 7 and c.measured_qubits == (1, 2, 3, 4, 5, 6)
+        assert c.qubit_count == 7
+        measured = [op.targets for op in c.ops if op.kind == "measure"]
+        assert measured == [(q,) for q in (6, 5, 4, 3, 2, 1)]
         ket = [(op.name, op.targets) for op in c.ops[:6]]
         assert ket == [("V", (1, 0)), ("V", (2, 0))] + [("U", (q, 0)) for q in (3, 4, 5, 6)]
         n_evo = 2 if trotter_order == 1 else 4
@@ -138,7 +140,7 @@ class TestCostCircuitLayout:
 
 class TestExactSuccessProbability:
     def test_empty_circuit(self):
-        c = CostCircuit(qubit_count=2, ops=(), measured_qubits=())
+        c = CostCircuit(qubit_count=2, ops=())
         assert exact_success_probability(c) == pytest.approx(1.0)
 
     def test_single_x_measured_is_zero(self):
@@ -146,7 +148,7 @@ class TestExactSuccessProbability:
             CircuitOp("gate", (0,), "X", qcore.PAULI_X),
             CircuitOp("measure", (0,)),
         )
-        c = CostCircuit(qubit_count=1, ops=ops, measured_qubits=(0,))
+        c = CostCircuit(qubit_count=1, ops=ops)
         assert exact_success_probability(c) == pytest.approx(0.0)
 
     def test_identical_params_no_evolution_is_certain(self):
@@ -158,7 +160,7 @@ class TestExactSuccessProbability:
             assert exact_success_probability(c) == pytest.approx(1.0, abs=1e-12)
 
     def test_resource_limit(self):
-        c = CostCircuit(qubit_count=13, ops=(), measured_qubits=())
+        c = CostCircuit(qubit_count=13, ops=())
         with pytest.raises(ResourceLimitError):
             exact_success_probability(c)
 
@@ -284,7 +286,6 @@ class TestCircuitDenseEquivalence:
         extended = CostCircuit(
             qubit_count=base.qubit_count + 1,
             ops=base.ops[:turn] + extension + base.ops[turn:],
-            measured_qubits=base.measured_qubits + (extra_q,),
         )
         assert abs(exact_success_probability(extended) - p_base) < 1e-10
         # dense statement: one overlap site with identical strands is exact identity
@@ -324,7 +325,6 @@ class TestPerShotSimulation:
                 CircuitOp("measure", (0,)),
                 CircuitOp("reset", (0,)),
             ),
-            measured_qubits=(0,),
         )
         shot_rng = np.random.default_rng(8)
         assert all(run_single_shot(certain, shot_rng) == 1 for _ in range(20))

@@ -153,8 +153,13 @@ def accepted_gradient_max(traj, gate, cost_mode):
 
 def no_grad_build_shapes(calls):
     """Angle shapes of the ``tensor_of`` calls recorded by :func:`spy` that
-    built no gradient (a gradient build returns a pair)."""
-    return [np.shape(args[0]) for args, a in calls if not isinstance(a, tuple)]
+    built no gradient (a gradient build returns a pair), read from the
+    ``angles`` of an :class:`AnsatzParams`."""
+    return [
+        np.shape(getattr(args[0], "angles", args[0]))
+        for args, a in calls
+        if not isinstance(a, tuple)
+    ]
 
 
 class TestGradients:

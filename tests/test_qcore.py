@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -186,7 +188,8 @@ class TestLeadingEig:
         m = np.diag([2.0, 1.0, 0.5, 0.1]).astype(complex)
         with pytest.raises(NumericFailure, match="did not converge") as err:
             leading_eig(m)
-        assert err.value.residual > 1e-9 * np.linalg.norm(m, ord=np.inf)
+        residual = float(re.search(r"residual (\S+)\)", str(err.value)).group(1))
+        assert residual > 1e-9 * np.linalg.norm(m, ord=np.inf)
 
     def test_geev_failure_raises(self, monkeypatch):
         real_geev = qcore._GEEV

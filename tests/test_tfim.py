@@ -284,6 +284,17 @@ class TestLoschmidtFreeFermion:
         t_peak = ts[np.argmax(rates)]
         assert abs(t_peak - t_star) < 2e-3
 
+    def test_cusp_times_include_a_horizon_on_a_cusp(self):
+        # both cusps of the reference quench by t = 3.0; a horizon equal to a
+        # cusp lists it, one ulp below does not, and below the first gives none
+        cusps = cusp_times(1.5, 0.2, 3.0)
+        assert len(cusps) == 2
+        assert abs(cusps[0] - 0.9167) < 1e-4 and abs(cusps[1] - 2.75) < 1e-4
+        for n, cusp in enumerate(cusps):
+            assert cusp_times(1.5, 0.2, cusp) == cusps[: n + 1]
+            assert cusp_times(1.5, 0.2, np.nextafter(cusp, 0.0)) == cusps[:n]
+        assert cusp_times(1.5, 0.2, 0.5) == []
+
     def test_no_critical_momentum_without_crossing(self):
         with pytest.raises(InvalidArgumentError):
             critical_momentum(1.5, 1.2)

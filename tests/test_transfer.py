@@ -5,7 +5,7 @@ import pytest
 
 from quenchmps import tfim, transfer
 from quenchmps.ansatz import AnsatzParams, tensor_of
-from quenchmps.qcore import leading_eig, rot_gate
+from quenchmps.qcore import NumericFailure, leading_eig, rot_gate
 from quenchmps.transfer import (
     VEC_IDENTITY,
     cell_eigenvalue_gradient,
@@ -215,6 +215,15 @@ class TestCellEigenvalueGradient:
             evals = np.linalg.eigvals(cell_matrix(ket, b))
             assert abs(lam - evals[np.argmax(np.abs(evals))]) < 1e-12
             assert dlam.shape == (3,) and np.all(dlam == 0.0)
+
+    def test_non_simple_eigenvalue_names_its_overlap(self, monkeypatch):
+        # orthogonal unit eigenvectors, |<l|r>| = 0: the derivative is unbounded
+        e = np.eye(4, dtype=complex)
+        monkeypatch.setattr(transfer.qcore, "leading_eig", lambda m: (1.0 + 0j, e[0], e[1]))
+        g = tfim.trotter_gate_first_order(1.0, 0.2, 0.1)
+        a = tensor_of(identity_params())
+        with pytest.raises(NumericFailure, match=r"not simple \(\|<l\|r>\| 0\.000e\+00\)"):
+            cell_eigenvalue_gradient(window_ket(a, g), a, np.zeros((1, 2, 2, 2)))
 
 
 class TestPairCotangent:
