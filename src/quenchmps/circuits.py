@@ -69,6 +69,7 @@ from .ansatz import AnsatzParams, build_unitary, tensor_of
 from .qcore import ResourceLimitError
 
 MAX_CIRCUIT_QUBITS = 12
+_ZERO_PROJECTOR = np.diag([1.0, 0.0]).astype(complex)  # |0><0|, a measurement reading 0
 
 
 @dataclass(frozen=True)
@@ -144,9 +145,11 @@ def exact_success_probability(circuit):
     """Probability that every measured qubit reads 0.
 
     Statevector simulation with exact branch bookkeeping: each measurement
-    projects onto the 0 outcome without renormalizing, so the final squared
-    norm is the joint success probability (the auxiliary qubit stays
-    unmeasured and is traced implicitly by the norm).
+    applies |0><0| to its qubit through :func:`qcore.apply_gate`, without
+    renormalizing, so the final squared norm is the joint success probability
+    (the auxiliary qubit stays unmeasured and is traced implicitly by the
+    norm). A measure op whose qubit ``apply_gate`` rejects raises
+    :class:`~quenchmps.qcore.InvalidArgumentError`.
     """
     if circuit.qubit_count > MAX_CIRCUIT_QUBITS:
         raise ResourceLimitError(
@@ -157,7 +160,7 @@ def exact_success_probability(circuit):
         if op.kind == "gate":
             psi = qcore.apply_gate(psi, op.matrix, op.targets)
         elif op.kind == "measure":
-            psi = qcore.project_qubit(psi, op.targets[0], 0)
+            psi = qcore.apply_gate(psi, _ZERO_PROJECTOR, op.targets)
         # reset is a no-op on the postselected branch
     return float(np.sum(np.abs(psi) ** 2))
 

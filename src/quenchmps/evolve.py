@@ -461,16 +461,15 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
     x0's state (:func:`transfer.tangent_metric`), which is, up to a factor,
     the objective's curvature near its optimum. With F = V diag(w) V^T, the
     step minimizes y -> f(x0 + S y) on the gradient S^T g from y = 0, for
-    S = V diag(s), and accepts x0 + S y*. The rule for s follows the
-    objective:
+    S = V diag(s), and accepts x0 + S y*. With r_j = w_j / w_max,
+    s_j = max(r_j, floor)^(-1/2) on F's range, where r_j exceeds
+    ``transfer.TANGENT_RANK_RTOL``, and null^(-1/2) on its null space:
 
-    - "eigen" is a fidelity of the state alone, whose Hessian under the
-      identity gate is exactly 2F, and whose gradient has no part on F's
-      null space. So s_j = (w_j / w_max)^(-1/2) on F's range, where
-      w_j / w_max exceeds ``transfer.TANGENT_RANK_RTOL``, and s_j = 1 on
-      its null space.
-    - "circuit_lt"'s two-cell window cost also bends along F's null space,
-      so s_j = max(w_j / w_max, ``METRIC_FLOOR``)^(-1/2).
+    - "eigen", (floor, null) = (0, 1), is a fidelity of the state alone,
+      whose Hessian under the identity gate is exactly 2F, and whose
+      gradient has no part on F's null space.
+    - "circuit_lt", (floor, null) = (``METRIC_FLOOR``, ``METRIC_FLOOR``):
+      its two-cell window cost also bends along F's null space.
 
     The minimization is unbounded, with a memory of 30 correction pairs and
     no relative-reduction stop (``ftol = 0``), so it ends on L-BFGS-B's
@@ -501,17 +500,16 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
         if spec.trotter_order != 1:
             raise InvalidArgumentError("eigen needs first-order Trotter gates")
         gate = tfim.trotter_gate_first_order(spec.J, spec.g1, spec.dt)
+        floor, null = 0.0, 1.0
     else:
         gate, _ = circuits.evolution_gate_layer(spec)
+        floor = null = METRIC_FLOOR
 
     def solve_step(step, a_prev, x0):
         objective = _step_objective(a_prev, gate, cost_mode)
         w, v = np.linalg.eigh(transfer.tangent_metric(*tensor_of(x0, grad=True)))
         ratio = w / w[-1]
-        if cost_mode == "eigen":
-            ratio = np.where(ratio > transfer.TANGENT_RANK_RTOL, ratio, 1.0)
-        else:
-            ratio = np.maximum(ratio, METRIC_FLOOR)
+        ratio = np.where(ratio > transfer.TANGENT_RANK_RTOL, np.maximum(ratio, floor), null)
         scale = v / np.sqrt(ratio)
 
         def preconditioned(y):

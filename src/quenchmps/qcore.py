@@ -9,7 +9,9 @@ points, what ``bench/`` calls, ``QuenchSpec``, ``AnsatzParams`` and
 ``tensor_of`` (the optimizers' iterates); reals, integers and names with those
 three. NumPy scalars count; bools, complex numbers, strings and ``None`` are
 not numbers, and only a ``str`` is a name. The kernels behind the entries
-(:func:`two_site_exp`, the Trotter gates, the transfer kernels) check nothing again.
+(:func:`two_site_exp`, the eigensolvers, the Trotter gates, the transfer
+kernels) check nothing again. The simulator's primitives are :func:`zero_state`
+and :func:`apply_gate`; a measurement is a projector applied as a gate.
 
 Conventions fixed project-wide here:
 
@@ -110,23 +112,17 @@ def two_site_exp(h, tau):
 
 
 def _geev(m, vectors):
-    """``(m, ||m||_inf, w, vl, vr)`` of one checked ``geev``: eigenvectors if ``vectors``."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
-        raise InvalidArgumentError(f"expected a non-empty square matrix, got {m.shape}")
-    scale = np.abs(m).sum(axis=1).max()  # ||m||_inf, numpy's own definition of it
-    if not 0.0 < scale < np.inf:
-        raise InvalidArgumentError(f"matrix must be nonzero and finite, got norm {scale}")
+    """``(w, vl, vr)`` of one ``geev`` on a square ``m``: eigenvectors if ``vectors``."""
     w, vl, vr, info = _GEEV(m, compute_vl=vectors, compute_vr=vectors, lwork=_geev_lwork(len(m)))
     if info != 0:
         raise NumericFailure(f"eigensolver failed (geev info {info})")
-    return m, scale, w, vl, vr
+    return w, vl, vr
 
 
 def eigenvalues(m):
     """All eigenvalues of a matrix that :func:`leading_eig` takes, from one ``geev``
     without eigenvectors; it raises as that does, and on a non-finite eigenvalue."""
-    w = _geev(m, 0)[2]
+    w = _geev(m, 0)[0]
     if not np.isfinite(w).all():
         raise NumericFailure(f"eigensolver returned a non-finite eigenvalue: {w}")
     return w
@@ -139,16 +135,15 @@ def leading_eig(m):
     both eigenvectors, its workspace queried once per matrix size. Returns
     ``(lam, right, left)``: m right = lam right, and the row vector ``left``
     (the conjugated left eigenvector l, so ``left`` is l^dag) gives
-    left m = lam left; both are LAPACK's unit vectors. An empty, zero or
-    non-finite ``m`` raises :class:`InvalidArgumentError` before LAPACK sees
-    it; a ``geev`` that does not converge raises :class:`NumericFailure`, as
-    does (naming its residual) a right pair that misses ``1e-9 * ||m||``.
+    left m = lam left; both are LAPACK's unit vectors. A ``geev`` that does
+    not converge raises :class:`NumericFailure`, as does (naming its
+    residual) a right pair that misses ``1e-9 * ||m||_inf``.
     """
-    m, scale, w, vl, vr = _geev(m, 1)
+    w, vl, vr = _geev(m, 1)
     k = int(np.argmax(np.abs(w)))
     lam, right = w[k], vr[:, k]
     residual = np.linalg.norm(m @ right - lam * right)
-    if not residual <= 1e-9 * scale:
+    if not residual <= 1e-9 * np.abs(m).sum(axis=1).max():  # ||m||_inf
         msg = f"leading eigenpair did not converge (residual {residual:.3e})"
         raise NumericFailure(msg)
     return lam, right, vl[:, k].conj()
@@ -198,24 +193,4 @@ def apply_gate(state, gate, targets):
     shape = psi.shape
     psi = gate @ psi.reshape(2**k, -1)
     psi = np.moveaxis(psi.reshape(shape), range(k), targets)
-    return psi.reshape(-1)
-
-
-def project_qubit(state, qubit, outcome):
-    """Project (without renormalizing) onto the given measurement outcome.
-
-    Used for exact success-branch bookkeeping of postselected circuits.
-    ``qubit`` must be an integer in [0, n) and ``outcome`` the integer 0 or
-    1 (bools are neither), as :class:`InvalidArgumentError` enforces.
-    """
-    state = np.asarray(state, dtype=complex)
-    n = n_qubits_of(state)
-    if not (is_count(qubit) and 0 <= qubit < n and is_count(outcome) and outcome in (0, 1)):
-        raise InvalidArgumentError(
-            f"need a qubit in [0, {n}) and an outcome 0 or 1, got {qubit!r}, {outcome!r}"
-        )
-    psi = state.reshape([2] * n).copy()
-    idx = [slice(None)] * n
-    idx[qubit] = 1 - outcome
-    psi[tuple(idx)] = 0.0
     return psi.reshape(-1)

@@ -36,7 +36,7 @@ def run_single_shot(circuit, rng):
             zero_branch = np.take(psi.reshape([2] * circuit.qubit_count), 0, axis=q)
             p0 = np.sum(np.abs(zero_branch) ** 2)
             outcome = 0 if rng.random() < p0 else 1
-            psi = qcore.project_qubit(psi, q, outcome)
+            psi = qcore.apply_gate(psi, np.diag([1 - outcome, outcome]), (q,))
             psi = psi / np.linalg.norm(psi)
             if outcome == 1:
                 success = False

@@ -810,23 +810,28 @@ class TestDrivers:
     def test_kernels_get_only_what_the_entries_checked(self, monkeypatch):
         # the kernels check none of their inputs: every call that the ground solve,
         # both references, a sampled step and the circuit entry points make hands
-        # each of them what it needs, at both Trotter orders
+        # each of them what it needs, at both Trotter orders; each run completes,
+        # so no call was cut short by a failure the spies do not record
         kernels = [
             (transfer, "transfer_matrix"), (transfer, "window_ket"),
             (transfer, "strand_products"), (qcore, "two_site_exp"),
+            (qcore, "leading_eig"), (qcore, "eigenvalues"),
             (tfim, "trotter_gate_first_order"), (tfim, "trotter_gates_second_order"),
         ]
         calls = {name: spy(monkeypatch, owner, name) for owner, name in kernels}
         spec = tfim.QuenchSpec(dt=0.05, t_max=0.05)  # one step
         ground = evolve.ground_state_optimize(spec.J, spec.g0, FULL15)
-        evolve.evolve_exact_in_ansatz(spec, ground=ground)
+        runs = [evolve.evolve_exact_in_ansatz(spec, ground=ground)]
         for order in (1, 2):
             ordered = replace(spec, trotter_order=order)
-            evolve.evolve_exact_in_ansatz(ordered, cost_mode="circuit_lt", ground=ground)
-            evolve.evolve_stochastic(ordered, "extrapolate", ground=ground)
+            runs.append(
+                evolve.evolve_exact_in_ansatz(ordered, cost_mode="circuit_lt", ground=ground)
+            )
+            runs.append(evolve.evolve_stochastic(ordered, "extrapolate", ground=ground))
             circuits.dense_success_probability(ground, ground, ordered)
             circuits.build_cost_circuit(ground, ground, ordered)
         evolve.echo_density(ground, ground)
+        assert all(run.complete for run in runs), [run.failure for run in runs]
         assert all(calls.values()), {name: len(c) for name, c in calls.items()}
 
         def is_tensor(a):
@@ -842,6 +847,10 @@ class TestDrivers:
         assert layer_sites == {2, 4}
         for (a, n_sites), _ in calls["strand_products"]:
             assert is_tensor(a) and qcore.is_count(n_sites) and n_sites >= 1
+        for name in ("leading_eig", "eigenvalues"):
+            for (m,), _ in calls[name]:
+                assert m.dtype == complex and m.shape == (4, 4)
+                assert np.isfinite(m).all() and np.abs(m).max() > 0.0
         for (h, tau), _ in calls["two_site_exp"]:
             assert h.dtype == complex and h.shape == (4, 4)
             assert np.max(np.abs(h - h.conj().T)) < 1e-10

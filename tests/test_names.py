@@ -26,7 +26,7 @@ PUBLIC_API = {
     "quenchmps.__version__",
 }
 # kept only because bench/ calls or traces them; deleted with benchmark v2
-# (ROADMAP item 2)
+# (ROADMAP item 4)
 KEPT_FOR_BENCH = {
     "qcore.rot_gate",
     "ansatz.mps_tensor",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quenchmps import qcore
+from quenchmps.circuits import CircuitOp, CostCircuit, exact_success_probability
 from quenchmps.qcore import (
     InvalidArgumentError,
     NumericFailure,
@@ -13,7 +14,6 @@ from quenchmps.qcore import (
     eigenvalues,
     leading_eig,
     n_qubits_of,
-    project_qubit,
     rot_gate,
     two_site_exp,
     zero_state,
@@ -129,7 +129,7 @@ class TestTwoSiteExp:
             assert np.array_equal(two_site_exp(h, tau), two_site_exp(h, 2.0))
 
 
-# the two geev front ends, which share their input checks and info check
+# the two geev front ends, which share their info check
 EIGENSOLVERS = (leading_eig, eigenvalues)
 
 
@@ -202,27 +202,6 @@ class TestLeadingEig:
         for solve in EIGENSOLVERS:
             with pytest.raises(NumericFailure, match="geev info 2"):
                 solve(np.eye(4, dtype=complex))
-
-    def test_rejects_zero_matrix(self):
-        for solve in EIGENSOLVERS:
-            with pytest.raises(InvalidArgumentError):
-                solve(np.zeros((4, 4)))
-            # an empty one escaped as numpy's zero-size reduction error
-            with pytest.raises(InvalidArgumentError, match="non-empty square matrix"):
-                solve(np.zeros((0, 0)))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("where", ["everywhere", "one-entry"])
-    def test_rejects_a_non_finite_matrix_silently(self, capfd, bad, where):
-        # a matrix of NaN or inf made LAPACK print four illegal-value lines on
-        # stdout before geev failed (info -4); one such entry gave a NaN
-        # residual or a RuntimeWarning
-        m = np.full((4, 4), bad, dtype=complex) if where == "everywhere" else np.eye(4)
-        m[1, 2] = bad
-        for solve in EIGENSOLVERS:
-            with pytest.raises(InvalidArgumentError, match="nonzero and finite"):
-                solve(m)
-        assert capfd.readouterr() == ("", "")
 
 
 class TestEigenvalues:
@@ -351,14 +330,18 @@ class TestStateHelpers:
             zero_state(n_qubits)
 
     @pytest.mark.parametrize(
-        "qubit, outcome",
-        [(-1, 0), (3, 0), (5, 1), (1.0, 0), (True, 0), (0, 2), (0, -1), (0, True), (0, 0.0)],
+        "qubit, outcome", [(-1, 0), (3, 0), (5, 1), (1.0, 0), (True, 0)]
     )
     def test_projection_rejects_a_bad_qubit_or_outcome(self, qubit, outcome):
-        # unchecked, qubit -1 would project the last qubit, outcome 2 would act
-        # as 0, and qubit 5 would raise a bare IndexError
-        with pytest.raises(InvalidArgumentError, match="need a qubit in"):
-            project_qubit(zero_state(3), qubit, outcome)
+        # a measurement is diag(1 - outcome, outcome) through apply_gate, whose
+        # target check rejects a hand-built measure op's qubit: unchecked, qubit
+        # -1 would project the last qubit
+        match = "targets must be qubits in"
+        circuit = CostCircuit(qubit_count=3, ops=(CircuitOp("measure", (qubit,)),))
+        with pytest.raises(InvalidArgumentError, match=match):
+            exact_success_probability(circuit)
+        with pytest.raises(InvalidArgumentError, match=match):
+            apply_gate(zero_state(3), np.diag([1 - outcome, outcome]), (qubit,))
 
     def test_qubit_count_needs_a_power_of_two(self):
         assert n_qubits_of(np.zeros(8)) == 3
@@ -375,9 +358,10 @@ class TestStateHelpers:
         psi = random_state(3, rng)
         for qubit in range(3):
             for outcome in (0, 1):
-                projected = project_qubit(psi, qubit, outcome)
+                projector = np.diag([1 - outcome, outcome])
+                projected = apply_gate(psi, projector, (qubit,))
                 kept = [(i >> (2 - qubit)) & 1 == outcome for i in range(8)]
                 assert np.array_equal(projected[kept], psi[kept])
                 assert np.all(projected[np.logical_not(kept)] == 0.0)
-                again = project_qubit(projected, qubit, outcome)
+                again = apply_gate(projected, projector, (qubit,))
                 assert np.array_equal(again, projected)
