@@ -240,6 +240,7 @@ def spsa_optimize(cost, x0, steps, rng_seed):
     offset = SPSA_A_FRACTION * steps
     history = []
     deltas = rng.integers(0, 2, size=(steps, len(x))) * 2.0 - 1.0
+    # a table, as forming each pair per iteration (np.stack, delta * _PLUS_MINUS) is 1.5-3x slower
     signs = deltas[:, None, :] * _PLUS_MINUS  # iteration k's pair: x + c_k signs[k]
     for k, delta in enumerate(deltas):
         ck = SPSA_C / (k + 1) ** SPSA_GAMMA

@@ -23,12 +23,11 @@ Conventions fixed project-wide here:
 * All arithmetic is double precision complex.
 """
 
-import functools
 import math
 import numbers
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import zgeev as _GEEV
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -36,9 +35,6 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 _PAULIS = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
-
-# LAPACK's complex eigensolver and its workspace query
-_GEEV, _GEEV_LWORK = scipy.linalg.get_lapack_funcs(("geev", "geev_lwork"), dtype=complex)
 
 
 class InvalidArgumentError(ValueError):
@@ -86,12 +82,6 @@ def check_choice(name, value, choices):
         raise InvalidArgumentError(f"unknown {name} {value!r}, expected one of {tuple(choices)}")
 
 
-@functools.cache
-def _geev_lwork(n):
-    """``geev`` workspace for an n x n matrix with both eigenvectors (ample without)."""
-    return int(_GEEV_LWORK(n, compute_vl=1, compute_vr=1)[0].real)
-
-
 def rot_gate(axis, angle):
     """Single-qubit rotation exp(-i * angle * P / 2) = cos(angle/2) 1 -
     i sin(angle/2) P for the Pauli P named by ``axis`` ('X', 'Y' or 'Z'), at a
@@ -113,7 +103,7 @@ def two_site_exp(h, tau):
 
 def _geev(m, vectors):
     """``(w, vl, vr)`` of one ``geev`` on a square ``m``: eigenvectors if ``vectors``."""
-    w, vl, vr, info = _GEEV(m, compute_vl=vectors, compute_vr=vectors, lwork=_geev_lwork(len(m)))
+    w, vl, vr, info = _GEEV(m, compute_vl=vectors, compute_vr=vectors)
     if info != 0:
         raise NumericFailure(f"eigensolver failed (geev info {info})")
     return w, vl, vr
@@ -131,8 +121,8 @@ def eigenvalues(m):
 def leading_eig(m):
     """Leading eigenpair (largest |eigenvalue|) of a small square matrix.
 
-    One direct LAPACK ``geev`` call (the backward-stable QR algorithm) with
-    both eigenvectors, its workspace queried once per matrix size. Returns
+    One direct LAPACK ``zgeev`` call (the backward-stable QR algorithm) with
+    both eigenvectors, on LAPACK's default workspace. Returns
     ``(lam, right, left)``: m right = lam right, and the row vector ``left``
     (the conjugated left eigenvector l, so ``left`` is l^dag) gives
     left m = lam left; both are LAPACK's unit vectors. A ``geev`` that does
@@ -157,27 +147,22 @@ def zero_state(n_qubits):
     return psi
 
 
-def n_qubits_of(state):
-    """Qubit count n of a statevector: a 1-D array of length 2**n."""
-    length = len(state) if np.ndim(state) == 1 else 0
-    n = length.bit_length() - 1
-    if not length or length != 2**n:
-        raise InvalidArgumentError(
-            f"a state needs a 1-D shape of a power of 2 length, got {np.shape(state)}"
-        )
-    return n
-
-
 def apply_gate(state, gate, targets):
     """Apply a k-qubit gate to the given target qubits of a statevector.
 
     ``targets`` are distinct qubit indices, integers in [0, n) (a bool or a
     float is none); ``targets[0]`` corresponds to the first (slow) index of
-    the gate matrix. Returns a new array.
+    the gate matrix. A ``state`` that is not a 1-D array of power-of-2
+    length raises :class:`InvalidArgumentError`. Returns a new array.
     """
     state = np.asarray(state, dtype=complex)
     gate = np.asarray(gate, dtype=complex)
-    n = n_qubits_of(state)
+    length = len(state) if state.ndim == 1 else 0
+    n = length.bit_length() - 1
+    if not length or length != 2**n:
+        raise InvalidArgumentError(
+            f"a state needs a 1-D shape of a power of 2 length, got {state.shape}"
+        )
     targets = tuple(targets)
     k = len(targets)
     if gate.shape != (2**k, 2**k):

@@ -6,6 +6,7 @@ import pytest
 from quenchmps import qcore
 from quenchmps.circuits import CircuitOp, CostCircuit, exact_success_probability
 from quenchmps.qcore import (
+    IDENTITY_2,
     InvalidArgumentError,
     NumericFailure,
     PAULI_X,
@@ -13,7 +14,6 @@ from quenchmps.qcore import (
     apply_gate,
     eigenvalues,
     leading_eig,
-    n_qubits_of,
     rot_gate,
     two_site_exp,
     zero_state,
@@ -171,7 +171,7 @@ class TestLeadingEig:
             assert abs(np.linalg.norm(left) - 1.0) < 1e-12
             assert abs(np.linalg.norm(right) - 1.0) < 1e-12
 
-    def test_other_sizes_get_their_own_workspace(self):
+    def test_sizes_2_4_and_16_solve(self):
         for n in (2, 4, 16):
             m = np.diag(np.arange(1.0, n + 1.0)).astype(complex)
             lam, v, _ = leading_eig(m)
@@ -344,14 +344,17 @@ class TestStateHelpers:
             apply_gate(zero_state(3), np.diag([1 - outcome, outcome]), (qubit,))
 
     def test_qubit_count_needs_a_power_of_two(self):
-        assert n_qubits_of(np.zeros(8)) == 3
+        # 8 amplitudes are 3 qubits: qubit 2 is a target, qubit 3 is not
+        assert apply_gate(np.zeros(8), IDENTITY_2, (2,)).shape == (8,)
+        with pytest.raises(InvalidArgumentError, match=r"in \[0, 3\)"):
+            apply_gate(np.zeros(8), IDENTITY_2, (3,))
         with pytest.raises(InvalidArgumentError, match="power of 2"):
-            n_qubits_of(np.zeros(6))
+            apply_gate(np.zeros(6), IDENTITY_2, (0,))
 
     @pytest.mark.parametrize("state", [np.zeros(0), np.array(1.0), np.zeros((2, 2))])
     def test_qubit_count_needs_a_nonempty_vector(self, state):
         with pytest.raises(InvalidArgumentError, match="1-D shape"):
-            n_qubits_of(state)
+            apply_gate(state, IDENTITY_2, (0,))
 
     def test_projection_keeps_the_outcome_branch_unnormalized(self):
         rng = np.random.default_rng(9)
