@@ -66,7 +66,7 @@ import numpy as np
 
 from . import qcore, tfim, transfer
 from .ansatz import AnsatzParams, build_unitary, tensor_of
-from .qcore import ResourceLimitError
+from .qcore import InvalidArgumentError
 
 MAX_CIRCUIT_QUBITS = 12
 _ZERO_PROJECTOR = np.diag([1.0, 0.0]).astype(complex)  # |0><0|, a measurement reading 0
@@ -148,20 +148,18 @@ def exact_success_probability(circuit):
     applies |0><0| to its qubit through :func:`qcore.apply_gate`, without
     renormalizing, so the final squared norm is the joint success probability
     (the auxiliary qubit stays unmeasured and is traced implicitly by the
-    norm). A measure op whose qubit ``apply_gate`` rejects raises
-    :class:`~quenchmps.qcore.InvalidArgumentError`.
+    norm). A reset is the identity on the postselected branch. It rejects
+    with :class:`~quenchmps.qcore.InvalidArgumentError` a circuit of more than
+    ``MAX_CIRCUIT_QUBITS`` qubits, an op whose kind is not "gate", "measure"
+    or "reset", and an op whose targets or matrix ``apply_gate`` rejects.
     """
     if circuit.qubit_count > MAX_CIRCUIT_QUBITS:
-        raise ResourceLimitError(
-            f"statevector path limited to {MAX_CIRCUIT_QUBITS} qubits"
-        )
+        raise InvalidArgumentError(f"statevector path limited to {MAX_CIRCUIT_QUBITS} qubits")
     psi = qcore.zero_state(circuit.qubit_count)
     for op in circuit.ops:
-        if op.kind == "gate":
-            psi = qcore.apply_gate(psi, op.matrix, op.targets)
-        elif op.kind == "measure":
-            psi = qcore.apply_gate(psi, _ZERO_PROJECTOR, op.targets)
-        # reset is a no-op on the postselected branch
+        qcore.check_choice("op kind", op.kind, ("gate", "measure", "reset"))
+        gate = {"gate": op.matrix, "measure": _ZERO_PROJECTOR, "reset": qcore.IDENTITY_2}[op.kind]
+        psi = qcore.apply_gate(psi, gate, op.targets)
     return float(np.sum(np.abs(psi) ** 2))
 
 

@@ -20,7 +20,6 @@ so the circuit acts as a stochastic correction on top of the classical
 prediction. :func:`ensemble_run` runs it over many seeds from one ground state.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -537,29 +536,12 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
     return _evolve(spec, ground, "extrapolate", solve_step, seed=None, shots_per_eval=0)
 
 
-@dataclass
-class EnsembleStats:
-    """Per-time statistics over an ensemble of stochastic runs.
-
-    A run that stopped early holds NaN after its last step. Each statistic
-    at t is taken over the ``reached[t]`` runs that got there; it is NaN
-    where none did (and the variance also where only one did).
-    """
-
-    times: np.ndarray
-    echoes: np.ndarray  # shape (n_runs, n_times), NaN-padded
-    reached: np.ndarray  # runs that reached each time
-    mean: np.ndarray
-    variance: np.ndarray
-    envelope_lo: np.ndarray
-    envelope_hi: np.ndarray
-    total_shots: int
-
-
 def ensemble_run(spec, init_scheme, seeds, shots_per_eval=2048, ground=None):
     """Ensemble of perfect-gate stochastic runs (shot noise only) of the
-    ``FULL15`` ansatz, all started from ``ground`` (solved here when not
-    given).
+    ``FULL15`` ansatz, all started from ``ground`` (solved here once when not
+    given): one :class:`Trajectory` per seed, in the order given, each the
+    :func:`evolve_stochastic` run at that seed. A run that stopped early is
+    truncated and carries its ``failure``.
 
     ``seeds`` is any iterable of at least 2 distinct run seeds, one per run,
     each a nonnegative integer; ``seeds`` that are not, and any ``spec``,
@@ -575,24 +557,4 @@ def ensemble_run(spec, init_scheme, seeds, shots_per_eval=2048, ground=None):
     if ground is None:
         ground = ground_state_optimize(spec.J, spec.g0, FULL15)
     options = dict(shots_per_eval=shots_per_eval, ground=ground)
-    runs = [evolve_stochastic(spec, init_scheme, seed=s, **options) for s in seeds]
-    echoes = np.full((len(runs), len(spec.times)), np.nan)
-    for row, run in zip(echoes, runs):
-        row[: len(run.echoes)] = run.echoes
-    with warnings.catch_warnings():
-        # times that no run, or only one run, reached give NaN statistics
-        warnings.simplefilter("ignore", RuntimeWarning)
-        mean = np.nanmean(echoes, axis=0)
-        variance = np.nanvar(echoes, axis=0, ddof=1)
-        envelope_lo = np.nanpercentile(echoes, 5.0, axis=0)
-        envelope_hi = np.nanpercentile(echoes, 95.0, axis=0)
-    return EnsembleStats(
-        times=spec.times,
-        echoes=echoes,
-        reached=np.sum(~np.isnan(echoes), axis=0),
-        mean=mean,
-        variance=variance,
-        envelope_lo=envelope_lo,
-        envelope_hi=envelope_hi,
-        total_shots=int(sum(r.cum_shots[-1] for r in runs)),
-    )
+    return [evolve_stochastic(spec, init_scheme, seed=s, **options) for s in seeds]

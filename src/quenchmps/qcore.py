@@ -47,10 +47,6 @@ class NumericFailure(RuntimeError):
     """
 
 
-class ResourceLimitError(RuntimeError):
-    """Raised when a request exceeds the dense-simulation size limits."""
-
-
 def is_count(value):
     """Whether ``value`` is an integer and not a bool: Python and NumPy
     integers count, ``True`` and ``numpy.True_`` do not."""

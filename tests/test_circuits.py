@@ -13,7 +13,7 @@ from quenchmps.circuits import (
     exact_success_probability,
     success_probability_fn,
 )
-from quenchmps.qcore import InvalidArgumentError, ResourceLimitError
+from quenchmps.qcore import InvalidArgumentError
 from conftest import random_unitary, unitarity_defect
 
 
@@ -161,7 +161,25 @@ class TestExactSuccessProbability:
 
     def test_resource_limit(self):
         c = CostCircuit(qubit_count=13, ops=())
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(InvalidArgumentError, match="limited to 12 qubits"):
+            exact_success_probability(c)
+
+    @pytest.mark.parametrize("kind", ["mesure", None, 0], ids=["typo", "none", "int"])
+    def test_unknown_op_kind_rejected(self, kind):
+        # skipped, a misspelt measure after X would read 1.0 where "measure" reads 0.0
+        ops = (
+            CircuitOp("gate", (0,), "X", qcore.PAULI_X),
+            CircuitOp(kind, (0,)),
+        )
+        c = CostCircuit(qubit_count=2, ops=ops)
+        with pytest.raises(InvalidArgumentError, match="unknown op kind"):
+            exact_success_probability(c)
+
+    @pytest.mark.parametrize("qubit", [2, -1])
+    def test_reset_off_the_circuit_rejected(self, qubit):
+        # skipped, a reset off the circuit would read 1.0
+        c = CostCircuit(qubit_count=2, ops=(CircuitOp("reset", (qubit,)),))
+        with pytest.raises(InvalidArgumentError, match="targets must be qubits in"):
             exact_success_probability(c)
 
 

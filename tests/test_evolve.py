@@ -12,6 +12,7 @@ from test_transfer import cell_matrix
 
 H = 1e-5  # central-difference step; truncation and rounding both stay near 1e-10
 SHORT = replace(tfim.REFERENCE_QUENCH, t_max=0.3)  # three steps
+RUN_FIELDS = ("times", "angles", "echoes", "costs", "cum_shots", "failure")  # per run
 
 # Full15 ground state ground_state_optimize(1.0, 1.5, FULL15) as solved with
 # BFGS gtol 1e-10; the golden SPSA runs start from it, so they do not move with
@@ -728,11 +729,14 @@ class TestDrivers:
         assert [args for args, _ in solves] == [(SHORT.J, SHORT.g0, FULL15)]
         given = run(ground=solves[0][1])
         assert len(solves) == 1
-        names = ("echoes", "total_shots") if entry == "ensemble" else (
-            "angles", "echoes", "costs", "cum_shots", "failure"
-        )
-        for name in names:
-            assert np.array_equal(getattr(solved, name), getattr(given, name)), name
+        if entry != "ensemble":
+            solved, given = [solved], [given]
+        assert len(solved) == len(given) == (2 if entry == "ensemble" else 1)
+        for solved_run, given_run in zip(solved, given):
+            for name in RUN_FIELDS:
+                assert np.array_equal(
+                    getattr(solved_run, name), getattr(given_run, name)
+                ), name
 
     @pytest.mark.parametrize(
         "entry, option",
@@ -769,12 +773,14 @@ class TestDrivers:
             run(**{option: bad})
 
     def test_ensemble_takes_any_iterable_of_seeds(self, ground):
-        stats = evolve.ensemble_run(
+        runs = evolve.ensemble_run(
             SHORT, "copy", (s for s in (7, np.int64(2))), ground=ground
         )
-        for row, seed in zip(stats.echoes, (7, 2)):
-            run = evolve.evolve_stochastic(SHORT, "copy", seed=seed, ground=ground)
-            assert np.array_equal(row, run.echoes)
+        assert [run.seed for run in runs] == [7, 2]
+        for run, seed in zip(runs, (7, 2)):
+            alone = evolve.evolve_stochastic(SHORT, "copy", seed=seed, ground=ground)
+            for name in RUN_FIELDS:
+                assert np.array_equal(getattr(run, name), getattr(alone, name)), name
 
     @pytest.mark.parametrize("entry", ["stochastic", "ensemble"])
     @pytest.mark.parametrize(
@@ -1053,6 +1059,7 @@ class TestStochastic:
 
     def test_ensemble_keeps_a_truncated_run(self, ground, monkeypatch):
         full = evolve.evolve_stochastic(SHORT, "extrapolate", seed=0, ground=ground)
+        unpatched = evolve.evolve_stochastic(SHORT, "extrapolate", seed=1, ground=ground)
 
         def no_solve(*args, **kwargs):
             raise AssertionError("the given ground state was solved again")
@@ -1060,17 +1067,14 @@ class TestStochastic:
         monkeypatch.setattr(evolve, "ground_state_optimize", no_solve)
         # run 0 builds three step costs; run 1 fails on its second step
         patch_step_costs(monkeypatch, fail_after=SHORT.n_steps + 1)
-        stats = evolve.ensemble_run(SHORT, "extrapolate", [0, 1], ground=ground)
-        assert np.array_equal(stats.times, SHORT.times)
-        assert stats.reached.tolist() == [2, 2, 1, 1]
-        assert np.array_equal(stats.echoes[0], full.echoes)
-        assert np.all(np.isnan(stats.echoes[1, 2:]))
-        assert np.array_equal(stats.mean[2:], full.echoes[2:])
-        assert stats.mean[1] == pytest.approx(np.mean(stats.echoes[:, 1]))
-        assert np.all(np.isfinite(stats.variance[:2]))
-        assert np.all(np.isnan(stats.variance[2:]))
-        assert np.all(stats.envelope_lo <= stats.envelope_hi + 1e-15)
-        assert stats.total_shots == full.cum_shots[-1] + 2 * 4 * 6 * 2048
+        first, second = evolve.ensemble_run(SHORT, "extrapolate", [0, 1], ground=ground)
+        assert first.complete
+        for name in RUN_FIELDS:
+            assert np.array_equal(getattr(first, name), getattr(full, name)), name
+        assert second.seed == 1 and second.n_steps == 1
+        assert second.failure == "NumericFailure: forced"
+        for name in ("times", "angles", "echoes", "costs", "cum_shots"):
+            assert np.array_equal(getattr(second, name), getattr(unpatched, name)[:2]), name
 
     @pytest.mark.parametrize("init_scheme", ["copy"])
     def test_other_init_schemes_run_and_repeat(self, ground, init_scheme):

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from quenchmps import qcore, tfim
-from quenchmps.qcore import InvalidArgumentError, ResourceLimitError
+from quenchmps.qcore import InvalidArgumentError
 from quenchmps.tfim import (
     MAX_STEPS,
     QuenchSpec,
@@ -40,7 +40,7 @@ def tfim_hamiltonian_sparse(J, g, n_sites, periodic=True):
     if n_sites < 2:
         raise InvalidArgumentError("need at least 2 sites")
     if n_sites > MAX_ED_SITES:
-        raise ResourceLimitError(
+        raise InvalidArgumentError(
             f"exact diagonalization limited to {MAX_ED_SITES} sites"
         )
     dim = 2**n_sites
@@ -170,7 +170,7 @@ class TestHamiltonian:
         assert abs(e_ff - e_ed) < 1e-6
 
     def test_resource_limit(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(InvalidArgumentError, match="limited to"):
             tfim_hamiltonian(1.0, 1.0, 16)
 
     def test_periodic_chain_adds_the_wrap_bond(self):
