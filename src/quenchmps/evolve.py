@@ -11,9 +11,9 @@ ground state (:func:`ground_state_optimize`), and each step then runs
       -> accept:  unwrap the angles, build their tensor once, take its echo
                   against the ground state's tensor, add up the shots.
 
-The deterministic reference (:func:`evolve_exact_in_ansatz`) corrects with
-one L-BFGS-B solve of the dense step objective, in coordinates scaled by the
-tangent metric of the seed's state. The sampled experiment
+The deterministic reference (:func:`evolve_exact_in_ansatz`) corrects on the
+tangent metric: "eigen" by Gauss-Newton (:func:`_gauss_newton`), "circuit_lt"
+by metric-scaled L-BFGS-B. The sampled experiment
 (:func:`evolve_stochastic`) corrects with SPSA (:func:`spsa_optimize`) on the
 measured cost 1 - p_hat, drawn from per-step streams (:func:`_step_stream`),
 so the circuit acts as a stochastic correction on top of the classical
@@ -23,29 +23,29 @@ prediction. :func:`ensemble_run` runs it over many seeds from one ground state.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from . import circuits, qcore, tfim, transfer
 from .ansatz import FULL15, N_ANGLES, AnsatzParams, tensor_of
 from .qcore import InvalidArgumentError, NumericFailure, check_choice, check_count, check_reals
 
 INIT_SCHEMES = ("copy", "extrapolate")
-# largest gradient component at which a reference step (L-BFGS-B) and the ground
-# state (BFGS) stop; above the objective's rounding floor (~1e-10), so every solve
-# ends on it (scipy status 0)
+# largest gradient component at which the ground state (BFGS), an "eigen" step
+# and "circuit_lt"'s scaled L-BFGS-B stop, above the rounding floor (~1e-10)
 GTOL = 1e-7
 # least eigenvalue ratio w / w_max of F that the "circuit_lt" step's scaling S
 # takes (see evolve_exact_in_ansatz). Its two-cell window cost bends along F's
-# null space: its gradient there is 0.7-7.7% of its norm, where the "eigen"
-# objective's is 2.8e-15. So F's exact inverse on its range, with S = 1 on the
-# null space as "eigen" takes it, costs 37.8 and 38.8 evaluations per step at
-# orders 1 and 2 (dt = 0.1, to t = 2.5), with 3 steps of 50 on status 2,
-# against 19.6 and 22.3 with this floor. On the development runs to t = 2.5 at
-# dt = 0.1 and 0.05, circuit_lt takes 19.6 / 19.7 at order 1 and 22.3 / 19.2
-# at order 2 (29-32 without S); one step of the 150 ends on status 2, and no
-# accepted step has an angle-gradient component above 7.3e-8. Each floor tried
-# from 1e-2 to 7e-2 leaves a larger one, 7.4e-8 to 1.35e-7
+# null space (its gradient there is 0.7-7.7% of its norm): F's exact inverse on
+# its range takes 37.8 / 38.8 evaluations per step at orders 1 / 2 (dt = 0.1,
+# to t = 2.5) with 3 steps of 50 on status 2, this floor 19.6 / 22.3 with none;
+# floors from 1e-2 to 7e-2 leave larger accepted gradients (up to 1.35e-7)
 METRIC_FLOOR = 2e-2
+# iteration cap of an "eigen" step (_gauss_newton): steps take at most 7 at
+# dt <= 0.1 and 32 at dt = 0.5, where 2F is further from the Hessian
+GN_MAX_ITER = 100
+ARMIJO_C = 1e-4  # its line search's sufficient-decrease factor, over t = 1 to 2^-29
+ARMIJO_STEPS = 0.5 ** np.arange(30)
+_GN_STOPS = ("passed its gradient test", "hit its iteration cap", "found no decrease")
 GROUND_GAP_TOL = 1e-6  # least 1 - |lambda_2| of an accepted ground state
 GROUND_GRAD_TOL = 1e-6  # largest energy gradient component of an accepted ground state
 BOOTSTRAP_FACTOR = 4  # SPSA budget multiplier while extrapolation lacks history
@@ -80,8 +80,9 @@ class Trajectory:
     1 - p_hat of its last SPSA +/- pair, not the cost at the accepted angles.
     ``cum_shots``: the shots spent up to each step. ``failure``: ``None``, or
     "<exception type>: <message>" of the step that ended the run early: its
-    cost, tensor or echo raised, or L-BFGS-B returned non-finite angles. SPSA
-    has no stop of its own; a tied +/- pair is a zero update.
+    cost, tensor or echo raised, or its reference step stopped short of its
+    gradient test ("eigen") or returned non-finite angles ("circuit_lt").
+    SPSA has no stop of its own; a tied +/- pair is a zero update.
     """
 
     spec: tfim.QuenchSpec
@@ -417,12 +418,14 @@ def evolve_stochastic(
 
 
 def _step_objective(a_t, gate, cost_mode):
-    """Objective x -> (value, exact gradient) of one reference step, for
-    ``minimize`` with ``jac=True``, with the run's evolution ``gate`` (see
-    :func:`evolve_exact_in_ansatz`) and the side fixed by the current state's
-    MPS tensor ``a_t`` built here, so each evaluation builds only the
-    candidate and its tangents (:func:`ansatz.tensor_of` with gradients):
-    -|lambda| of :func:`transfer.cell_eigenvalue_gradient` for "eigen", -p of
+    """Objective x -> (value, exact gradient) of one reference step, with the
+    run's evolution ``gate`` (see :func:`evolve_exact_in_ansatz`) and the side
+    fixed by the current state's MPS tensor ``a_t`` built here, so each
+    evaluation builds only the candidate and its tangents
+    (:func:`ansatz.tensor_of` with gradients): -|lambda| of
+    :func:`transfer.cell_eigenvalue_gradient` for "eigen", which adds a
+    callable for its Gauss-Newton matrix 2F at x on the same tensors
+    (:func:`transfer.tangent_metric`), and -p of
     :func:`circuits.success_probability_gradient_fn` for "circuit_lt". A
     non-finite angle raises :class:`InvalidArgumentError`."""
     if cost_mode == "eigen":
@@ -432,7 +435,8 @@ def _step_objective(a_t, gate, cost_mode):
             b, db = tensor_of(x, grad=True)
             lam, dlam = transfer.cell_eigenvalue_gradient(ket, b, db)
             # d|lambda| = Re(conj(lambda) d lambda) / |lambda|
-            return -abs(lam), (dlam * (-lam.conjugate() / abs(lam))).real
+            grad = (dlam * (-lam.conjugate() / abs(lam))).real
+            return -abs(lam), grad, lambda: 2.0 * transfer.tangent_metric(b, db)
 
         return objective
     success_probability_and_gradient = circuits.success_probability_gradient_fn(a_t, gate)
@@ -442,6 +446,40 @@ def _step_objective(a_t, gate, cost_mode):
         return -float(p), -dp
 
     return objective
+
+
+def _gauss_newton(fun, x0, **_):
+    """Gauss-Newton minimization from ``x0``, as a callable ``method`` of
+    scipy's ``minimize`` (which hands it the raw ``fun`` and returns its
+    result unchanged) of ``fun(x)`` = (value, gradient g, metric), metric()
+    the Gauss-Newton matrix G at x. Each iteration steps x <- x - t G+ g, G+
+    the pseudo-inverse on G's eigenvalues above ``transfer.TANGENT_RANK_RTOL``
+    times the largest, t the first of ``ARMIJO_STEPS`` (1, 1/2, ...) that
+    passes Armijo's test. It stops on status 0 once no component of g
+    exceeds ``GTOL`` (a NaN one does), on 1 after ``GN_MAX_ITER`` iterations
+    and on 2 when no t passes; the message gives the last |g|_inf, and
+    ``nfev`` counts every evaluation, the line search's included."""
+    x, (value, grad, metric), nfev, nit, status = x0, fun(x0), 1, 0, 0
+    while not (worst := np.abs(grad).max()) <= GTOL:
+        if nit == GN_MAX_ITER:
+            status = 1
+            break
+        w, v = np.linalg.eigh(metric())
+        kept = w > transfer.TANGENT_RANK_RTOL * w[-1]
+        step = v[:, kept] @ ((grad @ v[:, kept]) / -w[kept])
+        for t in ARMIJO_STEPS:
+            nfev += 1
+            evaluated = fun(x + t * step)
+            if evaluated[0] <= value + ARMIJO_C * t * (grad @ step):
+                break
+        else:
+            status = 2
+            break
+        x, (value, grad, metric), nit = x + t * step, evaluated, nit + 1
+    return OptimizeResult(
+        x=x, fun=value, jac=grad, nit=nit, nfev=nfev, status=status, success=status == 0,
+        message=f"Gauss-Newton {_GN_STOPS[status]} at |g|_inf = {worst:.3e}",
+    )
 
 
 def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None):
@@ -456,36 +494,25 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
     gate (the cell gate for "eigen", the dense gate layer for "circuit_lt")
     is built once per run, and the current state's side once per step.
 
-    Each step is one L-BFGS-B minimization from the seed x0 of
-    :func:`_evolve`, in coordinates y scaled by the iMPS tangent metric F of
-    x0's state (:func:`transfer.tangent_metric`), which is, up to a factor,
-    the objective's curvature near its optimum. With F = V diag(w) V^T, the
-    step minimizes y -> f(x0 + S y) on the gradient S^T g from y = 0, for
-    S = V diag(s), and accepts x0 + S y*. With r_j = w_j / w_max,
-    s_j = max(r_j, floor)^(-1/2) on F's range, where r_j exceeds
-    ``transfer.TANGENT_RANK_RTOL``, and null^(-1/2) on its null space:
+    Each step minimizes from the seed x0 of :func:`_evolve` on the iMPS
+    tangent metric F (:func:`transfer.tangent_metric`):
 
-    - "eigen", (floor, null) = (0, 1), is a fidelity of the state alone,
-      whose Hessian under the identity gate is exactly 2F, and whose
-      gradient has no part on F's null space.
-    - "circuit_lt", (floor, null) = (``METRIC_FLOOR``, ``METRIC_FLOOR``):
-      its two-cell window cost also bends along F's null space.
+    - "eigen", a fidelity of the state alone whose Hessian under the identity
+      gate is exactly 2F, by Gauss-Newton on 2F(x) (:func:`_gauss_newton`,
+      through ``minimize``), 5.9 evaluations per step at dt = 0.1 to t = 1.
+      It stops when no component of the angle gradient exceeds ``GTOL``, so
+      that bound holds at every accepted step by construction.
+    - "circuit_lt", whose cost also bends along F's null space, by L-BFGS-B
+      on y -> f(x0 + S y) from y = 0, with F = V diag(w) V^T at x0 and
+      S = V diag(max(w / w_max, ``METRIC_FLOOR``))^(-1/2), unbounded, with 30
+      correction pairs and ``ftol = 0``: it ends on status 0, no component of
+      S^T g above ``GTOL``, or on status 2 (ABNORMAL), and accepts x0 + S y*.
 
-    The minimization is unbounded, with a memory of 30 correction pairs and
-    no relative-reduction stop (``ftol = 0``), so it ends on L-BFGS-B's
-    projected-gradient test: no component of S^T g exceeds ``GTOL``. Either
-    S shrinks no direction, every s_j >= 1, so ||S^-1||_2 = 1 and the angle
-    gradient g has |g|_inf <= |g|_2 <= |S^T g|_2 <= sqrt(15) ``GTOL``. That
-    does not give |g|_inf <= ``GTOL``; a stop at ``GTOL`` / sqrt(15), which
-    would, takes "eigen" 26.3 evaluations per step instead of 13.9
-    (dt = 0.1, to t = 1), and ends 2 of the 10 on status 2. Both objectives
-    supply their exact gradients through the closed-form dA/dtheta
-    (:func:`_step_objective`): "eigen" d lambda = <l| dE |r> / <l|r>,
-    "circuit_lt" the chain rule through the cost's bilinear form. A step
-    whose metric or objective raises :class:`NumericFailure` or
-    :class:`InvalidArgumentError`, or on which L-BFGS-B's end point gives
-    non-finite angles, ends the run (see :func:`_evolve`); the latter's
-    ``failure`` names the step and the optimizer's message.
+    The exact gradients come through the closed-form dA/dtheta
+    (:func:`_step_objective`). A step whose metric or objective raises
+    :class:`NumericFailure` or :class:`InvalidArgumentError`, that stops
+    short of ``GTOL`` ("eigen") or whose angles are not finite ("circuit_lt")
+    ends the run (see :func:`_evolve`); the last two name the step.
 
     It starts from ``ground`` (solved when not given) and predicts by
     "extrapolate". A ``spec`` or ``ground`` that :func:`_check_start`
@@ -500,25 +527,26 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
         if spec.trotter_order != 1:
             raise InvalidArgumentError("eigen needs first-order Trotter gates")
         gate = tfim.trotter_gate_first_order(spec.J, spec.g1, spec.dt)
-        floor, null = 0.0, 1.0
     else:
         gate, _ = circuits.evolution_gate_layer(spec)
-        floor = null = METRIC_FLOOR
 
     def solve_step(step, a_prev, x0):
         objective = _step_objective(a_prev, gate, cost_mode)
+        if cost_mode == "eigen":
+            res = minimize(objective, x0, method=_gauss_newton)
+            if res.status != 0:
+                raise NumericFailure(f"step {step}: {res.message}")
+            return res.x, res.fun, 0
         w, v = np.linalg.eigh(transfer.tangent_metric(*tensor_of(x0, grad=True)))
-        ratio = w / w[-1]
-        ratio = np.where(ratio > transfer.TANGENT_RANK_RTOL, np.maximum(ratio, floor), null)
-        scale = v / np.sqrt(ratio)
+        scale = v / np.sqrt(np.maximum(w / w[-1], METRIC_FLOOR))
 
         def preconditioned(y):
             value, grad = objective(x0 + scale @ y)
             return value, grad @ scale
 
-        # 2 * 15 correction pairs hold a whole step's iterations ("eigen": at
-        # most 15 to t = 1); a 10-pair memory costs 14.3 evaluations per step
-        # there instead of 13.9 (34.4 instead of 25.6 without S)
+        # 2 * 15 correction pairs: a 10-pair memory takes 32.9 / 32.5 evaluations
+        # per step at orders 1 / 2 (dt = 0.1, to t = 1), not 22.2 / 23.2, and
+        # ends one step on status 2 at each order, where this one ends none
         res = minimize(
             preconditioned,
             np.zeros(N_ANGLES),

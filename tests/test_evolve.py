@@ -172,7 +172,7 @@ class TestGradients:
             current = AnsatzParams(rng.uniform(-np.pi, np.pi, 15))
             objective = evolve._step_objective(tensor_of(current), gate, "eigen")
             x = current.angles + 0.1 * rng.standard_normal(15)
-            _, grad = objective(x)
+            grad = objective(x)[1]
             fd = central_difference(lambda y: objective(y)[0], x)
             assert np.max(np.abs(grad - fd)) <= 1e-8
 
@@ -194,7 +194,7 @@ class TestGradients:
             left, right = vl[:, k].conj(), vr[:, k]
             de = [cell_matrix(ket, b + d) - cell_matrix(ket, b - d) for d in db]
             dlam = np.array([left @ e @ right for e in de]) / (2.0 * (left @ right))
-            value, grad = evolve._step_objective(a_t, gate, "eigen")(x)
+            value, grad, _ = evolve._step_objective(a_t, gate, "eigen")(x)
             assert abs(value + abs(w[k])) <= 1e-13
             slow = -np.real(np.conj(w[k]) * dlam) / abs(w[k])
             assert np.max(np.abs(grad - slow)) <= 1e-13
@@ -238,7 +238,7 @@ class TestGradients:
         for current, x in points:
             w, v = np.linalg.eigh(transfer.tangent_metric(*tensor_of(x, grad=True)))
             null = v[:, w <= transfer.TANGENT_RANK_RTOL * w[-1]]
-            _, grad = evolve._step_objective(tensor_of(current), gate, "eigen")(x)
+            grad = evolve._step_objective(tensor_of(current), gate, "eigen")(x)[1]
             assert null.shape == (15, 7)
             assert np.max(np.abs(grad @ null)) <= 1e-12 * np.linalg.norm(grad)
 
@@ -372,10 +372,10 @@ class TestDrivers:
 
     def test_bfgs_ends_on_its_gradient_test(self, ground, monkeypatch):
         # the ground solve's BFGS status 0 is its gradient test (2 is a stop on
-        # precision loss); a step's L-BFGS-B status 0 also covers its
-        # relative-reduction stop, and it runs on the metric-scaled objective,
-        # so the gradient of the unscaled step objective is recomputed in the
-        # angles of each accepted row instead
+        # precision loss). An "eigen" step's Gauss-Newton status 0 is its test
+        # on the unscaled angle gradient, which its result carries as jac; that
+        # gradient is also recomputed in the angles of each accepted row, after
+        # unwrapping, from the previous row's tensor
         solves = spy(monkeypatch, evolve, "minimize")
         evolve.ground_state_optimize(1.0, 1.5, FULL15)
         assert [res.status for _, res in solves] == [0]
@@ -384,6 +384,8 @@ class TestDrivers:
             spec = replace(tfim.REFERENCE_QUENCH, t_max=t_max, dt=dt)
             traj = evolve.evolve_exact_in_ansatz(spec, FULL15, "eigen", ground=ground)
             assert traj.complete and len(solves) == spec.n_steps
+            assert [res.status for _, res in solves] == [0] * spec.n_steps
+            assert max(np.max(np.abs(res.jac)) for _, res in solves) <= evolve.GTOL
             gate = tfim.trotter_gate_first_order(spec.J, spec.g1, spec.dt)
             assert accepted_gradient_max(traj, gate, "eigen") <= evolve.GTOL
 
@@ -400,18 +402,58 @@ class TestDrivers:
             assert np.sum(w > transfer.TANGENT_RANK_RTOL * w.max()) == 8
 
     def test_reference_evaluation_budget(self, ground, monkeypatch):
-        # at dt = 0.1: 28.0 evaluations per step with BFGS, 25.6 with a 30-pair
-        # L-BFGS-B memory and 34.4 with a 10-pair one; 15.3 in the coordinates
-        # scaled by the tangent metric with its eigenvalues floored at
-        # METRIC_FLOOR, and 13.9 scaled by its exact inverse on its range. At
-        # dt = 0.025 the floored scaling takes 15.2 and the exact one 8.2
+        # evaluations per step, line-search trials included, to t = 1. At
+        # dt = 0.1: 28.0 with BFGS, 25.6 with a 30-pair L-BFGS-B memory and
+        # 34.4 with a 10-pair one; 15.3 in the coordinates scaled by the tangent
+        # metric with its eigenvalues floored at METRIC_FLOOR, 13.9 (19 at
+        # most) scaled by its exact inverse on its range, and 5.9 (7 at most)
+        # by Gauss-Newton on 2F. At dt = 0.025: 15.2 floored, 8.2 (12 at most)
+        # exactly scaled, and 3.8 (5 at most) by Gauss-Newton
         solves = spy(monkeypatch, evolve, "minimize")
-        for dt, budget in [(0.1, 15.2), (0.025, 9.0)]:
+        for dt, budget, most in [(0.1, 6.5, 8), (0.025, 4.2, 6)]:
             solves.clear()
             spec = replace(tfim.REFERENCE_QUENCH, t_max=1.0, dt=dt)
             traj = evolve.evolve_exact_in_ansatz(spec, FULL15, "eigen", ground=ground)
             assert traj.complete and len(solves) == spec.n_steps
             assert np.mean([res.nfev for _, res in solves]) <= budget
+            assert max(res.nfev for _, res in solves) <= most
+
+    def test_eigen_step_builds_one_tensor_per_evaluation(self, ground, monkeypatch):
+        # the objective and its metric 2F share the candidate's gradient build,
+        # so a step builds exactly nfev of them, the line search's included
+        builds = spy(monkeypatch, evolve, "tensor_of")
+        solves = spy(monkeypatch, evolve, "minimize")
+        traj = evolve.evolve_exact_in_ansatz(SHORT, FULL15, "eigen", ground=ground)
+        assert traj.complete and len(solves) == SHORT.n_steps
+        gradient_builds = [a for _, a in builds if isinstance(a, tuple)]
+        assert len(gradient_builds) == sum(res.nfev for _, res in solves)
+
+    @pytest.mark.parametrize(
+        "name, value, status, stop",
+        [
+            ("GN_MAX_ITER", 1, 1, "hit its iteration cap"),
+            ("ARMIJO_C", 1e6, 2, "found no decrease"),
+        ],
+        ids=["iteration-cap", "line-search"],
+    )
+    def test_reference_records_a_step_that_stops_short(
+        self, ground, monkeypatch, name, value, status, stop
+    ):
+        # one Gauss-Newton iteration does not reach GTOL from the first seed,
+        # and no step passes Armijo's test with a sufficient-decrease factor
+        # far above 1, after every trial t is evaluated and counted; either
+        # way step 1 raises, naming its last |g|_inf
+        monkeypatch.setattr(evolve, name, value)
+        solves = spy(monkeypatch, evolve, "minimize")
+        traj = evolve.evolve_exact_in_ansatz(SHORT, FULL15, "eigen", ground=ground)
+        assert not traj.complete and traj.n_steps == 0
+        (_, res), = solves
+        worst = np.max(np.abs(res.jac))
+        assert worst > evolve.GTOL and res.status == status
+        assert res.nfev == 1 + (1 if status == 1 else len(evolve.ARMIJO_STEPS))
+        assert traj.failure == (
+            f"NumericFailure: step 1: Gauss-Newton {stop} at |g|_inf = {worst:.3e}"
+        )
 
     def test_full15_reference_tracks_free_fermion_echo(self, ground):
         spec = replace(tfim.REFERENCE_QUENCH, t_max=1.0)
@@ -421,11 +463,12 @@ class TestDrivers:
         assert np.max(np.abs(traj.echoes - r_ff)) <= 0.02
 
     def test_reference_records_why_it_stopped(self, ground, monkeypatch):
+        # the circuit_lt step's L-BFGS-B end point is checked for finite angles
         def diverges(fun, x0, **kwargs):
             return OptimizeResult(x=np.full(len(x0), np.nan), message="diverged")
 
         monkeypatch.setattr(evolve, "minimize", diverges)
-        traj = evolve.evolve_exact_in_ansatz(SHORT, FULL15, "eigen", ground=ground)
+        traj = evolve.evolve_exact_in_ansatz(SHORT, FULL15, "circuit_lt", ground=ground)
         assert not traj.complete and traj.n_steps == 0
         assert traj.failure == (
             "NumericFailure: step 1: L-BFGS-B returned non-finite angles (diverged)"
