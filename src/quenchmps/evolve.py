@@ -2,7 +2,8 @@
 with two correctors, and ensemble experiments.
 
 One loop owns every run (:func:`_evolve`). It starts from the variational
-ground state (:func:`ground_state_optimize`), and each step then runs
+ground state (:func:`ground_state_optimize`, BFGS on the exact energy
+gradient), and each step then runs
 
     predict: seed from the previous step under "copy" and on steps 1 and 2,
              else linearly from the two previous steps (``extrapolate``)
@@ -12,26 +13,30 @@ ground state (:func:`ground_state_optimize`), and each step then runs
                   against the ground state's tensor, add up the shots.
 
 The deterministic reference (:func:`evolve_exact_in_ansatz`) corrects on the
-tangent metric: "eigen" by Gauss-Newton (:func:`_gauss_newton`), "circuit_lt"
-by metric-scaled L-BFGS-B. The sampled experiment
-(:func:`evolve_stochastic`) corrects with SPSA (:func:`spsa_optimize`) on the
-measured cost 1 - p_hat, drawn from per-step streams (:func:`_step_stream`),
-so the circuit acts as a stochastic correction on top of the classical
-prediction. :func:`ensemble_run` runs it over many seeds from one ground state.
+tangent metric: "eigen" by Gauss-Newton, "circuit_lt" by metric-scaled
+L-BFGS-B. The ground state and the "eigen" steps share one NumPy minimizer
+(:func:`minimize`), so importing the package loads none of SciPy's
+optimizers; "circuit_lt" imports SciPy's L-BFGS-B when it runs. The sampled
+experiment (:func:`evolve_stochastic`) corrects with SPSA
+(:func:`spsa_optimize`) on the measured cost 1 - p_hat, drawn from per-step
+streams (:func:`_step_stream`), so the circuit acts as a stochastic
+correction on top of the classical prediction. :func:`ensemble_run` runs it
+over many seeds from one ground state.
 """
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize
 
 from . import circuits, qcore, tfim, transfer
 from .ansatz import FULL15, N_ANGLES, AnsatzParams, tensor_of
 from .qcore import InvalidArgumentError, NumericFailure, check_choice, check_count, check_reals
 
 INIT_SCHEMES = ("copy", "extrapolate")
-# largest gradient component at which the ground state (BFGS), an "eigen" step
-# and "circuit_lt"'s scaled L-BFGS-B stop, above the rounding floor (~1e-10)
+# largest gradient component at which minimize (the ground state's BFGS and an
+# "eigen" step) and "circuit_lt"'s scaled L-BFGS-B stop, above the rounding
+# floor (~1e-10)
 GTOL = 1e-7
 # least eigenvalue ratio w / w_max of F that the "circuit_lt" step's scaling S
 # takes (see evolve_exact_in_ansatz). Its two-cell window cost bends along F's
@@ -40,12 +45,12 @@ GTOL = 1e-7
 # to t = 2.5) with 3 steps of 50 on status 2, this floor 19.6 / 22.3 with none;
 # floors from 1e-2 to 7e-2 leave larger accepted gradients (up to 1.35e-7)
 METRIC_FLOOR = 2e-2
-# iteration cap of an "eigen" step (_gauss_newton): steps take at most 7 at
-# dt <= 0.1 and 32 at dt = 0.5, where 2F is further from the Hessian
-GN_MAX_ITER = 100
+# iteration cap of minimize: the ground state takes 31; "eigen" steps take at
+# most 7 at dt <= 0.1 and 32 at dt = 0.5, where 2F is further from the Hessian
+MAX_ITER = 100
 ARMIJO_C = 1e-4  # its line search's sufficient-decrease factor, over t = 1 to 2^-29
 ARMIJO_STEPS = 0.5 ** np.arange(30)
-_GN_STOPS = ("passed its gradient test", "hit its iteration cap", "found no decrease")
+_STOPS = ("passed its gradient test", "hit its iteration cap", "found no decrease")
 GROUND_GAP_TOL = 1e-6  # least 1 - |lambda_2| of an accepted ground state
 GROUND_GRAD_TOL = 1e-6  # largest energy gradient component of an accepted ground state
 BOOTSTRAP_FACTOR = 4  # SPSA budget multiplier while extrapolation lacks history
@@ -167,14 +172,69 @@ def energy_density(params, J, g, grad=False):
     return value, 2.0 * (direct + moved).real
 
 
+def minimize(fun, x0):
+    """Minimize ``fun(x)`` = (value, gradient g, metric) from ``x0`` by
+    x <- x + t p, with t the first of ``ARMIJO_STEPS`` (1, 1/2, ...) that
+    passes Armijo's test. A callable metric() gives the Gauss-Newton matrix G
+    at x, and p = -G+ g, G+ the pseudo-inverse on G's eigenvalues above
+    ``transfer.TANGENT_RANK_RTOL`` times the largest. A metric of ``None``
+    makes it BFGS: p = -H g, with H = 1 at x0 and, after each accepted step
+    s = t p with y the change of g, H <- V H V^T + s s^T / s^T y,
+    V = 1 - s y^T / s^T y, skipped unless s^T y > 0 (Nocedal and Wright,
+    ch. 6).
+
+    It stops on status 0 once no component of g exceeds ``GTOL`` (a NaN one
+    does), on 1 after ``MAX_ITER`` iterations and on 2 when no t passes.
+    Returns a record with ``x``, ``fun``, ``jac`` (g at x), ``nit``,
+    ``nfev`` (every evaluation, the line search's included), ``status`` and
+    ``message``, which names the method, the stop and the last |g|_inf.
+    """
+    x, (value, grad, metric), nfev, nit, status = x0, fun(x0), 1, 0, 0
+    bfgs = metric is None
+    inv_hess = np.eye(len(x0))
+    while not (worst := np.abs(grad).max()) <= GTOL:
+        if nit == MAX_ITER:
+            status = 1
+            break
+        if bfgs:
+            step = -(inv_hess @ grad)
+        else:
+            w, v = np.linalg.eigh(metric())
+            kept = w > transfer.TANGENT_RANK_RTOL * w[-1]
+            step = v[:, kept] @ ((grad @ v[:, kept]) / -w[kept])
+        for t in ARMIJO_STEPS:
+            nfev += 1
+            evaluated = fun(x + t * step)
+            if evaluated[0] <= value + ARMIJO_C * t * (grad @ step):
+                break
+        else:
+            status = 2
+            break
+        if bfgs:
+            s, y = t * step, evaluated[1] - grad
+            if (sy := s @ y) > 0.0:
+                v = np.eye(len(x0)) - np.outer(s, y) / sy
+                inv_hess = v @ inv_hess @ v.T + np.outer(s, s) / sy
+        x, (value, grad, metric), nit = x + t * step, evaluated, nit + 1
+    method = "BFGS" if bfgs else "Gauss-Newton"
+    return SimpleNamespace(
+        x=x, fun=value, jac=grad, nit=nit, nfev=nfev, status=status,
+        message=f"{method} {_STOPS[status]} at |g|_inf = {worst:.3e}",
+    )
+
+
 def ground_state_optimize(J, g, template):
     """Variational ground state of H(g) at bond dimension 2.
 
-    One BFGS minimization of :func:`energy_density` on its exact angle
-    gradient, from the fixed start 0.4 N(0, 1) drawn by ``default_rng(0)``.
-    The end point is checked, not trusted: :class:`NumericFailure`, naming
-    the offending value, is raised when the solved state's transfer matrix
-    has a second eigenvalue within ``GROUND_GAP_TOL`` of the unit circle (a
+    One BFGS minimization (:func:`minimize`) of :func:`energy_density` on its
+    exact angle gradient, from the fixed start 0.4 N(0, 1) drawn by
+    ``default_rng(0)``. Which point of the state's gauge orbit it returns is
+    set by that start and that update rule; the sampled runs from it depend
+    on the point. A solve that stops on the iteration cap or finds no
+    decrease raises :class:`NumericFailure` with the solver's message. The
+    end point is checked, not trusted: :class:`NumericFailure`, naming the
+    offending value, is raised when the solved state's transfer matrix has a
+    second eigenvalue within ``GROUND_GAP_TOL`` of the unit circle (a
     reducible state, where BFGS can stop on a saddle) or when a component of
     its energy gradient exceeds ``GROUND_GRAD_TOL``. A ``template`` other than
     ``FULL15``, and a ``J`` or ``g`` that :func:`qcore.check_reals` rejects,
@@ -183,9 +243,9 @@ def ground_state_optimize(J, g, template):
     check_choice("template", template, (FULL15,))
     check_reals(J=J, g=g)
     x0 = 0.4 * np.random.default_rng(0).standard_normal(N_ANGLES)
-    res = minimize(
-        energy_density, x0, args=(J, g, True), method="BFGS", jac=True, options={"gtol": GTOL}
-    )
+    res = minimize(lambda x: (*energy_density(x, J, g, grad=True), None), x0)
+    if res.status != 0:
+        raise NumericFailure(f"ground state: {res.message}")
     ground = AnsatzParams(res.x)
     a = tensor_of(ground)
     lam2 = np.sort(np.abs(qcore.eigenvalues(transfer.transfer_matrix(a, a))))[-2]
@@ -448,40 +508,6 @@ def _step_objective(a_t, gate, cost_mode):
     return objective
 
 
-def _gauss_newton(fun, x0, **_):
-    """Gauss-Newton minimization from ``x0``, as a callable ``method`` of
-    scipy's ``minimize`` (which hands it the raw ``fun`` and returns its
-    result unchanged) of ``fun(x)`` = (value, gradient g, metric), metric()
-    the Gauss-Newton matrix G at x. Each iteration steps x <- x - t G+ g, G+
-    the pseudo-inverse on G's eigenvalues above ``transfer.TANGENT_RANK_RTOL``
-    times the largest, t the first of ``ARMIJO_STEPS`` (1, 1/2, ...) that
-    passes Armijo's test. It stops on status 0 once no component of g
-    exceeds ``GTOL`` (a NaN one does), on 1 after ``GN_MAX_ITER`` iterations
-    and on 2 when no t passes; the message gives the last |g|_inf, and
-    ``nfev`` counts every evaluation, the line search's included."""
-    x, (value, grad, metric), nfev, nit, status = x0, fun(x0), 1, 0, 0
-    while not (worst := np.abs(grad).max()) <= GTOL:
-        if nit == GN_MAX_ITER:
-            status = 1
-            break
-        w, v = np.linalg.eigh(metric())
-        kept = w > transfer.TANGENT_RANK_RTOL * w[-1]
-        step = v[:, kept] @ ((grad @ v[:, kept]) / -w[kept])
-        for t in ARMIJO_STEPS:
-            nfev += 1
-            evaluated = fun(x + t * step)
-            if evaluated[0] <= value + ARMIJO_C * t * (grad @ step):
-                break
-        else:
-            status = 2
-            break
-        x, (value, grad, metric), nit = x + t * step, evaluated, nit + 1
-    return OptimizeResult(
-        x=x, fun=value, jac=grad, nit=nit, nfev=nfev, status=status, success=status == 0,
-        message=f"Gauss-Newton {_GN_STOPS[status]} at |g|_inf = {worst:.3e}",
-    )
-
-
 def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None):
     """Deterministic reference evolution: each step maximizes the dense
     fidelity objective to high precision (no sampling).
@@ -498,8 +524,8 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
     tangent metric F (:func:`transfer.tangent_metric`):
 
     - "eigen", a fidelity of the state alone whose Hessian under the identity
-      gate is exactly 2F, by Gauss-Newton on 2F(x) (:func:`_gauss_newton`,
-      through ``minimize``), 5.9 evaluations per step at dt = 0.1 to t = 1.
+      gate is exactly 2F, by Gauss-Newton on 2F(x) (:func:`minimize`), 5.6
+      evaluations per step at dt = 0.1 to t = 1 from the solved ground state.
       It stops when no component of the angle gradient exceeds ``GTOL``, so
       that bound holds at every accepted step by construction.
     - "circuit_lt", whose cost also bends along F's null space, by L-BFGS-B
@@ -507,6 +533,7 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
       S = V diag(max(w / w_max, ``METRIC_FLOOR``))^(-1/2), unbounded, with 30
       correction pairs and ``ftol = 0``: it ends on status 0, no component of
       S^T g above ``GTOL``, or on status 2 (ABNORMAL), and accepts x0 + S y*.
+      This is SciPy's ``minimize``, imported when a "circuit_lt" run starts.
 
     The exact gradients come through the closed-form dA/dtheta
     (:func:`_step_objective`). A step whose metric or objective raises
@@ -528,12 +555,14 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
             raise InvalidArgumentError("eigen needs first-order Trotter gates")
         gate = tfim.trotter_gate_first_order(spec.J, spec.g1, spec.dt)
     else:
+        from scipy import optimize
+
         gate, _ = circuits.evolution_gate_layer(spec)
 
     def solve_step(step, a_prev, x0):
         objective = _step_objective(a_prev, gate, cost_mode)
         if cost_mode == "eigen":
-            res = minimize(objective, x0, method=_gauss_newton)
+            res = minimize(objective, x0)
             if res.status != 0:
                 raise NumericFailure(f"step {step}: {res.message}")
             return res.x, res.fun, 0
@@ -547,7 +576,7 @@ def evolve_exact_in_ansatz(spec, template=FULL15, cost_mode="eigen", ground=None
         # 2 * 15 correction pairs: a 10-pair memory takes 32.9 / 32.5 evaluations
         # per step at orders 1 / 2 (dt = 0.1, to t = 1), not 22.2 / 23.2, and
         # ends one step on status 2 at each order, where this one ends none
-        res = minimize(
+        res = optimize.minimize(
             preconditioned,
             np.zeros(N_ANGLES),
             method="L-BFGS-B",

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.optimize import OptimizeResult
+import scipy.optimize
 
+import quenchmps
 from quenchmps import circuits, evolve, qcore, tfim, transfer
 from quenchmps.ansatz import FULL15, AnsatzParams, build_unitary, tensor_of
 from quenchmps.qcore import InvalidArgumentError, NumericFailure
@@ -81,6 +86,18 @@ GOLDEN_SEED3_ORDER2_ANGLES = np.array(
     ]
 )
 
+# evolve.minimize's two short stops: one iteration, and an Armijo test that no
+# trial passes, with a sufficient-decrease factor far above 1
+STOPS_SHORT = pytest.mark.parametrize(
+    "name, value, status, stop",
+    [
+        ("MAX_ITER", 1, 1, "hit its iteration cap"),
+        ("ARMIJO_C", 1e6, 2, "found no decrease"),
+    ],
+    ids=["iteration-cap", "line-search"],
+)
+
+
 def central_difference(f, x):
     out = []
     for k in range(len(x)):
@@ -113,6 +130,20 @@ def spy(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, recorded)
     return calls
+
+
+def stops_at(x):
+    """A fake ``evolve.minimize`` that ignores its objective and returns the
+    real minimizer's record of a flat function from ``x``: ``x`` itself, on
+    status 0."""
+    real = evolve.minimize
+
+    def fake(fun, x0):
+        res = real(lambda y: (0.0, np.zeros(len(y)), None), x)
+        assert res.status == 0 and res.x is x
+        return res
+
+    return fake
 
 
 def fail_step_2_geev(monkeypatch, site):
@@ -309,6 +340,19 @@ class TestGradients:
             transfer.cell_eigenvalue_gradient(ket, b, np.ones((1, 2, 2, 2)))
 
 
+def test_package_import_leaves_scipy_optimize_unloaded():
+    # the ground state and the "eigen" steps run on evolve.minimize, so only a
+    # circuit_lt run imports SciPy's optimizers; this process has them loaded
+    # already, hence a fresh interpreter
+    src = str(Path(quenchmps.__file__).resolve().parent.parent)
+    code = (
+        "import sys, quenchmps.circuits, quenchmps.evolve; "
+        "assert 'scipy.optimize' not in sys.modules, sorted(sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
 class TestDrivers:
     def test_ground_state_energy_near_free_fermion(self, ground):
         e = evolve.energy_density(ground, 1.0, 1.5)
@@ -324,11 +368,10 @@ class TestDrivers:
         assert abs(evolve.echo_density(ground, ground)) <= 1e-9
 
     def test_reducible_ground_state_rejected(self, monkeypatch):
-        # zero angles give U = 1 and the transfer spectrum {1, 1, 1, 1}
-        def stops_at_zero(fun, x0, **kwargs):
-            return OptimizeResult(x=np.zeros(len(x0)))
-
-        monkeypatch.setattr(evolve, "minimize", stops_at_zero)
+        # zero angles give U = 1 and the transfer spectrum {1, 1, 1, 1}; the
+        # fake solve is the package's own minimizer on a flat function, which
+        # returns its start on status 0
+        monkeypatch.setattr(evolve, "minimize", stops_at(np.zeros(15)))
         spectra = spy(monkeypatch, qcore, "eigenvalues")
         with pytest.raises(NumericFailure, match="ground state is reducible"):
             evolve.ground_state_optimize(1.0, 1.5, FULL15)
@@ -336,12 +379,7 @@ class TestDrivers:
         assert len(spectra) == 1 and np.allclose(spectra[0][1], 1.0, rtol=0, atol=1e-12)
 
     def test_non_stationary_ground_state_rejected(self, ground, monkeypatch):
-        moved = ground.angles + 1e-3
-
-        def stops_early(fun, x0, **kwargs):
-            return OptimizeResult(x=moved)
-
-        monkeypatch.setattr(evolve, "minimize", stops_early)
+        monkeypatch.setattr(evolve, "minimize", stops_at(ground.angles + 1e-3))
         with pytest.raises(NumericFailure, match="ground state is not stationary"):
             evolve.ground_state_optimize(1.0, 1.5, FULL15)
 
@@ -371,14 +409,15 @@ class TestDrivers:
         assert np.array_equal(adjoint, pinned.conj().T)
 
     def test_bfgs_ends_on_its_gradient_test(self, ground, monkeypatch):
-        # the ground solve's BFGS status 0 is its gradient test (2 is a stop on
-        # precision loss). An "eigen" step's Gauss-Newton status 0 is its test
-        # on the unscaled angle gradient, which its result carries as jac; that
-        # gradient is also recomputed in the angles of each accepted row, after
-        # unwrapping, from the previous row's tensor
+        # the ground solve's BFGS status 0 and an "eigen" step's Gauss-Newton
+        # status 0 are the one minimizer's test on the unscaled angle
+        # gradient, which its result carries as jac; a step's gradient is also
+        # recomputed in the angles of each accepted row, after unwrapping,
+        # from the previous row's tensor
         solves = spy(monkeypatch, evolve, "minimize")
         evolve.ground_state_optimize(1.0, 1.5, FULL15)
-        assert [res.status for _, res in solves] == [0]
+        (_, res), = solves
+        assert res.status == 0 and np.max(np.abs(res.jac)) <= evolve.GTOL
         for t_max, dt in [(1.0, 0.1), (2.5, 0.05), (1.0, 0.025)]:
             solves.clear()
             spec = replace(tfim.REFERENCE_QUENCH, t_max=t_max, dt=dt)
@@ -401,19 +440,25 @@ class TestDrivers:
             w = np.abs(np.linalg.eigvalsh(transfer.tangent_metric(*tensor_of(x, grad=True))))
             assert np.sum(w > transfer.TANGENT_RANK_RTOL * w.max()) == 8
 
-    def test_reference_evaluation_budget(self, ground, monkeypatch):
-        # evaluations per step, line-search trials included, to t = 1. At
-        # dt = 0.1: 28.0 with BFGS, 25.6 with a 30-pair L-BFGS-B memory and
-        # 34.4 with a 10-pair one; 15.3 in the coordinates scaled by the tangent
-        # metric with its eigenvalues floored at METRIC_FLOOR, 13.9 (19 at
-        # most) scaled by its exact inverse on its range, and 5.9 (7 at most)
-        # by Gauss-Newton on 2F. At dt = 0.025: 15.2 floored, 8.2 (12 at most)
-        # exactly scaled, and 3.8 (5 at most) by Gauss-Newton
+    def test_reference_evaluation_budget(self, golden_ground, monkeypatch):
+        # evaluations per step, line-search trials included, to t = 1, from
+        # the golden ground state, so that the budget tests the step rule and
+        # not the ground solver's point of the gauge orbit. At dt = 0.1: 28.0
+        # with BFGS, 25.6 with a 30-pair L-BFGS-B memory and 34.4 with a
+        # 10-pair one; 15.3 in the coordinates scaled by the tangent metric
+        # with its eigenvalues floored at METRIC_FLOOR, 13.9 (19 at most)
+        # scaled by its exact inverse on its range, and 5.9 (7 at most) by
+        # Gauss-Newton on 2F. At dt = 0.025: 15.2 floored, 8.2 (12 at most)
+        # exactly scaled, and 3.8 (5 at most) by Gauss-Newton. From the
+        # solved ground state, Gauss-Newton reads 5.6 (7) and 3.5 (9): two
+        # steps near t* take 9 evaluations there
         solves = spy(monkeypatch, evolve, "minimize")
         for dt, budget, most in [(0.1, 6.5, 8), (0.025, 4.2, 6)]:
             solves.clear()
             spec = replace(tfim.REFERENCE_QUENCH, t_max=1.0, dt=dt)
-            traj = evolve.evolve_exact_in_ansatz(spec, FULL15, "eigen", ground=ground)
+            traj = evolve.evolve_exact_in_ansatz(
+                spec, FULL15, "eigen", ground=golden_ground
+            )
             assert traj.complete and len(solves) == spec.n_steps
             assert np.mean([res.nfev for _, res in solves]) <= budget
             assert max(res.nfev for _, res in solves) <= most
@@ -428,14 +473,7 @@ class TestDrivers:
         gradient_builds = [a for _, a in builds if isinstance(a, tuple)]
         assert len(gradient_builds) == sum(res.nfev for _, res in solves)
 
-    @pytest.mark.parametrize(
-        "name, value, status, stop",
-        [
-            ("GN_MAX_ITER", 1, 1, "hit its iteration cap"),
-            ("ARMIJO_C", 1e6, 2, "found no decrease"),
-        ],
-        ids=["iteration-cap", "line-search"],
-    )
+    @STOPS_SHORT
     def test_reference_records_a_step_that_stops_short(
         self, ground, monkeypatch, name, value, status, stop
     ):
@@ -455,6 +493,21 @@ class TestDrivers:
             f"NumericFailure: step 1: Gauss-Newton {stop} at |g|_inf = {worst:.3e}"
         )
 
+    @STOPS_SHORT
+    def test_ground_solve_that_stops_short_raises(
+        self, monkeypatch, name, value, status, stop
+    ):
+        # the same two stops end the ground state's BFGS short of GTOL, and
+        # the solve raises with its last |g|_inf
+        monkeypatch.setattr(evolve, name, value)
+        solves = spy(monkeypatch, evolve, "minimize")
+        with pytest.raises(NumericFailure) as raised:
+            evolve.ground_state_optimize(1.0, 1.5, FULL15)
+        (_, res), = solves
+        worst = np.max(np.abs(res.jac))
+        assert worst > evolve.GTOL and res.status == status
+        assert str(raised.value) == f"ground state: BFGS {stop} at |g|_inf = {worst:.3e}"
+
     def test_full15_reference_tracks_free_fermion_echo(self, ground):
         spec = replace(tfim.REFERENCE_QUENCH, t_max=1.0)
         traj = evolve.evolve_exact_in_ansatz(spec, FULL15, "eigen", ground=ground)
@@ -465,9 +518,11 @@ class TestDrivers:
     def test_reference_records_why_it_stopped(self, ground, monkeypatch):
         # the circuit_lt step's L-BFGS-B end point is checked for finite angles
         def diverges(fun, x0, **kwargs):
-            return OptimizeResult(x=np.full(len(x0), np.nan), message="diverged")
+            return scipy.optimize.OptimizeResult(
+                x=np.full(len(x0), np.nan), message="diverged"
+            )
 
-        monkeypatch.setattr(evolve, "minimize", diverges)
+        monkeypatch.setattr(scipy.optimize, "minimize", diverges)
         traj = evolve.evolve_exact_in_ansatz(SHORT, FULL15, "circuit_lt", ground=ground)
         assert not traj.complete and traj.n_steps == 0
         assert traj.failure == (
@@ -589,7 +644,7 @@ class TestDrivers:
         # or on "no reduction", at about 1,200 evaluations per step. The test
         # runs on the scaled gradient, so the unscaled one is recomputed in
         # the angles of each accepted row too
-        results = spy(monkeypatch, evolve, "minimize")
+        results = spy(monkeypatch, scipy.optimize, "minimize")
         spec = replace(tfim.REFERENCE_QUENCH, t_max=1.0, trotter_order=order)
         traj = evolve.evolve_exact_in_ansatz(spec, FULL15, "circuit_lt", ground=golden_ground)
         assert traj.complete and len(results) == spec.n_steps
