@@ -15,8 +15,9 @@ gradient), and each step then runs
 The deterministic reference (:func:`evolve_exact_in_ansatz`) corrects on the
 tangent metric: "eigen" by Gauss-Newton, "circuit_lt" by metric-scaled
 L-BFGS-B. The ground state and the "eigen" steps share one NumPy minimizer
-(:func:`minimize`), so importing the package loads none of SciPy's
-optimizers; "circuit_lt" imports SciPy's L-BFGS-B when it runs. The sampled
+(:func:`minimize`) and the eigensolvers run on NumPy's LAPACK, so importing
+the package loads no SciPy; "circuit_lt" imports SciPy's L-BFGS-B when it
+runs. The sampled
 experiment (:func:`evolve_stochastic`) corrects with SPSA
 (:func:`spsa_optimize`) on the measured cost 1 - p_hat, drawn from per-step
 streams (:func:`_step_stream`), so the circuit acts as a stochastic

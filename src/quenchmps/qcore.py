@@ -13,6 +13,12 @@ not numbers, and only a ``str`` is a name. The kernels behind the entries
 kernels) check nothing again. The simulator's primitives are :func:`zero_state`
 and :func:`apply_gate`; a measurement is a projector applied as a gate.
 
+The eigensolvers, :func:`eigenvalues` and :func:`leading_eig`, run LAPACK's
+``zgeev`` (and, for the left vector, ``zgesv``) as built into NumPy, through
+the gufuncs of ``numpy.linalg._umath_linalg`` that ``np.linalg`` wraps
+(:func:`_geev`); the package imports no SciPy. A failed solve raises
+:class:`NumericFailure`, also where warnings are errors.
+
 Conventions fixed project-wide here:
 
 * Qubit 0 is the **most significant bit** of the amplitude index, i.e. for a
@@ -23,11 +29,12 @@ Conventions fixed project-wide here:
 * All arithmetic is double precision complex.
 """
 
+import cmath
 import math
 import numbers
 
 import numpy as np
-from scipy.linalg.lapack import zgeev as _GEEV
+from numpy.linalg import _umath_linalg
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -98,18 +105,30 @@ def two_site_exp(h, tau):
 
 
 def _geev(m, vectors):
-    """``(w, vl, vr)`` of one ``geev`` on a square ``m``: eigenvectors if ``vectors``."""
-    w, vl, vr, info = _GEEV(m, compute_vl=vectors, compute_vr=vectors)
-    if info != 0:
-        raise NumericFailure(f"eigensolver failed (geev info {info})")
-    return w, vl, vr
+    """One LAPACK ``zgeev`` on a square complex ``m``: the eigenvalues ``w``, or,
+    if ``vectors``, ``(w, V)`` with the unit right eigenvectors as V's columns.
+
+    It calls the gufuncs that ``np.linalg.eigvals`` and ``np.linalg.eig`` call,
+    without those wrappers' Python checks. A ``zgeev`` that does not converge
+    comes back as NaN with the floating-point invalid flag raised. The callers
+    run it under ``np.errstate(invalid="ignore")``, so that the flag is no
+    ``RuntimeWarning`` (an error where warnings are errors), and raise
+    :class:`NumericFailure` on the NaN.
+    """
+    if vectors:
+        return _umath_linalg.eig(m, signature="D->DD")
+    return _umath_linalg.eigvals(m, signature="D->D")
 
 
 def eigenvalues(m):
-    """All eigenvalues of a matrix that :func:`leading_eig` takes, from one ``geev``
-    without eigenvectors; it raises as that does, and on a non-finite eigenvalue."""
-    w = _geev(m, 0)[0]
+    """All eigenvalues of a matrix that :func:`leading_eig` takes, from one
+    ``zgeev`` without eigenvectors (:func:`_geev`). A ``zgeev`` that does not
+    converge (NaN) and an eigenvalue that overflows raise :class:`NumericFailure`."""
+    with np.errstate(invalid="ignore"):
+        w = _geev(m, False)
     if not np.isfinite(w).all():
+        if np.isnan(w).any():
+            raise NumericFailure("eigensolver failed (geev did not converge)")
         raise NumericFailure(f"eigensolver returned a non-finite eigenvalue: {w}")
     return w
 
@@ -117,22 +136,33 @@ def eigenvalues(m):
 def leading_eig(m):
     """Leading eigenpair (largest |eigenvalue|) of a small square matrix.
 
-    One direct LAPACK ``zgeev`` call (the backward-stable QR algorithm) with
-    both eigenvectors, on LAPACK's default workspace. Returns
-    ``(lam, right, left)``: m right = lam right, and the row vector ``left``
-    (the conjugated left eigenvector l, so ``left`` is l^dag) gives
-    left m = lam left; both are LAPACK's unit vectors. A ``geev`` that does
-    not converge raises :class:`NumericFailure`, as does (naming its
-    residual) a right pair that misses ``1e-9 * ||m||_inf``.
+    One LAPACK ``zgeev`` (the backward-stable QR algorithm) gives the
+    eigenvalues and the right eigenvectors V (:func:`_geev`); one ``zgesv``
+    gives the left vector, row k of V^-1: the u with u V = e_k, so that
+    u m = lam u. Returns ``(lam, right, left)``: m right = lam right, and the
+    row vector ``left`` (the conjugated left eigenvector l, so ``left`` is
+    l^dag) gives left m = lam left; both are unit vectors. It raises
+    :class:`NumericFailure` on a ``zgeev`` that does not converge (NaN), on
+    a V that is singular to working precision (a non-finite |u|), and, naming
+    its residual, on a right pair that misses ``1e-9 * ||m||_inf``.
     """
-    w, vl, vr = _geev(m, 1)
-    k = int(np.argmax(np.abs(w)))
-    lam, right = w[k], vr[:, k]
+    with np.errstate(invalid="ignore"):
+        w, v = _geev(m, True)
+        k = int(np.argmax(np.abs(w)))  # the first NaN, if there is one
+        e_k = np.zeros(len(w), dtype=complex)
+        e_k[k] = 1.0
+        u = _umath_linalg.solve1(v.T, e_k, signature="DD->D")
+    lam, right = w[k], v[:, k]
+    if cmath.isnan(lam):
+        raise NumericFailure("eigensolver failed (geev did not converge)")
     residual = np.linalg.norm(m @ right - lam * right)
     if not residual <= 1e-9 * np.abs(m).sum(axis=1).max():  # ||m||_inf
         msg = f"leading eigenpair did not converge (residual {residual:.3e})"
         raise NumericFailure(msg)
-    return lam, right, vl[:, k].conj()
+    scale = math.sqrt(np.vdot(u, u).real)
+    if not math.isfinite(scale):
+        raise NumericFailure(f"eigensolver failed (singular eigenvectors, |u| {scale})")
+    return lam, right, u / scale
 
 
 def zero_state(n_qubits):

@@ -13,6 +13,7 @@ import quenchmps
 from quenchmps import circuits, evolve, qcore, tfim, transfer
 from quenchmps.ansatz import FULL15, AnsatzParams, build_unitary, tensor_of
 from quenchmps.qcore import InvalidArgumentError, NumericFailure
+from test_qcore import GEEV_FAILED, assert_matches_scipy_eig, geev_not_converged
 from test_transfer import cell_matrix
 
 H = 1e-5  # central-difference step; truncation and rounding both stay near 1e-10
@@ -147,20 +148,20 @@ def stops_at(x):
 
 
 def fail_step_2_geev(monkeypatch, site):
-    """Make the one ``geev`` call report no convergence (info 1) in step 2:
-    in its "objective", keyed on the step's one ``window_ket`` call, or in its
+    """Make the one ``geev`` call not converge (NaN out) in step 2: in its
+    "objective", keyed on the step's one ``window_ket`` call, or in its
     "echo", the second echo call, which the run takes as it accepts step 2."""
     steps = spy(monkeypatch, transfer, "window_ket")  # one call per step
     echo_calls, in_echo = [], []
-    real_geev, real_echo = qcore._GEEV, evolve._echo_of_tensors
+    real_geev, real_echo = qcore._geev, evolve._echo_of_tensors
 
-    def geev(*args, **kwargs):
-        w, vl, vr, info = real_geev(*args, **kwargs)
+    def geev(m, vectors):
+        out = real_geev(m, vectors)
         if site == "echo":
             fails = bool(in_echo) and len(echo_calls) == 2
         else:
             fails = not in_echo and len(steps) == 2
-        return w, vl, vr, 1 if fails else info
+        return geev_not_converged(out) if fails else out
 
     def echo_of_tensors(*tensors):
         echo_calls.append(tensors)
@@ -170,7 +171,7 @@ def fail_step_2_geev(monkeypatch, site):
         finally:
             in_echo.pop()
 
-    monkeypatch.setattr(qcore, "_GEEV", geev)
+    monkeypatch.setattr(qcore, "_geev", geev)
     monkeypatch.setattr(evolve, "_echo_of_tensors", echo_of_tensors)
 
 
@@ -340,14 +341,15 @@ class TestGradients:
             transfer.cell_eigenvalue_gradient(ket, b, np.ones((1, 2, 2, 2)))
 
 
-def test_package_import_leaves_scipy_optimize_unloaded():
-    # the ground state and the "eigen" steps run on evolve.minimize, so only a
-    # circuit_lt run imports SciPy's optimizers; this process has them loaded
-    # already, hence a fresh interpreter
+def test_package_import_leaves_scipy_unloaded():
+    # the eigensolvers run on NumPy's LAPACK and the ground state and the
+    # "eigen" steps on evolve.minimize, so only a circuit_lt run imports SciPy;
+    # this process has it loaded already, hence a fresh interpreter
     src = str(Path(quenchmps.__file__).resolve().parent.parent)
     code = (
         "import sys, quenchmps.circuits, quenchmps.evolve; "
-        "assert 'scipy.optimize' not in sys.modules, sorted(sys.modules)"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
+        "assert not loaded, loaded"
     )
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
@@ -515,6 +517,16 @@ class TestDrivers:
         r_ff = tfim.loschmidt_exact_ff(spec.g0, spec.g1, traj.times, J=spec.J)
         assert np.max(np.abs(traj.echoes - r_ff)) <= 0.02
 
+    def test_reference_cell_eigenpairs_match_scipy(self, ground, monkeypatch):
+        # every cell matrix of the benchmark's reference run, the Full15
+        # "eigen" reference to t = 1 through the first cusp
+        pairs = spy(monkeypatch, qcore, "leading_eig")
+        spec = replace(tfim.REFERENCE_QUENCH, t_max=1.0)
+        assert evolve.evolve_exact_in_ansatz(spec, FULL15, "eigen", ground=ground).complete
+        assert len(pairs) >= spec.n_steps
+        for (m,), _ in pairs:
+            assert_matches_scipy_eig(m)
+
     def test_reference_records_why_it_stopped(self, ground, monkeypatch):
         # the circuit_lt step's L-BFGS-B end point is checked for finite angles
         def diverges(fun, x0, **kwargs):
@@ -582,7 +594,7 @@ class TestDrivers:
         fail_step_2_geev(monkeypatch, site)
         traj = evolve.evolve_exact_in_ansatz(SHORT, FULL15, "eigen", ground=ground)
         assert not traj.complete and traj.n_steps == 1
-        assert traj.failure == "NumericFailure: eigensolver failed (geev info 1)"
+        assert traj.failure == "NumericFailure: " + GEEV_FAILED
         assert traj.echoes[1] > 0.0
 
     def test_eigen_needs_first_order_gates(self, ground):
@@ -1071,6 +1083,20 @@ class TestStochastic:
             errors.append(np.max(np.abs(traj.echoes - r_ff)[spec.times <= t_star]))
         assert np.mean(errors) <= 0.3
 
+    def test_echo_eigenvalues_match_scipy_zgeev(self, ground, monkeypatch):
+        # the mixed transfer matrices of the benchmark's ensemble run seeds
+        # 0-3, against SciPy's wrapper of the same LAPACK routine
+        solves = spy(monkeypatch, qcore, "eigenvalues")
+        for seed in range(4):
+            traj = evolve.evolve_stochastic(
+                tfim.REFERENCE_QUENCH, "extrapolate", seed=seed, ground=ground
+            )
+            assert traj.complete
+        assert len(solves) == 4 * tfim.REFERENCE_QUENCH.n_steps
+        for (m,), w in solves:
+            want, _, _, info = scipy.linalg.lapack.zgeev(m, compute_vl=0, compute_vr=0)
+            assert info == 0 and np.max(np.abs(w - want)) <= 1e-14
+
     def test_one_tensor_per_accepted_state(self, golden_ground, monkeypatch):
         # the loop's builds: the ground state's and each accepted state's; the
         # cost builds every candidate tensor from an SPSA +/- pair of raw angles
@@ -1151,7 +1177,7 @@ class TestStochastic:
         traj = evolve.evolve_stochastic(SHORT, "extrapolate", seed=3, ground=golden_ground)
         assert full.complete and pairs == []  # the echo's geev computes no eigenvectors
         assert not traj.complete and traj.n_steps == 1
-        assert traj.failure == "NumericFailure: eigensolver failed (geev info 1)"
+        assert traj.failure == "NumericFailure: " + GEEV_FAILED
         for name in ("times", "angles", "echoes", "costs", "cum_shots"):
             assert np.array_equal(getattr(traj, name), getattr(full, name)[:2]), name
 

@@ -1,7 +1,10 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
+from numpy.linalg import _umath_linalg
 
 from quenchmps import qcore
 from quenchmps.circuits import CircuitOp, CostCircuit, exact_success_probability
@@ -129,8 +132,30 @@ class TestTwoSiteExp:
             assert np.array_equal(two_site_exp(h, tau), two_site_exp(h, 2.0))
 
 
-# the two geev front ends, which share their info check
+# the two geev front ends, which both raise this on a zgeev that does not converge
 EIGENSOLVERS = (leading_eig, eigenvalues)
+GEEV_FAILED = "eigensolver failed (geev did not converge)"
+
+
+def geev_not_converged(out):
+    """What the geev gufuncs return when LAPACK's zgeev does not converge:
+    NaN in every output, in the shapes of the real output ``out``."""
+    if isinstance(out, tuple):
+        return tuple(np.full_like(a, np.nan) for a in out)
+    return np.full_like(out, np.nan)
+
+
+def assert_matches_scipy_eig(m):
+    """:func:`leading_eig`'s pair against ``scipy.linalg.eig`` with both
+    eigenvectors: lambda, the right vector and the left row vector l^dag agree
+    to 1e-12, the vectors up to phase."""
+    lam, right, left = leading_eig(m)
+    w, vl, vr = scipy.linalg.eig(m, left=True, right=True)
+    k = np.argmax(np.abs(w))
+    assert abs(lam - w[k]) <= 1e-12
+    for got, want in ((right, vr[:, k]), (left, vl[:, k].conj())):
+        phase = np.vdot(want, got)
+        assert np.linalg.norm(got - phase / abs(phase) * want) <= 1e-12
 
 
 class TestLeadingEig:
@@ -178,13 +203,13 @@ class TestLeadingEig:
             assert abs(lam - n) < 1e-12 and abs(abs(v[-1]) - 1.0) < 1e-12
 
     def test_residual_check_fires_on_a_corrupted_pair(self, monkeypatch):
-        real_geev = qcore._GEEV
+        real_geev = qcore._geev
 
-        def corrupted(*args, **kwargs):
-            w, vl, vr, info = real_geev(*args, **kwargs)
-            return w, vl, np.roll(vr, 1, axis=0), info
+        def corrupted(m, vectors):
+            w, v = real_geev(m, vectors)
+            return w, np.roll(v, 1, axis=0)
 
-        monkeypatch.setattr(qcore, "_GEEV", corrupted)
+        monkeypatch.setattr(qcore, "_geev", corrupted)
         m = np.diag([2.0, 1.0, 0.5, 0.1]).astype(complex)
         with pytest.raises(NumericFailure, match="did not converge") as err:
             leading_eig(m)
@@ -192,16 +217,48 @@ class TestLeadingEig:
         assert residual > 1e-9 * np.linalg.norm(m, ord=np.inf)
 
     def test_geev_failure_raises(self, monkeypatch):
-        real_geev = qcore._GEEV
+        real_geev = qcore._geev
 
-        def not_converged(*args, **kwargs):
-            w, vl, vr, _ = real_geev(*args, **kwargs)
-            return w, vl, vr, 2
+        def not_converged(m, vectors):
+            return geev_not_converged(real_geev(m, vectors))
 
-        monkeypatch.setattr(qcore, "_GEEV", not_converged)
+        monkeypatch.setattr(qcore, "_geev", not_converged)
         for solve in EIGENSOLVERS:
-            with pytest.raises(NumericFailure, match="geev info 2"):
+            with pytest.raises(NumericFailure, match=re.escape(GEEV_FAILED)):
                 solve(np.eye(4, dtype=complex))
+
+    def test_non_converged_gufunc_raises_no_warning(self, monkeypatch):
+        # the gufuncs' failure: NaN outputs and the invalid flag, raised here by
+        # inf - inf; with every warning an error, a flag that escaped the front
+        # ends would raise RuntimeWarning instead of NumericFailure
+        def nan_like(m):
+            return np.subtract(np.full(len(m), np.inf), np.inf).astype(complex)
+
+        gufuncs = SimpleNamespace(
+            eigvals=lambda m, signature: nan_like(m),
+            eig=lambda m, signature: (nan_like(m), np.outer(nan_like(m), nan_like(m))),
+            solve1=_umath_linalg.solve1,
+        )
+        monkeypatch.setattr(qcore, "_umath_linalg", gufuncs)
+        with pytest.raises(RuntimeWarning, match="invalid value"):
+            gufuncs.eigvals(np.eye(4), signature="D->D")
+        for solve in EIGENSOLVERS:
+            with pytest.raises(NumericFailure, match=re.escape(GEEV_FAILED)):
+                solve(np.eye(4, dtype=complex))
+
+    def test_singular_eigenvectors_raise(self):
+        # a nilpotent Jordan block: zgeev's two right vectors agree but for a
+        # last entry of 1e-292, so the left vector's |u| overflows
+        m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(NumericFailure, match="singular eigenvectors"):
+            leading_eig(m)
+
+    def test_matches_scipy_eig_up_to_phase(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            assert_matches_scipy_eig(
+                rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            )
 
 
 class TestEigenvalues:
@@ -222,14 +279,14 @@ class TestEigenvalues:
             assert abs(w[np.argmax(np.abs(w))] - leading_eig(m)[0]) <= 1e-14
 
     def test_non_finite_eigenvalue_raises(self, monkeypatch):
-        real_geev = qcore._GEEV
+        real_geev = qcore._geev
 
-        def overflowed(*args, **kwargs):
-            w, vl, vr, info = real_geev(*args, **kwargs)
+        def overflowed(m, vectors):
+            w = real_geev(m, vectors)
             w[1] = np.inf
-            return w, vl, vr, info
+            return w
 
-        monkeypatch.setattr(qcore, "_GEEV", overflowed)
+        monkeypatch.setattr(qcore, "_geev", overflowed)
         with pytest.raises(NumericFailure, match="non-finite eigenvalue"):
             eigenvalues(np.diag([2.0, 1.0, 0.5, 0.1]))
 
